@@ -28,7 +28,7 @@ for t in all_types(Fraction(1, 2)):
     print("  class tensor:", ", ".join(
         f"mu^{i}_{{{j}{k}}} = {v}" for (i, j, k), v in
         constants.independent_entries() if v != 0) or "zero bracket")
-    print("  family parameters C1..C9:", [str(v) for v in params.c])
+    print("  family parameters C1..C9 (s = sqrt(2 p0)):", [str(v) for v in params.c])
     if rigid:
         print("  rigid: the deformation never leaves the constant tensor")
     else:

@@ -1,11 +1,10 @@
 """operadyn: operadic Lax dynamics of the oscillator and deformed 3d brackets.
 
-The package verifies, with exact rational arithmetic wherever the inputs
-allow it, a chain of identities: a 3x3 matrix Lax pair for the harmonic
-oscillator, a nine-parameter family of phase-space-dependent bilinear
-brackets satisfying the same Lax equation in the endomorphism operad, the
-dynamical deformations of the eleven real 3d Lie algebra classes cut out of
-that family, the on-shell Jacobi identity of every deformation, and the
+The package verifies, in exact arithmetic over Q(sqrt(2*p0)), a chain of
+identities: a 3x3 matrix Lax pair for the harmonic oscillator, a
+nine-parameter family of phase-space-dependent bilinear brackets satisfying
+the same Lax equation in the endomorphism operad, the dynamical deformations
+of the eleven real 3d Lie algebra classes cut out of that family, the on-shell Jacobi identity of every deformation, and the
 classification of the Jacobi defects of their operator counterparts in the
 free algebra.
 """
@@ -17,13 +16,12 @@ from .bianchi import (
     bianchi_type,
     classical_jacobian,
     deform,
-    deformation_blueprint,
     deformation_trace,
+    formal_deformation,
     is_rigid,
     raw_jacobian,
     reduce_on_shell,
     structure_constants,
-    transcribed_deformation,
 )
 from .lax import (
     LaxFamilyParams,
@@ -36,10 +34,9 @@ from .lax import (
     rotation_generator,
     solve_C,
 )
-from .ncpoly import ExtScalar, NCPoly, commutator, nc_add, nc_mul
+from .ncpoly import ExtScalar, NCPoly, commutator
 from .operad import (
     Operation,
-    apply_operation,
     gerstenhaber_bracket,
     graded_sign,
     partial_compose,
@@ -66,7 +63,6 @@ from .quantum import (
     basis_jacobian,
     classify,
     generator_commutator,
-    operator_table,
     quantize,
     quantum_bracket,
     quantum_jacobian,
@@ -84,15 +80,15 @@ __all__ = [
     "MatrixLaxPair", "NCPoly", "Operation", "OscillatorState", "PAIRS",
     "Poly", "QUANTUM_LIE", "QuasiCoords", "RIGID", "StructureTensor",
     "TAGS", "TableMismatchError", "UNCLASSIFIED", "all_types",
-    "apply_operation", "as_poly", "basis_jacobian", "bianchi_type",
+    "as_poly", "basis_jacobian", "bianchi_type",
     "build_matrix_lax", "build_mu", "classical_jacobian", "classify",
-    "commutator", "deform", "deformation_blueprint", "deformation_trace",
-    "exact_flow", "formal_mu", "generator_commutator", "gerstenhaber_bracket",
-    "graded_sign", "integrate_rk4", "is_rigid", "matrix_lax_residual",
-    "nc_add", "nc_mul", "operadic_lax_residual", "operator_table",
+    "commutator", "deform", "deformation_trace", "exact_flow",
+    "formal_deformation", "formal_mu", "generator_commutator",
+    "gerstenhaber_bracket", "graded_sign", "integrate_rk4", "is_rigid",
+    "matrix_lax_residual", "operadic_lax_residual",
     "partial_compose", "quantize", "quantum_bracket", "quantum_jacobian",
     "quasi_coords", "quasi_coords_derivative", "rational_sqrt",
     "raw_jacobian", "reduce_on_shell", "rotation_generator", "solve_C",
-    "structure_constants", "total_compose", "transcribed_deformation",
+    "structure_constants", "total_compose",
     "triple_product", "xi_pair", "xi_pm",
 ]

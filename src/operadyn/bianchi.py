@@ -8,12 +8,13 @@ with the class determined by the signature (alpha, n1, n2, n3).  Two of the
 classes carry a positive modulus a (with a != 1 for VIa); IIIa1 is the a = 1
 boundary case kept as its own entry.
 
-`deform` turns a class into a one-parameter family of brackets driven by the
-harmonic oscillator: the constant tensor is fed through solve_C / build_mu,
-and the result is checked entry by entry against an independently transcribed
-table of the deformed brackets before being returned.  On the energy shell
-the deformed bracket satisfies the Jacobi identity at every time, which
-`classical_jacobian` verifies by exact polynomial reduction.
+`formal_deformation` turns a class into a one-parameter family of brackets
+driven by the harmonic oscillator: the constant tensor is fed through
+solve_C and the Lax family, with s = sqrt(2*p0) kept formal.  It is the one
+source of both the classical table (`deform`, which folds s to its value
+when that is rational) and the operator table (`quantum.quantize`).  On the
+energy shell the deformed bracket satisfies the Jacobi identity at every
+time, which `classical_jacobian` verifies by exact polynomial reduction.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 from . import poly
-from .lax import build_mu, solve_C
+from .lax import formal_mu, solve_C
+from .ncpoly import ExtScalar
 from .oscillator import BranchError, exact_flow, quasi_coords
 from .poly import Poly, rational_sqrt
-from .structure import PAIRS, StructureTensor, TableMismatchError
+from .structure import StructureTensor
 
 TAGS = ("I", "II", "VII", "VI", "IX", "VIII", "V", "IV", "VIIa", "IIIa1", "VIa")
 
@@ -112,124 +113,38 @@ def structure_constants(t):
     return StructureTensor(entries)
 
 
-# ---------------------------------------------------------------------------
-# deformed table, kept as sigma-split coefficient data
-#
-# Each entry is a tuple of (u, v, var) meaning the term (u + v*sigma) * var
-# with sigma = sqrt(2 p0) and var one of "1", "q", "p", "Ap", "Am".  Keeping
-# the sigma part separate lets the same data feed the classical rendering
-# (where sigma folds into the rational coefficient) and the quantum one
-# (where sigma stays a formal square root).
+def formal_deformation(t, omega, p0):
+    """The dynamical deformation of class t, with s = sqrt(2*p0) formal.
+
+    The class tensor is placed in the Lax family by solve_C at the reference
+    point and the family member is taken symbolically: entries are Poly in
+    q, p, Ap, Am with coefficients in Q(s).
+    """
+    if not Fraction(omega) > 0:
+        raise ValueError(f"omega must be positive, got {omega}")
+    return formal_mu(solve_C(structure_constants(t), p0), omega)
 
 
-def deformation_blueprint(t, omega, p0):
-    """sigma-split entry data of the deformed bracket for class t."""
-    w = Fraction(omega)
-    p0 = Fraction(p0)
-    if not (w > 0 and p0 > 0):
-        raise ValueError("omega and p0 must be positive")
-    a = t.a
-    z = Fraction(0)
-    half = Fraction(1, 2)
-    i2p = 1 / (2 * p0)
-
-    tag = t.tag
-    if tag == "I":
-        return {}
-    if tag == "II":
-        return {
-            (1, 2, 3): ((half, z, "1"), (i2p, z, "p")),
-            (2, 2, 3): ((w * i2p, z, "q"),),
-            (1, 3, 1): ((w * i2p, z, "q"),),
-            (2, 3, 1): ((half, z, "1"), (-i2p, z, "p")),
-        }
-    if tag == "VII":
-        return {(1, 2, 3): ((Fraction(1), z, "1"),), (2, 3, 1): ((Fraction(1), z, "1"),)}
-    if tag == "VI":
-        return {
-            (1, 2, 3): ((1 / p0, z, "p"),),
-            (2, 2, 3): ((w / p0, z, "q"),),
-            (1, 3, 1): ((w / p0, z, "q"),),
-            (2, 3, 1): ((-1 / p0, z, "p"),),
-        }
-    if tag in ("IX", "VIII"):
-        n3 = Fraction(1) if tag == "IX" else Fraction(-1)
-        return {
-            (3, 1, 2): ((n3, z, "1"),),
-            (1, 2, 3): ((Fraction(1), z, "1"),),
-            (2, 3, 1): ((Fraction(1), z, "1"),),
-        }
-    if tag in ("V", "IV"):
-        # 1/sigma = sigma/(2 p0), so a pure 1/sigma coefficient has v = i2p
-        out = {
-            (1, 1, 2): ((z, i2p, "Am"),),
-            (2, 1, 2): ((z, -i2p, "Ap"),),
-            (3, 2, 3): ((z, -i2p, "Am"),),
-            (3, 3, 1): ((z, i2p, "Ap"),),
-        }
-        if tag == "IV":
-            out[(3, 1, 2)] = ((Fraction(1), z, "1"),)
-        return out
-    # the three parametric-shaped classes share one skeleton; only the
-    # (3,1,2) constant differs
-    n3 = Fraction(1) if tag == "VIIa" else Fraction(-1)
-    return {
-        (1, 1, 2): ((z, a * i2p, "Am"),),
-        (2, 1, 2): ((z, -a * i2p, "Ap"),),
-        (3, 1, 2): ((n3, z, "1"),),
-        (1, 2, 3): ((half, z, "1"), (-i2p, z, "p")),
-        (2, 2, 3): ((-w * i2p, z, "q"),),
-        (3, 2, 3): ((z, -a * i2p, "Am"),),
-        (1, 3, 1): ((-w * i2p, z, "q"),),
-        (2, 3, 1): ((half, z, "1"), (i2p, z, "p")),
-        (3, 3, 1): ((z, a * i2p, "Ap"),),
-    }
-
-
-_VAR_POLY = {
-    "1": Poly.constant(1),
-    "q": poly.q,
-    "p": poly.p,
-    "Ap": poly.a_plus,
-    "Am": poly.a_minus,
-}
-
-
-def _require_sigma(p0):
-    sigma = rational_sqrt(2 * Fraction(p0))
-    if sigma is None:
-        raise ValueError(
-            f"exact mode needs sqrt(2*p0) rational; p0 = {p0} does not qualify")
-    return sigma
-
-
-def transcribed_deformation(t, omega, p0):
-    """The deformed bracket rendered straight from the blueprint table."""
-    sigma = _require_sigma(p0)
-    entries = {}
-    for key, parts in deformation_blueprint(t, omega, p0).items():
-        total = Poly()
-        for u, v, var in parts:
-            total = total + (u + v * sigma) * _VAR_POLY[var]
-        entries[key] = total
-    return StructureTensor(entries)
+def _fold(value, sigma):
+    """Replace the formal s of an entry by its rational value sigma."""
+    def number(c):
+        return c.u + c.v * sigma if isinstance(c, ExtScalar) else c
+    if isinstance(value, Poly):
+        return Poly({exps: number(c) for exps, c in value.terms.items()})
+    return number(value)
 
 
 def deform(t, omega, p0):
-    """The dynamical deformation of class t, generated and cross-checked.
+    """The dynamical deformation of class t as a phase-space table.
 
-    The constant tensor is pushed through solve_C and build_mu; the result
-    must agree entry by entry with the transcribed table, otherwise a
-    TableMismatchError reports every discrepancy (nothing is corrected
-    silently).
+    When sigma = sqrt(2*p0) is rational, s is folded to sigma and every
+    coefficient is a Fraction; otherwise s stays formal.
     """
-    _require_sigma(p0)
-    w = Fraction(omega)
-    params = solve_C(structure_constants(t), Fraction(p0))
-    generated = StructureTensor.from_operation(
-        build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, w))
-    generated.diff(transcribed_deformation(t, w, p0), label=f"deformation of {t.label}")
-    return generated
+    tensor = formal_deformation(t, omega, p0)
+    sigma = rational_sqrt(2 * Fraction(p0))
+    if sigma is None:
+        return tensor
+    return tensor.map_entries(lambda v: _fold(v, sigma))
 
 
 def is_rigid(t, omega=1, p0=2):
@@ -250,8 +165,7 @@ def reduce_on_shell(value, omega, p0):
     polynomial exactly when the input vanishes on the shell (for the branch
     chart's image, which is Zariski dense in it).
     """
-    if isinstance(value, (Rational, float)):
-        value = Poly.constant(value)
+    value = poly.as_poly(value)
     w = Fraction(omega)
     p0 = Fraction(p0)
     substituted = value.substitute(

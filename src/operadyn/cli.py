@@ -10,7 +10,8 @@ Rational flags accept fractions ("1/2") or decimal strings ("0.5").  The
 randomized verify suites draw their points from a deterministic generator
 seeded by the OPERADIC_BIANCHI_SEED environment variable (integer).
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
+and when the output cannot be written.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _build_parser():
         p.add_argument("--omega", type=_fraction, default=Fraction(1),
                        help="oscillator frequency, positive rational (default 1)")
         p.add_argument("--p0", type=_fraction, default=Fraction(2),
-                       help="initial momentum; sqrt(2*p0) must be rational (default 2)")
+                       help="initial momentum, positive rational (default 2)")
         p.add_argument("--a", type=_fraction, default=Fraction(1, 2),
                        help="modulus for the parametric classes (default 1/2)")
         p.add_argument("--out", type=Path, default=None,
@@ -341,7 +342,11 @@ def main(argv=None):
     except (ValueError, BranchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

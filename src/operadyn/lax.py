@@ -17,20 +17,24 @@ mu(C1..C9), and replaces the matrix commutator by the Gerstenhaber bracket
 identically along the oscillator flow, where d/dt differentiates the
 coefficient polynomials through q' = p, p' = -omega**2 q,
 Ap' = -(omega/2) Am, Am' = (omega/2) Ap.
+
+The parameters are exact.  solve_C places a constant tensor in the family at
+the reference point, where Ap = s = sqrt(2*p0); the four parameters that
+multiply Ap or Am come back in Q(s) with s formal, so every rational p0 > 0
+is exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
 from . import poly
+from .ncpoly import ExtScalar
 from .operad import Operation, gerstenhaber_bracket
-from .poly import Poly, rational_sqrt
+from .poly import Poly
 from .structure import StructureTensor
 
 # ---------------------------------------------------------------------------
@@ -54,7 +58,7 @@ def _as_matrix(rows):
 def build_matrix_lax(q, p, omega):
     """The 3x3 Lax pair at a phase-space point (entries keep their ring)."""
     zero, one = Fraction(0), Fraction(1)
-    half_w = omega * Fraction(1, 2) if isinstance(omega, Rational) else omega * 0.5
+    half_w = omega * Fraction(1, 2)
     L = _as_matrix([
         [p, omega * q, zero],
         [omega * q, -p, zero],
@@ -96,7 +100,11 @@ def matrix_lax_residual(q, p, omega):
 
 @dataclass(frozen=True)
 class LaxFamilyParams:
-    """The nine coefficients C1..C9 of the bilinear Lax family."""
+    """The nine coefficients C1..C9 of the bilinear Lax family.
+
+    Each is a rational or an ExtScalar; they are stored as Poly stores its
+    coefficients, and anything else is a TypeError.
+    """
 
     c: tuple
 
@@ -104,7 +112,7 @@ class LaxFamilyParams:
         values = tuple(self.c)
         if len(values) != 9:
             raise ValueError(f"expected nine coefficients, got {len(values)}")
-        coerced = tuple(Fraction(v) if isinstance(v, Rational) else float(v) for v in values)
+        coerced = tuple(Poly.constant(v).constant_value() for v in values)
         object.__setattr__(self, "c", coerced)
 
     def __getitem__(self, n):
@@ -154,54 +162,48 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
 
 def formal_mu(params, omega):
     """The symbolic family member, with Poly entries in q, p, Ap, Am."""
-    w = Fraction(omega) if isinstance(omega, Rational) else omega
     return StructureTensor.from_operation(
-        build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, w))
+        build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, Fraction(omega)))
 
 
 def solve_C(mu0, p0):
-    """Invert build_mu at the reference point (q, p, Ap, Am) = (0, p0, sqrt(2 p0), 0).
+    """Invert build_mu at the reference point (q, p, Ap, Am) = (0, p0, s, 0).
 
     Given a constant antisymmetric tensor mu0, returns the unique parameters
-    C1..C9 whose family member passes through mu0 at that point.  Exact when
-    sqrt(2 p0) is rational; falls back to floats otherwise.
+    C1..C9 whose family member passes through mu0 at that point, for every
+    rational p0 > 0.  Here s = sqrt(2 p0) stays formal: C5..C8 divide an
+    entry m by s and come back as the ExtScalar m*s/(2 p0); the other five
+    are rational.
     """
-    if isinstance(p0, Rational):
-        p0 = Fraction(p0)
-    else:
-        p0 = float(p0)
+    p0 = Fraction(p0)
     if not p0 > 0:
         raise ValueError(f"p0 must be positive, got {p0}")
-    sigma = rational_sqrt(2 * p0) if isinstance(p0, Fraction) else None
-    if sigma is None:
-        sigma = math.sqrt(2 * p0)
-        p0 = float(p0)
+    two_p0 = 2 * p0
 
     def m(i, j, k):
-        value = mu0.entry(i, j, k)
-        if isinstance(value, (Rational, float)):
-            return Fraction(value) if isinstance(value, Rational) else value
-        return value.constant_value()
+        return poly.as_poly(mu0.entry(i, j, k)).constant_value()
 
-    two_p0 = 2 * p0
+    def over_s(value):
+        return ExtScalar(0, value / two_p0, p0=p0)
+
     return LaxFamilyParams((
         (m(2, 2, 3) - m(1, 3, 1)) / 2,
         (m(2, 1, 3) + m(1, 2, 3)) / two_p0,
         (m(2, 2, 3) + m(1, 3, 1)) / two_p0,
         (m(2, 1, 3) - m(1, 2, 3)) / 2,
-        m(1, 1, 2) / sigma,
-        -m(2, 1, 2) / sigma,
-        m(3, 1, 3) / sigma,
-        -m(3, 2, 3) / sigma,
+        over_s(m(1, 1, 2)),
+        over_s(-m(2, 1, 2)),
+        over_s(m(3, 1, 3)),
+        over_s(-m(3, 2, 3)),
         m(3, 1, 2),
     ))
 
 
 def _time_derivative(value, omega):
     """d/dt of a coefficient through the oscillator and half-angle flows."""
-    if isinstance(value, (Rational, float)):
+    if not isinstance(value, Poly):
         return Fraction(0)
-    half_w = omega * Fraction(1, 2) if isinstance(omega, Rational) else omega * 0.5
+    half_w = omega / 2
     return (poly.p * value.derivative("q")
             - (omega * omega) * poly.q * value.derivative("p")
             - half_w * poly.a_minus * value.derivative("Ap")
@@ -210,8 +212,7 @@ def _time_derivative(value, omega):
 
 def rotation_generator(omega):
     """The degree-1 operation M acting as the half-frequency rotation block."""
-    w = Fraction(omega) if isinstance(omega, Rational) else omega
-    half_w = w / 2
+    half_w = Fraction(omega) / 2
     return Operation.from_matrix([
         [Fraction(0), -half_w, Fraction(0)],
         [half_w, Fraction(0), Fraction(0)],
@@ -228,7 +229,7 @@ def operadic_lax_residual(params, omega, p0=None):
     """
     if p0 is not None and not p0 > 0:
         raise ValueError(f"p0 must be positive, got {p0}")
-    w = Fraction(omega) if isinstance(omega, Rational) else float(omega)
+    w = Fraction(omega)
     if not w > 0:
         raise ValueError(f"omega must be positive, got {omega}")
     mu = build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, w)

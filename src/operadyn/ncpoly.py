@@ -7,10 +7,13 @@ commutator vanishes only if it cancels literally.
 Coefficients live in the quadratic extension Q[s] / (s**2 - 2*p0), written
 u + v*s with rational u, v; s stands for sqrt(2*p0).  Every scalar carries
 its p0 so that values from different shells cannot be mixed by accident.
+The same scalars are the irrational coefficients of `poly.Poly`.  Combined
+with a float, a scalar gives a float, as a Fraction does.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from numbers import Rational
@@ -18,6 +21,9 @@ from numbers import Rational
 GENERATORS = ("Q", "P", "Ap", "Am")
 
 _GEN_INDEX = {name: i for i, name in enumerate(GENERATORS)}
+
+# "v" or "u<sign>v" with u, v signed rationals: the text before "*s"
+_S_PART = re.compile(r"(?:(?P<u>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<v>[+-]?\d+(?:/\d+)?)")
 
 
 class ExtScalar:
@@ -41,7 +47,12 @@ class ExtScalar:
             return ExtScalar(other, p0=self.p0)
         return None
 
+    def __float__(self):
+        return float(self.u) + float(self.v) * math.sqrt(2 * self.p0)
+
     def __add__(self, other):
+        if isinstance(other, float):
+            return float(self) + other
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -53,18 +64,14 @@ class ExtScalar:
         return ExtScalar(-self.u, -self.v, p0=self.p0)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, float):
+            return float(self) * other
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -92,6 +99,9 @@ class ExtScalar:
         return NotImplemented
 
     def __hash__(self):
+        # equal to a rational when v == 0, so hash like it then
+        if self.v == 0:
+            return hash(self.u)
         return hash((self.u, self.v, self.p0))
 
     @property
@@ -112,17 +122,19 @@ class ExtScalar:
 
     @classmethod
     def from_text(cls, text, *, p0):
+        """Parse the form produced by str(); raises ValueError on anything else."""
         text = text.strip()
-        if not text.endswith("*s"):
-            return cls(Fraction(text), p0=p0)
-        head = text[:-2]
-        # head is either "v" or "u<sign>v" with u, v signed rationals
-        m = re.fullmatch(
-            r"(?:(?P<u>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<v>[+-]?\d+(?:/\d+)?)", head)
-        if not m:
-            raise ValueError(f"cannot parse scalar {text!r}")
-        u = Fraction(m.group("u")) if m.group("u") else Fraction(0)
-        return cls(u, Fraction(m.group("v")), p0=p0)
+        u, v = text, "0"
+        if text.endswith("*s"):
+            m = _S_PART.fullmatch(text[:-2])
+            if not m:
+                raise ValueError(f"cannot parse scalar {text!r}")
+            u, v = m.group("u") or "0", m.group("v")
+        try:
+            u, v = Fraction(u), Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"cannot parse scalar {text!r}") from None
+        return cls(u, v, p0=p0)
 
 
 def _word_key(word):
@@ -269,18 +281,19 @@ class NCPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a scalar element equals its scalar, so it hashes like it
+        if self.is_scalar:
+            return hash(self.terms.get((), 0))
         return hash((self.p0, frozenset(self.terms.items())))
 
     # ---- evaluation and text -------------------------------------------------
 
     def commutative_image(self, q, p, ap, am):
         """Evaluate as if the generators commuted (s evaluates numerically)."""
-        import math
         point = {"Q": q, "P": p, "Ap": ap, "Am": am}
-        s_val = math.sqrt(2 * self.p0)
         total = 0
         for word, coeff in self.terms.items():
-            val = float(coeff.u) + float(coeff.v) * s_val
+            val = float(coeff)
             for g in word:
                 val *= point[g]
             total += val
@@ -303,29 +316,28 @@ class NCPoly:
 
     @classmethod
     def from_text(cls, text, *, p0):
-        """Parse the canonical form produced by str()."""
+        """Parse the canonical form produced by str().
+
+        Raises ValueError naming the first malformed term.
+        """
+        zero = cls.zero(p0=p0)
         text = text.strip()
         if text == "(0)":
-            return cls.zero(p0=p0)
+            return zero
         terms = {}
         for chunk in text.split(" + "):
             m = re.fullmatch(r"\((?P<coeff>[^)]*)\)\*(?P<word>[A-Za-z0-9*]+)", chunk)
-            if not m:
-                raise ValueError(f"malformed term {chunk!r}")
-            coeff = ExtScalar.from_text(m.group("coeff"), p0=p0)
-            body = m.group("word")
+            body = m.group("word") if m else ""
             word = () if body == "1" else tuple(body.split("*"))
+            try:
+                if not m or any(g not in _GEN_INDEX for g in word):
+                    raise ValueError(chunk)
+                coeff = ExtScalar.from_text(m.group("coeff"), p0=p0)
+            except ValueError:
+                raise ValueError(f"malformed term {chunk!r}") from None
             prev = terms.get(word)
             terms[word] = coeff if prev is None else prev + coeff
         return cls(terms, p0=p0)
-
-
-def nc_add(f, g):
-    return f + g
-
-
-def nc_mul(f, g):
-    return f * g
 
 
 def commutator(f, g):

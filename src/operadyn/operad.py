@@ -189,11 +189,6 @@ class Operation:
         return f"Operation(dim={self.dim}, degree={self.degree}, nonzero={nonzero})"
 
 
-def apply_operation(f, vectors):
-    """Module-level alias for Operation.apply."""
-    return f.apply(vectors)
-
-
 def partial_compose(f, i, g):
     """Insert g into input slot i of f (slots are 0-based), with the graded sign.
 

@@ -1,12 +1,13 @@
 """Exact multivariate polynomials in the phase-space variables q, p, Ap, Am.
 
-Every symbolic identity in this package is decided over the rationals, so
-coefficients are `fractions.Fraction` throughout (floats are tolerated so the
-inexact fallback paths keep working, but nothing in the exact pipeline
-produces them).  A polynomial is a mapping from exponent 4-tuples
-``(e_q, e_p, e_Ap, e_Am)`` to coefficients.  Zero coefficients are never
-stored, which makes structural equality the same thing as canonical-form
-equality.
+Every symbolic identity in this package is decided exactly.  Coefficients
+live in Q(s) with s = sqrt(2*p0): a rational coefficient is a
+`fractions.Fraction`, and one with a nonzero s-part is an
+`ncpoly.ExtScalar`.  An ExtScalar whose s-part is 0 is stored as its
+Fraction, so every value has one representation.  A polynomial is a mapping
+from exponent 4-tuples ``(e_q, e_p, e_Ap, e_Am)`` to coefficients.  Zero
+coefficients are never stored, which makes structural equality the same
+thing as canonical-form equality.
 """
 
 from __future__ import annotations
@@ -15,17 +16,22 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
+from .ncpoly import ExtScalar
+
 VARIABLES = ("q", "p", "Ap", "Am")
 
 _ZERO_EXP = (0, 0, 0, 0)
 
+_SCALARS = (Rational, ExtScalar)
+
 
 def _coerce(value):
-    # ints and Fractions collapse to Fraction; floats pass through untouched
+    # ints and Fractions collapse to Fraction, and so does an ExtScalar
+    # without s-part
     if isinstance(value, Rational):
         return Fraction(value)
-    if isinstance(value, float):
-        return value
+    if isinstance(value, ExtScalar):
+        return value.u if value.v == 0 else value
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
 
@@ -107,7 +113,7 @@ class Poly:
                 else:
                     out[exps] = acc
             return Poly(out)
-        if isinstance(other, (Rational, float)):
+        if isinstance(other, _SCALARS):
             return self + Poly.constant(other)
         return NotImplemented
 
@@ -117,12 +123,12 @@ class Poly:
         return Poly({exps: -coeff for exps, coeff in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (Poly, Rational, float)):
+        if isinstance(other, (Poly, *_SCALARS)):
             return self + (-other if isinstance(other, Poly) else Poly.constant(-other))
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (Rational, float)):
+        if isinstance(other, _SCALARS):
             return Poly.constant(other) + (-self)
         return NotImplemented
 
@@ -138,7 +144,7 @@ class Poly:
                     else:
                         out[key] = acc
             return Poly(out)
-        if isinstance(other, (Rational, float)):
+        if isinstance(other, _SCALARS):
             if other == 0:
                 return Poly()
             return Poly({exps: coeff * other for exps, coeff in self.terms.items()})
@@ -157,13 +163,16 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.terms == other.terms
-        if isinstance(other, (Rational, float)):
+        if isinstance(other, _SCALARS):
             if other == 0:
                 return not self.terms
             return set(self.terms) == {_ZERO_EXP} and self.terms[_ZERO_EXP] == other
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its value, so it hashes like it
+        if set(self.terms) <= {_ZERO_EXP}:
+            return hash(self.terms.get(_ZERO_EXP, 0))
         return hash(frozenset(self.terms.items()))
 
     # ---- calculus and evaluation ---------------------------------------
@@ -236,24 +245,29 @@ class Poly:
 
     @classmethod
     def from_text(cls, text):
-        """Parse the canonical form produced by str(); inverse on that image."""
+        """Parse the canonical form produced by str() for rational coefficients.
+
+        Raises ValueError naming the first malformed term.
+        """
         text = text.strip()
         if text == "(0)":
             return cls()
         terms = {}
         for chunk in text.split(" + "):
-            if not chunk.startswith("("):
-                raise ValueError(f"malformed term {chunk!r}")
-            close = chunk.index(")")
-            coeff = Fraction(chunk[1:close])
+            head, close, rest = chunk.partition(")")
             exps = [0, 0, 0, 0]
-            rest = chunk[close + 1:]
-            if rest:
-                if not rest.startswith("*"):
-                    raise ValueError(f"malformed term {chunk!r}")
-                for factor in rest[1:].split("*"):
-                    name, _, power = factor.partition("^")
-                    exps[VARIABLES.index(name)] += int(power) if power else 1
+            try:
+                if not (head.startswith("(") and close and rest[:1] in ("", "*")):
+                    raise ValueError(chunk)
+                coeff = Fraction(head[1:])
+                for factor in rest[1:].split("*") if rest else ():
+                    name, caret, power = factor.partition("^")
+                    e = int(power) if caret else 1
+                    if e < 0:
+                        raise ValueError(chunk)
+                    exps[VARIABLES.index(name)] += e
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"malformed term {chunk!r}") from None
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + coeff
         return cls(terms)

@@ -1,10 +1,11 @@
 """Quantum counterparts of the dynamical deformations, over the free algebra.
 
-Each deformed bracket is promoted to operator coefficients by the plain
-substitution q -> Q, p -> P, Ap -> Ap, Am -> Am into `ncpoly.NCPoly`, with
-sqrt(2*p0) kept as the formal scalar s.  No commutation relations are
-imposed, so the Jacobi defect measures the obstruction that survives in the
-free algebra itself.
+Each deformed bracket is promoted to operator coefficients by the
+quantization map applied to `bianchi.formal_deformation`: the monomial
+q^i p^j Ap^k Am^l becomes the word Q^i P^j Ap^k Am^l of `ncpoly.NCPoly`, and
+sqrt(2*p0) stays the formal scalar s.  No commutation relations are imposed,
+so the Jacobi defect measures the obstruction that survives in the free
+algebra itself.
 
 The defect of the bracket mu at vectors x, y, z is computed component-wise as
 
@@ -31,17 +32,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import bianchi
-from .ncpoly import ExtScalar, NCPoly, commutator
-from .structure import StructureTensor, TableMismatchError
+from . import bianchi, poly
+from .ncpoly import GENERATORS, ExtScalar, NCPoly, commutator
 
 RIGID = "Rigid"
 QUANTUM_LIE = "QuantumLie"
 ANOMALOUS_I = "AnomalousI"
 ANOMALOUS_II = "AnomalousII"
 UNCLASSIFIED = "Unclassified"
-
-_GEN_OF_VAR = {"q": "Q", "p": "P", "Ap": "Ap", "Am": "Am"}
 
 
 def _with_modulus(t, a):
@@ -54,116 +52,25 @@ def _with_modulus(t, a):
     return bianchi.BianchiType(t.tag, a)
 
 
-def quantize(t, omega, p0, a=None):
-    """Operator form of the deformed bracket, cross-checked against the table.
+def _word(exps):
+    """The word Q^i P^j Ap^k Am^l of the monomial q^i p^j Ap^k Am^l."""
+    return tuple(g for g, e in zip(GENERATORS, exps) for _ in range(e))
 
-    Renders the same sigma-split entry data that generates the classical
-    deformation, substituting the free-algebra generators for q, p, Ap, Am
-    and the formal s for sqrt(2*p0).  The result must agree entry by entry
-    with the independently hardcoded operator table.
+
+def quantize(t, omega, p0, a=None):
+    """Operator form of the deformed bracket.
+
+    Applies the quantization map to every entry of the formal deformation;
+    its coefficients, s included, carry over unchanged.
     """
     t = _with_modulus(t, a)
-    w = Fraction(omega)
     p0 = Fraction(p0)
-    blueprint = bianchi.deformation_blueprint(t, w, p0)
-    entries = {}
-    for key, parts in blueprint.items():
-        total = NCPoly.zero(p0=p0)
-        for u, v, var in parts:
-            coeff = ExtScalar(u, v, p0=p0)
-            if var == "1":
-                term = NCPoly.scalar(coeff, p0=p0)
-            else:
-                term = NCPoly({(_GEN_OF_VAR[var],): coeff}, p0=p0)
-            total = total + term
-        entries[key] = total
-    built = _complete_tensor(entries, p0)
-    built.diff(operator_table(t, w, p0), label=f"operator bracket of {t.label}")
-    return built
 
+    def operator(value):
+        terms = poly.as_poly(value).terms
+        return NCPoly({_word(exps): c for exps, c in terms.items()}, p0=p0)
 
-def _complete_tensor(entries, p0):
-    """Fill every unset component with the NCPoly zero of the right context."""
-    full = {}
-    seen = set()
-    for (i, j, k), value in entries.items():
-        full[(i, j, k)] = value
-        seen.add((i, j, k))
-        if (i, k, j) not in entries:
-            full[(i, k, j)] = -value
-            seen.add((i, k, j))
-    zero = NCPoly.zero(p0=p0)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                if (i, j, k) not in seen:
-                    full[(i, j, k)] = zero
-    return StructureTensor(full)
-
-
-def operator_table(t, omega, p0):
-    """Hardcoded operator brackets for each class, transcribed independently."""
-    w = Fraction(omega)
-    p0 = Fraction(p0)
-    a = t.a
-    i2p = Fraction(1, 2) / p0
-
-    def sc(u, v=Fraction(0)):
-        return ExtScalar(u, v, p0=p0)
-
-    def nc(terms):
-        return NCPoly(terms, p0=p0)
-
-    one = nc({(): sc(1)})
-    tag = t.tag
-    if tag == "I":
-        entries = {}
-    elif tag == "II":
-        entries = {
-            (1, 2, 3): nc({(): sc(Fraction(1, 2)), ("P",): sc(i2p)}),
-            (2, 2, 3): nc({("Q",): sc(w * i2p)}),
-            (1, 3, 1): nc({("Q",): sc(w * i2p)}),
-            (2, 3, 1): nc({(): sc(Fraction(1, 2)), ("P",): sc(-i2p)}),
-        }
-    elif tag == "VII":
-        entries = {(1, 2, 3): one, (2, 3, 1): one}
-    elif tag == "VI":
-        entries = {
-            (1, 2, 3): nc({("P",): sc(1 / p0)}),
-            (2, 2, 3): nc({("Q",): sc(w / p0)}),
-            (1, 3, 1): nc({("Q",): sc(w / p0)}),
-            (2, 3, 1): nc({("P",): sc(-1 / p0)}),
-        }
-    elif tag in ("IX", "VIII"):
-        entries = {
-            (3, 1, 2): one if tag == "IX" else -one,
-            (1, 2, 3): one,
-            (2, 3, 1): one,
-        }
-    elif tag in ("V", "IV"):
-        inv_s = sc(0, i2p)
-        entries = {
-            (1, 1, 2): nc({("Am",): inv_s}),
-            (2, 1, 2): nc({("Ap",): -inv_s}),
-            (3, 2, 3): nc({("Am",): -inv_s}),
-            (3, 3, 1): nc({("Ap",): inv_s}),
-        }
-        if tag == "IV":
-            entries[(3, 1, 2)] = one
-    else:
-        a_inv_s = sc(0, a * i2p)
-        entries = {
-            (1, 1, 2): nc({("Am",): a_inv_s}),
-            (2, 1, 2): nc({("Ap",): -a_inv_s}),
-            (3, 1, 2): one if tag == "VIIa" else -one,
-            (1, 2, 3): nc({(): sc(Fraction(1, 2)), ("P",): sc(-i2p)}),
-            (2, 2, 3): nc({("Q",): sc(-w * i2p)}),
-            (3, 2, 3): nc({("Am",): -a_inv_s}),
-            (1, 3, 1): nc({("Q",): sc(-w * i2p)}),
-            (2, 3, 1): nc({(): sc(Fraction(1, 2)), ("P",): sc(i2p)}),
-            (3, 3, 1): nc({("Ap",): a_inv_s}),
-        }
-    return _complete_tensor(entries, p0)
+    return bianchi.formal_deformation(t, omega, p0).map_entries(operator)
 
 
 # ---------------------------------------------------------------------------

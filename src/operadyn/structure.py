@@ -175,7 +175,7 @@ class StructureTensor:
         return bool((self.array == other.array).all())
 
     def __hash__(self):
-        return hash(tuple(str(v) for v in self.array.flat))
+        return hash(tuple(self.array.flat))
 
     def diff(self, other, label="tensor comparison"):
         """Raise TableMismatchError listing every differing component."""

@@ -14,9 +14,12 @@ from operadyn import poly
 from operadyn.bianchi import (BianchiType, TAGS, all_types, bianchi_type,
                               classical_jacobian, deform, deformation_trace,
                               is_rigid, raw_jacobian, reduce_on_shell,
-                              structure_constants, transcribed_deformation)
+                              structure_constants)
+from operadyn.ncpoly import ExtScalar
 from operadyn.oscillator import BranchError
+from operadyn.poly import Poly, rational_sqrt
 from operadyn.structure import StructureTensor
+from reference_tables import GRID, transcribed_deformation
 
 A = Fraction(1, 2)
 
@@ -93,22 +96,31 @@ class TestDeform:
                 assert str(poly.as_poly(v)) == want, (tag, i, j, k)
 
     def test_generated_equals_transcribed(self):
-        for w in (1, 2):
-            for p0 in (Fraction(1, 2), Fraction(2)):
-                for t in all_types(Fraction(3, 2)):
-                    assert deform(t, w, p0) == transcribed_deformation(t, w, p0)
+        # rational sigma compares folded tables, irrational sigma formal ones
+        for w, p0, a in GRID:
+            for t in all_types(a):
+                deform(t, w, p0).diff(transcribed_deformation(t, w, p0),
+                                      label=f"{t.label} at omega={w}, p0={p0}")
 
     def test_t0_recovers_class_tensor(self):
-        # at t = 0 the flow sits at (q, p, Ap, Am) = (0, p0, sigma, 0)
-        for p0, sigma in ((Fraction(1, 2), 1), (Fraction(2), 2)):
+        # at t = 0 the flow sits at (q, p, Ap, Am) = (0, p0, sigma, 0); an
+        # irrational sigma stays the formal s
+        for p0 in (Fraction(1, 2), Fraction(2), Fraction(3), Fraction(5, 7)):
+            sigma = rational_sqrt(2 * p0) or ExtScalar(0, 1, p0=p0)
             for t in all_types(A):
                 d = deform(t, 1, p0)
-                at0 = d.evaluate(Fraction(0), p0, Fraction(sigma), Fraction(0))
-                assert at0.constant_tensor() == structure_constants(t), (t.tag, p0)
+                at0 = d.evaluate(Fraction(0), p0, sigma, Fraction(0))
+                assert at0 == structure_constants(t), (t.tag, p0)
 
-    def test_irrational_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            deform(BianchiType("II"), 1, 3)
+    def test_irrational_sigma_stays_formal(self):
+        # p0 = 3: sigma = sqrt(6), and mu^1_12 = Am / sigma = (s/6) * Am
+        d = deform(BianchiType("V"), 1, 3)
+        s_over_6 = ExtScalar(0, Fraction(1, 6), p0=3)
+        assert d.entry(1, 1, 2) == Poly({(0, 0, 0, 1): s_over_6})
+        assert d.entry(3, 3, 1) == Poly({(0, 0, 1, 0): s_over_6})
+        assert str(d.entry(2, 1, 2)) == "(-1/6*s)*Ap"
+        J = classical_jacobian(d, 1, 3)
+        assert all(c.is_zero for c in J)
 
     def test_rigidity_set(self):
         rigid = {t.tag for t in all_types(A) if is_rigid(t)}

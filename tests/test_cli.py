@@ -144,8 +144,16 @@ class TestUsageErrors:
         assert code == 2 and "unknown type tag" in err
 
     def test_irrational_sigma(self, capsys):
-        code, _, err = run(capsys, "tables", "deformed", "--p0", "3")
-        assert code == 2 and "error:" in err
+        # not a usage error: sqrt(6) stays the formal s
+        code, out, err = run(capsys, "tables", "deformed", "--p0", "3")
+        assert code == 0 and err == ""
+        assert "mu1_12 = (1/6*s)*Am" in out
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        code, out, err = run(capsys, "tables", "bianchi",
+                             "--out", str(tmp_path / "missing" / "x"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_modulus_one_listing(self, capsys):
         code, _, err = run(capsys, "tables", "bianchi", "--a", "1")

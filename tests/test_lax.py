@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from operadyn import poly
+from operadyn.ncpoly import ExtScalar
 from operadyn.lax import (LaxFamilyParams, build_matrix_lax, build_mu,
                           formal_mu, matrix_lax_residual,
                           operadic_lax_residual, rotation_generator, solve_C)
@@ -40,6 +41,8 @@ class TestFamily:
     def test_nine_coefficients_required(self):
         with pytest.raises(ValueError):
             LaxFamilyParams((1, 2, 3))
+        with pytest.raises(TypeError):
+            LaxFamilyParams((0.5,) * 9)
 
     def test_one_based_access(self):
         params = LaxFamilyParams(tuple(Fraction(n) for n in range(1, 10)))
@@ -111,16 +114,18 @@ class TestSolveC:
             (2, 3, 1): Fraction(0), (3, 3, 1): Fraction(1),
         })
         params = solve_C(mu0, Fraction(2))
-        # sigma = 2: C6 = -mu^2_12 / sigma = 1/2,
-        # C7 = mu^3_13 / sigma = -mu^3_31 / sigma = -1/2
+        # s = sqrt(4) stays formal: C6 = -mu^2_12 / s = s/4,
+        # C7 = mu^3_13 / s = -mu^3_31 / s = -s/4
+        s_over_4 = ExtScalar(0, Fraction(1, 4), p0=2)
         assert params.c == (Fraction(0), Fraction(0), Fraction(0), Fraction(0),
-                            Fraction(0), Fraction(1, 2), Fraction(-1, 2),
+                            Fraction(0), s_over_4, -s_over_4,
                             Fraction(0), Fraction(1))
 
     def test_round_trip_reference_point(self):
+        # rebuild at Ap = s, exact for rational and irrational sqrt(2 p0)
         rng = random.Random(9)
-        for p0 in (Fraction(1, 2), Fraction(2)):
-            sigma = {Fraction(1, 2): Fraction(1), Fraction(2): Fraction(2)}[p0]
+        for p0 in (Fraction(1, 2), Fraction(2), Fraction(1), Fraction(5, 7)):
+            s = ExtScalar(0, 1, p0=p0)
             for _ in range(20):
                 entries = {}
                 for (j, k) in ((1, 2), (2, 3), (3, 1)):
@@ -129,14 +134,16 @@ class TestSolveC:
                 mu0 = StructureTensor(entries)
                 params = solve_C(mu0, p0)
                 rebuilt = StructureTensor.from_operation(build_mu(
-                    params, Fraction(0), p0, sigma, Fraction(0), Fraction(1)))
+                    params, Fraction(0), p0, s, Fraction(0), Fraction(1)))
                 assert rebuilt == mu0
 
-    def test_float_fallback_for_irrational_sigma(self):
+    def test_irrational_sigma_stays_formal(self):
         mu0 = StructureTensor({(1, 1, 2): Fraction(1)})
-        params = solve_C(mu0, Fraction(1))  # sqrt(2) is irrational
-        assert isinstance(params.c[4], float)
-        assert params.c[4] == pytest.approx(1 / 2 ** 0.5)
+        params = solve_C(mu0, Fraction(1))  # s = sqrt(2) is irrational
+        # C5 = 1/s = s/2 exactly
+        assert params.c[4] == ExtScalar(0, Fraction(1, 2), p0=1)
+        assert params.c[4] * ExtScalar(0, 1, p0=1) == 1
+        assert float(params.c[4]) == pytest.approx(1 / 2 ** 0.5)
 
     def test_rejects_nonpositive_p0(self):
         with pytest.raises(ValueError):

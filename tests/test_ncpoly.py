@@ -1,10 +1,12 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly, commutator, nc_add, nc_mul
+from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly, commutator
+from operadyn.poly import Poly
 
 P0 = Fraction(2)
 
@@ -99,12 +101,12 @@ class TestNCPoly:
     @given(ncpolys, ncpolys, ncpolys)
     @settings(max_examples=50)
     def test_associativity(self, f, g, h):
-        assert nc_mul(nc_mul(f, g), h) == nc_mul(f, nc_mul(g, h))
+        assert (f * g) * h == f * (g * h)
 
     @given(ncpolys, ncpolys, ncpolys)
     @settings(max_examples=50)
     def test_distributivity(self, f, g, h):
-        assert f * nc_add(g, h) == f * g + f * h
+        assert f * (g + h) == f * g + f * h
 
     @given(ncpolys, ncpolys)
     def test_addition_commutes(self, f, g):
@@ -119,3 +121,45 @@ class TestNCPoly:
     def test_commutator_leibniz(self, f, g, h):
         # [f, g*h] = [f, g]*h + g*[f, h]
         assert commutator(f, g * h) == commutator(f, g) * h + g * commutator(f, h)
+
+
+@given(rationals, rationals)
+def test_equal_values_hash_alike(u, v):
+    # one rational, and one element of Q(s), in each of their representations
+    rational = [u, ExtScalar(u, p0=P0), Poly.constant(u), NCPoly.scalar(u, p0=P0)]
+    if u.denominator == 1:
+        rational.append(int(u))
+    x = ExtScalar(u, v, p0=P0)
+    forms = rational + [x, Poly.constant(x), NCPoly.scalar(x, p0=P0)]
+    assert all(a == u for a in rational)
+    for a in forms:
+        for b in forms:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
+class TestParsers:
+    PARSERS = (Poly.from_text,
+               lambda text: NCPoly.from_text(text, p0=P0),
+               lambda text: ExtScalar.from_text(text, p0=P0))
+
+    @pytest.mark.parametrize("parse, text", [
+        (PARSERS[0], "(1/0)*q"),
+        (PARSERS[0], "(1)**q"),
+        (PARSERS[0], "(1)*q^-1"),
+        (PARSERS[1], "(1/0)*Q"),
+        (PARSERS[1], "(1)*Q**P"),
+        (PARSERS[2], "1/0*s"),
+        (PARSERS[2], "1/0"),
+    ])
+    def test_bad_term_named(self, parse, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse(text)
+
+    @given(st.text(alphabet="()*/+-^ 0123456789qpQPAmsx", max_size=24) | st.text(max_size=24))
+    def test_only_value_error(self, text):
+        for parse in self.PARSERS:
+            try:
+                parse(text)
+            except ValueError:
+                pass

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, apply_operation,
+from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation,
                              gerstenhaber_bracket, graded_sign,
                              partial_compose, total_compose)
 
@@ -200,8 +200,3 @@ def _jacobi_defect(f, g, h):
     term2 = graded_sign(dg * df) * gerstenhaber_bracket(gerstenhaber_bracket(g, h), f)
     term3 = graded_sign(dh * dg) * gerstenhaber_bracket(gerstenhaber_bracket(h, f), g)
     return term1 + term2 + term3
-
-
-def test_apply_operation_alias():
-    f = Operation.from_entries(3, 2, {(3, 1, 2): Fraction(1)})
-    assert list(apply_operation(f, [E1, E2])) == E3

@@ -114,6 +114,10 @@ class TestHelpers:
     def test_bad_coefficient_rejected(self):
         with pytest.raises(TypeError):
             Poly({(0, 0, 0, 0): "nope"})
+        with pytest.raises(TypeError):
+            Poly({(0, 0, 0, 0): 0.5})
+        with pytest.raises(TypeError):
+            0.1 * q
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError):

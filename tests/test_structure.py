@@ -80,3 +80,7 @@ def test_zero_and_equality():
     assert StructureTensor({}).is_zero
     assert StructureTensor({(1, 2, 3): Fraction(0)}).is_zero
     assert StructureTensor({(1, 2, 3): Fraction(1)}) != StructureTensor({})
+    # a constant Poly entry equals its number, and the tensors hash alike
+    number = StructureTensor({(1, 2, 3): Fraction(1)})
+    constant = StructureTensor({(1, 2, 3): Poly.constant(1)})
+    assert constant == number and hash(constant) == hash(number)

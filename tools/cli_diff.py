@@ -1,0 +1,71 @@
+"""Compare the CLI output of two operadyn source trees byte for byte.
+
+Runs every `tables` format, `verify all` and `trace` for five classes at a
+set of (omega, p0, a) configs under both trees, and reports each command
+whose stdout, stderr or exit code differs.  Commands whose exit code is not
+0 in the base tree are listed separately, since their output is not a
+contract.
+
+    python3 tools/cli_diff.py BASE_SRC NEW_SRC
+
+where each argument is a directory holding the `operadyn` package (the
+`src/` of a checkout).  Exit code 0 when every compared command matches.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+CONFIGS = (
+    (),
+    ("--omega", "3/2", "--p0", "9/8", "--a", "2/3"),
+    ("--omega", "2", "--p0", "1/2", "--a", "3/2"),
+    ("--omega", "5/7", "--p0", "25/18", "--a", "7/5"),
+    ("--omega", "1", "--p0", "8", "--a", "1/3"),
+    ("--p0", "3"),
+    ("--omega", "2/3", "--p0", "5/7", "--a", "3"),
+)
+SEED = "8231"
+
+
+def commands():
+    for cfg in CONFIGS:
+        for which in ("bianchi", "deformed", "quantum"):
+            for fmt in ("text", "json", "csv"):
+                yield ("tables", which, "--format", fmt, *cfg)
+        yield ("verify", "all", *cfg)
+        for tag in ("II", "V", "VIIa", "IX", "VIa"):
+            yield ("trace", tag, *cfg)
+
+
+def run(src, argv):
+    env = dict(os.environ, PYTHONPATH=src, OPERADIC_BIANCHI_SEED=SEED)
+    proc = subprocess.run([sys.executable, "-m", "operadyn.cli", *argv],
+                          capture_output=True, env=env, timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        sys.exit(__doc__)
+    base, new = args
+    same = differ = 0
+    for cmd in commands():
+        old, cur = run(base, cmd), run(new, cmd)
+        line = " ".join(cmd)
+        if old[0] != 0:
+            print(f"base exit {old[0]}, new exit {cur[0]}: {line}")
+        elif old == cur:
+            same += 1
+        else:
+            differ += 1
+            print(f"DIFFERS: {line}")
+    print(f"{same} identical, {differ} different")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
