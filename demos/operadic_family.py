@@ -19,7 +19,7 @@ for slot in range(1, 10):
     params = LaxFamilyParams(tuple(c))
     mu = formal_mu(params, Fraction(1))
     nonzero = [(idx, str(v)) for idx, v in mu.independent_entries() if v != 0]
-    residual = operadic_lax_residual(params, Fraction(1), Fraction(2))
+    residual = operadic_lax_residual(params, Fraction(1))
     state = "residual zero" if residual.is_zero else "RESIDUAL NONZERO"
     print(f"  C{slot} = 1: {state};", ", ".join(
         f"mu^{i}_{{{j}{k}}} = {text}" for (i, j, k), text in nonzero[:2]),
@@ -31,7 +31,7 @@ rng = random.Random(17)
 params = LaxFamilyParams(tuple(
     Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(9)))
 print("  C =", [str(v) for v in params.c])
-residual = operadic_lax_residual(params, Fraction(2), Fraction(2))
+residual = operadic_lax_residual(params, Fraction(2))
 print("  d(mu)/dt - [M, mu] is the zero tensor:", residual.is_zero)
 print()
 

@@ -81,7 +81,9 @@ def matrix_lax_residual(q, p, omega):
 
     The time derivative is taken through the equations of motion, so
     dL/dt = [[-omega**2 q, omega*p, 0], [omega*p, omega**2 q, 0], [0, 0, 0]].
-    Exact inputs give exact zeros.
+    Exact inputs give exact zeros.  Every entry has degree <= 2 in omega, so
+    a residual that is the zero polynomial in q, p at three distinct omegas
+    is zero for all (q, p, omega).
     """
     zero = Fraction(0)
     w2q = omega * omega * q
@@ -220,15 +222,13 @@ def rotation_generator(omega):
     ])
 
 
-def operadic_lax_residual(params, omega, p0=None):
+def operadic_lax_residual(params, omega):
     """d(mu)/dt - [M, mu] as a symbolic tensor; zero for every family member.
 
-    The p0 argument is accepted for interface symmetry with solve_C and only
-    validated: the identity holds on every energy shell at once, so p0 never
-    enters the residual.
+    Each entry is linear in C1..C9, so a zero residual at the nine unit
+    vectors C = e_n proves it zero for every C.  The identity holds on every
+    energy shell at once, so p0 never enters.
     """
-    if p0 is not None and not p0 > 0:
-        raise ValueError(f"p0 must be positive, got {p0}")
     w = Fraction(omega)
     if not w > 0:
         raise ValueError(f"omega must be positive, got {omega}")

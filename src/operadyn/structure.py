@@ -17,9 +17,13 @@ from numbers import Rational
 
 import numpy as np
 
+from .ncpoly import ExtScalar
 from .operad import Operation
 
 DIM = 3
+
+# entries that are numbers rather than polynomials
+_SCALARS = (Rational, float, ExtScalar)
 
 # independent index pairs, in standard column order
 PAIRS = ((1, 2), (2, 3), (3, 1))
@@ -38,7 +42,7 @@ class TableMismatchError(ValueError):
 
 
 def _entry_is_constant(value):
-    if isinstance(value, (Rational, float)):
+    if isinstance(value, _SCALARS):
         return True
     deg = getattr(value, "total_degree", None)
     if callable(deg):
@@ -50,7 +54,7 @@ def _entry_is_constant(value):
 
 
 def _entry_constant_value(value):
-    if isinstance(value, (Rational, float)):
+    if isinstance(value, _SCALARS):
         return value
     return value.constant_value() if hasattr(value, "constant_value") else value.scalar_value()
 
@@ -162,7 +166,7 @@ class StructureTensor:
     def evaluate(self, q, p, ap, am):
         """Evaluate polynomial entries at a phase-space point."""
         def ev(value):
-            if isinstance(value, (Rational, float)):
+            if isinstance(value, _SCALARS):
                 return value
             return value.evaluate(q, p, ap, am)
         return self.map_entries(ev)

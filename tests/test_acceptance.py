@@ -54,10 +54,10 @@ def test_criterion_02_operadic_lax_residual_exact():
         probes.append(LaxFamilyParams(tuple(c)))
     for params in probes:
         for omega in (Fraction(1), Fraction(2)):
-            assert operadic_lax_residual(params, omega, Fraction(2)).is_zero
+            assert operadic_lax_residual(params, omega).is_zero
     for _ in range(100):
         params = LaxFamilyParams(tuple(_rational(rng, 20, 10) for _ in range(9)))
-        assert operadic_lax_residual(params, Fraction(1), Fraction(2)).is_zero
+        assert operadic_lax_residual(params, Fraction(1)).is_zero
     print("ACCEPTANCE 2: PASS - family residual is the zero polynomial for"
           " 9 probes and 100 random parameter vectors")
 

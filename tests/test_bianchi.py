@@ -9,6 +9,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operadyn import poly
 from operadyn.bianchi import (BianchiType, TAGS, all_types, bianchi_type,
@@ -151,6 +153,30 @@ class TestOnShellReduction:
     def test_am_powers_eliminated(self):
         out = reduce_on_shell(poly.a_minus ** 4, 1, Fraction(2))
         assert all(exps[3] <= 1 for exps in out.terms)
+
+    @given(st.dictionaries(st.tuples(*(st.integers(0, 3),) * 4),
+                           st.fractions(max_denominator=12), max_size=5).map(Poly),
+           st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+           st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sympy_groebner_normal_form(self, f, w, p0):
+        # Under lex q > p > Am > Ap the shell relations have the pairwise
+        # coprime leading terms q, p, Am**2, so they form a Groebner basis
+        # and sympy's remainder is the unique normal form.
+        sympy = pytest.importorskip("sympy")
+        q, p, ap, am = sympy.symbols("q p Ap Am")
+
+        def rational(x):
+            return sympy.Rational(x.numerator, x.denominator)
+
+        basis = [rational(w) * q - ap * am, p - (ap ** 2 - am ** 2) / 2,
+                 am ** 2 + ap ** 2 - 2 * rational(p0)]
+        expr = sum((rational(c) * q ** i * p ** j * ap ** k * am ** l
+                    for (i, j, k, l), c in f.terms.items()), sympy.Integer(0))
+        _, remainder = sympy.reduced(expr, basis, q, p, am, ap, order="lex")
+        terms = sympy.Poly(remainder, q, p, ap, am).terms()
+        expected = Poly({exps: Fraction(int(c.p), int(c.q)) for exps, c in terms})
+        assert reduce_on_shell(f, w, p0) == expected
 
 
 class TestJacobi:

@@ -12,10 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from operadyn import bianchi, quantum
+from operadyn import bianchi, lax, quantum
 from operadyn.cli import COLUMNS, main
 from operadyn.ncpoly import NCPoly
 from operadyn.poly import Poly, as_poly
+from operadyn.structure import StructureTensor
 
 
 def run(capsys, *argv):
@@ -109,10 +110,38 @@ class TestVerify:
             assert f"{name}: PASS" in out
         assert out.rstrip().endswith("overall: PASS")
 
-    def test_seed_env_changes_draws_not_outcome(self, capsys, monkeypatch):
-        monkeypatch.setenv("OPERADIC_BIANCHI_SEED", "12345")
+    def test_matrix_lax_catches_mutant_agreeing_at_omega(self, capsys,
+                                                          monkeypatch):
+        # L[0,1] = omega**2 q equals the real omega*q at the default omega 1,
+        # so only the other two omegas of the proof can expose it
+        real = lax.build_matrix_lax
+
+        def mutant(q, p, omega):
+            pair = real(q, p, omega)
+            pair.L[0, 1] = omega * omega * q
+            return pair
+
+        monkeypatch.setattr(lax, "build_matrix_lax", mutant)
         code, out, _ = run(capsys, "verify", "matrix-lax")
-        assert code == 0 and "overall: PASS" in out
+        assert code == 1
+        assert "matrix-lax: FAIL" in out
+        assert out.rstrip().endswith("overall: FAIL")
+
+    def test_operadic_lax_names_failing_probe(self, capsys, monkeypatch):
+        real = lax.build_mu
+
+        def mutant(params, q, p, a_plus, a_minus, omega):
+            mu = StructureTensor.from_operation(
+                real(params, q, p, a_plus, a_minus, omega))
+            entries = dict(mu.independent_entries())
+            entries[(1, 2, 3)] = entries[(1, 2, 3)] + params[3] * q * p
+            return StructureTensor(entries).to_operation()
+
+        monkeypatch.setattr(lax, "build_mu", mutant)
+        code, out, _ = run(capsys, "verify", "operadic-lax")
+        assert code == 1
+        assert "operadic-lax: FAIL" in out and "C3" in out
+        assert out.rstrip().endswith("overall: FAIL")
 
 
 class TestTrace:
@@ -166,11 +195,6 @@ class TestUsageErrors:
     def test_bad_sample_count(self, capsys):
         code, _, err = run(capsys, "trace", "II", "--t-samples", "0")
         assert code == 2 and "t-samples" in err
-
-    def test_bad_seed_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("OPERADIC_BIANCHI_SEED", "pi")
-        code, _, err = run(capsys, "verify", "matrix-lax")
-        assert code == 2 and "OPERADIC_BIANCHI_SEED" in err
 
     def test_bad_fraction_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -93,11 +93,9 @@ class TestOperadicLaxEquation:
                     for _ in range(9)))
                 assert operadic_lax_residual(params, w).is_zero
 
-    def test_p0_only_validated(self):
+    def test_residual_needs_no_p0(self):
         params = LaxFamilyParams((0, 1, 0, 0, 0, 0, 0, 0, 0))
-        assert operadic_lax_residual(params, 1, p0=Fraction(2)).is_zero
-        with pytest.raises(ValueError):
-            operadic_lax_residual(params, 1, p0=-1)
+        assert operadic_lax_residual(params, 1).is_zero
 
     def test_rotation_generator_shape(self):
         m = rotation_generator(Fraction(3))

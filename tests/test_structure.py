@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from operadyn.lax import LaxFamilyParams, formal_mu
+from operadyn.ncpoly import ExtScalar
 from operadyn.operad import Operation
 from operadyn.poly import Poly, q, p
 from operadyn.structure import PAIRS, StructureTensor, TableMismatchError
@@ -65,6 +67,16 @@ def test_constant_tensor_folds_polys():
     assert t.is_constant
     folded = t.constant_tensor()
     assert folded.entry(1, 2, 3) == Fraction(1, 2)
+
+
+def test_bare_extscalar_entry_is_constant():
+    # C9 alone gives mu^3_{12} = C9 as a bare number, here irrational
+    s = ExtScalar(0, 1, p0=3)
+    mu = formal_mu(LaxFamilyParams((0,) * 8 + (s,)), 1)
+    assert mu.entry(3, 1, 2) is s
+    assert mu.is_constant
+    assert mu.constant_tensor().entry(3, 1, 2) == s
+    assert mu.evaluate(0.5, 0.25, 1.0, 2.0).entry(3, 1, 2) == s
 
 
 def test_diff_reports_all_mismatches():

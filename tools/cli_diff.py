@@ -27,7 +27,6 @@ CONFIGS = (
     ("--p0", "3"),
     ("--omega", "2/3", "--p0", "5/7", "--a", "3"),
 )
-SEED = "8231"
 
 
 def commands():
@@ -41,7 +40,7 @@ def commands():
 
 
 def run(src, argv):
-    env = dict(os.environ, PYTHONPATH=src, OPERADIC_BIANCHI_SEED=SEED)
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "operadyn.cli", *argv],
                           capture_output=True, env=env, timeout=600)
     return proc.returncode, proc.stdout, proc.stderr
