@@ -223,8 +223,16 @@ def deformation_trace(t, omega, p0, times):
     Returns one row per time: (t, q, p, Ap, Am, entries...) with the nine
     independent entries in column order.  Times must satisfy |omega*t| < pi,
     the window where the half-angle chart is single-valued.
+
+    The exact table is derived once, and each independent entry becomes its
+    (exps, float coefficient) pairs in `Poly.terms` order.  Every sample
+    evaluates them through `poly.evaluate_terms`: the same float operations,
+    in the same order, as `float(entry.evaluate(q, p, Ap, Am))` on the exact
+    entry, since a Fraction or ExtScalar times a float converts itself to
+    float first.  So each value is bitwise the one the exact table gives.
     """
-    tensor = deform(t, omega, p0)
+    compiled = [tuple((exps, float(c)) for exps, c in poly.as_poly(v).terms.items())
+                for _, v in deform(t, omega, p0).independent_entries()]
     w = float(Fraction(omega))
     p0f = float(Fraction(p0))
     rows = []
@@ -234,7 +242,7 @@ def deformation_trace(t, omega, p0, times):
                 f"time {tm} leaves the chart window |omega*t| < pi")
         state = exact_flow(w, p0f, tm)
         coords = quasi_coords(state)
-        numeric = tensor.evaluate(state.q, state.p, coords.a_plus, coords.a_minus)
-        values = [float(v) for _, v in numeric.independent_entries()]
-        rows.append((tm, state.q, state.p, coords.a_plus, coords.a_minus, *values))
+        point = (state.q, state.p, coords.a_plus, coords.a_minus)
+        values = [float(poly.evaluate_terms(terms, point)) for terms in compiled]
+        rows.append((tm, *point, *values))
     return rows

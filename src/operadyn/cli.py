@@ -54,6 +54,21 @@ def _fraction(text):
     return value
 
 
+def _positive_float(value, flag):
+    """The float of a positive rational flag, or ValueError naming the flag.
+
+    Rejects values that overflow to infinity or underflow to zero, which the
+    exact commands accept but the float paths cannot sample.
+    """
+    try:
+        f = float(value)
+    except OverflowError:
+        f = math.inf
+    if not 0 < f < math.inf:
+        raise ValueError(f"{flag} {value} is outside the positive float range")
+    return f
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="operadyn",
@@ -212,6 +227,8 @@ def _check_operadic_lax(cfg):
 
 
 def _check_jacobi_classical(cfg):
+    w = _positive_float(cfg.omega, "--omega")
+    p0 = _positive_float(cfg.p0, "--p0")
     worst = 0.0
     for t in _selected_types(cfg, None):
         mu = bianchi.deform(t, cfg.omega, cfg.p0)
@@ -219,8 +236,6 @@ def _check_jacobi_classical(cfg):
         if any(not c.is_zero for c in reduced):
             return False, f"on-shell defect of {t.label} is not zero: {reduced}"
         raw = bianchi.raw_jacobian(mu)
-        w = float(cfg.omega)
-        p0 = float(cfg.p0)
         for n in range(25):
             tm = (n / 25.0) * (math.pi / w) * 0.99
             state = bianchi.exact_flow(w, p0, tm)
@@ -280,7 +295,8 @@ def _run_trace(cfg, tag, samples):
     if samples < 1:
         raise ValueError(f"--t-samples must be at least 1, got {samples}")
     t = BianchiType(tag, cfg.a if tag in ("VIIa", "VIa") else None)
-    w = float(cfg.omega)
+    w = _positive_float(cfg.omega, "--omega")
+    _positive_float(cfg.p0, "--p0")
     times = [(n * math.pi / w) / samples for n in range(samples)]
     rows = bianchi.deformation_trace(t, cfg.omega, cfg.p0, times)
     buf = io.StringIO()

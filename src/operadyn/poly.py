@@ -211,15 +211,7 @@ class Poly:
         return out
 
     def evaluate(self, q, p, ap, am):
-        point = (q, p, ap, am)
-        total = 0
-        for exps, coeff in self.terms.items():
-            val = coeff
-            for base, e in zip(point, exps):
-                for _ in range(e):
-                    val = val * base
-            total = total + val
-        return total
+        return evaluate_terms(self.terms.items(), (q, p, ap, am))
 
     # ---- canonical text form --------------------------------------------
 
@@ -271,6 +263,24 @@ class Poly:
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + coeff
         return cls(terms)
+
+
+def evaluate_terms(terms, point):
+    """Sum of coeff * q^i p^j Ap^k Am^l over (exps, coeff) pairs at a point.
+
+    The sum starts at int 0 and takes the terms in the given order; each term
+    starts at its coefficient and is multiplied by every base once per unit
+    of its exponent.  `Poly.evaluate` and `bianchi.deformation_trace` share
+    this loop.
+    """
+    total = 0
+    for exps, coeff in terms:
+        val = coeff
+        for base, e in zip(point, exps):
+            for _ in range(e):
+                val = val * base
+        total = total + val
+    return total
 
 
 def as_poly(value):

@@ -207,6 +207,24 @@ class TestTrace:
         # row 0 equals the class tensor: mu2_12 = -1, mu3_31 = 1
         assert t0[6] == -1.0 and t0[13] == 1.0
 
+    @pytest.mark.parametrize("omega, p0, a", [
+        (1, Fraction(2), A),
+        (1, Fraction(3), A),                   # irrational sigma
+        (Fraction(2, 3), Fraction(5, 7), 3),
+    ])
+    def test_matches_tensor_evaluate(self, omega, p0, a):
+        # the compiled float path gives the bytes of evaluating the exact table
+        w = float(omega)
+        times = [0.0] + [n * math.pi / (7 * w) for n in range(1, 7)]
+        for t in all_types(a):
+            tensor = deform(t, omega, p0)
+            rows = deformation_trace(t, omega, p0, times)
+            for tm, row in zip(times, rows):
+                q, p, ap, am = row[1:5]
+                expected = [float(v) for _, v in
+                            tensor.evaluate(q, p, ap, am).independent_entries()]
+                assert list(map(repr, row[5:])) == list(map(repr, expected)), (t, tm)
+
     def test_window_enforced(self):
         with pytest.raises(BranchError):
             deformation_trace(BianchiType("V"), 1, Fraction(2), [math.pi])

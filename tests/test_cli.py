@@ -196,6 +196,20 @@ class TestUsageErrors:
         code, _, err = run(capsys, "trace", "II", "--t-samples", "0")
         assert code == 2 and "t-samples" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("trace", "II", "--p0", "1e400"),
+        ("trace", "II", "--omega", "1e400"),
+        ("verify", "jacobi-classical", "--p0", "1e400"),
+        ("trace", "II", "--omega", "1e-400"),
+        ("verify", "jacobi-classical", "--omega", "1e-400"),
+    ])
+    def test_flag_outside_float_range(self, capsys, argv):
+        # the float paths need a positive finite float; the exact tables do not
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {argv[2]} ")
+        assert run(capsys, "tables", "deformed", "--type", "II", *argv[2:])[0] == 0
+
     def test_bad_fraction_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tables", "bianchi", "--omega", "fast"])

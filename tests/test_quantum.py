@@ -14,7 +14,7 @@ import pytest
 
 from operadyn import poly
 from operadyn.bianchi import BianchiType, all_types, reduce_on_shell
-from operadyn.ncpoly import ExtScalar, NCPoly, commutator
+from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly, commutator
 from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID,
                               basis_jacobian, classify, generator_commutator,
                               quantize, quantum_bracket, quantum_jacobian,
@@ -160,6 +160,37 @@ class TestBracketAndJacobian:
         swapped = quantum_jacobian(mu, E2, E1, E3)
         base = basis_jacobian(mu)
         assert swapped.j1 == -base.j1 and swapped.j3 == -base.j3
+
+    @pytest.mark.parametrize("omega, p0, a", [
+        (Fraction(1), Fraction(2), Fraction(1, 2)),
+        (Fraction(2, 3), Fraction(3), Fraction(3, 2)),   # irrational s
+    ])
+    def test_basis_jacobian_matches_sympy(self, omega, p0, a):
+        # sympy redoes the defect sum over the same entries as noncommutative
+        # symbols, with s its exact sqrt(2*p0): an oracle for the free-algebra
+        # products and the Q(s) coefficient arithmetic
+        sympy = pytest.importorskip("sympy")
+        gens = dict(zip(GENERATORS, sympy.symbols("Q P Ap Am", commutative=False)))
+
+        def rational(x):
+            return sympy.Rational(x.numerator, x.denominator)
+
+        s = sympy.sqrt(2 * rational(p0))
+
+        def to_sympy(value):
+            return sum(((rational(c.u) + rational(c.v) * s)
+                        * sympy.Mul(*(gens[g] for g in word))
+                        for word, c in value.terms.items()), sympy.Integer(0))
+
+        for t in all_types(a):
+            mu = quantize(t, omega, p0)
+            ent = {(i, j, k): to_sympy(mu.entry(i, j, k))
+                   for i in (1, 2, 3) for j in (1, 2, 3) for k in (1, 2, 3)}
+            for m, component in zip((1, 2, 3), basis_jacobian(mu)):
+                expected = sum((ent[m, l, k] * ent[k, i, j]
+                                for (i, j, l) in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+                                for k in (1, 2, 3)), sympy.Integer(0))
+                assert sympy.expand(expected - to_sympy(component)) == 0, (t.label, m)
 
     def test_triple_product_factorization_random(self):
         rng = random.Random(21)

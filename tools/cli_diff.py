@@ -1,6 +1,7 @@
 """Compare the CLI output of two operadyn source trees byte for byte.
 
-Runs every `tables` format, `verify all` and `trace` for five classes at a
+Runs every `tables` format, `verify all`, `trace` of all eleven classes and
+one 2000-sample `trace` (a size the benchmark's trace workload runs) at a
 set of (omega, p0, a) configs under both trees, and reports each command
 whose stdout, stderr or exit code differs.  Commands whose exit code is not
 0 in the base tree are listed separately, since their output is not a
@@ -17,6 +18,9 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+
+# the eleven class tags, in the order of operadyn.bianchi.TAGS
+TAGS = ("I", "II", "VII", "VI", "IX", "VIII", "V", "IV", "VIIa", "IIIa1", "VIa")
 
 CONFIGS = (
     (),
@@ -35,8 +39,9 @@ def commands():
             for fmt in ("text", "json", "csv"):
                 yield ("tables", which, "--format", fmt, *cfg)
         yield ("verify", "all", *cfg)
-        for tag in ("II", "V", "VIIa", "IX", "VIa"):
+        for tag in TAGS:
             yield ("trace", tag, *cfg)
+        yield ("trace", "VIIa", "--t-samples", "2000", *cfg)
 
 
 def run(src, argv):
