@@ -10,17 +10,30 @@ from operadyn import build_matrix_lax, matrix_lax_residual
 q, p, w = Fraction(1), Fraction(2), Fraction(3)
 pair = build_matrix_lax(q, p, w)
 
+
+def rows(m):
+    """The rows of a 3x3 matrix, entry by entry."""
+    return [[m[i, j] for j in range(3)] for i in range(3)]
+
+
+def product(a, b):
+    """The 3x3 matrix product a b, as rows."""
+    return [[sum(a[i, k] * b[k, j] for k in range(3)) for j in range(3)]
+            for i in range(3)]
+
+
 print(f"Lax pair at q = {q}, p = {p}, omega = {w}")
 print()
 print("L =")
-for row in pair.L:
+for row in rows(pair.L):
     print("   ", [str(v) for v in row])
 print("M =")
-for row in pair.M:
+for row in rows(pair.M):
     print("   ", [str(v) for v in row])
 print()
 
-commutator = pair.M @ pair.L - pair.L @ pair.M
+ml, lm = product(pair.M, pair.L), product(pair.L, pair.M)
+commutator = [[x - y for x, y in zip(r, s)] for r, s in zip(ml, lm)]
 print("[M, L] =")
 for row in commutator:
     print("   ", [str(v) for v in row])
@@ -28,11 +41,11 @@ print()
 print("and dL/dt along the flow (q' = p, p' = -omega^2 q) gives the same")
 print("matrix, so the residual dL/dt - [M, L] vanishes identically:")
 residual = matrix_lax_residual(q, p, w)
-print("residual =", [[str(v) for v in row] for row in residual])
+print("residual =", [[str(v) for v in row] for row in rows(residual)])
 print()
 
 # isospectrality: the invariants of L are conserved along the flow
-trace_l2 = sum((pair.L @ pair.L)[i][i] for i in range(3))
+trace_l2 = sum(product(pair.L, pair.L)[i][i] for i in range(3))
 print(f"tr L^2 = {trace_l2} = 2 (p^2 + omega^2 q^2) + 1, twice the energy plus")
 print("the unit block, so the spectrum of L encodes the conserved Hamiltonian.")
 print()
@@ -46,6 +59,6 @@ for n in range(3):
     pv = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
     wv = Fraction(rng.randint(1, 9), rng.randint(1, 4))
     r = matrix_lax_residual(qv, pv, wv)
-    flat = [v for row in r for v in row]
+    flat = r.flat
     print(f"  q = {str(qv):>5}, p = {str(pv):>5}, omega = {str(wv):>4}:"
           f" residual {'zero' if all(v == 0 for v in flat) else 'NONZERO'}")

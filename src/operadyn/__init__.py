@@ -13,7 +13,6 @@ from .bianchi import (
     BianchiType,
     TAGS,
     all_types,
-    bianchi_type,
     classical_jacobian,
     deform,
     deformation_trace,
@@ -80,7 +79,7 @@ __all__ = [
     "MatrixLaxPair", "NCPoly", "Operation", "OscillatorState", "PAIRS",
     "Poly", "QUANTUM_LIE", "QuasiCoords", "RIGID", "StructureTensor",
     "TAGS", "TableMismatchError", "UNCLASSIFIED", "all_types",
-    "as_poly", "basis_jacobian", "bianchi_type",
+    "as_poly", "basis_jacobian",
     "build_matrix_lax", "build_mu", "classical_jacobian", "classify",
     "commutator", "deform", "deformation_trace", "exact_flow",
     "formal_deformation", "formal_mu", "generator_commutator",

@@ -47,7 +47,8 @@ _SIGNATURES = {
     "VIa":   lambda a: (a, 0, 1, -1),
 }
 
-_PARAMETRIC = ("VIIa", "VIa")
+# the classes that take a modulus a
+PARAMETRIC = ("VIIa", "VIa")
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class BianchiType:
         if self.tag not in TAGS:
             raise ValueError(f"unknown type tag {self.tag!r}, expected one of {TAGS}")
         a = self.a
-        if self.tag in _PARAMETRIC:
+        if self.tag in PARAMETRIC:
             if a is None:
                 raise ValueError(f"type {self.tag} requires a modulus a > 0")
             a = Fraction(a)
@@ -77,24 +78,19 @@ class BianchiType:
 
     @property
     def is_parametric(self):
-        return self.tag in _PARAMETRIC
+        return self.tag in PARAMETRIC
 
     @property
     def label(self):
-        if self.tag in _PARAMETRIC:
+        if self.tag in PARAMETRIC:
             return f"{self.tag}(a={self.a})"
         return self.tag
-
-
-def bianchi_type(tag, a=None):
-    """Convenience constructor accepting the plain tag string."""
-    return BianchiType(tag, a)
 
 
 def all_types(a=Fraction(1, 2)):
     """All eleven classes, the parametric ones at the given modulus."""
     a = Fraction(a)
-    return [BianchiType(tag, a if tag in _PARAMETRIC else None) for tag in TAGS]
+    return [BianchiType(tag, a if tag in PARAMETRIC else None) for tag in TAGS]
 
 
 def structure_constants(t):

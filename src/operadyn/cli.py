@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bianchi, poly, quantum
-from .bianchi import BianchiType, TAGS
+from .bianchi import BianchiType
 from .lax import LaxFamilyParams, matrix_lax_residual, operadic_lax_residual
 from .oscillator import BranchError
 from .structure import PAIRS
@@ -57,15 +57,17 @@ def _fraction(text):
 def _positive_float(value, flag):
     """The float of a positive rational flag, or ValueError naming the flag.
 
-    Rejects values that overflow to infinity or underflow to zero, which the
-    exact commands accept but the float paths cannot sample.
+    The float paths square --omega and --p0, so the square must be a normal
+    float: neither overflow to infinity nor underflow below
+    sys.float_info.min.  The exact commands accept any positive value.
     """
     try:
         f = float(value)
     except OverflowError:
         f = math.inf
-    if not 0 < f < math.inf:
-        raise ValueError(f"{flag} {value} is outside the positive float range")
+    if not (f > 0 and sys.float_info.min <= f * f <= sys.float_info.max):
+        raise ValueError(f"{flag} {value} is outside the float range"
+                         " (its square must be a normal float)")
     return f
 
 
@@ -130,10 +132,7 @@ def _config(args):
 
 def _selected_types(cfg, tag):
     if tag is not None:
-        if tag not in TAGS:
-            raise ValueError(f"unknown type tag {tag!r}, expected one of {TAGS}")
-        modulus = cfg.a if tag in ("VIIa", "VIa") else None
-        return [BianchiType(tag, modulus)]
+        return [BianchiType(tag, cfg.a if tag in bianchi.PARAMETRIC else None)]
     if cfg.a == 1:
         raise ValueError("--a 1 is not valid when listing all classes:"
                          " type VIa requires a != 1")
@@ -290,11 +289,9 @@ def _run_verify(which, cfg):
 
 
 def _run_trace(cfg, tag, samples):
-    if tag not in TAGS:
-        raise ValueError(f"unknown type tag {tag!r}, expected one of {TAGS}")
+    (t,) = _selected_types(cfg, tag)
     if samples < 1:
         raise ValueError(f"--t-samples must be at least 1, got {samples}")
-    t = BianchiType(tag, cfg.a if tag in ("VIIa", "VIa") else None)
     w = _positive_float(cfg.omega, "--omega")
     _positive_float(cfg.p0, "--p0")
     times = [(n * math.pi / w) / samples for n in range(samples)]

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import sub
 
 from . import poly
 from .ncpoly import ExtScalar
-from .operad import Operation, gerstenhaber_bracket
+from .operad import Operation, Tensor, gerstenhaber_bracket
 from .poly import Poly
 from .structure import StructureTensor
 
@@ -43,37 +42,31 @@ from .structure import StructureTensor
 
 @dataclass(frozen=True)
 class MatrixLaxPair:
-    L: np.ndarray
-    M: np.ndarray
-
-
-def _as_matrix(rows):
-    arr = np.empty((3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            arr[i, j] = rows[i][j]
-    return arr
+    L: Tensor
+    M: Tensor
 
 
 def build_matrix_lax(q, p, omega):
     """The 3x3 Lax pair at a phase-space point (entries keep their ring)."""
     zero, one = Fraction(0), Fraction(1)
     half_w = omega * Fraction(1, 2)
-    L = _as_matrix([
+    L = Tensor.of([
         [p, omega * q, zero],
         [omega * q, -p, zero],
         [zero, zero, one],
-    ])
-    M = _as_matrix([
+    ], (3, 3))
+    M = Tensor.of([
         [zero, -half_w, zero],
         [half_w, zero, zero],
         [zero, zero, zero],
-    ])
+    ], (3, 3))
     return MatrixLaxPair(L=L, M=M)
 
 
 def _commutator(a, b):
-    return a @ b - b @ a
+    """ab - ba of two 3x3 matrices, as a flat row-major tuple."""
+    return tuple(sum(a[i, k] * b[k, j] - b[i, k] * a[k, j] for k in range(3))
+                 for i in range(3) for j in range(3))
 
 
 def matrix_lax_residual(q, p, omega):
@@ -87,13 +80,11 @@ def matrix_lax_residual(q, p, omega):
     """
     zero = Fraction(0)
     w2q = omega * omega * q
-    dL = _as_matrix([
-        [-w2q, omega * p, zero],
-        [omega * p, w2q, zero],
-        [zero, zero, zero],
-    ])
+    dL = (-w2q, omega * p, zero,
+          omega * p, w2q, zero,
+          zero, zero, zero)
     pair = build_matrix_lax(q, p, omega)
-    return dL - _commutator(pair.M, pair.L)
+    return Tensor(map(sub, dL, _commutator(pair.M, pair.L)), (3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +225,6 @@ def operadic_lax_residual(params, omega):
         raise ValueError(f"omega must be positive, got {omega}")
     mu = build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, w)
     bracket = gerstenhaber_bracket(rotation_generator(w), mu)
-    dmu = np.empty((3, 3, 3), dtype=object)
-    for idx in np.ndindex(3, 3, 3):
-        dmu[idx] = _time_derivative(mu.coeffs[idx], w)
-    return StructureTensor.from_array(dmu - bracket.coeffs)
+    residual = (_time_derivative(v, w) - b
+                for v, b in zip(mu.coeffs.flat, bracket.coeffs.flat))
+    return StructureTensor.from_array(Tensor(residual, (3, 3, 3)))

@@ -174,10 +174,6 @@ class NCPoly:
     # ---- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, *, p0):
-        return cls({}, p0=p0)
-
-    @classmethod
     def scalar(cls, value, *, p0):
         return cls({(): value}, p0=p0)
 
@@ -320,7 +316,7 @@ class NCPoly:
 
         Raises ValueError naming the first malformed term.
         """
-        zero = cls.zero(p0=p0)
+        zero = cls({}, p0=p0)
         text = text.strip()
         if text == "(0)":
             return zero

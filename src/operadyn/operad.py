@@ -6,6 +6,11 @@ V**n -> V, stored as its dense coefficient tensor with the output axis first:
 of any commutative ring with the usual Python operators (the package uses
 `poly.Poly` for phase-space-dependent operations).
 
+Coefficient tensors are `Tensor`s: read-only, with the entries kept as one
+flat tuple in row-major order (the last index varies fastest) beside the
+shape.  A slice of the flat tuple with a fixed stride walks one axis, which
+is all that composition needs.
+
 Signs are driven by the reduced degree |f| = deg(f) - 1:
 
     partial_compose(f, i, g) = (-1)**(i*|g|) * (f after g in input slot i),
@@ -22,9 +27,9 @@ total composition f . g with deg(f) = 0 is the zero operation of degree
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from numbers import Rational
-
-import numpy as np
+from operator import add, mul, neg, sub
 
 MAX_DIM = 8
 MAX_DEGREE = 4
@@ -37,10 +42,59 @@ def graded_sign(exponent):
     return -1 if exponent % 2 else 1
 
 
-def _zeros(shape):
-    arr = np.empty(shape, dtype=object)
-    arr.fill(Fraction(0))
-    return arr
+def _offset(index, shape):
+    """Row-major position of a 0-based index tuple, or IndexError."""
+    if len(index) != len(shape) or any(not 0 <= i < n for i, n in zip(index, shape)):
+        raise IndexError(f"index {index!r} out of range for shape {shape}")
+    offset = 0
+    for i, n in zip(index, shape):
+        offset = offset * n + i
+    return offset
+
+
+class Tensor:
+    """A read-only dense tensor: its entries as a flat row-major tuple.
+
+    ``flat`` holds the entries, ``shape`` the axis lengths and ``size`` the
+    entry count; ``t[i, j, k]`` reads one entry by its 0-based index tuple.
+    """
+
+    __slots__ = ("flat", "shape", "size")
+
+    def __init__(self, flat, shape):
+        flat, shape = tuple(flat), tuple(shape)
+        if len(flat) != prod(shape):
+            raise ValueError(f"{len(flat)} entries do not fill shape {shape}")
+        # operations and structure tensors share a Tensor instead of copying it
+        for name, value in (("flat", flat), ("shape", shape), ("size", len(flat))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Tensor is read-only, cannot set {name!r}")
+
+    @classmethod
+    def of(cls, values, shape):
+        """A Tensor of the given shape from a Tensor or nested lists/tuples."""
+        if isinstance(values, Tensor):
+            if values.shape != shape:
+                raise ValueError(f"tensor has shape {values.shape}, expected {shape}")
+            return values
+        flat = [values]
+        for n in shape:
+            rows, flat = flat, []
+            for row in rows:
+                if not isinstance(row, (list, tuple)) or len(row) != n:
+                    raise ValueError(f"values do not nest to shape {shape}")
+                flat.extend(row)
+        if any(isinstance(v, (list, tuple, Tensor)) for v in flat):
+            raise ValueError(f"values nest deeper than shape {shape}")
+        return cls(flat, shape)
+
+    def __getitem__(self, index):
+        return self.flat[_offset(index, self.shape)]
+
+    def __repr__(self):
+        return f"Tensor({list(self.flat)!r}, shape={self.shape})"
 
 
 class Operation:
@@ -65,36 +119,25 @@ class Operation:
             )
         shape = (dim,) * (degree + 1)
         if coeffs is None:
-            arr = _zeros(shape)
-        else:
-            arr = np.asarray(coeffs, dtype=object)
-            if arr.shape != shape:
-                raise ValueError(f"coefficient tensor has shape {arr.shape}, expected {shape}")
-            arr = arr.copy()
-        arr.flags.writeable = False
+            coeffs = Tensor((Fraction(0),) * dim ** (degree + 1), shape)
         self.dim = dim
         self.degree = degree
-        self.coeffs = arr
+        self.coeffs = Tensor.of(coeffs, shape)
 
     # ---- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, dim, degree):
-        return cls(dim, degree)
-
-    @classmethod
     def identity(cls, dim):
-        arr = _zeros((dim, dim))
-        for i in range(dim):
-            arr[i, i] = Fraction(1)
-        return cls(dim, 1, arr)
+        flat = [Fraction(0)] * (dim * dim)
+        flat[::dim + 1] = [Fraction(1)] * dim
+        return cls(dim, 1, Tensor(flat, (dim, dim)))
 
     @classmethod
     def from_matrix(cls, rows):
-        arr = np.asarray(rows, dtype=object)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        return cls(arr.shape[0], 1, arr)
+        """A degree-1 operation from a square matrix given as a list of rows."""
+        if not isinstance(rows, (list, tuple)) or not rows:
+            raise ValueError(f"expected a square matrix as a list of rows, got {rows!r}")
+        return cls(len(rows), 1, rows)
 
     @classmethod
     def from_entries(cls, dim, degree, entries):
@@ -103,13 +146,14 @@ class Operation:
         Keys are index tuples (out, in_1, ..., in_degree); anything unset
         is zero.
         """
-        arr = _zeros((dim,) * (degree + 1))
+        shape = cls(dim, degree).coeffs.shape
+        flat = [Fraction(0)] * prod(shape)
         for idx, value in entries.items():
             idx = tuple(idx)
             if len(idx) != degree + 1 or any(not (1 <= i <= dim) for i in idx):
                 raise ValueError(f"index {idx!r} out of range for dim {dim}, degree {degree}")
-            arr[tuple(i - 1 for i in idx)] = value
-        return cls(dim, degree, arr)
+            flat[_offset(tuple(i - 1 for i in idx), shape)] = value
+        return cls(dim, degree, Tensor(flat, shape))
 
     # ---- accessors --------------------------------------------------------
 
@@ -130,17 +174,20 @@ class Operation:
         return all(v == 0 for v in self.coeffs.flat)
 
     def apply(self, vectors):
-        """Evaluate on a sequence of `degree` vectors, returning a vector."""
+        """Evaluate on a sequence of `degree` vectors, returning a vector (a tuple)."""
         vectors = list(vectors)
         if len(vectors) != self.degree:
             raise ValueError(f"operation of degree {self.degree} takes {self.degree} arguments,"
                              f" got {len(vectors)}")
-        out = self.coeffs
+        d = self.dim
+        out = self.coeffs.flat
         for vec in vectors:
-            v = np.asarray(vec, dtype=object)
-            if v.shape != (self.dim,):
-                raise ValueError(f"argument vector has shape {v.shape}, expected ({self.dim},)")
-            out = np.tensordot(out, v, axes=([1], [0]))
+            v = Tensor.of(vec, (d,)).flat
+            # contract the first input axis, whose stride is `step`
+            block = len(out) // d
+            step = block // d
+            out = tuple(sum(map(mul, out[start + r:start + block:step], v))
+                        for start in range(0, len(out), block) for r in range(step))
         return out
 
     # ---- linear structure --------------------------------------------------
@@ -152,24 +199,28 @@ class Operation:
                 f" vs (dim {other.dim}, degree {other.degree})"
             )
 
+    def _like(self, flat):
+        return Operation(self.dim, self.degree, Tensor(flat, self.coeffs.shape),
+                         check_limits=False)
+
     def __add__(self, other):
         if not isinstance(other, Operation):
             return NotImplemented
         self._check_shape(other)
-        return Operation(self.dim, self.degree, self.coeffs + other.coeffs, check_limits=False)
+        return self._like(map(add, self.coeffs.flat, other.coeffs.flat))
 
     def __sub__(self, other):
         if not isinstance(other, Operation):
             return NotImplemented
         self._check_shape(other)
-        return Operation(self.dim, self.degree, self.coeffs - other.coeffs, check_limits=False)
+        return self._like(map(sub, self.coeffs.flat, other.coeffs.flat))
 
     def __neg__(self):
-        return Operation(self.dim, self.degree, -self.coeffs, check_limits=False)
+        return self._like(map(neg, self.coeffs.flat))
 
     def __mul__(self, scalar):
         if isinstance(scalar, (Rational, float)):
-            return Operation(self.dim, self.degree, self.coeffs * scalar, check_limits=False)
+            return self._like(v * scalar for v in self.coeffs.flat)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -179,13 +230,13 @@ class Operation:
             return NotImplemented
         if self.dim != other.dim or self.degree != other.degree:
             return False
-        return bool((self.coeffs == other.coeffs).all())
+        return self.coeffs.flat == other.coeffs.flat
 
     def __hash__(self):
-        return hash((self.dim, self.degree, tuple(self.coeffs.flat)))
+        return hash((self.dim, self.degree, self.coeffs.flat))
 
     def __repr__(self):
-        nonzero = int(sum(1 for v in self.coeffs.flat if v != 0))
+        nonzero = sum(1 for v in self.coeffs.flat if v != 0)
         return f"Operation(dim={self.dim}, degree={self.degree}, nonzero={nonzero})"
 
 
@@ -209,17 +260,24 @@ def partial_compose(f, i, g):
             f"composition result would hold {f.dim ** (out_degree + 1)} entries,"
             f" above the cap of {MAX_ENTRIES}"
         )
-    # contract slot i of f (axis i+1) against the output axis of g, then move
-    # g's input axes from the tail back to slot position i
-    t = np.tensordot(f.coeffs, g.coeffs, axes=([i + 1], [0]))
-    m = g.degree
-    if m:
-        src = list(range(f.degree, f.degree + m))
-        dst = list(range(i + 1, i + 1 + m))
-        t = np.moveaxis(t, src, dst)
+    # The result index is (out, f's inputs before slot i, g's inputs, f's
+    # inputs after slot i).  Each entry contracts one fibre of f along slot i
+    # (stride `step` in f's flat tuple) with one column of g (stride
+    # `width`); the sign is folded into g.
+    d = f.dim
+    ff, gf = f.coeffs.flat, g.coeffs.flat
+    step = d ** (f.degree - 1 - i)
+    block = d * step
+    fibres = [[ff[start + r:start + block:step] for r in range(step)]
+              for start in range(0, len(ff), block)]
     if graded_sign(i * g.reduced_degree) < 0:
-        t = -t
-    return Operation(f.dim, out_degree, t, check_limits=False)
+        gf = tuple(map(neg, gf))
+    width = len(gf) // d
+    columns = [gf[b::width] for b in range(width)]
+    flat = [sum(map(mul, fibre, column))
+            for row in fibres for column in columns for fibre in row]
+    return Operation(d, out_degree, Tensor(flat, (d,) * (out_degree + 1)),
+                     check_limits=False)
 
 
 def total_compose(f, g):

@@ -87,7 +87,8 @@ def quasi_coords(state, *, shell_tol=1e-8):
     """
     _check_params(state.omega, state.p0)
     shell = 0.5 * state.p0 * state.p0
-    if abs(state.energy - shell) > shell_tol * max(shell, 1.0):
+    # written so that a NaN comparison (inf - inf) counts as off the shell
+    if not abs(state.energy - shell) <= shell_tol * max(shell, 1.0):
         raise ValueError(
             f"state is off the energy shell: H = {state.energy}, expected {shell}")
     if state.p <= -state.p0:

@@ -114,7 +114,8 @@ class Poly:
                     out[exps] = acc
             return Poly(out)
         if isinstance(other, _SCALARS):
-            return self + Poly.constant(other)
+            # sum() starts at int 0; Poly is immutable, so 0 + f can be f
+            return self if other == 0 else self + Poly.constant(other)
         return NotImplemented
 
     __radd__ = __add__

@@ -42,28 +42,17 @@ ANOMALOUS_II = "AnomalousII"
 UNCLASSIFIED = "Unclassified"
 
 
-def _with_modulus(t, a):
-    if a is None:
-        return t
-    if t.a is not None and Fraction(a) != t.a:
-        raise ValueError(f"conflicting moduli: type carries a={t.a}, call passes a={a}")
-    if t.a is not None:
-        return t
-    return bianchi.BianchiType(t.tag, a)
-
-
 def _word(exps):
     """The word Q^i P^j Ap^k Am^l of the monomial q^i p^j Ap^k Am^l."""
     return tuple(g for g, e in zip(GENERATORS, exps) for _ in range(e))
 
 
-def quantize(t, omega, p0, a=None):
+def quantize(t, omega, p0):
     """Operator form of the deformed bracket.
 
     Applies the quantization map to every entry of the formal deformation;
     its coefficients, s included, carry over unchanged.
     """
-    t = _with_modulus(t, a)
     p0 = Fraction(p0)
 
     def operator(value):
@@ -135,7 +124,7 @@ def quantum_bracket(mu, x, y):
     p0 = _tensor_p0(mu)
     x = _as_vector(x)
     y = _as_vector(y)
-    out = [NCPoly.zero(p0=p0) for _ in range(3)]
+    out = [NCPoly({}, p0=p0) for _ in range(3)]
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             weight = x[i - 1] * y[j - 1]
@@ -179,7 +168,7 @@ def quantum_jacobian(mu, x, y, z):
 
     components = []
     for m in (1, 2, 3):
-        total = NCPoly.zero(p0=p0)
+        total = NCPoly({}, p0=p0)
         for (u, v, w) in ((x, y, z), (y, z, x), (z, x, y)):
             for i in (1, 2, 3):
                 for j in (1, 2, 3):
@@ -226,13 +215,12 @@ class AnomalyCertificate:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def classify(t, omega, p0, a=None):
+def classify(t, omega, p0):
     """Sort a class into Rigid / QuantumLie / AnomalousI / AnomalousII.
 
     The certificate carries the full basis defect so the claim can be checked
     independently of the matching logic.
     """
-    t = _with_modulus(t, a)
     w = Fraction(omega)
     p0 = Fraction(p0)
     mu = quantize(t, w, p0)

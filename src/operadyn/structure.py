@@ -15,12 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
 from .ncpoly import ExtScalar
-from .operad import Operation
+from .operad import Operation, Tensor
 
 DIM = 3
+SHAPE = (DIM, DIM, DIM)
 
 # entries that are numbers rather than polynomials
 _SCALARS = (Rational, float, ExtScalar)
@@ -39,6 +38,11 @@ class TableMismatchError(ValueError):
         for (i, j, k), left, right in self.diffs:
             lines.append(f"  mu^{i}_{{{j}{k}}}: {left} != {right}")
         super().__init__("\n".join(lines))
+
+
+def _position(i, j, k):
+    """Row-major position of mu^i_{jk} (1-based indices) in the flat entries."""
+    return ((i - 1) * DIM + j - 1) * DIM + k - 1
 
 
 def _entry_is_constant(value):
@@ -80,19 +84,19 @@ class StructureTensor:
             mirror = (i, k, j)
             if mirror not in provided:
                 provided[mirror] = -value
-        arr = np.empty((DIM, DIM, DIM), dtype=object)
-        arr.fill(Fraction(0))
+        flat = [Fraction(0)] * DIM ** 3
         for (i, j, k), value in provided.items():
-            arr[i - 1, j - 1, k - 1] = value
-        self.array = arr
+            flat[_position(i, j, k)] = value
+        self.array = Tensor(flat, SHAPE)
         self._validate()
 
     def _validate(self):
+        flat = self.array.flat
         for i in range(DIM):
             for j in range(DIM):
                 for k in range(j, DIM):
-                    a = self.array[i, j, k]
-                    b = self.array[i, k, j]
+                    a = flat[(i * DIM + j) * DIM + k]
+                    b = flat[(i * DIM + k) * DIM + j]
                     if j == k:
                         if not (a == 0):
                             raise ValueError(
@@ -106,11 +110,9 @@ class StructureTensor:
 
     @classmethod
     def from_array(cls, array):
+        """Build from a Tensor or nested lists of shape (3, 3, 3), 0-based."""
         obj = cls.__new__(cls)
-        arr = np.asarray(array, dtype=object).copy()
-        if arr.shape != (DIM, DIM, DIM):
-            raise ValueError(f"expected shape (3, 3, 3), got {arr.shape}")
-        obj.array = arr
+        obj.array = Tensor.of(array, SHAPE)
         obj._validate()
         return obj
 
@@ -129,7 +131,7 @@ class StructureTensor:
         """mu^i_{jk} with 1-based indices."""
         if any(not (1 <= n <= DIM) for n in (i, j, k)):
             raise ValueError(f"index {(i, j, k)!r} out of range 1..{DIM}")
-        return self.array[i - 1, j - 1, k - 1]
+        return self.array.flat[_position(i, j, k)]
 
     def independent_entries(self):
         """Yield ((i, j, k), value) over the nine independent components.
@@ -138,7 +140,7 @@ class StructureTensor:
         """
         for (j, k) in PAIRS:
             for i in (1, 2, 3):
-                yield (i, j, k), self.array[i - 1, j - 1, k - 1]
+                yield (i, j, k), self.array.flat[_position(i, j, k)]
 
     @property
     def is_zero(self):
@@ -152,16 +154,10 @@ class StructureTensor:
         """Fold constant entries down to plain numbers."""
         if not self.is_constant:
             raise ValueError("tensor has non-constant entries")
-        out = np.empty((DIM, DIM, DIM), dtype=object)
-        for idx in np.ndindex(DIM, DIM, DIM):
-            out[idx] = _entry_constant_value(self.array[idx])
-        return StructureTensor.from_array(out)
+        return self.map_entries(_entry_constant_value)
 
     def map_entries(self, fn):
-        out = np.empty((DIM, DIM, DIM), dtype=object)
-        for idx in np.ndindex(DIM, DIM, DIM):
-            out[idx] = fn(self.array[idx])
-        return StructureTensor.from_array(out)
+        return StructureTensor.from_array(Tensor(map(fn, self.array.flat), SHAPE))
 
     def evaluate(self, q, p, ap, am):
         """Evaluate polynomial entries at a phase-space point."""
@@ -176,10 +172,10 @@ class StructureTensor:
     def __eq__(self, other):
         if not isinstance(other, StructureTensor):
             return NotImplemented
-        return bool((self.array == other.array).all())
+        return self.array.flat == other.array.flat
 
     def __hash__(self):
-        return hash(tuple(self.array.flat))
+        return hash(self.array.flat)
 
     def diff(self, other, label="tensor comparison"):
         """Raise TableMismatchError listing every differing component."""

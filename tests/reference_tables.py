@@ -129,7 +129,7 @@ def _complete_tensor(entries, p0):
         if (i, k, j) not in entries:
             full[(i, k, j)] = -value
             seen.add((i, k, j))
-    zero = NCPoly.zero(p0=p0)
+    zero = NCPoly({}, p0=p0)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             for k in (1, 2, 3):

@@ -9,15 +9,14 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from operadyn.bianchi import (BianchiType, TAGS, all_types, classical_jacobian,
                               deform, is_rigid, raw_jacobian,
                               structure_constants)
 from operadyn.lax import (LaxFamilyParams, build_mu, matrix_lax_residual,
                           operadic_lax_residual, solve_C)
 from operadyn.ncpoly import ExtScalar
-from operadyn.operad import Operation, gerstenhaber_bracket, graded_sign
+from operadyn.operad import (Operation, Tensor, gerstenhaber_bracket,
+                             graded_sign)
 from operadyn.oscillator import (exact_flow, integrate_rk4, quasi_coords,
                                  quasi_coords_derivative)
 from operadyn.quantum import (ANOMALOUS_II, basis_jacobian, classify,
@@ -169,11 +168,9 @@ def test_criterion_08_second_anomalous_family():
 
 def _random_operation(rng, dim, arity, fractions):
     shape = (dim,) * (arity + 1)
-    coeffs = np.empty(shape, dtype=object)
-    flat = coeffs.reshape(-1)
-    for i in range(flat.size):
-        flat[i] = _rational(rng, 4, 3) if fractions else rng.randint(-4, 4)
-    return Operation(dim, arity, coeffs, check_limits=False)
+    flat = [_rational(rng, 4, 3) if fractions else rng.randint(-4, 4)
+            for _ in range(dim ** (arity + 1))]
+    return Operation(dim, arity, Tensor(flat, shape), check_limits=False)
 
 
 def _jacobi_defect(f, g, h):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operadyn import poly
-from operadyn.bianchi import (BianchiType, TAGS, all_types, bianchi_type,
+from operadyn.bianchi import (BianchiType, TAGS, all_types,
                               classical_jacobian, deform, deformation_trace,
                               is_rigid, raw_jacobian, reduce_on_shell,
                               structure_constants)
@@ -68,7 +68,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             BianchiType("IIIa1", 2)      # fixed at 1
         assert BianchiType("IIIa1").a == 1
-        assert bianchi_type("VIIa", Fraction(3, 2)).label == "VIIa(a=3/2)"
+        assert BianchiType("VIIa", Fraction(3, 2)).label == "VIIa(a=3/2)"
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):

@@ -6,15 +6,18 @@ test runs the real interpreter via -m.
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from operadyn import bianchi, lax, quantum
 from operadyn.cli import COLUMNS, main
 from operadyn.ncpoly import NCPoly
+from operadyn.operad import Tensor
 from operadyn.poly import Poly, as_poly
 from operadyn.structure import StructureTensor
 
@@ -118,8 +121,9 @@ class TestVerify:
 
         def mutant(q, p, omega):
             pair = real(q, p, omega)
-            pair.L[0, 1] = omega * omega * q
-            return pair
+            entries = list(pair.L.flat)
+            entries[1] = omega * omega * q
+            return lax.MatrixLaxPair(L=Tensor(entries, (3, 3)), M=pair.M)
 
         monkeypatch.setattr(lax, "build_matrix_lax", mutant)
         code, out, _ = run(capsys, "verify", "matrix-lax")
@@ -171,6 +175,9 @@ class TestUsageErrors:
     def test_unknown_tag(self, capsys):
         code, _, err = run(capsys, "tables", "bianchi", "--type", "X")
         assert code == 2 and "unknown type tag" in err
+        # the tag is checked before the sample count
+        code, _, err = run(capsys, "trace", "X", "--t-samples", "0")
+        assert code == 2 and "unknown type tag" in err
 
     def test_irrational_sigma(self, capsys):
         # not a usage error: sqrt(6) stays the formal s
@@ -202,6 +209,11 @@ class TestUsageErrors:
         ("verify", "jacobi-classical", "--p0", "1e400"),
         ("trace", "II", "--omega", "1e-400"),
         ("verify", "jacobi-classical", "--omega", "1e-400"),
+        # finite, but the square of the flag overflows or underflows
+        ("verify", "jacobi-classical", "--p0", "1e200"),
+        ("verify", "jacobi-classical", "--p0", "1e-200"),
+        ("trace", "II", "--omega", "1e300"),
+        ("trace", "II", "--omega", "1e-200"),
     ])
     def test_flag_outside_float_range(self, capsys, argv):
         # the float paths need a positive finite float; the exact tables do not
@@ -219,6 +231,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def test_numpy_stays_out():
+    # the CLI and both float paths run on the standard library alone
+    code = ("import contextlib, io, sys\n"
+            "import operadyn.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert operadyn.cli.main(['verify', 'all']) == 0\n"
+            "    assert operadyn.cli.main(['trace', 'II']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point():

@@ -5,6 +5,7 @@ import pytest
 
 from operadyn import poly
 from operadyn.ncpoly import ExtScalar
+from operadyn.operad import Tensor
 from operadyn.lax import (LaxFamilyParams, build_matrix_lax, build_mu,
                           formal_mu, matrix_lax_residual,
                           operadic_lax_residual, rotation_generator, solve_C)
@@ -15,7 +16,9 @@ class TestMatrixPair:
     def test_frozen_commutator(self):
         # [M, L] at (q, p, omega) = (1, 2, 3)
         pair = build_matrix_lax(Fraction(1), Fraction(2), Fraction(3))
-        ml = pair.M @ pair.L - pair.L @ pair.M
+        ml = Tensor([sum(pair.M[i, k] * pair.L[k, j] - pair.L[i, k] * pair.M[k, j]
+                         for k in range(3))
+                     for i in range(3) for j in range(3)], (3, 3))
         expected = [[-9, 6, 0], [6, 9, 0], [0, 0, 0]]
         for i in range(3):
             for j in range(3):

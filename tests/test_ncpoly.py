@@ -84,7 +84,7 @@ class TestNCPoly:
             a + b
 
     def test_scalar_predicates(self):
-        z = NCPoly.zero(p0=P0)
+        z = NCPoly({}, p0=P0)
         assert z.is_zero and z.is_scalar
         assert z.scalar_value() == 0
         f = NCPoly.scalar(ExtScalar(1, 1, p0=P0), p0=P0)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation,
+from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, Tensor,
                              gerstenhaber_bracket, graded_sign,
                              partial_compose, total_compose)
 
@@ -66,10 +66,39 @@ class TestConstruction:
             Operation.from_entries(3, 2, {(1, 1, 4): 1})
 
     def test_shape_mismatch_rejected(self):
-        f = Operation.zero(3, 2)
-        g = Operation.zero(3, 1)
+        f = Operation(3, 2)
+        g = Operation(3, 1)
         with pytest.raises(ValueError):
             f + g
+
+
+class TestTensor:
+    def test_row_major_indexing(self):
+        t = Tensor.of([[[1, 2], [3, 4]], [[5, 6], [7, 8]]], (2, 2, 2))
+        assert t.flat == (1, 2, 3, 4, 5, 6, 7, 8) and t.size == 8
+        assert t[0, 1, 0] == 3 and t[1, 0, 1] == 6
+        with pytest.raises(IndexError):
+            t[0, 2, 0]
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            Tensor((1, 2, 3), (2, 2))
+        with pytest.raises(ValueError):
+            Tensor.of([[1, 2], [3]], (2, 2))
+        with pytest.raises(ValueError):
+            Tensor.of([[[1], [2]], [[3], [4]]], (2, 2))
+        with pytest.raises(ValueError):
+            Tensor.of(Tensor((1, 2, 3, 4), (4,)), (2, 2))
+        with pytest.raises(ValueError):
+            Operation(2, 1, [[1, 2], [3, 4], [5, 6]])
+
+    def test_read_only(self):
+        t = Operation.identity(2).coeffs
+        with pytest.raises(TypeError):
+            t[0, 0] = 5
+        with pytest.raises(AttributeError):
+            t.flat = (5, 0, 0, 1)
+        assert t.flat == (1, 0, 0, 1)
 
 
 class TestPartialCompose:

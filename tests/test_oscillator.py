@@ -77,6 +77,10 @@ def test_quasi_coords_shell_check():
     off_shell = OscillatorState(q=5.0, p=5.0, omega=1.0, p0=1.0)
     with pytest.raises(ValueError):
         quasi_coords(off_shell)
+    # energy and shell both overflow to inf; the NaN comparison must not pass
+    overflowed = OscillatorState(q=0.0, p=1e200, omega=1.0, p0=2e200)
+    with pytest.raises(ValueError):
+        quasi_coords(overflowed)
 
 
 def test_derivative_matches_finite_differences():

@@ -76,7 +76,7 @@ def _literal_type_v_tensor(p0):
         (3, 2, 3): w("Am", -inv_s), (3, 3, 2): w("Am", inv_s),
         (3, 3, 1): w("Ap", inv_s), (3, 1, 3): w("Ap", -inv_s),
     }
-    zero = NCPoly.zero(p0=p0)
+    zero = NCPoly({}, p0=p0)
     full = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -95,7 +95,7 @@ class TestTypeVBootstrap:
         # written out with no shared helpers
         components = []
         for m in (1, 2, 3):
-            total = NCPoly.zero(p0=p0)
+            total = NCPoly({}, p0=p0)
             for (i, j, l) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
                 for k in (1, 2, 3):
                     total = total + mu.entry(m, l, k) * mu.entry(k, i, j)
@@ -123,14 +123,6 @@ class TestQuantize:
             for t in all_types(a):
                 quantize(t, w, p0).diff(operator_table(t, w, p0),
                                         label=f"{t.label} at omega={w}, p0={p0}")
-
-    def test_modulus_override(self):
-        t = quantize(BianchiType("VIIa", Fraction(1, 2)), 1, Fraction(2))
-        same = quantize(BianchiType("VIIa", Fraction(1, 2)), 1, Fraction(2),
-                        a=Fraction(1, 2))
-        assert t == same
-        with pytest.raises(ValueError):
-            quantize(BianchiType("VIIa", Fraction(1, 2)), 1, Fraction(2), a=2)
 
     def test_sigma_stays_symbolic(self):
         # p0 = 2 makes sigma = 2 rational, but the operator entries keep s

@@ -30,6 +30,8 @@ CONFIGS = (
     ("--omega", "1", "--p0", "8", "--a", "1/3"),
     ("--p0", "3"),
     ("--omega", "2/3", "--p0", "5/7", "--a", "3"),
+    # large but inside the float range: the squares of omega and p0 are finite
+    ("--omega", "1e150", "--p0", "1e100"),
 )
 
 
