@@ -12,9 +12,12 @@ boundary case kept as its own entry.
 driven by the harmonic oscillator: the constant tensor is fed through
 solve_C and the Lax family, with s = sqrt(2*p0) kept formal.  It is the one
 source of both the classical table (`deform`, which folds s to its value
-when that is rational) and the operator table (`quantum.quantize`).  On the
-energy shell the deformed bracket satisfies the Jacobi identity at every
-time, which `classical_jacobian` verifies by exact polynomial reduction.
+when that is rational) and the operator table (`quantum.quantize`).  Each
+is a thin call over a function of the formal tensor (`deform_formal`,
+`quantum.quantize_formal`), so a caller that needs both builds the formal
+deformation once.  On the energy shell the deformed bracket satisfies the
+Jacobi identity at every time, which `classical_jacobian` verifies by exact
+polynomial reduction.
 """
 
 from __future__ import annotations
@@ -131,16 +134,20 @@ def _fold(value, sigma):
 
 
 def deform(t, omega, p0):
-    """The dynamical deformation of class t as a phase-space table.
+    """The dynamical deformation of class t as a phase-space table."""
+    return deform_formal(formal_deformation(t, omega, p0), p0)
+
+
+def deform_formal(formal, p0):
+    """The phase-space table of a formal deformation at the same p0.
 
     When sigma = sqrt(2*p0) is rational, s is folded to sigma and every
     coefficient is a Fraction; otherwise s stays formal.
     """
-    tensor = formal_deformation(t, omega, p0)
     sigma = rational_sqrt(2 * Fraction(p0))
     if sigma is None:
-        return tensor
-    return tensor.map_entries(lambda v: _fold(v, sigma))
+        return formal
+    return formal.map_entries(lambda v: _fold(v, sigma))
 
 
 def is_rigid(t, omega=1, p0=2):

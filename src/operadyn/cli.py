@@ -36,6 +36,8 @@ from .structure import PAIRS
 # nine independent components in column order
 COLUMNS = [f"mu{i}_{j}{k}" for (j, k) in PAIRS for i in (1, 2, 3)]
 
+_VERIFY_SUITES = ("matrix-lax", "operadic-lax", "jacobi-classical", "jacobi-quantum")
+
 _EXPECTED_KIND = {
     "I": quantum.RIGID, "VII": quantum.RIGID, "VIII": quantum.RIGID,
     "IX": quantum.RIGID,
@@ -98,8 +100,7 @@ def _build_parser():
     add_common(t)
 
     v = sub.add_parser("verify", help="run an exact invariant suite")
-    v.add_argument("which", choices=("matrix-lax", "operadic-lax",
-                                     "jacobi-classical", "jacobi-quantum", "all"))
+    v.add_argument("which", choices=(*_VERIFY_SUITES, "all"))
     add_common(v)
 
     r = sub.add_parser("trace", help="sample a deformation along the flow (CSV)")
@@ -225,12 +226,11 @@ def _check_operadic_lax(cfg):
                   " linear in C1..C9, so zero for every C")
 
 
-def _check_jacobi_classical(cfg):
-    w = _positive_float(cfg.omega, "--omega")
-    p0 = _positive_float(cfg.p0, "--p0")
+def _check_jacobi_classical(cfg, point, formal):
+    w, p0 = point
     worst = 0.0
-    for t in _selected_types(cfg, None):
-        mu = bianchi.deform(t, cfg.omega, cfg.p0)
+    for t, tensor in formal:
+        mu = bianchi.deform_formal(tensor, cfg.p0)
         reduced = bianchi.classical_jacobian(mu, cfg.omega, cfg.p0)
         if any(not c.is_zero for c in reduced):
             return False, f"on-shell defect of {t.label} is not zero: {reduced}"
@@ -249,10 +249,10 @@ def _check_jacobi_classical(cfg):
                   f" the flow at most {worst:.3e}")
 
 
-def _check_jacobi_quantum(cfg):
+def _check_jacobi_quantum(cfg, formal):
     lines = []
-    for t in _selected_types(cfg, None):
-        cert = quantum.classify(t, cfg.omega, cfg.p0)
+    for t, tensor in formal:
+        cert = quantum.classify_formal(t, tensor, cfg.omega, cfg.p0)
         expected = _EXPECTED_KIND[t.tag]
         if cert.kind != expected:
             return False, f"{t.label} classified {cert.kind}, expected {expected}"
@@ -263,21 +263,27 @@ def _check_jacobi_quantum(cfg):
     return True, "; ".join(lines)
 
 
-_VERIFY_CHECKS = (
-    ("matrix-lax", _check_matrix_lax),
-    ("operadic-lax", _check_operadic_lax),
-    ("jacobi-classical", _check_jacobi_classical),
-    ("jacobi-quantum", _check_jacobi_quantum),
-)
-
-
 def _run_verify(which, cfg):
+    suites = _VERIFY_SUITES if which == "all" else (which,)
+    # the float leg's range check comes before the class list's a != 1 check
+    point = None
+    if "jacobi-classical" in suites:
+        point = (_positive_float(cfg.omega, "--omega"), _positive_float(cfg.p0, "--p0"))
+    # one formal deformation per class serves both Jacobi suites
+    formal = None
+    if "jacobi-classical" in suites or "jacobi-quantum" in suites:
+        formal = [(t, bianchi.formal_deformation(t, cfg.omega, cfg.p0))
+                  for t in _selected_types(cfg, None)]
+    checks = {
+        "matrix-lax": lambda: _check_matrix_lax(cfg),
+        "operadic-lax": lambda: _check_operadic_lax(cfg),
+        "jacobi-classical": lambda: _check_jacobi_classical(cfg, point, formal),
+        "jacobi-quantum": lambda: _check_jacobi_quantum(cfg, formal),
+    }
     lines = [f"verify  omega={cfg.omega}  p0={cfg.p0}  a={cfg.a}"]
     overall = True
-    for name, check in _VERIFY_CHECKS:
-        if which not in (name, "all"):
-            continue
-        ok, detail = check(cfg)
+    for name in suites:
+        ok, detail = checks[name]()
         overall = overall and ok
         lines.append(f"{name}: {'PASS' if ok else 'FAIL'}  ({detail})")
     lines.append(f"overall: {'PASS' if overall else 'FAIL'}")

@@ -9,6 +9,15 @@ u + v*s with rational u, v; s stands for sqrt(2*p0).  Every scalar carries
 its p0 so that values from different shells cannot be mixed by accident.
 The same scalars are the irrational coefficients of `poly.Poly`.  Combined
 with a float, a scalar gives a float, as a Fraction does.
+
+Invariants: an ExtScalar's u, v and p0 are Fractions with p0 > 0, and an
+NCPoly's words use only Q, P, Ap, Am, each with a nonzero ExtScalar
+coefficient that has the polynomial's p0.  The public constructors
+(`ExtScalar(...)`, `NCPoly(...)`, `scalar`, `generator`, `from_text`)
+check and coerce their input, and raise TypeError on anything that is not
+rational, a float included.  Only the ring operations, whose operands
+already hold the invariants, build their results through the private
+`_ext` and `_nc`, which check nothing.
 """
 
 from __future__ import annotations
@@ -20,10 +29,39 @@ from numbers import Rational
 
 GENERATORS = ("Q", "P", "Ap", "Am")
 
+_ZERO = Fraction(0)
+
 _GEN_INDEX = {name: i for i, name in enumerate(GENERATORS)}
 
 # "v" or "u<sign>v" with u, v signed rationals: the text before "*s"
 _S_PART = re.compile(r"(?:(?P<u>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<v>[+-]?\d+(?:/\d+)?)")
+
+
+def _rational(value):
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, Rational):
+        return Fraction(value)
+    raise TypeError(f"unsupported scalar {value!r}: expected a rational")
+
+
+def _positive_p0(p0):
+    value = _rational(p0)
+    if not value > 0:
+        raise ValueError(f"p0 must be positive, got {p0}")
+    return value
+
+
+_new = object.__new__
+
+
+def _ext(u, v, p0):
+    """The ExtScalar u + v*s for Fractions u, v and p0 > 0, unchecked."""
+    out = _new(ExtScalar)
+    out.u = u
+    out.v = v
+    out.p0 = p0
+    return out
 
 
 class ExtScalar:
@@ -32,19 +70,20 @@ class ExtScalar:
     __slots__ = ("u", "v", "p0")
 
     def __init__(self, u, v=Fraction(0), *, p0):
-        self.u = Fraction(u)
-        self.v = Fraction(v)
-        self.p0 = Fraction(p0)
-        if not self.p0 > 0:
-            raise ValueError(f"p0 must be positive, got {p0}")
+        self.u = _rational(u)
+        self.v = _rational(v)
+        self.p0 = _positive_p0(p0)
 
     def _coerce(self, other):
+        # an ExtScalar of the same p0, a Fraction, or None
         if isinstance(other, ExtScalar):
-            if other.p0 != self.p0:
+            if other.p0 is not self.p0 and other.p0 != self.p0:
                 raise ValueError(f"mixed p0 contexts: {self.p0} vs {other.p0}")
             return other
+        if type(other) is Fraction:
+            return other
         if isinstance(other, Rational):
-            return ExtScalar(other, p0=self.p0)
+            return Fraction(other)
         return None
 
     def __float__(self):
@@ -56,12 +95,14 @@ class ExtScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return ExtScalar(self.u + other.u, self.v + other.v, p0=self.p0)
+        if type(other) is Fraction:
+            return _ext(self.u + other, self.v, self.p0)
+        return _ext(self.u + other.u, self.v + other.v, self.p0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtScalar(-self.u, -self.v, p0=self.p0)
+        return _ext(-self.u, -self.v, self.p0)
 
     def __sub__(self, other):
         return self + (-other)
@@ -75,11 +116,13 @@ class ExtScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if type(other) is Fraction:
+            return _ext(self.u * other, self.v * other, self.p0)
         # (u1 + v1 s)(u2 + v2 s) with s**2 = 2 p0
-        return ExtScalar(
+        return _ext(
             self.u * other.u + 2 * self.p0 * self.v * other.v,
             self.u * other.v + self.v * other.u,
-            p0=self.p0,
+            self.p0,
         )
 
     __rmul__ = __mul__
@@ -89,7 +132,7 @@ class ExtScalar:
         norm = self.u * self.u - 2 * self.p0 * self.v * self.v
         if norm == 0:
             raise ZeroDivisionError(f"{self} is not invertible")
-        return ExtScalar(self.u / norm, -self.v / norm, p0=self.p0)
+        return _ext(self.u / norm, -self.v / norm, self.p0)
 
     def __eq__(self, other):
         if isinstance(other, ExtScalar):
@@ -104,9 +147,12 @@ class ExtScalar:
             return hash(self.u)
         return hash((self.u, self.v, self.p0))
 
+    def __bool__(self):
+        return bool(self.u or self.v)
+
     @property
     def is_zero(self):
-        return self.u == 0 and self.v == 0
+        return not (self.u or self.v)
 
     def __str__(self):
         if self.v == 0:
@@ -137,6 +183,14 @@ class ExtScalar:
         return cls(u, v, p0=p0)
 
 
+def _nc(terms, p0):
+    """The NCPoly over terms that already hold the invariant, unchecked."""
+    out = _new(NCPoly)
+    out.terms = terms
+    out.p0 = p0
+    return out
+
+
 def _word_key(word):
     # graded order: length first, then generator indices letter by letter
     return (len(word), tuple(_GEN_INDEX[g] for g in word))
@@ -148,9 +202,7 @@ class NCPoly:
     __slots__ = ("terms", "p0")
 
     def __init__(self, terms=None, *, p0):
-        self.p0 = Fraction(p0)
-        if not self.p0 > 0:
-            raise ValueError(f"p0 must be positive, got {p0}")
+        self.p0 = _positive_p0(p0)
         clean = {}
         for word, coeff in (terms or {}).items():
             word = tuple(word)
@@ -158,18 +210,16 @@ class NCPoly:
                 if g not in _GEN_INDEX:
                     raise ValueError(f"unknown generator {g!r}, expected one of {GENERATORS}")
             coeff = self._scalar(coeff)
-            if not coeff.is_zero:
+            if coeff:
                 clean[word] = coeff
         self.terms = clean
 
     def _scalar(self, value):
         if isinstance(value, ExtScalar):
-            if value.p0 != self.p0:
+            if value.p0 is not self.p0 and value.p0 != self.p0:
                 raise ValueError(f"mixed p0 contexts: {self.p0} vs {value.p0}")
             return value
-        if isinstance(value, Rational):
-            return ExtScalar(value, p0=self.p0)
-        raise TypeError(f"unsupported coefficient {value!r}")
+        return _ext(_rational(value), _ZERO, self.p0)
 
     # ---- constructors -----------------------------------------------------
 
@@ -204,11 +254,12 @@ class NCPoly:
 
     def _coerce(self, other):
         if isinstance(other, NCPoly):
-            if other.p0 != self.p0:
+            if other.p0 is not self.p0 and other.p0 != self.p0:
                 raise ValueError(f"mixed p0 contexts: {self.p0} vs {other.p0}")
             return other
         if isinstance(other, (ExtScalar, Rational)):
-            return NCPoly.scalar(self._scalar(other), p0=self.p0)
+            c = self._scalar(other)
+            return _nc({(): c} if c else {}, self.p0)
         return None
 
     def __add__(self, other):
@@ -219,16 +270,16 @@ class NCPoly:
         for word, coeff in other.terms.items():
             acc = out.get(word)
             acc = coeff if acc is None else acc + coeff
-            if acc.is_zero:
-                out.pop(word, None)
-            else:
+            if acc:
                 out[word] = acc
-        return NCPoly(out, p0=self.p0)
+            else:
+                del out[word]
+        return _nc(out, self.p0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPoly({w: -c for w, c in self.terms.items()}, p0=self.p0)
+        return _nc({w: -c for w, c in self.terms.items()}, self.p0)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -243,28 +294,37 @@ class NCPoly:
         return other + (-self)
 
     def __mul__(self, other):
+        if not isinstance(other, NCPoly):
+            return self._scaled(other)
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         out = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 word = wa + wb
-                coeff = ca * cb
                 acc = out.get(word)
-                acc = coeff if acc is None else acc + coeff
-                if acc.is_zero:
-                    out.pop(word, None)
-                else:
+                acc = ca * cb if acc is None else acc + ca * cb
+                if acc:
                     out[word] = acc
-        return NCPoly(out, p0=self.p0)
+                else:
+                    # (sigma - s)(sigma + s) = 0 when sigma is rational
+                    out.pop(word, None)
+        return _nc(out, self.p0)
 
     def __rmul__(self, other):
         # scalars are central, so reflected multiplication is the same product
-        other = self._coerce(other)
-        if other is None:
+        return self._scaled(other)
+
+    def _scaled(self, other):
+        if not isinstance(other, (ExtScalar, Rational)):
             return NotImplemented
-        return other * self
+        c = self._scalar(other)
+        # products of nonzero scalars vanish when sqrt(2*p0) is rational
+        out = {}
+        for word, coeff in self.terms.items():
+            coeff = coeff * c
+            if coeff:
+                out[word] = coeff
+        return _nc(out, self.p0)
 
     def __eq__(self, other):
         if isinstance(other, NCPoly):

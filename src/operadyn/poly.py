@@ -8,6 +8,15 @@ Fraction, so every value has one representation.  A polynomial is a mapping
 from exponent 4-tuples ``(e_q, e_p, e_Ap, e_Am)`` to coefficients.  Zero
 coefficients are never stored, which makes structural equality the same
 thing as canonical-form equality.
+
+Invariant of every Poly: its keys are 4-tuples of ints >= 0, and each
+coefficient is a nonzero Fraction or an ExtScalar with nonzero s-part.  The
+public constructors (`Poly(...)`, `constant`, `variable`, `from_text`)
+check and coerce their input.  Only the ring operations (`+`, `-`, `*`,
+negation, scalar `*`, `derivative`), whose operands already hold the
+invariant, build their result through the private `_trusted`, which checks
+nothing; they still drop zero sums and fold an s-free ExtScalar, such as
+s*s, to its Fraction.
 """
 
 from __future__ import annotations
@@ -24,15 +33,35 @@ _ZERO_EXP = (0, 0, 0, 0)
 
 _SCALARS = (Rational, ExtScalar)
 
+_new = object.__new__
+
 
 def _coerce(value):
     # ints and Fractions collapse to Fraction, and so does an ExtScalar
     # without s-part
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, ExtScalar):
+        return value if value.v else value.u
     if isinstance(value, Rational):
         return Fraction(value)
-    if isinstance(value, ExtScalar):
-        return value.u if value.v == 0 else value
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
+
+
+def _trusted(terms):
+    """A Poly over terms that already hold the class invariant, unchecked."""
+    out = _new(Poly)
+    out.terms = terms
+    return out
+
+
+def _is_scalar(value):
+    return type(value) is Fraction or isinstance(value, _SCALARS)
+
+
+def _fold(coeff):
+    """An ExtScalar whose s-part cancelled becomes its Fraction."""
+    return coeff.u if type(coeff) is ExtScalar and not coeff.v else coeff
 
 
 def rational_sqrt(value):
@@ -107,13 +136,14 @@ class Poly:
         if isinstance(other, Poly):
             out = dict(self.terms)
             for exps, coeff in other.terms.items():
-                acc = out.get(exps, 0) + coeff
-                if acc == 0:
-                    out.pop(exps, None)
+                acc = out.get(exps)
+                acc = coeff if acc is None else acc + coeff
+                if not acc:
+                    del out[exps]
                 else:
-                    out[exps] = acc
-            return Poly(out)
-        if isinstance(other, _SCALARS):
+                    out[exps] = _fold(acc)
+            return _trusted(out)
+        if _is_scalar(other):
             # sum() starts at int 0; Poly is immutable, so 0 + f can be f
             return self if other == 0 else self + Poly.constant(other)
         return NotImplemented
@@ -121,34 +151,47 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({exps: -coeff for exps, coeff in self.terms.items()})
+        return _trusted({exps: -coeff for exps, coeff in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (Poly, *_SCALARS)):
-            return self + (-other if isinstance(other, Poly) else Poly.constant(-other))
+        if isinstance(other, Poly):
+            return self + (-other)
+        if _is_scalar(other):
+            return self + Poly.constant(-other)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
+        if _is_scalar(other):
             return Poly.constant(other) + (-self)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             out = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    acc = out.get(key, 0) + ca * cb
-                    if acc == 0:
+            for (a0, a1, a2, a3), ca in self.terms.items():
+                for (b0, b1, b2, b3), cb in other.terms.items():
+                    key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                    acc = out.get(key)
+                    acc = ca * cb if acc is None else acc + ca * cb
+                    if not acc:
+                        # a product itself can be 0: (sigma - s)(sigma + s)
+                        # vanishes when sigma = sqrt(2*p0) is rational
                         out.pop(key, None)
                     else:
-                        out[key] = acc
-            return Poly(out)
-        if isinstance(other, _SCALARS):
-            if other == 0:
-                return Poly()
-            return Poly({exps: coeff * other for exps, coeff in self.terms.items()})
+                        out[key] = _fold(acc)
+            return _trusted(out)
+        if _is_scalar(other):
+            other = _coerce(other)
+            if not other:
+                return _trusted({})
+            out = {}
+            for exps, coeff in self.terms.items():
+                coeff = coeff * other
+                # s-parts can cancel, and (sigma - s)(sigma + s) = 0 when
+                # sigma = sqrt(2*p0) is rational
+                if coeff:
+                    out[exps] = _fold(coeff)
+            return _trusted(out)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -188,7 +231,7 @@ class Poly:
             new = list(exps)
             new[idx] = e - 1
             out[tuple(new)] = coeff * e
-        return Poly(out)
+        return _trusted(out)
 
     def substitute(self, **assignments):
         """Replace variables by numbers or polynomials; unset ones stay."""

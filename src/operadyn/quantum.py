@@ -48,10 +48,15 @@ def _word(exps):
 
 
 def quantize(t, omega, p0):
-    """Operator form of the deformed bracket.
+    """Operator form of the deformed bracket."""
+    return quantize_formal(bianchi.formal_deformation(t, omega, p0), p0)
 
-    Applies the quantization map to every entry of the formal deformation;
-    its coefficients, s included, carry over unchanged.
+
+def quantize_formal(formal, p0):
+    """Operator form of a formal deformation at the same p0.
+
+    Applies the quantization map to every entry; the coefficients, s
+    included, carry over unchanged.
     """
     p0 = Fraction(p0)
 
@@ -59,7 +64,7 @@ def quantize(t, omega, p0):
         terms = poly.as_poly(value).terms
         return NCPoly({_word(exps): c for exps, c in terms.items()}, p0=p0)
 
-    return bianchi.formal_deformation(t, omega, p0).map_entries(operator)
+    return formal.map_entries(operator)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +182,9 @@ def quantum_jacobian(mu, x, y, z):
                         if weight == 0:
                             continue
                         for k in (1, 2, 3):
-                            total = total + weight * (ent(m, l, k) * ent(k, i, j))
+                            term = ent(m, l, k) * ent(k, i, j)
+                            # the basis triple's weights are all 0 or 1
+                            total = total + (term if weight == 1 else weight * term)
         components.append(total)
     return JacobianTriple(*components)
 
@@ -221,9 +228,14 @@ def classify(t, omega, p0):
     The certificate carries the full basis defect so the claim can be checked
     independently of the matching logic.
     """
+    return classify_formal(t, bianchi.formal_deformation(t, omega, p0), omega, p0)
+
+
+def classify_formal(t, formal, omega, p0):
+    """`classify` for class t, given its formal deformation at omega, p0."""
     w = Fraction(omega)
     p0 = Fraction(p0)
-    mu = quantize(t, w, p0)
+    mu = quantize_formal(formal, p0)
     defect = basis_jacobian(mu)
 
     if mu.is_constant and mu.constant_tensor() == bianchi.structure_constants(t):

@@ -147,6 +147,22 @@ class TestVerify:
         assert "operadic-lax: FAIL" in out and "C3" in out
         assert out.rstrip().endswith("overall: FAIL")
 
+    def test_verify_all_builds_each_deformation_once(self, capsys, monkeypatch):
+        # jacobi-classical and jacobi-quantum share one formal deformation
+        # per class instead of building it through deform and quantize each
+        real = bianchi.formal_deformation
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bianchi, "formal_deformation", counted)
+        code, out, _ = run(capsys, "verify", "all")
+        assert code == 0 and out.rstrip().endswith("overall: PASS")
+        assert len(calls) == len(bianchi.TAGS) == 11
+        assert len(set(calls)) == 11
+
 
 class TestTrace:
     def test_header_and_start_row(self, capsys):
@@ -221,6 +237,12 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {argv[2]} ")
         assert run(capsys, "tables", "deformed", "--type", "II", *argv[2:])[0] == 0
+
+    def test_float_range_reported_before_modulus(self, capsys):
+        # both flags are bad; the float leg's range check comes first
+        code, out, err = run(capsys, "verify", "all", "--a", "1", "--p0", "1e400")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --p0 ")
 
     def test_bad_fraction_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

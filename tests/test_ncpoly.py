@@ -41,6 +41,17 @@ class TestExtScalar:
         with pytest.raises(ValueError):
             ExtScalar(1, p0=2) + ExtScalar(1, p0=Fraction(1, 2))
 
+    @pytest.mark.parametrize("u, v, p0", [
+        (0.1, Fraction(1, 2), 2),
+        (0, 0.5, 2),
+        (1, 0, 2.0),
+        ("1/2", 0, 2),
+    ])
+    def test_non_rational_rejected(self, u, v, p0):
+        # the exact layers have no float fallback
+        with pytest.raises(TypeError):
+            ExtScalar(u, v, p0=p0)
+
     @given(scalars, scalars, scalars)
     def test_ring_laws(self, x, y, z):
         assert x * (y + z) == x * y + x * z
@@ -76,6 +87,16 @@ class TestNCPoly:
             NCPoly.generator("X", p0=P0)
         with pytest.raises(ValueError):
             NCPoly({("q",): Fraction(1)}, p0=P0)
+
+    def test_non_rational_rejected(self):
+        with pytest.raises(TypeError):
+            NCPoly({("Q",): 1}, p0=0.5)
+        with pytest.raises(TypeError):
+            NCPoly({("Q",): 0.5}, p0=P0)
+        with pytest.raises(TypeError):
+            NCPoly.generator("Q", p0=2.0)
+        with pytest.raises(TypeError):
+            0.5 * NCPoly.generator("Q", p0=P0)
 
     def test_context_mixing_rejected(self):
         a = NCPoly.generator("Q", p0=2)
@@ -136,6 +157,76 @@ def test_equal_values_hash_alike(u, v):
         for b in forms:
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+
+
+# Operands for the trusted ring operations: s-parts that cancel (s*s is
+# rational), and p0 = 2, where sigma = 2 is rational and (2 - s)(2 + s) = 0,
+# as well as p0 = 3, where it is not.
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+s_parts = small.filter(lambda v: v != 0)
+
+
+@st.composite
+def ring_operands(draw):
+    p0 = draw(st.sampled_from((Fraction(2), Fraction(3))))
+    # pure multiples of s make s*s likely
+    ext = st.builds(lambda u, v: ExtScalar(u, v, p0=p0), st.just(0) | small, s_parts)
+    coeff = small | ext
+    exps = st.tuples(*(st.integers(min_value=0, max_value=1),) * 4)
+    ncwords = st.lists(st.sampled_from(GENERATORS), max_size=2).map(tuple)
+    f, g = (Poly(draw(st.dictionaries(exps, coeff, max_size=3))) for _ in range(2))
+    x, y = (NCPoly(draw(st.dictionaries(ncwords, coeff, max_size=3)), p0=p0)
+            for _ in range(2))
+    c = draw(coeff | st.integers(min_value=-2, max_value=2))
+    return p0, f, g, x, y, c
+
+
+def _assert_exact_scalar(c, p0):
+    assert type(c) is ExtScalar, c
+    assert type(c.u) is Fraction and type(c.v) is Fraction and type(c.p0) is Fraction
+    assert c.p0 == p0 and c
+
+
+@given(ring_operands())
+@settings(max_examples=100)
+def test_ring_results_hold_the_invariants(operands):
+    p0, f, g, x, y, c = operands
+    polys = [f + g, f - g, f * g, -f, c * f, f * c, f + c, c - f,
+             f.derivative("q"), f.derivative("Am")]
+    for r in polys:
+        copy = Poly(r.terms)
+        assert list(copy.terms) == list(r.terms)
+        for exps, coeff in r.terms.items():
+            twin = copy.terms[exps]
+            assert type(coeff) is type(twin) and coeff == twin
+            assert coeff != 0
+            if type(coeff) is ExtScalar:
+                # an s-free ExtScalar is stored as its Fraction
+                assert coeff.v != 0
+                _assert_exact_scalar(coeff, p0)
+            else:
+                assert type(coeff) is Fraction
+        assert hash(r) == hash(copy)
+    ncpolys = [x + y, x - y, x * y, -x, c * x, x * c, x + c, c - x]
+    for r in ncpolys:
+        copy = NCPoly(r.terms, p0=r.p0)
+        assert list(copy.terms) == list(r.terms)
+        assert type(r.p0) is Fraction and r.p0 == p0
+        for word, coeff in r.terms.items():
+            _assert_exact_scalar(coeff, r.p0)
+            assert coeff == copy.terms[word]
+        assert hash(r) == hash(copy)
+
+
+def test_zero_divisor_products_vanish():
+    # at p0 = 2, sigma = 2 is rational, so (2 - s)(2 + s) = 4 - 2*p0 = 0
+    minus, plus = ExtScalar(2, -1, p0=P0), ExtScalar(2, 1, p0=P0)
+    assert (minus * plus).is_zero
+    assert (Poly({(1, 0, 0, 0): minus}) * Poly({(0, 1, 0, 0): plus})).is_zero
+    assert (Poly({(1, 0, 0, 0): minus}) * plus).is_zero
+    x = NCPoly({("Q",): minus}, p0=P0)
+    assert (x * NCPoly({("P",): plus}, p0=P0)).is_zero
+    assert (x * plus).is_zero and (plus * x).is_zero
 
 
 class TestParsers:
