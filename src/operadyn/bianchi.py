@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import poly
 from .lax import formal_mu, solve_C
-from .ncpoly import ExtScalar
+from .ncpoly import ExtScalar, _rational
 from .oscillator import BranchError, exact_flow, quasi_coords
 from .poly import Poly, rational_sqrt
 from .structure import StructureTensor
@@ -66,13 +66,13 @@ class BianchiType:
         if self.tag in PARAMETRIC:
             if a is None:
                 raise ValueError(f"type {self.tag} requires a modulus a > 0")
-            a = Fraction(a)
+            a = _rational(a)
             if not a > 0:
                 raise ValueError(f"modulus must be positive, got {a}")
             if self.tag == "VIa" and a == 1:
                 raise ValueError("type VIa requires a != 1 (a = 1 is type IIIa1)")
         elif self.tag == "IIIa1":
-            if a is not None and Fraction(a) != 1:
+            if a is not None and _rational(a) != 1:
                 raise ValueError("type IIIa1 has fixed modulus a = 1")
             a = Fraction(1)
         elif a is not None:
@@ -92,7 +92,7 @@ class BianchiType:
 
 def all_types(a=Fraction(1, 2)):
     """All eleven classes, the parametric ones at the given modulus."""
-    a = Fraction(a)
+    a = _rational(a)
     return [BianchiType(tag, a if tag in PARAMETRIC else None) for tag in TAGS]
 
 
@@ -119,7 +119,7 @@ def formal_deformation(t, omega, p0):
     point and the family member is taken symbolically: entries are Poly in
     q, p, Ap, Am with coefficients in Q(s).
     """
-    if not Fraction(omega) > 0:
+    if not _rational(omega) > 0:
         raise ValueError(f"omega must be positive, got {omega}")
     return formal_mu(solve_C(structure_constants(t), p0), omega)
 
@@ -144,7 +144,7 @@ def deform_formal(formal, p0):
     When sigma = sqrt(2*p0) is rational, s is folded to sigma and every
     coefficient is a Fraction; otherwise s stays formal.
     """
-    sigma = rational_sqrt(2 * Fraction(p0))
+    sigma = rational_sqrt(2 * _rational(p0))
     if sigma is None:
         return formal
     return formal.map_entries(lambda v: _fold(v, sigma))
@@ -169,8 +169,8 @@ def reduce_on_shell(value, omega, p0):
     chart's image, which is Zariski dense in it).
     """
     value = poly.as_poly(value)
-    w = Fraction(omega)
-    p0 = Fraction(p0)
+    w = _rational(omega)
+    p0 = _rational(p0)
     substituted = value.substitute(
         q=(poly.a_plus * poly.a_minus) * (1 / w),
         p=(poly.a_plus ** 2 - poly.a_minus ** 2) * Fraction(1, 2),
@@ -220,32 +220,58 @@ def classical_jacobian(mu, omega, p0):
     return tuple(reduce_on_shell(c, omega, p0) for c in raw_jacobian(mu))
 
 
-def deformation_trace(t, omega, p0, times):
-    """Sample the deformed bracket along the exact flow.
+def sample_flow(omega, p0, times):
+    """The exact flow at each time, as four lists: q, p, Ap, Am.
 
-    Returns one row per time: (t, q, p, Ap, Am, entries...) with the nine
-    independent entries in column order.  Times must satisfy |omega*t| < pi,
-    the window where the half-angle chart is single-valued.
-
-    The exact table is derived once, and each independent entry becomes its
-    (exps, float coefficient) pairs in `Poly.terms` order.  Every sample
-    evaluates them through `poly.evaluate_terms`: the same float operations,
-    in the same order, as `float(entry.evaluate(q, p, Ap, Am))` on the exact
-    entry, since a Fraction or ExtScalar times a float converts itself to
-    float first.  So each value is bitwise the one the exact table gives.
+    omega and p0 are floats.  Every time must satisfy |omega*t| < pi, the
+    window where the half-angle chart is single-valued (BranchError
+    otherwise), and every sample goes through `exact_flow`'s parameter check
+    and `quasi_coords`' shell and branch checks.
     """
-    compiled = [tuple((exps, float(c)) for exps, c in poly.as_poly(v).terms.items())
-                for _, v in deform(t, omega, p0).independent_entries()]
-    w = float(Fraction(omega))
-    p0f = float(Fraction(p0))
-    rows = []
+    qs, ps, aps, ams = [], [], [], []
     for tm in times:
-        if not abs(w * tm) < math.pi:
+        if not abs(omega * tm) < math.pi:
             raise BranchError(
                 f"time {tm} leaves the chart window |omega*t| < pi")
-        state = exact_flow(w, p0f, tm)
+        state = exact_flow(omega, p0, tm)
         coords = quasi_coords(state)
-        point = (state.q, state.p, coords.a_plus, coords.a_minus)
-        values = [float(poly.evaluate_terms(terms, point)) for terms in compiled]
-        rows.append((tm, *point, *values))
-    return rows
+        qs.append(state.q)
+        ps.append(state.p)
+        aps.append(coords.a_plus)
+        ams.append(coords.a_minus)
+    return qs, ps, aps, ams
+
+
+def deformation_trace(t, omega, p0, times):
+    """Sample the deformed bracket along the exact flow, column by column.
+
+    Returns 14 columns: the times, q, p, Ap, Am (each a list with one float
+    per time), then the nine independent entries in column order.  An entry
+    without a variable term is a single float; every other entry is a list
+    with one float per time, and equal entries share one list.  Times must
+    satisfy |omega*t| < pi (see `sample_flow`).
+
+    The exact table is derived once, and each independent entry becomes its
+    (exps, float coefficient) pairs in `Poly.terms` order.  Each distinct
+    time-dependent entry is evaluated over all times in one
+    `poly.evaluate_terms` call, which at every time does the same float
+    operations, in the same order, as `float(entry.evaluate(q, p, Ap, Am))`
+    on the exact entry, since a Fraction or ExtScalar times a float converts
+    itself to float first.  So each value is bitwise the one the exact table
+    gives.
+    """
+    table = deform(t, omega, p0)
+    times = list(times)
+    flow = sample_flow(float(omega), float(p0), times)
+    evaluated = {}
+    entries = []
+    for _, value in table.independent_entries():
+        terms = tuple((exps, float(c)) for exps, c in poly.as_poly(value).terms.items())
+        if not any(any(exps) for exps, _ in terms):
+            # the kernel's sum at any point: int 0 plus the constant term
+            entries.append(float(sum(c for _, c in terms)))
+        else:
+            if terms not in evaluated:
+                evaluated[terms] = poly.evaluate_terms(terms, flow)
+            entries.append(evaluated[terms])
+    return [times, *flow, *entries]

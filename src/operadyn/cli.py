@@ -228,21 +228,18 @@ def _check_operadic_lax(cfg):
 
 def _check_jacobi_classical(cfg, point, formal):
     w, p0 = point
+    # one set of flow samples serves every class
+    times = [(n / 25.0) * (math.pi / w) * 0.99 for n in range(25)]
+    flow = bianchi.sample_flow(w, p0, times)
     worst = 0.0
     for t, tensor in formal:
         mu = bianchi.deform_formal(tensor, cfg.p0)
-        reduced = bianchi.classical_jacobian(mu, cfg.omega, cfg.p0)
+        raw = bianchi.raw_jacobian(mu)
+        reduced = tuple(bianchi.reduce_on_shell(c, cfg.omega, cfg.p0) for c in raw)
         if any(not c.is_zero for c in reduced):
             return False, f"on-shell defect of {t.label} is not zero: {reduced}"
-        raw = bianchi.raw_jacobian(mu)
-        for n in range(25):
-            tm = (n / 25.0) * (math.pi / w) * 0.99
-            state = bianchi.exact_flow(w, p0, tm)
-            coords = bianchi.quasi_coords(state)
-            for component in raw:
-                value = component.evaluate(state.q, state.p,
-                                           coords.a_plus, coords.a_minus)
-                worst = max(worst, abs(value))
+        for component in raw:
+            worst = max(worst, *map(abs, poly.evaluate_terms(component.terms.items(), flow)))
         if worst > 1e-10:
             return False, f"numeric defect of {t.label} reached {worst:.3e}"
     return True, (f"all classes reduce to zero on shell; numeric defect along"
@@ -301,13 +298,12 @@ def _run_trace(cfg, tag, samples):
     w = _positive_float(cfg.omega, "--omega")
     _positive_float(cfg.p0, "--p0")
     times = [(n * math.pi / w) / samples for n in range(samples)]
-    rows = bianchi.deformation_trace(t, cfg.omega, cfg.p0, times)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "q", "p", "Ap", "Am"] + COLUMNS)
-    for row in rows:
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
+    columns = bianchi.deformation_trace(t, cfg.omega, cfg.p0, times)
+    # one row template: a %r per time-dependent column, and the repr of each
+    # constant entry written into it once
+    template = ",".join("%r" if isinstance(c, list) else repr(c) for c in columns)
+    rows = [template % row for row in zip(*(c for c in columns if isinstance(c, list)))]
+    return "\n".join([",".join(["t", "q", "p", "Ap", "Am"] + COLUMNS), *rows, ""])
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import sub
 
 from . import poly
-from .ncpoly import ExtScalar
+from .ncpoly import ExtScalar, _rational
 from .operad import Operation, Tensor, gerstenhaber_bracket
 from .poly import Poly
 from .structure import StructureTensor
@@ -156,7 +156,7 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
 def formal_mu(params, omega):
     """The symbolic family member, with Poly entries in q, p, Ap, Am."""
     return StructureTensor.from_operation(
-        build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, Fraction(omega)))
+        build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, _rational(omega)))
 
 
 def solve_C(mu0, p0):
@@ -168,7 +168,7 @@ def solve_C(mu0, p0):
     entry m by s and come back as the ExtScalar m*s/(2 p0); the other five
     are rational.
     """
-    p0 = Fraction(p0)
+    p0 = _rational(p0)
     if not p0 > 0:
         raise ValueError(f"p0 must be positive, got {p0}")
     two_p0 = 2 * p0
@@ -205,7 +205,7 @@ def _time_derivative(value, omega):
 
 def rotation_generator(omega):
     """The degree-1 operation M acting as the half-frequency rotation block."""
-    half_w = Fraction(omega) / 2
+    half_w = _rational(omega) / 2
     return Operation.from_matrix([
         [Fraction(0), -half_w, Fraction(0)],
         [half_w, Fraction(0), Fraction(0)],
@@ -220,7 +220,7 @@ def operadic_lax_residual(params, omega):
     vectors C = e_n proves it zero for every C.  The identity holds on every
     energy shell at once, so p0 never enters.
     """
-    w = Fraction(omega)
+    w = _rational(omega)
     if not w > 0:
         raise ValueError(f"omega must be positive, got {omega}")
     mu = build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, w)

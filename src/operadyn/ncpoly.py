@@ -38,6 +38,11 @@ _S_PART = re.compile(r"(?:(?P<u>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<v>[+-]?\d+(?:/\d
 
 
 def _rational(value):
+    """The Fraction of an exact rational; TypeError on a float or anything else.
+
+    Every exact entry point (ExtScalar, NCPoly and the omega, p0 arguments of
+    bianchi, lax and quantum) takes its rationals through this check.
+    """
     if type(value) is Fraction:
         return value
     if isinstance(value, Rational):

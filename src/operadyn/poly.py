@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
+from operator import add, mul
 
 from .ncpoly import ExtScalar
 
@@ -255,7 +256,8 @@ class Poly:
         return out
 
     def evaluate(self, q, p, ap, am):
-        return evaluate_terms(self.terms.items(), (q, p, ap, am))
+        (value,) = evaluate_terms(self.terms.items(), ((q,), (p,), (ap,), (am,)))
+        return value
 
     # ---- canonical text form --------------------------------------------
 
@@ -309,21 +311,28 @@ class Poly:
         return cls(terms)
 
 
-def evaluate_terms(terms, point):
-    """Sum of coeff * q^i p^j Ap^k Am^l over (exps, coeff) pairs at a point.
+def evaluate_terms(terms, columns):
+    """Sum of coeff * q^i p^j Ap^k Am^l over (exps, coeff) pairs, per point.
 
-    The sum starts at int 0 and takes the terms in the given order; each term
-    starts at its coefficient and is multiplied by every base once per unit
-    of its exponent.  `Poly.evaluate` and `bianchi.deformation_trace` share
-    this loop.
+    `columns` holds one sequence per coordinate (q, p, Ap, Am), all of one
+    length; the result is a list with one value per point.  At each point the
+    float operations are those of a plain per-point loop, in its order: the
+    sum starts at int 0 and adds the terms in the given order (`Poly.terms`
+    order), and each term starts at its coefficient and is multiplied by
+    every base once per unit of its exponent.  So a Fraction or ExtScalar
+    coefficient times a float converts itself to float first, and int 0 plus
+    -0.0 gives 0.0.  This is the one evaluation loop: `Poly.evaluate` runs it
+    on one-point columns, and `bianchi.deformation_trace` and the float leg
+    of `verify jacobi-classical` on a column per coordinate.
     """
-    total = 0
+    n = len(columns[0])
+    total = [0] * n
     for exps, coeff in terms:
-        val = coeff
-        for base, e in zip(point, exps):
+        value = [coeff] * n
+        for column, e in zip(columns, exps):
             for _ in range(e):
-                val = val * base
-        total = total + val
+                value = list(map(mul, value, column))
+        total = list(map(add, total, value))
     return total
 
 

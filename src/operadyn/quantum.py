@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bianchi, poly
-from .ncpoly import GENERATORS, ExtScalar, NCPoly, commutator
+from .ncpoly import GENERATORS, ExtScalar, NCPoly, _rational, commutator
 
 RIGID = "Rigid"
 QUANTUM_LIE = "QuantumLie"
@@ -58,7 +58,7 @@ def quantize_formal(formal, p0):
     Applies the quantization map to every entry; the coefficients, s
     included, carry over unchanged.
     """
-    p0 = Fraction(p0)
+    p0 = _rational(p0)
 
     def operator(value):
         terms = poly.as_poly(value).terms
@@ -78,8 +78,8 @@ def xi_pm(sign, omega, p0):
     both have vanishing commutative image on the energy shell.  The sign may
     be +1/-1 or the strings "+"/"-".
     """
-    w = Fraction(omega)
-    p0 = Fraction(p0)
+    w = _rational(omega)
+    p0 = _rational(p0)
     if sign in (1, "+"):
         return NCPoly({("Q", "Am"): w, ("P", "Ap"): Fraction(1), ("Ap",): -p0}, p0=p0)
     if sign in (-1, "-"):
@@ -104,7 +104,7 @@ def triple_product(x, y, z):
 
 def generator_commutator(p0):
     """[Ap, Am] as an NCPoly; nonzero because no relations are imposed."""
-    p0 = Fraction(p0)
+    p0 = _rational(p0)
     ap = NCPoly.generator("Ap", p0=p0)
     am = NCPoly.generator("Am", p0=p0)
     return commutator(ap, am)
@@ -233,8 +233,8 @@ def classify(t, omega, p0):
 
 def classify_formal(t, formal, omega, p0):
     """`classify` for class t, given its formal deformation at omega, p0."""
-    w = Fraction(omega)
-    p0 = Fraction(p0)
+    w = _rational(omega)
+    p0 = _rational(p0)
     mu = quantize_formal(formal, p0)
     defect = basis_jacobian(mu)
 

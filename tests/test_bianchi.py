@@ -5,6 +5,7 @@ so the registry and the generated deformations are checked against numbers
 that never touched the implementation.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operadyn import poly
+from operadyn import poly, quantum
 from operadyn.bianchi import (BianchiType, TAGS, all_types,
-                              classical_jacobian, deform, deformation_trace,
+                              classical_jacobian, deform, deform_formal,
+                              deformation_trace, formal_deformation,
                               is_rigid, raw_jacobian, reduce_on_shell,
                               structure_constants)
+from operadyn.lax import LaxFamilyParams, formal_mu, solve_C
 from operadyn.ncpoly import ExtScalar
 from operadyn.oscillator import BranchError
 from operadyn.poly import Poly, rational_sqrt
@@ -198,11 +201,50 @@ class TestJacobi:
         assert any(not c.is_zero for c in raw)
 
 
+_VIIA = BianchiType("VIIa", Fraction(1))
+_PARAMS = LaxFamilyParams((1,) * 9)
+
+# each exact entry point with one of omega, p0 (or the modulus a) given as a float
+_FLOAT_CALLS = {
+    "BianchiType a": lambda: BianchiType("VIIa", 0.1),
+    "BianchiType IIIa1 a": lambda: BianchiType("IIIa1", 1.0),
+    "all_types a": lambda: all_types(0.1),
+    "formal_deformation omega": lambda: formal_deformation(_VIIA, 0.1, Fraction(2)),
+    "formal_deformation p0": lambda: formal_deformation(_VIIA, 1, 0.1),
+    "deform omega": lambda: deform(_VIIA, 0.1, Fraction(2)),
+    "deform p0": lambda: deform(_VIIA, 1, 0.1),
+    "deform_formal p0": lambda: deform_formal(formal_deformation(_VIIA, 1, 2), 2.0),
+    "reduce_on_shell omega": lambda: reduce_on_shell(poly.q, 0.5, Fraction(2)),
+    "reduce_on_shell p0": lambda: reduce_on_shell(poly.q, 1, 0.5),
+    "deformation_trace omega": lambda: deformation_trace(_VIIA, 0.1, Fraction(2), [0.0]),
+    "deformation_trace p0": lambda: deformation_trace(_VIIA, 1, 0.1, [0.0]),
+    "solve_C p0": lambda: solve_C(structure_constants(_VIIA), 0.1),
+    "formal_mu omega": lambda: formal_mu(_PARAMS, 0.1),
+    "quantize omega": lambda: quantum.quantize(_VIIA, 0.1, Fraction(2)),
+    "quantize p0": lambda: quantum.quantize(_VIIA, 1, 0.1),
+    "classify omega": lambda: quantum.classify(_VIIA, 0.1, Fraction(2)),
+    "classify p0": lambda: quantum.classify(_VIIA, 1, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", list(_FLOAT_CALLS))
+def test_float_rejected_by_exact_entry_points(name):
+    # Fraction(0.1) would silently become 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        _FLOAT_CALLS[name]()
+
+
+def _row(columns, n):
+    """Sample n of a trace: a list column gives its n-th value, a float itself."""
+    return tuple(c[n] if isinstance(c, list) else c for c in columns)
+
+
 class TestTrace:
     def test_rows_and_window(self):
-        rows = deformation_trace(BianchiType("V"), 1, Fraction(2), [0.0, 0.5])
-        assert len(rows) == 2 and len(rows[0]) == 14
-        t0 = rows[0]
+        cols = deformation_trace(BianchiType("V"), 1, Fraction(2), [0.0, 0.5])
+        assert len(cols) == 14
+        assert all(len(c) == 2 for c in cols[:5])
+        t0 = _row(cols, 0)
         assert t0[0] == 0.0 and t0[1] == 0.0 and t0[2] == 2.0
         # row 0 equals the class tensor: mu2_12 = -1, mu3_31 = 1
         assert t0[6] == -1.0 and t0[13] == 1.0
@@ -218,12 +260,40 @@ class TestTrace:
         times = [0.0] + [n * math.pi / (7 * w) for n in range(1, 7)]
         for t in all_types(a):
             tensor = deform(t, omega, p0)
-            rows = deformation_trace(t, omega, p0, times)
-            for tm, row in zip(times, rows):
+            cols = deformation_trace(t, omega, p0, times)
+            assert cols[0] == times
+            for n, tm in enumerate(times):
+                row = _row(cols, n)
                 q, p, ap, am = row[1:5]
                 expected = [float(v) for _, v in
                             tensor.evaluate(q, p, ap, am).independent_entries()]
                 assert list(map(repr, row[5:])) == list(map(repr, expected)), (t, tm)
+
+    @pytest.mark.parametrize("omega, p0, a", [
+        (1, Fraction(2), A),
+        (1, Fraction(3), A),
+        (Fraction(2, 3), Fraction(5, 7), 3),
+    ])
+    def test_constant_and_shared_columns(self, omega, p0, a):
+        # an entry without a variable term is one float; each other entry is a
+        # list per time, and equal entries share one list
+        times = [0.0, 0.25, 0.5]
+        constant = 0
+        for t in all_types(a):
+            exact = [poly.as_poly(v) for _, v in deform(t, omega, p0).independent_entries()]
+            cols = deformation_trace(t, omega, p0, times)
+            for value, col in zip(exact, cols[5:]):
+                if value.total_degree() <= 0:
+                    assert type(col) is float
+                    constant += 1
+                else:
+                    assert type(col) is list and len(col) == len(times)
+            for i, j in itertools.combinations(range(9), 2):
+                if isinstance(cols[5 + i], list) and isinstance(cols[5 + j], list):
+                    assert (cols[5 + i] is cols[5 + j]) == (exact[i] == exact[j]), (t, i, j)
+        if (omega, p0, a) == (1, Fraction(2), A):
+            # all of I, VII, VIII, IX and five each of II, VI, V, IV
+            assert constant == 59
 
     def test_window_enforced(self):
         with pytest.raises(BranchError):

@@ -20,6 +20,7 @@ from operadyn.ncpoly import NCPoly
 from operadyn.operad import Tensor
 from operadyn.poly import Poly, as_poly
 from operadyn.structure import StructureTensor
+from reference_trace import reference_trace
 
 
 def run(capsys, *argv):
@@ -163,8 +164,36 @@ class TestVerify:
         assert len(calls) == len(bianchi.TAGS) == 11
         assert len(set(calls)) == 11
 
+    def test_verify_all_builds_each_raw_jacobian_once(self, capsys, monkeypatch):
+        # the exact reduction and the float leg of jacobi-classical read the
+        # same raw Jacobian
+        real = bianchi.raw_jacobian
+        calls = []
+
+        def counted(mu):
+            calls.append(mu)
+            return real(mu)
+
+        monkeypatch.setattr(bianchi, "raw_jacobian", counted)
+        code, out, _ = run(capsys, "verify", "all")
+        assert code == 0 and out.rstrip().endswith("overall: PASS")
+        assert len(calls) == len(bianchi.TAGS) == 11
+
 
 class TestTrace:
+    @pytest.mark.parametrize("flags, omega, p0, a", [
+        ((), Fraction(1), Fraction(2), Fraction(1, 2)),
+        (("--p0", "3"), Fraction(1), Fraction(3), Fraction(1, 2)),   # irrational sigma
+        (("--omega", "2/3", "--p0", "5/7", "--a", "3"),
+         Fraction(2, 3), Fraction(5, 7), Fraction(3)),
+    ])
+    @pytest.mark.parametrize("samples", [1, 300])
+    def test_matches_row_renderer(self, capsys, flags, omega, p0, a, samples):
+        for tag in bianchi.TAGS:
+            code, out, err = run(capsys, "trace", tag, "--t-samples", str(samples), *flags)
+            assert code == 0 and err == ""
+            assert out == reference_trace(tag, omega, p0, a, samples), tag
+
     def test_header_and_start_row(self, capsys):
         code, out, _ = run(capsys, "trace", "V", "--t-samples", "4")
         assert code == 0

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operadyn.poly import Poly, as_poly, rational_sqrt, q, p, a_plus, a_minus
+from operadyn.ncpoly import ExtScalar
+from operadyn.poly import (Poly, as_poly, evaluate_terms, rational_sqrt, q, p,
+                           a_plus, a_minus)
+from reference_trace import scalar_evaluate
 
 coeffs = st.fractions(max_denominator=12)
 exponents = st.tuples(*(st.integers(min_value=0, max_value=3),) * 4)
@@ -75,6 +78,45 @@ class TestCalculus:
         f = Fraction(1, 3) * q * p - a_minus ** 2
         value = f.evaluate(Fraction(3), Fraction(2), Fraction(0), Fraction(1, 2))
         assert value == Fraction(7, 4)
+
+
+floats = st.floats(min_value=-4, max_value=4, allow_nan=False)
+points = st.lists(st.tuples(floats, floats, floats, floats), min_size=1, max_size=6)
+
+
+class TestEvaluateTerms:
+    def _check(self, f, pts):
+        columns = tuple(map(list, zip(*pts)))
+        got = evaluate_terms(f.terms.items(), columns)
+        assert len(got) == len(pts)
+        for value, pt in zip(got, pts):
+            assert repr(value) == repr(f.evaluate(*pt))
+            assert repr(value) == repr(scalar_evaluate(f.terms.items(), pt))
+
+    @given(polys, points)
+    def test_columns_match_point_by_point(self, f, pts):
+        self._check(f, pts)
+
+    def test_negative_coefficient_at_zero(self):
+        # -1/2 * 0.0 is -0.0, and the sum from int 0 turns it into 0.0
+        f = Fraction(-1, 2) * q
+        pts = [(0.0, 1.0, 1.0, 0.0), (-0.0, 0.5, 2.0, 1.0), (1.5, 0.0, 0.0, 0.0)]
+        assert repr(evaluate_terms(f.terms.items(), tuple(map(list, zip(*pts))))[0]) == "0.0"
+        self._check(f, pts)
+        # the same with a coefficient in Q(s), s = sqrt(6) formal
+        g = ExtScalar(0, Fraction(-1, 4), p0=3) * a_minus + Fraction(-3, 4) * q
+        self._check(g, pts)
+        assert repr(evaluate_terms(g.terms.items(), ([0.0], [1.0], [1.0], [0.0]))[0]) == "0.0"
+
+    def test_zero_polynomial(self):
+        assert evaluate_terms((), ([1.0, 2.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0])) == [0, 0]
+        assert Poly().evaluate(1.0, 2.0, 3.0, 4.0) == 0
+
+    def test_exact_columns(self):
+        f = Fraction(1, 3) * q * p - a_minus ** 2
+        got = evaluate_terms(f.terms.items(), ([Fraction(3), 0], [Fraction(2), 1],
+                                               [0, 0], [Fraction(1, 2), 2]))
+        assert got == [Fraction(7, 4), -4]
 
 
 class TestCanonicalText:

@@ -1,8 +1,10 @@
 """Compare the CLI output of two operadyn source trees byte for byte.
 
 Runs every `tables` format, `verify all`, `trace` of all eleven classes and
-one 2000-sample `trace` (a size the benchmark's trace workload runs) at a
-set of (omega, p0, a) configs under both trees, and reports each command
+the edge cases of the trace row template (an all-constant table and a
+single row: `trace I --t-samples 1`, `trace VIIa --t-samples 1`; 2000 and
+3000 samples, sizes the benchmark's trace workload runs) at a set of
+(omega, p0, a) configs under both trees, and reports each command
 whose stdout, stderr or exit code differs.  Commands whose exit code is not
 0 in the base tree are listed separately, since their output is not a
 contract.
@@ -44,6 +46,9 @@ def commands():
         for tag in TAGS:
             yield ("trace", tag, *cfg)
         yield ("trace", "VIIa", "--t-samples", "2000", *cfg)
+        yield ("trace", "I", "--t-samples", "1", *cfg)
+        yield ("trace", "VIIa", "--t-samples", "1", *cfg)
+        yield ("trace", "IX", "--t-samples", "3000", *cfg)
 
 
 def run(src, argv):
