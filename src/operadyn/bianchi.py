@@ -31,7 +31,7 @@ from .lax import formal_mu, solve_C
 from .ncpoly import ExtScalar, _rational
 from .oscillator import BranchError, exact_flow, quasi_coords
 from .poly import Poly, rational_sqrt
-from .structure import StructureTensor
+from .structure import StructureTensor, _cyclic_defect
 
 TAGS = ("I", "II", "VII", "VI", "IX", "VIII", "V", "IV", "VIIa", "IIIa1", "VIa")
 
@@ -194,20 +194,7 @@ def raw_jacobian(mu):
     bracket this generally does not vanish as a polynomial; it only has to
     vanish on the energy shell.
     """
-    arr = [[[poly.as_poly(mu.entry(i, j, k)) for k in (1, 2, 3)] for j in (1, 2, 3)]
-           for i in (1, 2, 3)]
-
-    def e(i, j, k):
-        return arr[i - 1][j - 1][k - 1]
-
-    components = []
-    for m in (1, 2, 3):
-        total = Poly()
-        for (i, j, l) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            for k in (1, 2, 3):
-                total = total + e(m, l, k) * e(k, i, j)
-        components.append(total)
-    return tuple(components)
+    return _cyclic_defect([poly.as_poly(v) for v in mu.array.flat], Poly())
 
 
 def classical_jacobian(mu, omega, p0):

@@ -196,6 +196,8 @@ def _time_derivative(value, omega):
     """d/dt of a coefficient through the oscillator and half-angle flows."""
     if not isinstance(value, Poly):
         return Fraction(0)
+    if value.is_constant:
+        return Poly()
     half_w = omega / 2
     return (poly.p * value.derivative("q")
             - (omega * omega) * poly.q * value.derivative("p")

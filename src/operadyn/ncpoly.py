@@ -245,15 +245,14 @@ class NCPoly:
         return not self.terms
 
     @property
-    def is_scalar(self):
+    def is_constant(self):
+        """True when every word is empty (the zero element included)."""
         return all(word == () for word in self.terms)
 
-    def scalar_value(self):
-        if not self.terms:
-            return ExtScalar(0, p0=self.p0)
-        if self.is_scalar:
-            return self.terms[()]
-        raise ValueError(f"not a scalar element: {self}")
+    def constant_value(self):
+        if not self.is_constant:
+            raise ValueError(f"not a constant element: {self}")
+        return self.terms[()] if self.terms else ExtScalar(0, p0=self.p0)
 
     # ---- ring structure ------------------------------------------------------
 
@@ -343,7 +342,7 @@ class NCPoly:
 
     def __hash__(self):
         # a scalar element equals its scalar, so it hashes like it
-        if self.is_scalar:
+        if self.is_constant:
             return hash(self.terms.get((), 0))
         return hash((self.p0, frozenset(self.terms.items())))
 

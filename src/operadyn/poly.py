@@ -115,18 +115,15 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        """Largest total exponent, -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+    @property
+    def is_constant(self):
+        """True when no term has a variable (the zero polynomial included)."""
+        return all(exps == _ZERO_EXP for exps in self.terms)
 
     def constant_value(self):
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) == {_ZERO_EXP}:
-            return self.terms[_ZERO_EXP]
-        raise ValueError(f"not a constant polynomial: {self}")
+        if not self.is_constant:
+            raise ValueError(f"not a constant polynomial: {self}")
+        return self.terms[_ZERO_EXP] if self.terms else Fraction(0)
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), Fraction(0))
@@ -216,7 +213,7 @@ class Poly:
 
     def __hash__(self):
         # a constant equals its value, so it hashes like it
-        if set(self.terms) <= {_ZERO_EXP}:
+        if self.is_constant:
             return hash(self.terms.get(_ZERO_EXP, 0))
         return hash(frozenset(self.terms.items()))
 

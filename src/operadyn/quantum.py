@@ -13,9 +13,11 @@ The defect of the bracket mu at vectors x, y, z is computed component-wise as
                    sum_{i,j,l,k}  mu^m_{l k} * mu^k_{i j} * u^i v^j w^l
 
 with the outer coefficient (indexed by the scalar argument l and the inner
-slot k) multiplying the inner one from the left.  The defect is trilinear
-and alternating, so it factors through det(x | y | z); classification only
-needs the basis value J(e1, e2, e3).
+slot k) multiplying the inner one from the left: `quantum_jacobian`, the
+general weighted path.  The defect is trilinear and alternating, so it factors
+through det(x | y | z); classification only needs J(e1, e2, e3), whose weights
+are 1 on the cyclic (i, j, l) and 0 elsewhere.  `basis_jacobian` runs that
+weight-free cyclic kernel, the one `bianchi.raw_jacobian` runs.
 
 Every class lands in exactly one bucket:
 
@@ -28,12 +30,14 @@ Every class lands in exactly one bucket:
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bianchi, poly
 from .ncpoly import GENERATORS, ExtScalar, NCPoly, _rational, commutator
+from .structure import _cyclic_defect, _position
 
 RIGID = "Rigid"
 QUANTUM_LIE = "QuantumLie"
@@ -75,14 +79,14 @@ def xi_pm(sign, omega, p0):
     """One of the two anomaly polynomials xi+ or xi-.
 
     xi+ = omega*Q*Am + P*Ap - p0*Ap and xi- = omega*Q*Ap - P*Am - p0*Am;
-    both have vanishing commutative image on the energy shell.  The sign may
-    be +1/-1 or the strings "+"/"-".
+    both have vanishing commutative image on the energy shell.  The sign is
+    +1 or -1.
     """
     w = _rational(omega)
     p0 = _rational(p0)
-    if sign in (1, "+"):
+    if sign == 1:
         return NCPoly({("Q", "Am"): w, ("P", "Ap"): Fraction(1), ("Ap",): -p0}, p0=p0)
-    if sign in (-1, "-"):
+    if sign == -1:
         return NCPoly({("Q", "Ap"): w, ("P", "Am"): Fraction(-1), ("Am",): -p0}, p0=p0)
     raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
@@ -115,6 +119,14 @@ def _tensor_p0(mu):
         if isinstance(value, NCPoly):
             return value.p0
     raise ValueError("tensor has no NCPoly entries to infer the p0 context from")
+
+
+def _nc_entries(mu):
+    """The 27 row-major entries of mu, each checked to be an NCPoly."""
+    for (i, j, k), value in zip(itertools.product((1, 2, 3), repeat=3), mu.array.flat):
+        if not isinstance(value, NCPoly):
+            raise ValueError(f"entry mu^{i}_{{{j}{k}}} is not an NCPoly: {value!r}")
+    return mu.array.flat
 
 
 def _as_vector(x):
@@ -159,40 +171,41 @@ def quantum_jacobian(mu, x, y, z):
 
     Component m accumulates mu^m_{l k} * mu^k_{i j} * x^i y^j z^l plus the
     two cyclic rotations of (x, y, z), products taken in exactly that order.
+    Each nonzero weight is computed once for all three components.
     """
     p0 = _tensor_p0(mu)
     x = _as_vector(x)
     y = _as_vector(y)
     z = _as_vector(z)
+    ent = _nc_entries(mu)
 
-    def ent(i, j, k):
-        value = mu.entry(i, j, k)
-        if not isinstance(value, NCPoly):
-            raise ValueError(f"entry mu^{i}_{{{j}{k}}} is not an NCPoly: {value!r}")
-        return value
+    # (i, j, l, u^i v^j w^l) in (rotation, i, j, l) order; a zero factor
+    # skips the weight before anything is multiplied
+    weights = [(i, j, l, u[i - 1] * v[j - 1] * w[l - 1])
+               for (u, v, w) in ((x, y, z), (y, z, x), (z, x, y))
+               for i in (1, 2, 3) if u[i - 1]
+               for j in (1, 2, 3) if v[j - 1]
+               for l in (1, 2, 3) if w[l - 1]]
 
     components = []
     for m in (1, 2, 3):
         total = NCPoly({}, p0=p0)
-        for (u, v, w) in ((x, y, z), (y, z, x), (z, x, y)):
-            for i in (1, 2, 3):
-                for j in (1, 2, 3):
-                    for l in (1, 2, 3):
-                        weight = u[i - 1] * v[j - 1] * w[l - 1]
-                        if weight == 0:
-                            continue
-                        for k in (1, 2, 3):
-                            term = ent(m, l, k) * ent(k, i, j)
-                            # the basis triple's weights are all 0 or 1
-                            total = total + (term if weight == 1 else weight * term)
+        for i, j, l, weight in weights:
+            for k in (1, 2, 3):
+                term = ent[_position(m, l, k)] * ent[_position(k, i, j)]
+                # a unit weight, like each of the basis triple's, scales nothing
+                total = total + (term if weight == 1 else weight * term)
         components.append(total)
     return JacobianTriple(*components)
 
 
 def basis_jacobian(mu):
-    """The defect at the basis triple (e1, e2, e3)."""
-    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    return quantum_jacobian(mu, e1, e2, e3)
+    """The defect at (e1, e2, e3), term for term quantum_jacobian(mu, e1, e2, e3).
+
+    The cyclic kernel shared with `bianchi.raw_jacobian`, over NCPoly entries.
+    """
+    p0 = _tensor_p0(mu)
+    return JacobianTriple(*_cyclic_defect(_nc_entries(mu), NCPoly({}, p0=p0)))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A StructureTensor holds the coefficients mu[i][j][k] of a bracket
 [e_j, e_k] = sum_i mu^i_{jk} e_i with mu^i_{jk} = -mu^i_{kj}.  Entries can be
 exact numbers, `poly.Poly`, or `ncpoly.NCPoly`; the container is agnostic as
-long as entries support +, -, * and == with each other and with 0.
+long as entries support +, -, * and == with each other and with 0, and a
+non-number entry has `is_constant` and `constant_value()`, as both do.
 
 Indices are 1-based everywhere in the public interface, matching the usual
 e_1, e_2, e_3 notation; the independent components are reported in the
@@ -45,22 +46,21 @@ def _position(i, j, k):
     return ((i - 1) * DIM + j - 1) * DIM + k - 1
 
 
-def _entry_is_constant(value):
-    if isinstance(value, _SCALARS):
-        return True
-    deg = getattr(value, "total_degree", None)
-    if callable(deg):
-        return value.total_degree() <= 0
-    scalar = getattr(value, "is_scalar", None)
-    if scalar is not None:
-        return bool(scalar)
-    return False
+def _cyclic_defect(flat, zero):
+    """Cyclic Jacobi defect at the basis triple, from the row-major entries.
 
-
-def _entry_constant_value(value):
-    if isinstance(value, _SCALARS):
-        return value
-    return value.constant_value() if hasattr(value, "constant_value") else value.scalar_value()
+    Component m starts at `zero` and adds mu^m_{lk} * mu^k_{ij}, outer factor
+    on the left, over (i, j, l) = (1,2,3), (2,3,1), (3,1,2) and then k.  The
+    one kernel of `bianchi.raw_jacobian` and `quantum.basis_jacobian`.
+    """
+    components = []
+    for m in (1, 2, 3):
+        total = zero
+        for (i, j, l) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            for k in (1, 2, 3):
+                total = total + flat[_position(m, l, k)] * flat[_position(k, i, j)]
+        components.append(total)
+    return tuple(components)
 
 
 class StructureTensor:
@@ -148,13 +148,14 @@ class StructureTensor:
 
     @property
     def is_constant(self):
-        return all(_entry_is_constant(v) for v in self.array.flat)
+        return all(isinstance(v, _SCALARS) or v.is_constant for v in self.array.flat)
 
     def constant_tensor(self):
         """Fold constant entries down to plain numbers."""
         if not self.is_constant:
             raise ValueError("tensor has non-constant entries")
-        return self.map_entries(_entry_constant_value)
+        return self.map_entries(
+            lambda v: v if isinstance(v, _SCALARS) else v.constant_value())
 
     def map_entries(self, fn):
         return StructureTensor.from_array(Tensor(map(fn, self.array.flat), SHAPE))

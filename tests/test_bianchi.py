@@ -283,7 +283,7 @@ class TestTrace:
             exact = [poly.as_poly(v) for _, v in deform(t, omega, p0).independent_entries()]
             cols = deformation_trace(t, omega, p0, times)
             for value, col in zip(exact, cols[5:]):
-                if value.total_degree() <= 0:
+                if value.is_constant:
                     assert type(col) is float
                     constant += 1
                 else:

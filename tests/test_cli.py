@@ -179,6 +179,26 @@ class TestVerify:
         assert code == 0 and out.rstrip().endswith("overall: PASS")
         assert len(calls) == len(bianchi.TAGS) == 11
 
+    def test_verify_all_takes_the_cyclic_kernel_only(self, capsys, monkeypatch):
+        # the basis defects come from the weight-free cyclic kernel, never
+        # from the general weighted quantum_jacobian, and the text is the same
+        _, plain, _ = run(capsys, "verify", "all")
+        calls = {"quantum_jacobian": 0, "basis_jacobian": 0, "raw_jacobian": 0}
+        for module, name in ((quantum, "quantum_jacobian"), (quantum, "basis_jacobian"),
+                             (bianchi, "raw_jacobian")):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+        code, out, _ = run(capsys, "verify", "all")
+        assert code == 0 and out == plain
+        assert calls == {"quantum_jacobian": 0, "basis_jacobian": 11, "raw_jacobian": 11}
+        assert out.splitlines()[4] == (
+            "jacobi-quantum: PASS  (I=Rigid; II=QuantumLie; VII=Rigid; VI=QuantumLie;"
+            " IX=Rigid; VIII=Rigid; V=AnomalousI; IV=AnomalousI;"
+            " VIIa(a=1/2)=AnomalousII tau=-1; IIIa1=AnomalousII tau=-1;"
+            " VIa(a=1/2)=AnomalousII tau=-1)")
+
 
 class TestTrace:
     @pytest.mark.parametrize("flags, omega, p0, a", [

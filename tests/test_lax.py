@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from operadyn import poly
 from operadyn.ncpoly import ExtScalar
 from operadyn.operad import Tensor
-from operadyn.lax import (LaxFamilyParams, build_matrix_lax, build_mu,
+from operadyn.poly import Poly
+from operadyn.lax import (LaxFamilyParams, _time_derivative, build_matrix_lax, build_mu,
                           formal_mu, matrix_lax_residual,
                           operadic_lax_residual, rotation_generator, solve_C)
 from operadyn.structure import StructureTensor
@@ -105,6 +108,33 @@ class TestOperadicLaxEquation:
         assert m.entry(1, 2) == Fraction(-3, 2)
         assert m.entry(2, 1) == Fraction(3, 2)
         assert m.entry(3, 3) == 0
+
+
+coeffs = st.fractions(max_denominator=12)
+exponents = st.tuples(*(st.integers(min_value=0, max_value=3),) * 4)
+polys = st.dictionaries(exponents, coeffs, max_size=5).map(Poly)
+omegas = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12)
+
+
+class TestTimeDerivative:
+    @pytest.mark.parametrize("value", [
+        Poly(), Poly.constant(Fraction(-3, 4)),
+        Poly.constant(ExtScalar(1, 2, p0=Fraction(3))),
+    ])
+    def test_constant_entry_gives_zero_poly(self, value):
+        d = _time_derivative(value, Fraction(2, 3))
+        assert type(d) is Poly and d.is_zero
+
+    @given(polys, omegas)
+    def test_matches_four_term_formula(self, value, omega):
+        half_w = omega / 2
+        expected = (poly.p * value.derivative("q")
+                    - (omega * omega) * poly.q * value.derivative("p")
+                    - half_w * poly.a_minus * value.derivative("Ap")
+                    + half_w * poly.a_plus * value.derivative("Am"))
+        d = _time_derivative(value, omega)
+        assert type(d) is Poly
+        assert d == expected and list(d.terms) == list(expected.terms)
 
 
 class TestSolveC:

@@ -106,14 +106,14 @@ class TestNCPoly:
 
     def test_scalar_predicates(self):
         z = NCPoly({}, p0=P0)
-        assert z.is_zero and z.is_scalar
-        assert z.scalar_value() == 0
+        assert z.is_zero and z.is_constant
+        assert z.constant_value() == 0
         f = NCPoly.scalar(ExtScalar(1, 1, p0=P0), p0=P0)
-        assert f.is_scalar and not f.is_zero
+        assert f.is_constant and not f.is_zero
         g = NCPoly.generator("Ap", p0=P0)
-        assert not g.is_scalar
+        assert not g.is_constant
         with pytest.raises(ValueError):
-            g.scalar_value()
+            g.constant_value()
 
     def test_commutative_image(self):
         f = commutator(NCPoly.generator("Q", p0=P0), NCPoly.generator("P", p0=P0))

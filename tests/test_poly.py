@@ -150,6 +150,8 @@ class TestHelpers:
 
     def test_constant_value(self):
         assert (q - q + 5).constant_value() == 5
+        assert (q - q + 5).is_constant and Poly().is_constant
+        assert not q.is_constant and not (q * 0 + p + 1).is_constant
         with pytest.raises(ValueError):
             q.constant_value()
 

@@ -6,6 +6,7 @@ the ordering convention of the defect is pinned by data rather than by the
 code under test.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -38,7 +39,7 @@ class TestTripleProduct:
 
 class TestXi:
     def test_word_structure(self):
-        xp = xi_pm("+", 1, Fraction(2))
+        xp = xi_pm(1, 1, Fraction(2))
         xm = xi_pm(-1, 1, Fraction(2))
         assert xp.terms == {("Q", "Am"): ExtScalar(1, p0=2),
                             ("P", "Ap"): ExtScalar(1, p0=2),
@@ -47,8 +48,9 @@ class TestXi:
                             ("P", "Am"): ExtScalar(-1, p0=2),
                             ("Am",): ExtScalar(-2, p0=2)}
         assert xi_pair(1, Fraction(2)) == (xp, xm)
-        with pytest.raises(ValueError):
-            xi_pm(0, 1, Fraction(2))
+        for sign in (0, "+", "-"):
+            with pytest.raises(ValueError):
+                xi_pm(sign, 1, Fraction(2))
 
     def test_commutative_image_vanishes_on_shell(self):
         # substitute the classical on-shell values and reduce
@@ -183,6 +185,33 @@ class TestBracketAndJacobian:
                                 for (i, j, l) in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
                                 for k in (1, 2, 3)), sympy.Integer(0))
                 assert sympy.expand(expected - to_sympy(component)) == 0, (t.label, m)
+
+    @pytest.mark.parametrize("omega, p0, a", [
+        (Fraction(1), Fraction(2), Fraction(1, 2)),
+        (Fraction(1), Fraction(3), Fraction(1, 2)),      # irrational s
+        (Fraction(2, 3), Fraction(5, 7), Fraction(3)),   # irrational s
+    ])
+    def test_basis_jacobian_matches_general_path(self, omega, p0, a):
+        # the cyclic kernel gives the general path's products, in its order,
+        # so each component has the same text and the same term order
+        for t in all_types(a):
+            mu = quantize(t, omega, p0)
+            cyclic = basis_jacobian(mu)
+            general = quantum_jacobian(mu, E1, E2, E3)
+            assert cyclic == general, t.label
+            for got, want in zip(cyclic, general):
+                assert str(got) == str(want), t.label
+                assert list(got.terms) == list(want.terms), t.label
+
+    def test_non_ncpoly_entry_rejected(self):
+        # every entry but mu^3_{12} = -mu^3_{21} stays the NCPoly of quantize
+        op = quantize(BianchiType("V"), 1, Fraction(2))
+        entries = {idx: op.entry(*idx) for idx in itertools.product((1, 2, 3), repeat=3)}
+        entries[(3, 1, 2)], entries[(3, 2, 1)] = Fraction(1), Fraction(-1)
+        mu = StructureTensor(entries)
+        for defect in (basis_jacobian, lambda m: quantum_jacobian(m, E1, E2, E3)):
+            with pytest.raises(ValueError, match="not an NCPoly"):
+                defect(mu)
 
     def test_triple_product_factorization_random(self):
         rng = random.Random(21)
