@@ -105,7 +105,7 @@ class LaxFamilyParams:
         values = tuple(self.c)
         if len(values) != 9:
             raise ValueError(f"expected nine coefficients, got {len(values)}")
-        coerced = tuple(Poly.constant(v).constant_value() for v in values)
+        coerced = tuple(map(poly._coerce, values))
         object.__setattr__(self, "c", coerced)
 
     def __getitem__(self, n):
@@ -137,6 +137,11 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
         mu^3_{13} = C7*Ap + C8*Am              mu^3_{23} = C7*Am - C8*Ap
         mu^3_{12} = C9
     """
+    return _family_tensor(params, q, p, a_plus, a_minus, omega).to_operation()
+
+
+def _family_tensor(params, q, p, a_plus, a_minus, omega):
+    """The family member of `build_mu` as the StructureTensor that validates it."""
     c1, c2, c3, c4, c5, c6, c7, c8, c9 = params.c
     wq = omega * q
     entries = {
@@ -150,13 +155,12 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
         (3, 2, 3): c7 * a_minus - c8 * a_plus,
         (3, 1, 2): c9,
     }
-    return StructureTensor(entries).to_operation()
+    return StructureTensor(entries)
 
 
 def formal_mu(params, omega):
     """The symbolic family member, with Poly entries in q, p, Ap, Am."""
-    return StructureTensor.from_operation(
-        build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, _rational(omega)))
+    return _family_tensor(params, poly.q, poly.p, poly.a_plus, poly.a_minus, _rational(omega))
 
 
 def solve_C(mu0, p0):

@@ -8,8 +8,11 @@ of any commutative ring with the usual Python operators (the package uses
 
 Coefficient tensors are `Tensor`s: read-only, with the entries kept as one
 flat tuple in row-major order (the last index varies fastest) beside the
-shape.  A slice of the flat tuple with a fixed stride walks one axis, which
-is all that composition needs.
+shape.
+
+Composition never multiplies by zero: it pairs only the nonzero entries of
+its operands, and a result entry without such a pair is the sum of a zero
+entry of each operand (see `partial_compose`).
 
 Signs are driven by the reduced degree |f| = deg(f) - 1:
 
@@ -245,6 +248,14 @@ def partial_compose(f, i, g):
 
     Defined for 0 <= i <= |f|, so f must have degree at least 1.  The result
     has degree deg(f) + |g| and carries the sign (-1)**(i*|g|).
+
+    No product with a zero factor is formed.  An entry sums its other
+    products, f's entry on the left, in increasing order of the contracted
+    index; an entry with none is `z_f + z_g`, for a zero entry of each
+    operand (int 0 for an operand without one), so Fraction operands give
+    Fraction(0) and int ones int 0.  Every entry equals, and hashes like,
+    the sum of all products, but a `Poly` entry that comes out zero or
+    constant may come back as the equal scalar.
     """
     if not isinstance(f, Operation) or not isinstance(g, Operation):
         raise TypeError("partial_compose expects two Operations")
@@ -261,21 +272,37 @@ def partial_compose(f, i, g):
             f" above the cap of {MAX_ENTRIES}"
         )
     # The result index is (out, f's inputs before slot i, g's inputs, f's
-    # inputs after slot i).  Each entry contracts one fibre of f along slot i
-    # (stride `step` in f's flat tuple) with one column of g (stride
-    # `width`); the sign is folded into g.
+    # inputs after slot i): position (r * width + b) * step + c for the row r
+    # of f's leading indices, g's input column b and f's trailing inputs c.
+    # Each nonzero f[r, k, c] (k in slot i) meets the nonzero entries of g's
+    # row k, with the sign folded into g; f is walked in row-major order, so
+    # each entry receives its products in increasing k.
     d = f.dim
     ff, gf = f.coeffs.flat, g.coeffs.flat
     step = d ** (f.degree - 1 - i)
-    block = d * step
-    fibres = [[ff[start + r:start + block:step] for r in range(step)]
-              for start in range(0, len(ff), block)]
-    if graded_sign(i * g.reduced_degree) < 0:
-        gf = tuple(map(neg, gf))
     width = len(gf) // d
-    columns = [gf[b::width] for b in range(width)]
-    flat = [sum(map(mul, fibre, column))
-            for row in fibres for column in columns for fibre in row]
+    negate = graded_sign(i * g.reduced_degree) < 0
+    f_zero = g_zero = 0
+    rows = [[] for _ in range(d)]
+    for pos, v in enumerate(gf):
+        if v == 0:
+            g_zero = v
+        else:
+            k, b = divmod(pos, width)
+            rows[k].append((b * step, -v if negate else v))
+    out = [None] * (len(ff) // d * width)
+    for pos, v in enumerate(ff):
+        if v == 0:
+            f_zero = v
+            continue
+        r, rest = divmod(pos, d * step)
+        k, c = divmod(rest, step)
+        base = r * width * step + c
+        for offset, w in rows[k]:
+            acc = out[base + offset]
+            out[base + offset] = v * w if acc is None else acc + v * w
+    zero = f_zero + g_zero
+    flat = [zero if v is None else v for v in out]
     return Operation(d, out_degree, Tensor(flat, (d,) * (out_degree + 1)),
                      check_limits=False)
 

@@ -155,12 +155,12 @@ class Poly:
         if isinstance(other, Poly):
             return self + (-other)
         if _is_scalar(other):
-            return self + Poly.constant(-other)
+            return self if other == 0 else self + Poly.constant(-other)
         return NotImplemented
 
     def __rsub__(self, other):
         if _is_scalar(other):
-            return Poly.constant(other) + (-self)
+            return -self if other == 0 else Poly.constant(other) + (-self)
         return NotImplemented
 
     def __mul__(self, other):

@@ -50,15 +50,21 @@ def _cyclic_defect(flat, zero):
     """Cyclic Jacobi defect at the basis triple, from the row-major entries.
 
     Component m starts at `zero` and adds mu^m_{lk} * mu^k_{ij}, outer factor
-    on the left, over (i, j, l) = (1,2,3), (2,3,1), (3,1,2) and then k.  The
-    one kernel of `bianchi.raw_jacobian` and `quantum.basis_jacobian`.
+    on the left, over (i, j, l) = (1,2,3), (2,3,1), (3,1,2) and then k,
+    skipping every product with a factor equal to `zero`; adding the zero
+    product would change no term, so each component holds the same terms in
+    the same order as the sum of all nine.  The one kernel of
+    `bianchi.raw_jacobian` and `quantum.basis_jacobian`.
     """
+    nonzero = [v != zero for v in flat]
     components = []
     for m in (1, 2, 3):
         total = zero
         for (i, j, l) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             for k in (1, 2, 3):
-                total = total + flat[_position(m, l, k)] * flat[_position(k, i, j)]
+                outer, inner = _position(m, l, k), _position(k, i, j)
+                if nonzero[outer] and nonzero[inner]:
+                    total = total + flat[outer] * flat[inner]
         components.append(total)
     return tuple(components)
 

@@ -73,6 +73,14 @@ class TestFamily:
         assert t.entry(2, 2, 3) == 3
         assert t.entry(3, 1, 2) == 0
 
+    def test_formal_member_validated_once(self, monkeypatch):
+        calls = []
+        validate = StructureTensor._validate
+        monkeypatch.setattr(StructureTensor, "_validate",
+                            lambda self: calls.append(1) or validate(self))
+        formal_mu(LaxFamilyParams((1, 2, 0, 3, 0, 1, 0, 0, 2)), 1)
+        assert len(calls) == 1
+
     def test_formal_member_entries(self):
         params = LaxFamilyParams((1, 0, 0, 0, 1, 0, 0, 0, 2))
         t = formal_mu(params, 1)

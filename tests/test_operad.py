@@ -11,9 +11,15 @@ from fractions import Fraction
 
 import pytest
 
+from operadyn import bianchi, poly
+from operadyn.lax import LaxFamilyParams, build_mu, rotation_generator
+from operadyn.ncpoly import NCPoly
 from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, Tensor,
                              gerstenhaber_bracket, graded_sign,
                              partial_compose, total_compose)
+from operadyn.poly import Poly
+from operadyn.quantum import basis_jacobian, quantize
+from reference_compose import dense_partial_compose
 
 
 def basis(d, i):
@@ -229,3 +235,104 @@ def _jacobi_defect(f, g, h):
     term2 = graded_sign(dg * df) * gerstenhaber_bracket(gerstenhaber_bracket(g, h), f)
     term3 = graded_sign(dh * dg) * gerstenhaber_bracket(gerstenhaber_bracket(h, f), g)
     return term1 + term2 + term3
+
+
+def _kernel_operation(rng, dim, degree, kind, density):
+    """Random entries of one kind, each nonzero with the given probability.
+
+    Zeros take the operand's own zero: int 0, Fraction(0), or for `Poly`
+    entries Fraction(0) and Poly() alike, as the Lax family holds them.
+    """
+    def nonzero():
+        c = rng.choice([n for n in range(-4, 5) if n])
+        if kind == "int":
+            return c
+        if kind == "Fraction":
+            return Fraction(c, rng.randint(1, 3))
+        return rng.choice([Fraction(c), c * poly.q + rng.randint(-2, 2), c * poly.p * poly.a_plus])
+
+    zeros = {"int": [0], "Fraction": [Fraction(0)], "Poly": [Fraction(0), Poly()]}[kind]
+    size = dim ** (degree + 1)
+    flat = [nonzero() if rng.random() < density else rng.choice(zeros) for _ in range(size)]
+    return Operation(dim, degree, Tensor(flat, (dim,) * (degree + 1)))
+
+
+class TestCompositionKernel:
+    """The zero-skipping kernel against the dense one of reference_compose.py."""
+
+    @pytest.mark.parametrize("kind", ["int", "Fraction", "Poly"])
+    @pytest.mark.parametrize("density", [0.15, 0.5, 1.0])
+    def test_matches_dense_kernel(self, kind, density):
+        rng = random.Random(f"{kind}-{density}")
+        for _ in range(12 if kind == "Poly" else 40):
+            d = rng.randint(1, 3)
+            f = _kernel_operation(rng, d, rng.randint(1, 3), kind, density)
+            g = _kernel_operation(rng, d, rng.randint(0, 3), kind, density)
+            for i in range(f.degree):
+                got = partial_compose(f, i, g).coeffs.flat
+                want = dense_partial_compose(f, i, g)
+                assert got == want and hash(got) == hash(want)
+                for new, old in zip(got, want):
+                    assert hash(new) == hash(old)
+                    if kind != "Poly":
+                        # rational operands keep their type: Fraction stays
+                        # Fraction and int stays int
+                        assert type(new) is type(old) is (int if kind == "int" else Fraction)
+                    elif type(new) is not type(old):
+                        # only a zero or constant Poly may come back as a scalar
+                        assert _as_constant(new) == _as_constant(old)
+
+    def test_all_zero_operands(self):
+        for zero, kind in ((0, int), (Fraction(0), Fraction)):
+            f = Operation(2, 2, Tensor((zero,) * 8, (2, 2, 2)))
+            for i in range(2):
+                flat = partial_compose(f, i, f).coeffs.flat
+                assert flat == dense_partial_compose(f, i, f)
+                assert all(type(v) is kind for v in flat)
+
+
+def _as_constant(value):
+    return value.constant_value() if isinstance(value, Poly) else value
+
+
+def _recording_mul(monkeypatch, cls):
+    """Replace cls's `*` by one that records every call with a zero factor."""
+    zero_calls = []
+    mul, rmul = cls.__mul__, cls.__rmul__
+
+    def record(method):
+        def wrapped(self, other):
+            if self == 0 or other == 0:
+                zero_calls.append((self, other))
+            return method(self, other)
+        return wrapped
+
+    monkeypatch.setattr(cls, "__mul__", record(mul))
+    monkeypatch.setattr(cls, "__rmul__", record(rmul))
+    return zero_calls
+
+
+class TestNoZeroProducts:
+    """The composition and cyclic Jacobi kernels never multiply by zero."""
+
+    def test_bracket_of_each_probe(self, monkeypatch):
+        w = Fraction(1)
+        for n in range(1, 10):
+            probe = LaxFamilyParams(tuple(int(m == n) for m in range(1, 10)))
+            mu = build_mu(probe, poly.q, poly.p, poly.a_plus, poly.a_minus, w)
+            with monkeypatch.context() as patch:
+                zero_calls = _recording_mul(patch, Poly)
+                gerstenhaber_bracket(rotation_generator(w), mu)
+            assert zero_calls == [], f"C{n} probe"
+
+    def test_raw_jacobian(self, monkeypatch):
+        mu = bianchi.deform(bianchi.BianchiType("VIIa", Fraction(1, 2)), 1, Fraction(2))
+        zero_calls = _recording_mul(monkeypatch, Poly)
+        bianchi.raw_jacobian(mu)
+        assert zero_calls == []
+
+    def test_basis_jacobian(self, monkeypatch):
+        mu = quantize(bianchi.BianchiType("VIIa", Fraction(1, 2)), 1, Fraction(2))
+        zero_calls = _recording_mul(monkeypatch, NCPoly)
+        basis_jacobian(mu)
+        assert zero_calls == []

@@ -155,6 +155,15 @@ class TestHelpers:
         with pytest.raises(ValueError):
             q.constant_value()
 
+    @pytest.mark.parametrize("zero", [0, Fraction(0), ExtScalar(0, 0, p0=2)])
+    def test_subtracting_zero(self, zero):
+        # f - 0 is f itself and 0 - f is -f, with its terms in the same order
+        f = Fraction(1, 3) * q * p - a_minus ** 2 + 5
+        assert f - zero is f
+        assert (zero - f).terms == (-f).terms
+        assert list((zero - f).terms) == list((-f).terms)
+        assert f - 2 == f + (-2) and 2 - f == -f + 2
+
     def test_bad_coefficient_rejected(self):
         with pytest.raises(TypeError):
             Poly({(0, 0, 0, 0): "nope"})

@@ -4,10 +4,10 @@ Runs every `tables` format, `verify all`, `trace` of all eleven classes and
 the edge cases of the trace row template (an all-constant table and a
 single row: `trace I --t-samples 1`, `trace VIIa --t-samples 1`; 2000 and
 3000 samples, sizes the benchmark's trace workload runs) at a set of
-(omega, p0, a) configs under both trees, and reports each command
-whose stdout, stderr or exit code differs.  Commands whose exit code is not
-0 in the base tree are listed separately, since their output is not a
-contract.
+(omega, p0, a) configs under both trees, then every script in `demos/` of
+this checkout, and reports each command whose stdout, stderr or exit code
+differs.  Commands whose exit code is not 0 in the base tree are listed
+separately, since their output is not a contract.
 
     python3 tools/cli_diff.py BASE_SRC NEW_SRC
 
@@ -20,6 +20,9 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # the eleven class tags, in the order of operadyn.bianchi.TAGS
 TAGS = ("I", "II", "VII", "VI", "IX", "VIII", "V", "IV", "VIIa", "IIIa1", "VIa")
@@ -49,12 +52,15 @@ def commands():
         yield ("trace", "I", "--t-samples", "1", *cfg)
         yield ("trace", "VIIa", "--t-samples", "1", *cfg)
         yield ("trace", "IX", "--t-samples", "3000", *cfg)
+    for demo in sorted(DEMOS.glob("*.py")):
+        yield (str(demo),)
 
 
 def run(src, argv):
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "operadyn.cli", *argv],
-                          capture_output=True, env=env, timeout=600)
+    # a demo is a script path; everything else is a CLI command line
+    head = argv if argv[0].endswith(".py") else ("-m", "operadyn.cli", *argv)
+    proc = subprocess.run([sys.executable, *head], capture_output=True, env=env, timeout=600)
     return proc.returncode, proc.stdout, proc.stderr
 
 
