@@ -63,13 +63,11 @@ from .quantum import (
     classify,
     generator_commutator,
     quantize,
-    quantum_bracket,
     quantum_jacobian,
-    triple_product,
     xi_pair,
     xi_pm,
 )
-from .structure import PAIRS, StructureTensor, TableMismatchError
+from .structure import PAIRS, StructureTensor
 
 __version__ = "0.1.0"
 
@@ -78,16 +76,16 @@ __all__ = [
     "BranchError", "ExtScalar", "JacobianTriple", "LaxFamilyParams",
     "MatrixLaxPair", "NCPoly", "Operation", "OscillatorState", "PAIRS",
     "Poly", "QUANTUM_LIE", "QuasiCoords", "RIGID", "StructureTensor",
-    "TAGS", "TableMismatchError", "UNCLASSIFIED", "all_types",
+    "TAGS", "UNCLASSIFIED", "all_types",
     "as_poly", "basis_jacobian",
     "build_matrix_lax", "build_mu", "classical_jacobian", "classify",
     "commutator", "deform", "deformation_trace", "exact_flow",
     "formal_deformation", "formal_mu", "generator_commutator",
     "gerstenhaber_bracket", "graded_sign", "integrate_rk4", "is_rigid",
     "matrix_lax_residual", "operadic_lax_residual",
-    "partial_compose", "quantize", "quantum_bracket", "quantum_jacobian",
+    "partial_compose", "quantize", "quantum_jacobian",
     "quasi_coords", "quasi_coords_derivative", "rational_sqrt",
     "raw_jacobian", "reduce_on_shell", "rotation_generator", "solve_C",
     "structure_constants", "total_compose",
-    "triple_product", "xi_pair", "xi_pm",
+    "xi_pair", "xi_pm",
 ]

@@ -194,7 +194,7 @@ def raw_jacobian(mu):
     bracket this generally does not vanish as a polynomial; it only has to
     vanish on the energy shell.
     """
-    return _cyclic_defect([poly.as_poly(v) for v in mu.array.flat], Poly())
+    return _cyclic_defect([poly.as_poly(v) for v in mu.coeffs.flat], Poly())
 
 
 def classical_jacobian(mu, omega, p0):

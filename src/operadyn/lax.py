@@ -10,7 +10,10 @@ whose isospectral equation dL/dt = [M, L] encodes the equations of motion.
 The operadic layer replaces L by a phase-space-dependent antisymmetric
 bilinear operation mu on a 3d space, drawn from a nine-parameter family
 mu(C1..C9), and replaces the matrix commutator by the Gerstenhaber bracket
-[M, mu] in the endomorphism operad.  Every member of the family satisfies
+[M, mu] in the endomorphism operad.  `build_mu` returns mu as a
+`StructureTensor`, the degree-2 Operation, so it enters the bracket as it
+is; `formal_mu` is `build_mu` at the generators q, p, Ap, Am.  Every member
+of the family satisfies
 
     d(mu)/dt = [M, mu]
 
@@ -125,7 +128,7 @@ class LaxFamilyParams:
 
 
 def build_mu(params, q, p, a_plus, a_minus, omega):
-    """The family member mu(C1..C9) as a degree-2 operation.
+    """The family member mu(C1..C9) as a validated StructureTensor.
 
     The arguments q, p, a_plus, a_minus may be numbers (giving a numeric
     tensor) or polynomial generators (giving the symbolic family member).
@@ -137,11 +140,6 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
         mu^3_{13} = C7*Ap + C8*Am              mu^3_{23} = C7*Am - C8*Ap
         mu^3_{12} = C9
     """
-    return _family_tensor(params, q, p, a_plus, a_minus, omega).to_operation()
-
-
-def _family_tensor(params, q, p, a_plus, a_minus, omega):
-    """The family member of `build_mu` as the StructureTensor that validates it."""
     c1, c2, c3, c4, c5, c6, c7, c8, c9 = params.c
     wq = omega * q
     entries = {
@@ -160,7 +158,7 @@ def _family_tensor(params, q, p, a_plus, a_minus, omega):
 
 def formal_mu(params, omega):
     """The symbolic family member, with Poly entries in q, p, Ap, Am."""
-    return _family_tensor(params, poly.q, poly.p, poly.a_plus, poly.a_minus, _rational(omega))
+    return build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, _rational(omega))
 
 
 def solve_C(mu0, p0):

@@ -132,13 +132,6 @@ class ExtScalar:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        # conjugate trick: 1/(u + v s) = (u - v s) / (u**2 - 2 p0 v**2)
-        norm = self.u * self.u - 2 * self.p0 * self.v * self.v
-        if norm == 0:
-            raise ZeroDivisionError(f"{self} is not invertible")
-        return _ext(self.u / norm, -self.v / norm, self.p0)
-
     def __eq__(self, other):
         if isinstance(other, ExtScalar):
             return self.p0 == other.p0 and self.u == other.u and self.v == other.v

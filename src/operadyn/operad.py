@@ -8,7 +8,13 @@ of any commutative ring with the usual Python operators (the package uses
 
 Coefficient tensors are `Tensor`s: read-only, with the entries kept as one
 flat tuple in row-major order (the last index varies fastest) beside the
-shape.
+shape.  A bracket is the degree-2 case: `structure.StructureTensor` is the
+Operation of degree 2 on a 3d space.
+
+The public constructor checks the dimension (at most MAX_DIM), the degree
+(at most MAX_DEGREE) and the size.  Sums, differences, negations, scalar
+multiples and composition results are built through the private
+`_trusted`, which checks nothing; a composition may exceed MAX_DEGREE.
 
 Composition never multiplies by zero: it pairs only the nonzero entries of
 its operands, and a result entry without such a pair is the sum of a zero
@@ -32,12 +38,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 from numbers import Rational
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 
 MAX_DIM = 8
 MAX_DEGREE = 4
 # hard cap on tensor size for composition results (they may exceed MAX_DEGREE)
 MAX_ENTRIES = 2 ** 20
+
+_new = object.__new__
 
 
 def graded_sign(exponent):
@@ -105,12 +113,12 @@ class Operation:
 
     __slots__ = ("dim", "degree", "coeffs")
 
-    def __init__(self, dim, degree, coeffs=None, *, check_limits=True):
+    def __init__(self, dim, degree, coeffs=None):
         if not isinstance(dim, int) or not (1 <= dim <= MAX_DIM):
             raise ValueError(f"dimension must be an integer in 1..{MAX_DIM}, got {dim!r}")
         if not isinstance(degree, int) or degree < 0:
             raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
-        if check_limits and degree > MAX_DEGREE:
+        if degree > MAX_DEGREE:
             raise ValueError(
                 f"degree {degree} exceeds the construction limit {MAX_DEGREE}"
                 " (composition results may go higher, direct construction may not)"
@@ -127,36 +135,12 @@ class Operation:
         self.degree = degree
         self.coeffs = Tensor.of(coeffs, shape)
 
-    # ---- constructors ---------------------------------------------------
-
-    @classmethod
-    def identity(cls, dim):
-        flat = [Fraction(0)] * (dim * dim)
-        flat[::dim + 1] = [Fraction(1)] * dim
-        return cls(dim, 1, Tensor(flat, (dim, dim)))
-
     @classmethod
     def from_matrix(cls, rows):
         """A degree-1 operation from a square matrix given as a list of rows."""
         if not isinstance(rows, (list, tuple)) or not rows:
             raise ValueError(f"expected a square matrix as a list of rows, got {rows!r}")
         return cls(len(rows), 1, rows)
-
-    @classmethod
-    def from_entries(cls, dim, degree, entries):
-        """Build from a sparse mapping with 1-based indices.
-
-        Keys are index tuples (out, in_1, ..., in_degree); anything unset
-        is zero.
-        """
-        shape = cls(dim, degree).coeffs.shape
-        flat = [Fraction(0)] * prod(shape)
-        for idx, value in entries.items():
-            idx = tuple(idx)
-            if len(idx) != degree + 1 or any(not (1 <= i <= dim) for i in idx):
-                raise ValueError(f"index {idx!r} out of range for dim {dim}, degree {degree}")
-            flat[_offset(tuple(i - 1 for i in idx), shape)] = value
-        return cls(dim, degree, Tensor(flat, shape))
 
     # ---- accessors --------------------------------------------------------
 
@@ -176,23 +160,6 @@ class Operation:
     def is_zero(self):
         return all(v == 0 for v in self.coeffs.flat)
 
-    def apply(self, vectors):
-        """Evaluate on a sequence of `degree` vectors, returning a vector (a tuple)."""
-        vectors = list(vectors)
-        if len(vectors) != self.degree:
-            raise ValueError(f"operation of degree {self.degree} takes {self.degree} arguments,"
-                             f" got {len(vectors)}")
-        d = self.dim
-        out = self.coeffs.flat
-        for vec in vectors:
-            v = Tensor.of(vec, (d,)).flat
-            # contract the first input axis, whose stride is `step`
-            block = len(out) // d
-            step = block // d
-            out = tuple(sum(map(mul, out[start + r:start + block:step], v))
-                        for start in range(0, len(out), block) for r in range(step))
-        return out
-
     # ---- linear structure --------------------------------------------------
 
     def _check_shape(self, other):
@@ -203,8 +170,7 @@ class Operation:
             )
 
     def _like(self, flat):
-        return Operation(self.dim, self.degree, Tensor(flat, self.coeffs.shape),
-                         check_limits=False)
+        return _trusted(self.dim, self.degree, flat)
 
     def __add__(self, other):
         if not isinstance(other, Operation):
@@ -241,6 +207,15 @@ class Operation:
     def __repr__(self):
         nonzero = sum(1 for v in self.coeffs.flat if v != 0)
         return f"Operation(dim={self.dim}, degree={self.degree}, nonzero={nonzero})"
+
+
+def _trusted(dim, degree, flat):
+    """The Operation over row-major entries that fill its shape, unchecked."""
+    out = _new(Operation)
+    out.dim = dim
+    out.degree = degree
+    out.coeffs = Tensor(flat, (dim,) * (degree + 1))
+    return out
 
 
 def partial_compose(f, i, g):
@@ -303,8 +278,7 @@ def partial_compose(f, i, g):
             out[base + offset] = v * w if acc is None else acc + v * w
     zero = f_zero + g_zero
     flat = [zero if v is None else v for v in out]
-    return Operation(d, out_degree, Tensor(flat, (d,) * (out_degree + 1)),
-                     check_limits=False)
+    return _trusted(d, out_degree, flat)
 
 
 def total_compose(f, g):
@@ -318,7 +292,7 @@ def total_compose(f, g):
     if f.degree == 0:
         if g.degree == 0:
             raise ValueError("total composition of two degree-0 operations is undefined")
-        return Operation(f.dim, g.reduced_degree, check_limits=False)
+        return _trusted(f.dim, g.reduced_degree, (Fraction(0),) * f.dim ** g.degree)
     acc = partial_compose(f, 0, g)
     for i in range(1, f.degree):
         acc = acc + partial_compose(f, i, g)

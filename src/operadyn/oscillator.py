@@ -16,6 +16,10 @@ import math
 from dataclasses import dataclass
 
 
+# relative tolerance of the energy-shell check in `quasi_coords`
+SHELL_TOL = 1e-8
+
+
 class BranchError(ValueError):
     """The quasi-canonical chart is not defined at the requested point."""
 
@@ -79,16 +83,16 @@ def integrate_rk4(omega, p0, t_end, steps):
     return out
 
 
-def quasi_coords(state, *, shell_tol=1e-8):
+def quasi_coords(state):
     """Quasi-canonical coordinates of an on-shell state.
 
     Requires p > -p0 (the chart's branch) and checks that the state lies on
-    the energy shell H = p0**2 / 2 to within shell_tol relative error.
+    the energy shell H = p0**2 / 2 to within SHELL_TOL relative error.
     """
     _check_params(state.omega, state.p0)
     shell = 0.5 * state.p0 * state.p0
     # written so that a NaN comparison (inf - inf) counts as off the shell
-    if not abs(state.energy - shell) <= shell_tol * max(shell, 1.0):
+    if not abs(state.energy - shell) <= SHELL_TOL * max(shell, 1.0):
         raise ValueError(
             f"state is off the energy shell: H = {state.energy}, expected {shell}")
     if state.p <= -state.p0:

@@ -12,7 +12,8 @@ thing as canonical-form equality.
 Invariant of every Poly: its keys are 4-tuples of ints >= 0, and each
 coefficient is a nonzero Fraction or an ExtScalar with nonzero s-part.  The
 public constructors (`Poly(...)`, `constant`, `variable`, `from_text`)
-check and coerce their input.  Only the ring operations (`+`, `-`, `*`,
+check and coerce their input.  Only `constant`, whose one key is known to
+be good once its value is coerced, and the ring operations (`+`, `-`, `*`,
 negation, scalar `*`, `derivative`), whose operands already hold the
 invariant, build their result through the private `_trusted`, which checks
 nothing; they still drop zero sums and fold an s-free ExtScalar, such as
@@ -97,7 +98,8 @@ class Poly:
 
     @classmethod
     def constant(cls, value):
-        return cls({_ZERO_EXP: value})
+        value = _coerce(value)
+        return _trusted({_ZERO_EXP: value} if value else {})
 
     @classmethod
     def variable(cls, name):
@@ -124,9 +126,6 @@ class Poly:
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
         return self.terms[_ZERO_EXP] if self.terms else Fraction(0)
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
 
     # ---- ring structure ------------------------------------------------
 

@@ -96,16 +96,6 @@ def xi_pair(omega, p0):
     return xi_pm(1, omega, p0), xi_pm(-1, omega, p0)
 
 
-def triple_product(x, y, z):
-    """Scalar triple product: the determinant of the rows x, y, z."""
-    x = _as_vector(x)
-    y = _as_vector(y)
-    z = _as_vector(z)
-    return (x[0] * (y[1] * z[2] - y[2] * z[1])
-            - x[1] * (y[0] * z[2] - y[2] * z[0])
-            + x[2] * (y[0] * z[1] - y[1] * z[0]))
-
-
 def generator_commutator(p0):
     """[Ap, Am] as an NCPoly; nonzero because no relations are imposed."""
     p0 = _rational(p0)
@@ -123,10 +113,10 @@ def _tensor_p0(mu):
 
 def _nc_entries(mu):
     """The 27 row-major entries of mu, each checked to be an NCPoly."""
-    for (i, j, k), value in zip(itertools.product((1, 2, 3), repeat=3), mu.array.flat):
+    for (i, j, k), value in zip(itertools.product((1, 2, 3), repeat=3), mu.coeffs.flat):
         if not isinstance(value, NCPoly):
             raise ValueError(f"entry mu^{i}_{{{j}{k}}} is not an NCPoly: {value!r}")
-    return mu.array.flat
+    return mu.coeffs.flat
 
 
 def _as_vector(x):
@@ -134,22 +124,6 @@ def _as_vector(x):
     if len(vec) != 3:
         raise ValueError(f"expected a 3-vector, got {x!r}")
     return vec
-
-
-def quantum_bracket(mu, x, y):
-    """The bracket [x, y] determined by mu, for scalar 3-vectors x and y."""
-    p0 = _tensor_p0(mu)
-    x = _as_vector(x)
-    y = _as_vector(y)
-    out = [NCPoly({}, p0=p0) for _ in range(3)]
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            weight = x[i - 1] * y[j - 1]
-            if weight == 0:
-                continue
-            for m in (1, 2, 3):
-                out[m - 1] = out[m - 1] + weight * mu.entry(m, i, j)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

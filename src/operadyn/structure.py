@@ -1,10 +1,15 @@
 """Antisymmetric bilinear structure data on a 3-dimensional space.
 
 A StructureTensor holds the coefficients mu[i][j][k] of a bracket
-[e_j, e_k] = sum_i mu^i_{jk} e_i with mu^i_{jk} = -mu^i_{kj}.  Entries can be
-exact numbers, `poly.Poly`, or `ncpoly.NCPoly`; the container is agnostic as
-long as entries support +, -, * and == with each other and with 0, and a
-non-number entry has `is_constant` and `constant_value()`, as both do.
+[e_j, e_k] = sum_i mu^i_{jk} e_i with mu^i_{jk} = -mu^i_{kj}.  It is the
+degree-2 `operad.Operation` on a 3d space: a bracket enters the
+Gerstenhaber bracket and composition as it is, and equals the Operation
+with the same entries.  Its own part is the sparse constructor with mirror
+fill, the antisymmetry check and the views by independent entry.  Entries
+can be exact numbers, `poly.Poly`, or `ncpoly.NCPoly`; the container is
+agnostic as long as entries support +, -, * and == with each other and
+with 0, and a non-number entry has `is_constant` and `constant_value()`,
+as both do.
 
 Indices are 1-based everywhere in the public interface, matching the usual
 e_1, e_2, e_3 notation; the independent components are reported in the
@@ -27,18 +32,6 @@ _SCALARS = (Rational, float, ExtScalar)
 
 # independent index pairs, in standard column order
 PAIRS = ((1, 2), (2, 3), (3, 1))
-
-
-class TableMismatchError(ValueError):
-    """Two representations of the same tensor disagree."""
-
-    def __init__(self, label, diffs):
-        self.label = label
-        self.diffs = list(diffs)
-        lines = [f"{label}: {len(self.diffs)} entries disagree"]
-        for (i, j, k), left, right in self.diffs:
-            lines.append(f"  mu^{i}_{{{j}{k}}}: {left} != {right}")
-        super().__init__("\n".join(lines))
 
 
 def _position(i, j, k):
@@ -69,10 +62,10 @@ def _cyclic_defect(flat, zero):
     return tuple(components)
 
 
-class StructureTensor:
+class StructureTensor(Operation):
     """Coefficients of an antisymmetric bilinear map on a 3d space."""
 
-    __slots__ = ("array",)
+    __slots__ = ()
 
     def __init__(self, entries=None):
         """Build from a sparse mapping {(i, j, k): value} with 1-based indices.
@@ -93,11 +86,11 @@ class StructureTensor:
         flat = [Fraction(0)] * DIM ** 3
         for (i, j, k), value in provided.items():
             flat[_position(i, j, k)] = value
-        self.array = Tensor(flat, SHAPE)
+        super().__init__(DIM, 2, Tensor(flat, SHAPE))
         self._validate()
 
     def _validate(self):
-        flat = self.array.flat
+        flat = self.coeffs.flat
         for i in range(DIM):
             for j in range(DIM):
                 for k in range(j, DIM):
@@ -112,32 +105,13 @@ class StructureTensor:
                             f"antisymmetry broken at mu^{i+1}_{{{j+1}{k+1}}}:"
                             f" {a} vs {b}")
 
-    # ---- constructors ----------------------------------------------------
-
     @classmethod
     def from_array(cls, array):
         """Build from a Tensor or nested lists of shape (3, 3, 3), 0-based."""
         obj = cls.__new__(cls)
-        obj.array = Tensor.of(array, SHAPE)
+        Operation.__init__(obj, DIM, 2, array)
         obj._validate()
         return obj
-
-    @classmethod
-    def from_operation(cls, op):
-        if not isinstance(op, Operation) or op.dim != DIM or op.degree != 2:
-            raise ValueError("expected a degree-2 operation on a 3d space")
-        return cls.from_array(op.coeffs)
-
-    def to_operation(self):
-        return Operation(DIM, 2, self.array)
-
-    # ---- accessors ---------------------------------------------------------
-
-    def entry(self, i, j, k):
-        """mu^i_{jk} with 1-based indices."""
-        if any(not (1 <= n <= DIM) for n in (i, j, k)):
-            raise ValueError(f"index {(i, j, k)!r} out of range 1..{DIM}")
-        return self.array.flat[_position(i, j, k)]
 
     def independent_entries(self):
         """Yield ((i, j, k), value) over the nine independent components.
@@ -146,15 +120,11 @@ class StructureTensor:
         """
         for (j, k) in PAIRS:
             for i in (1, 2, 3):
-                yield (i, j, k), self.array.flat[_position(i, j, k)]
-
-    @property
-    def is_zero(self):
-        return all(v == 0 for v in self.array.flat)
+                yield (i, j, k), self.coeffs.flat[_position(i, j, k)]
 
     @property
     def is_constant(self):
-        return all(isinstance(v, _SCALARS) or v.is_constant for v in self.array.flat)
+        return all(isinstance(v, _SCALARS) or v.is_constant for v in self.coeffs.flat)
 
     def constant_tensor(self):
         """Fold constant entries down to plain numbers."""
@@ -164,35 +134,7 @@ class StructureTensor:
             lambda v: v if isinstance(v, _SCALARS) else v.constant_value())
 
     def map_entries(self, fn):
-        return StructureTensor.from_array(Tensor(map(fn, self.array.flat), SHAPE))
-
-    def evaluate(self, q, p, ap, am):
-        """Evaluate polynomial entries at a phase-space point."""
-        def ev(value):
-            if isinstance(value, _SCALARS):
-                return value
-            return value.evaluate(q, p, ap, am)
-        return self.map_entries(ev)
-
-    # ---- comparison ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, StructureTensor):
-            return NotImplemented
-        return self.array.flat == other.array.flat
-
-    def __hash__(self):
-        return hash(self.array.flat)
-
-    def diff(self, other, label="tensor comparison"):
-        """Raise TableMismatchError listing every differing component."""
-        diffs = []
-        for (i, j, k), value in self.independent_entries():
-            theirs = other.entry(i, j, k)
-            if not (value == theirs):
-                diffs.append(((i, j, k), value, theirs))
-        if diffs:
-            raise TableMismatchError(label, diffs)
+        return StructureTensor.from_array(Tensor(map(fn, self.coeffs.flat), SHAPE))
 
     def __repr__(self):
         parts = [f"mu^{i}_{{{j}{k}}}={v}"

@@ -1,14 +1,20 @@
-"""The dense composition kernel that `operad.partial_compose` replaced.
+"""Reference multilinear algebra the composition tests compare against.
 
-Kept as the oracle of the zero-skipping kernel: every entry is the sum,
-from int 0, of all d products of one fibre of f along slot i with one
+`dense_partial_compose` is the dense kernel that `operad.partial_compose`
+replaced, kept as the oracle of the zero-skipping kernel: every entry is the
+sum, from int 0, of all d products of one fibre of f along slot i with one
 column of g, zero factors included.  It returns the result's flat row-major
 entries; the argument checks of `partial_compose` are left out.
+
+`apply` evaluates an operation on vectors, the semantic oracle of
+composition, and `triple_product` is the determinant that the Jacobi
+defect of a 3d bracket factors through.
 """
 
+from fractions import Fraction
 from operator import mul, neg
 
-from operadyn.operad import graded_sign
+from operadyn.operad import Tensor, graded_sign
 
 
 def dense_partial_compose(f, i, g):
@@ -24,3 +30,29 @@ def dense_partial_compose(f, i, g):
     columns = [gf[b::width] for b in range(width)]
     return tuple(sum(map(mul, fibre, column))
                  for row in fibres for column in columns for fibre in row)
+
+
+def apply(op, vectors):
+    """Evaluate op on a sequence of `degree` vectors, returning a vector (a tuple)."""
+    vectors = list(vectors)
+    if len(vectors) != op.degree:
+        raise ValueError(f"operation of degree {op.degree} takes {op.degree} arguments,"
+                         f" got {len(vectors)}")
+    d = op.dim
+    out = op.coeffs.flat
+    for vec in vectors:
+        v = Tensor.of(vec, (d,)).flat
+        # contract the first input axis, whose stride is `step`
+        block = len(out) // d
+        step = block // d
+        out = tuple(sum(map(mul, out[start + r:start + block:step], v))
+                    for start in range(0, len(out), block) for r in range(step))
+    return out
+
+
+def triple_product(x, y, z):
+    """Scalar triple product: the determinant of the rows x, y, z."""
+    x, y, z = (tuple(map(Fraction, v)) for v in (x, y, z))
+    return (x[0] * (y[1] * z[2] - y[2] * z[1])
+            - x[1] * (y[0] * z[2] - y[2] * z[0])
+            + x[2] * (y[0] * z[1] - y[1] * z[0]))

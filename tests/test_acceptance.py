@@ -21,8 +21,8 @@ from operadyn.oscillator import (exact_flow, integrate_rk4, quasi_coords,
                                  quasi_coords_derivative)
 from operadyn.quantum import (ANOMALOUS_II, basis_jacobian, classify,
                               generator_commutator, quantize,
-                              quantum_jacobian, triple_product, xi_pair)
-from operadyn.structure import StructureTensor
+                              quantum_jacobian, xi_pair)
+from reference_compose import triple_product
 from reference_tables import transcribed_deformation
 
 RIGID_TAGS = frozenset({"I", "VII", "VIII", "IX"})
@@ -70,13 +70,13 @@ def test_criterion_03_tables_round_trip():
             params = solve_C(constants, p0)
             rebuilt = build_mu(params, Fraction(0), p0, s, Fraction(0),
                                Fraction(1))
-            assert rebuilt == constants.to_operation()
+            assert rebuilt == constants
     # the deformed table: generated and transcribed agree entry by entry
     for omega in (Fraction(1), Fraction(2)):
         for p0 in (Fraction(1, 2), Fraction(2), Fraction(3)):
             for t in all_types(Fraction(1, 2)):
-                deform(t, omega, p0).diff(transcribed_deformation(t, omega, p0),
-                                          label=f"deformation of {t.label}")
+                assert deform(t, omega, p0) == transcribed_deformation(t, omega, p0), (
+                    f"StructureTensor of {t.label} at omega={omega}, p0={p0}")
     print("ACCEPTANCE 3: PASS - class tensors round-trip through the family"
           " parameters and the deformed table matches its transcription")
 
@@ -170,7 +170,7 @@ def _random_operation(rng, dim, arity, fractions):
     shape = (dim,) * (arity + 1)
     flat = [_rational(rng, 4, 3) if fractions else rng.randint(-4, 4)
             for _ in range(dim ** (arity + 1))]
-    return Operation(dim, arity, Tensor(flat, shape), check_limits=False)
+    return Operation(dim, arity, Tensor(flat, shape))
 
 
 def _jacobi_defect(f, g, h):

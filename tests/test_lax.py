@@ -65,8 +65,7 @@ class TestFamily:
         # C2 = 1 alone at (q, p) = (1, 2), omega = 3: mu^1_23 = p = 2,
         # mu^1_31 = omega*q = 3
         params = LaxFamilyParams((0, 1, 0, 0, 0, 0, 0, 0, 0))
-        op = build_mu(params, Fraction(1), Fraction(2), Fraction(0), Fraction(0), Fraction(3))
-        t = StructureTensor.from_operation(op)
+        t = build_mu(params, Fraction(1), Fraction(2), Fraction(0), Fraction(0), Fraction(3))
         assert t.entry(1, 2, 3) == 2
         assert t.entry(2, 1, 3) == 2
         assert t.entry(1, 3, 1) == 3
@@ -172,8 +171,7 @@ class TestSolveC:
                         entries[(i, j, k)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                 mu0 = StructureTensor(entries)
                 params = solve_C(mu0, p0)
-                rebuilt = StructureTensor.from_operation(build_mu(
-                    params, Fraction(0), p0, s, Fraction(0), Fraction(1)))
+                rebuilt = build_mu(params, Fraction(0), p0, s, Fraction(0), Fraction(1))
                 assert rebuilt == mu0
 
     def test_irrational_sigma_stays_formal(self):

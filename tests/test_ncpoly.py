@@ -25,12 +25,6 @@ class TestExtScalar:
     def test_frozen_example(self):
         assert ExtScalar(0, 2, p0=P0) * ExtScalar(0, 2, p0=P0) == 16
 
-    def test_inverse(self):
-        x = ExtScalar(Fraction(3), Fraction(-1, 2), p0=P0)
-        assert x * x.inverse() == 1
-        with pytest.raises(ZeroDivisionError):
-            ExtScalar(0, 0, p0=P0).inverse()
-
     def test_sqrt_p0_cubed_representation(self):
         # 1/sqrt(2 p0**3) = s / (2 p0**2); times p0*s it gives... sanity:
         # (p0*s)**2 = 2 p0**3

@@ -19,13 +19,26 @@ from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, Tensor,
                              partial_compose, total_compose)
 from operadyn.poly import Poly
 from operadyn.quantum import basis_jacobian, quantize
-from reference_compose import dense_partial_compose
+from reference_compose import apply, dense_partial_compose
 
 
 def basis(d, i):
     v = [Fraction(0)] * d
     v[i - 1] = Fraction(1)
     return v
+
+
+def from_entries(dim, degree, entries):
+    """The operation with the given entries at 1-based index tuples, zero elsewhere."""
+    flat = [Fraction(0)] * dim ** (degree + 1)
+    for idx, value in entries.items():
+        flat[sum((i - 1) * dim ** (degree - n) for n, i in enumerate(idx))] = value
+    return Operation(dim, degree, Tensor(flat, (dim,) * (degree + 1)))
+
+
+def identity(dim):
+    return Operation.from_matrix([[Fraction(int(i == j)) for j in range(dim)]
+                                  for i in range(dim)])
 
 
 E1, E2, E3 = basis(3, 1), basis(3, 2), basis(3, 3)
@@ -41,18 +54,17 @@ def test_graded_sign():
 
 class TestConstruction:
     def test_entries_are_one_based(self):
-        f = Operation.from_entries(3, 2, {(3, 1, 2): Fraction(1)})
+        f = from_entries(3, 2, {(3, 1, 2): Fraction(1)})
         assert f.entry(3, 1, 2) == 1
         assert f.entry(3, 2, 1) == 0
 
     def test_identity_applies(self):
-        ident = Operation.identity(3)
-        assert list(ident.apply([E2])) == E2
+        assert list(apply(identity(3), [E2])) == E2
 
     def test_apply_is_multilinear_lookup(self):
-        f = Operation.from_entries(3, 2, {(3, 1, 2): Fraction(1)})
-        assert list(f.apply([E1, E2])) == E3
-        assert list(f.apply([E2, E1])) == [0, 0, 0]
+        f = from_entries(3, 2, {(3, 1, 2): Fraction(1)})
+        assert list(apply(f, [E1, E2])) == E3
+        assert list(apply(f, [E2, E1])) == [0, 0, 0]
 
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
@@ -61,15 +73,16 @@ class TestConstruction:
     def test_degree_limit_public_only(self):
         with pytest.raises(ValueError):
             Operation(2, MAX_DEGREE + 1)
-        # internal results may exceed the public cap
-        f = Operation(2, MAX_DEGREE + 1, check_limits=False)
-        assert f.is_zero
-
-    def test_wrong_index_rejected(self):
-        with pytest.raises(ValueError):
-            Operation.from_entries(3, 2, {(0, 1, 2): 1})
-        with pytest.raises(ValueError):
-            Operation.from_entries(3, 2, {(1, 1, 4): 1})
+        # a composition result may exceed the public cap, and its linear
+        # structure works there
+        top = (1,) * (MAX_DEGREE + 1)
+        f = from_entries(2, MAX_DEGREE, {top: Fraction(1)})
+        g = from_entries(2, 2, {(1, 1, 1): Fraction(2)})
+        h = partial_compose(f, 0, g)
+        assert h.degree == MAX_DEGREE + 1 and h.entry(1, *top) == 2
+        assert h + h == 2 * h == h * 2 and (h + h).entry(1, *top) == 4
+        assert (h - h).is_zero and (h - h).degree == MAX_DEGREE + 1
+        assert -h == (-1) * h and -(-h) == h and -h != h
 
     def test_shape_mismatch_rejected(self):
         f = Operation(3, 2)
@@ -99,7 +112,7 @@ class TestTensor:
             Operation(2, 1, [[1, 2], [3, 4], [5, 6]])
 
     def test_read_only(self):
-        t = Operation.identity(2).coeffs
+        t = identity(2).coeffs
         with pytest.raises(TypeError):
             t[0, 0] = 5
         with pytest.raises(AttributeError):
@@ -109,15 +122,15 @@ class TestTensor:
 
 class TestPartialCompose:
     # f(e1, e2) = e3 and g(e1, e2) = e2, both zero elsewhere
-    f = Operation.from_entries(3, 2, {(3, 1, 2): Fraction(1)})
-    g = Operation.from_entries(3, 2, {(2, 1, 2): Fraction(1)})
+    f = from_entries(3, 2, {(3, 1, 2): Fraction(1)})
+    g = from_entries(3, 2, {(2, 1, 2): Fraction(1)})
 
     def test_slot1_hand_expansion(self):
         # h(x, y, z) = -f(x, g(y, z)); the sign is (-1)**(1*1) = -1,
         # so h(e1, e1, e2) = -f(e1, e2) = -e3
         h = partial_compose(self.f, 1, self.g)
         assert h.degree == 3
-        assert list(h.apply([E1, E1, E2])) == [0, 0, -1]
+        assert list(apply(h, [E1, E1, E2])) == [0, 0, -1]
         assert h.entry(3, 1, 1, 2) == -1
 
     def test_slot0_vanishes_here(self):
@@ -128,7 +141,7 @@ class TestPartialCompose:
         assert total_compose(self.f, self.g) == partial_compose(self.f, 1, self.g)
 
     def test_identity_neutral(self):
-        ident = Operation.identity(3)
+        ident = identity(3)
         for i in (0, 1):
             assert partial_compose(self.f, i, ident) == self.f
         assert partial_compose(ident, 0, self.g) == self.g
@@ -157,10 +170,10 @@ class TestPartialCompose:
             h = partial_compose(f, i, g)
             args = [[Fraction(rng.randint(-3, 3)) for _ in range(d)]
                     for _ in range(nf + ng - 1)]
-            inner = g.apply(args[i:i + ng])
-            outer = f.apply(args[:i] + [list(inner)] + args[i + ng:])
+            inner = apply(g, args[i:i + ng])
+            outer = apply(f, args[:i] + [list(inner)] + args[i + ng:])
             sign = graded_sign(i * (ng - 1))
-            assert list(h.apply(args)) == [sign * v for v in outer]
+            assert list(apply(h, args)) == [sign * v for v in outer]
 
 
 def _random_operation(rng, dim, degree):
@@ -168,12 +181,12 @@ def _random_operation(rng, dim, degree):
     for idx in itertools.product(range(1, dim + 1), repeat=degree + 1):
         if rng.random() < 0.4:
             entries[idx] = Fraction(rng.randint(-4, 4))
-    return Operation.from_entries(dim, degree, entries)
+    return from_entries(dim, degree, entries)
 
 
 class TestDegreeZero:
     v = Operation(3, 0, [Fraction(1), Fraction(2), Fraction(-1)])
-    f = Operation.from_entries(3, 2, {(3, 1, 2): Fraction(1), (1, 2, 2): Fraction(2)})
+    f = from_entries(3, 2, {(3, 1, 2): Fraction(1), (1, 2, 2): Fraction(2)})
 
     def test_total_compose_from_vector_is_zero_map(self):
         out = total_compose(self.v, self.f)
@@ -183,8 +196,8 @@ class TestDegreeZero:
         # f . v = f(v, .) - f(., v) since (-1)**(i*(-1)) alternates
         out = total_compose(self.f, self.v)
         assert out.degree == 1
-        plugged0 = [self.f.apply([self.v.coeffs, e]) for e in (E1, E2, E3)]
-        plugged1 = [self.f.apply([e, self.v.coeffs]) for e in (E1, E2, E3)]
+        plugged0 = [apply(self.f, [self.v.coeffs, e]) for e in (E1, E2, E3)]
+        plugged1 = [apply(self.f, [e, self.v.coeffs]) for e in (E1, E2, E3)]
         for col, (p0c, p1c) in enumerate(zip(plugged0, plugged1)):
             for row in range(3):
                 assert out.coeffs[row, col] == p0c[row] - p1c[row]

@@ -141,6 +141,13 @@ class TestHelpers:
     def test_as_poly(self):
         assert as_poly(Fraction(1, 2)) == Fraction(1, 2)
         assert as_poly(q) is q
+        # an s-free ExtScalar folds to its Fraction, and a zero is dropped
+        (coeff,) = Poly.constant(ExtScalar(3, 0, p0=2)).terms.values()
+        assert type(coeff) is Fraction and coeff == 3
+        s = ExtScalar(0, 1, p0=3)
+        assert Poly.constant(s).terms == {(0, 0, 0, 0): s}
+        for zero in (0, Fraction(0), ExtScalar(0, 0, p0=2)):
+            assert Poly.constant(zero).terms == {} and as_poly(zero).is_zero
 
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
@@ -171,6 +178,11 @@ class TestHelpers:
             Poly({(0, 0, 0, 0): 0.5})
         with pytest.raises(TypeError):
             0.1 * q
+        for bad in (0.5, "1"):
+            with pytest.raises(TypeError):
+                Poly.constant(bad)
+            with pytest.raises(TypeError):
+                as_poly(bad)
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from operadyn.lax import LaxFamilyParams, formal_mu
+import operadyn
+from operadyn.bianchi import BianchiType, structure_constants
+from operadyn.lax import LaxFamilyParams, formal_mu, rotation_generator
 from operadyn.ncpoly import ExtScalar
-from operadyn.operad import Operation
+from operadyn.operad import Operation, Tensor, gerstenhaber_bracket
 from operadyn.poly import Poly, q, p
-from operadyn.structure import PAIRS, StructureTensor, TableMismatchError
+from operadyn.structure import PAIRS, StructureTensor
 
 
 def test_mirror_filled_automatically():
@@ -43,23 +45,49 @@ def test_independent_entries_order():
 
 def test_operation_round_trip():
     t = StructureTensor({(2, 1, 2): Fraction(-1), (3, 3, 1): Fraction(1)})
-    op = t.to_operation()
-    assert isinstance(op, Operation) and op.degree == 2
-    assert StructureTensor.from_operation(op) == t
+    assert isinstance(t, Operation) and (t.dim, t.degree) == (3, 2)
+    op = Operation(3, 2, t.coeffs)
+    assert StructureTensor.from_array(op.coeffs) == t == op
 
 
 def test_from_operation_rejects_asymmetric():
-    op = Operation.from_entries(3, 2, {(1, 2, 3): Fraction(1)})  # no mirror
+    flat = [Fraction(0)] * 27
+    flat[5] = Fraction(1)  # mu^1_{23} without its mirror
     with pytest.raises(ValueError):
-        StructureTensor.from_operation(op)
+        StructureTensor.from_array(Tensor(flat, (3, 3, 3)))
+
+
+def test_brackets_are_operations():
+    # a class tensor and a family member are degree-2 Operations: the
+    # Gerstenhaber bracket takes them as they are, and each equals, and hashes
+    # like, the plain Operation with the same entries
+    t = structure_constants(BianchiType("VIIa", Fraction(1, 2)))
+    params = LaxFamilyParams((1, 2, 0, -1, 0, 3, 1, 0, 2))
+    w = Fraction(3, 2)
+    mu = formal_mu(params, w)
+    for tensor in (t, mu):
+        assert isinstance(tensor, Operation) and (tensor.dim, tensor.degree) == (3, 2)
+        plain = Operation(3, 2, tensor.coeffs)
+        assert type(plain) is Operation
+        assert tensor == plain and plain == tensor and hash(tensor) == hash(plain)
+    bracket = gerstenhaber_bracket(rotation_generator(w), mu)
+    assert bracket.degree == 2 and not bracket.is_zero
+    assert t != Operation(3, 2)
+
+
+def test_public_names_resolve_once():
+    names = operadyn.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(operadyn, name) is not None, name
 
 
 def test_polynomial_entries_and_evaluate():
     t = StructureTensor({(1, 2, 3): q * p, (3, 1, 2): Fraction(2)})
     assert not t.is_constant
-    numeric = t.evaluate(Fraction(3), Fraction(1, 3), 0, 0)
-    assert numeric.entry(1, 2, 3) == 1
-    assert numeric.entry(3, 1, 2) == 2
+    assert t.entry(1, 3, 2) == -(q * p)
+    assert t.entry(1, 2, 3).evaluate(Fraction(3), Fraction(1, 3), 0, 0) == 1
+    assert t.entry(3, 1, 2) == 2
 
 
 def test_constant_tensor_folds_polys():
@@ -76,16 +104,6 @@ def test_bare_extscalar_entry_is_constant():
     assert mu.entry(3, 1, 2) is s
     assert mu.is_constant
     assert mu.constant_tensor().entry(3, 1, 2) == s
-    assert mu.evaluate(0.5, 0.25, 1.0, 2.0).entry(3, 1, 2) == s
-
-
-def test_diff_reports_all_mismatches():
-    a = StructureTensor({(1, 2, 3): Fraction(1), (2, 3, 1): Fraction(1)})
-    b = StructureTensor({(1, 2, 3): Fraction(2)})
-    with pytest.raises(TableMismatchError) as err:
-        a.diff(b, label="unit test")
-    assert len(err.value.diffs) == 2
-    assert "unit test" in str(err.value)
 
 
 def test_zero_and_equality():
