@@ -22,14 +22,13 @@ polynomial reduction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
 from .lax import formal_mu, solve_C
 from .ncpoly import ExtScalar, _rational
-from .oscillator import BranchError, exact_flow, quasi_coords
+from .oscillator import sample_flow
 from .poly import Poly, rational_sqrt
 from .structure import StructureTensor, _cyclic_defect
 
@@ -207,40 +206,21 @@ def classical_jacobian(mu, omega, p0):
     return tuple(reduce_on_shell(c, omega, p0) for c in raw_jacobian(mu))
 
 
-def sample_flow(omega, p0, times):
-    """The exact flow at each time, as four lists: q, p, Ap, Am.
-
-    omega and p0 are floats.  Every time must satisfy |omega*t| < pi, the
-    window where the half-angle chart is single-valued (BranchError
-    otherwise), and every sample goes through `exact_flow`'s parameter check
-    and `quasi_coords`' shell and branch checks.
-    """
-    qs, ps, aps, ams = [], [], [], []
-    for tm in times:
-        if not abs(omega * tm) < math.pi:
-            raise BranchError(
-                f"time {tm} leaves the chart window |omega*t| < pi")
-        state = exact_flow(omega, p0, tm)
-        coords = quasi_coords(state)
-        qs.append(state.q)
-        ps.append(state.p)
-        aps.append(coords.a_plus)
-        ams.append(coords.a_minus)
-    return qs, ps, aps, ams
-
-
 def deformation_trace(t, omega, p0, times):
     """Sample the deformed bracket along the exact flow, column by column.
 
     Returns 14 columns: the times, q, p, Ap, Am (each a list with one float
     per time), then the nine independent entries in column order.  An entry
     without a variable term is a single float; every other entry is a list
-    with one float per time, and equal entries share one list.  Times must
-    satisfy |omega*t| < pi (see `sample_flow`).
+    with one float per time, and equal entries share one list.
 
-    The exact table is derived once, and each independent entry becomes its
-    (exps, float coefficient) pairs in `Poly.terms` order.  Each distinct
-    time-dependent entry is evaluated over all times in one
+    The flow is sampled by `oscillator.sample_flow` on all times at once:
+    omega > 0 and p0 > 0 are checked per call, not per sample, and the chart
+    window |omega*t| < pi (BranchError), the energy shell and the branch
+    p > -p0 are checked for every sample.  The exact table is derived once,
+    and each independent entry becomes its (exps, float coefficient) pairs
+    in `Poly.terms` order.  Each distinct time-dependent entry is evaluated
+    over all times in one
     `poly.evaluate_terms` call, which at every time does the same float
     operations, in the same order, as `float(entry.evaluate(q, p, Ap, Am))`
     on the exact entry, since a Fraction or ExtScalar times a float converts

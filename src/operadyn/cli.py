@@ -30,7 +30,7 @@ from pathlib import Path
 from . import bianchi, poly, quantum
 from .bianchi import BianchiType
 from .lax import LaxFamilyParams, matrix_lax_residual, operadic_lax_residual
-from .oscillator import BranchError
+from .oscillator import BranchError, sample_flow
 from .structure import PAIRS
 
 # nine independent components in column order
@@ -230,7 +230,7 @@ def _check_jacobi_classical(cfg, point, formal):
     w, p0 = point
     # one set of flow samples serves every class
     times = [(n / 25.0) * (math.pi / w) * 0.99 for n in range(25)]
-    flow = bianchi.sample_flow(w, p0, times)
+    flow = sample_flow(w, p0, times)
     worst = 0.0
     for t, tensor in formal:
         mu = bianchi.deform_formal(tensor, cfg.p0)

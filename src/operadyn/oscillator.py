@@ -8,6 +8,15 @@ The quasi-canonical coordinates are Ap = sqrt(p0 + p) >= 0 and
 Am = omega*q / Ap, defined on the branch p > -p0.  Along the flow they obey
 Ap' = -(omega/2) Am and Am' = (omega/2) Ap, i.e. they rotate at half the
 oscillator frequency.
+
+The flow and the chart are computed by columns.  `flow_columns` maps a
+list of times to the lists q and p, and `quasi_columns` maps q and p to the
+lists Ap and Am.  Each checks omega > 0 and p0 > 0 once per call;
+`quasi_columns` checks the energy shell and the branch for every sample.
+`sample_flow` adds the chart window |omega*t| < pi, checked for every time
+before any sine is taken.  `exact_flow` and `quasi_coords` are one-element
+calls into the two kernels, so every formula and every check is written
+once.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 
-# relative tolerance of the energy-shell check in `quasi_coords`
+# relative tolerance of the energy-shell check in `quasi_columns`
 SHELL_TOL = 1e-8
 
 
@@ -33,7 +42,7 @@ class OscillatorState:
 
     @property
     def energy(self):
-        return 0.5 * (self.p * self.p + self.omega * self.omega * self.q * self.q)
+        return _energy(self.q, self.p, self.omega)
 
 
 @dataclass(frozen=True)
@@ -49,15 +58,29 @@ def _check_params(omega, p0):
         raise ValueError(f"p0 must be positive, got {p0}")
 
 
+def _energy(q, p, omega):
+    """H at (q, p).  omega*q is formed first, so a huge omega times a tiny q
+    gives a finite energy instead of omega**2 overflowing to inf (or to nan
+    at q = 0)."""
+    return 0.5 * (p * p + (omega * q) * (omega * q))
+
+
+def flow_columns(omega, p0, times):
+    """The closed-form flow at each time, as two lists q and p.
+
+    q = (p0/omega) sin(omega t) and p = p0 cos(omega t).  The parameters are
+    checked once; the flow itself is defined at every time.
+    """
+    _check_params(omega, p0)
+    amplitude = p0 / omega
+    return ([amplitude * math.sin(omega * t) for t in times],
+            [p0 * math.cos(omega * t) for t in times])
+
+
 def exact_flow(omega, p0, t):
     """Closed-form state at time t: q = (p0/omega) sin(omega t), p = p0 cos(omega t)."""
-    _check_params(omega, p0)
-    return OscillatorState(
-        q=(p0 / omega) * math.sin(omega * t),
-        p=p0 * math.cos(omega * t),
-        omega=omega,
-        p0=p0,
-    )
+    (q,), (p,) = flow_columns(omega, p0, (t,))
+    return OscillatorState(q=q, p=p, omega=omega, p0=p0)
 
 
 def integrate_rk4(omega, p0, t_end, steps):
@@ -83,23 +106,54 @@ def integrate_rk4(omega, p0, t_end, steps):
     return out
 
 
-def quasi_coords(state):
-    """Quasi-canonical coordinates of an on-shell state.
+def quasi_columns(omega, p0, qs, ps):
+    """Quasi-canonical coordinates of on-shell samples, as two lists Ap and Am.
 
-    Requires p > -p0 (the chart's branch) and checks that the state lies on
-    the energy shell H = p0**2 / 2 to within SHELL_TOL relative error.
+    The parameters are checked once.  Every sample must lie on the energy
+    shell H = p0**2 / 2 to within SHELL_TOL relative error (ValueError
+    otherwise) and on the chart's branch p > -p0 (BranchError otherwise);
+    both are checked sample by sample, in order, before any square root.
     """
-    _check_params(state.omega, state.p0)
-    shell = 0.5 * state.p0 * state.p0
-    # written so that a NaN comparison (inf - inf) counts as off the shell
-    if not abs(state.energy - shell) <= SHELL_TOL * max(shell, 1.0):
-        raise ValueError(
-            f"state is off the energy shell: H = {state.energy}, expected {shell}")
-    if state.p <= -state.p0:
-        raise BranchError(
-            f"quasi-canonical chart requires p > -p0, got p = {state.p}, p0 = {state.p0}")
-    a_plus = math.sqrt(state.p0 + state.p)
-    return QuasiCoords(a_plus=a_plus, a_minus=state.omega * state.q / a_plus)
+    _check_params(omega, p0)
+    shell = 0.5 * p0 * p0
+    tol = SHELL_TOL * max(shell, 1.0)
+    for q, p in zip(qs, ps):
+        energy = _energy(q, p, omega)
+        # written so that a NaN comparison (inf - inf) counts as off the shell
+        if not abs(energy - shell) <= tol:
+            raise ValueError(
+                f"state is off the energy shell: H = {energy}, expected {shell}")
+        if p <= -p0:
+            raise BranchError(
+                f"quasi-canonical chart requires p > -p0, got p = {p}, p0 = {p0}")
+    a_plus = [math.sqrt(p0 + p) for p in ps]
+    return a_plus, [omega * q / a for q, a in zip(qs, a_plus)]
+
+
+def quasi_coords(state):
+    """Quasi-canonical coordinates of an on-shell state (see `quasi_columns`)."""
+    (a_plus,), (a_minus,) = quasi_columns(state.omega, state.p0, (state.q,), (state.p,))
+    return QuasiCoords(a_plus=a_plus, a_minus=a_minus)
+
+
+def sample_flow(omega, p0, times):
+    """The exact flow and its chart at each time, as four lists: q, p, Ap, Am.
+
+    Every time must satisfy |omega*t| < pi, the window where the half-angle
+    chart is single-valued (BranchError otherwise).  The window is checked
+    for every time, in order, before any sine is taken; then `flow_columns`
+    checks omega and p0 once, and `quasi_columns` checks them once more and
+    checks the shell and the branch for every sample.  So a call with bad
+    parameters raises even when `times` is empty, and a call with several
+    faults names a time outside the window first, even when an earlier
+    sample is off the shell or the branch.  `times` is a sequence, since it
+    is read once for the window and again for the flow.
+    """
+    for t in times:
+        if not abs(omega * t) < math.pi:
+            raise BranchError(f"time {t} leaves the chart window |omega*t| < pi")
+    q, p = flow_columns(omega, p0, times)
+    return (q, p, *quasi_columns(omega, p0, q, p))
 
 
 def quasi_coords_derivative(coords, omega):

@@ -4,10 +4,11 @@ Runs every `tables` format, `verify all`, `trace` of all eleven classes and
 the edge cases of the trace row template (an all-constant table and a
 single row: `trace I --t-samples 1`, `trace VIIa --t-samples 1`; 2000 and
 3000 samples, sizes the benchmark's trace workload runs) at a set of
-(omega, p0, a) configs under both trees, then every script in `demos/` of
-this checkout, and reports each command whose stdout, stderr or exit code
-differs.  Commands whose exit code is not 0 in the base tree are listed
-separately, since their output is not a contract.
+(omega, p0, a) configs under both trees, then the `trace` error paths
+(no samples, an --omega or --p0 whose square overflows, an unknown tag) and
+every script in `demos/` of this checkout, and reports each command whose
+stdout, stderr or exit code differs.  A command that fails is compared like
+any other: its exit code and its error text are part of the contract.
 
     python3 tools/cli_diff.py BASE_SRC NEW_SRC
 
@@ -39,6 +40,14 @@ CONFIGS = (
     ("--omega", "1e150", "--p0", "1e100"),
 )
 
+# commands that exit 2 with one line on stderr
+ERRORS = (
+    ("trace", "VIIa", "--t-samples", "0"),
+    ("trace", "VIIa", "--omega", "1e300"),
+    ("trace", "VIIa", "--p0", "1e200"),
+    ("trace", "X"),
+)
+
 
 def commands():
     for cfg in CONFIGS:
@@ -52,6 +61,7 @@ def commands():
         yield ("trace", "I", "--t-samples", "1", *cfg)
         yield ("trace", "VIIa", "--t-samples", "1", *cfg)
         yield ("trace", "IX", "--t-samples", "3000", *cfg)
+    yield from ERRORS
     for demo in sorted(DEMOS.glob("*.py")):
         yield (str(demo),)
 
@@ -72,14 +82,11 @@ def main(argv=None):
     same = differ = 0
     for cmd in commands():
         old, cur = run(base, cmd), run(new, cmd)
-        line = " ".join(cmd)
-        if old[0] != 0:
-            print(f"base exit {old[0]}, new exit {cur[0]}: {line}")
-        elif old == cur:
+        if old == cur:
             same += 1
         else:
             differ += 1
-            print(f"DIFFERS: {line}")
+            print(f"DIFFERS (exit {old[0]} -> {cur[0]}): {' '.join(cmd)}")
     print(f"{same} identical, {differ} different")
     return 1 if differ else 0
 
