@@ -17,7 +17,10 @@ is a thin call over a function of the formal tensor (`deform_formal`,
 `quantum.quantize_formal`), so a caller that needs both builds the formal
 deformation once.  On the energy shell the deformed bracket satisfies the
 Jacobi identity at every time, which `classical_jacobian` verifies by exact
-polynomial reduction.
+polynomial reduction.  The reduction runs through a `ShellReduction` table
+for one (omega, p0), which keeps the normal form of each monomial it has
+met; `classical_jacobian` reduces its three components through one table,
+and `reduce_on_shell` builds one per call.  No table outlives its call.
 """
 
 from __future__ import annotations
@@ -124,12 +127,17 @@ def formal_deformation(t, omega, p0):
 
 
 def _fold(value, sigma):
-    """Replace the formal s of an entry by its rational value sigma."""
+    """Replace the formal s of an entry by its rational value sigma.
+
+    A Poly keeps its keys, so it is rebuilt unchecked; a coefficient that
+    folds to 0 is dropped.
+    """
     def number(c):
         return c.u + c.v * sigma if isinstance(c, ExtScalar) else c
-    if isinstance(value, Poly):
-        return Poly({exps: number(c) for exps, c in value.terms.items()})
-    return number(value)
+    if not isinstance(value, Poly):
+        return number(value)
+    folded = ((exps, number(c)) for exps, c in value.terms.items())
+    return poly._trusted({exps: c for exps, c in folded if c})
 
 
 def deform(t, omega, p0):
@@ -159,30 +167,67 @@ def is_rigid(t, omega=1, p0=2):
 # Jacobi identity on the energy shell
 
 
+class ShellReduction:
+    """Normal forms on the oscillator shell of one (omega, p0), filled lazily.
+
+    The shell substitutes q = Ap*Am/omega and p = (Ap**2 - Am**2)/2, then
+    eliminates Am-powers above 1 through Am**2 = 2*p0 - Ap**2.  The table
+    keeps the normal form of each monomial it has met, so the values reduced
+    through one table pay for each monomial once, and a zero value costs
+    nothing.  Nothing outlives the table.
+    """
+
+    def __init__(self, omega, p0):
+        w = _rational(omega)
+        p0 = _rational(p0)
+        self._q = (poly.a_plus * poly.a_minus) * (1 / w)
+        self._p = (poly.a_plus ** 2 - poly.a_minus ** 2) * Fraction(1, 2)
+        self._shell = Poly.constant(2 * p0) - poly.a_plus ** 2
+        self._forms = {}
+
+    def reduce(self, value):
+        """Normal form of a phase-space polynomial or number on the shell.
+
+        It is the zero polynomial exactly when the value vanishes on the
+        shell (for the branch chart's image, which is Zariski dense in it).
+        """
+        return self._combine(poly.as_poly(value).terms.items())
+
+    def _combine(self, terms):
+        """The sum of coeff times the normal form of exps over (exps, coeff)."""
+        out = {}
+        for exps, coeff in terms:
+            for key, c in self._form(exps).terms.items():
+                acc = out.get(key)
+                acc = coeff * c if acc is None else acc + coeff * c
+                if acc:
+                    out[key] = poly._fold(acc)
+                else:
+                    out.pop(key, None)
+        return poly._trusted(out)
+
+    def _form(self, exps):
+        form = self._forms.get(exps)
+        if form is None:
+            i, j, k, l = exps
+            if i or j:
+                # substitute q and p, then reduce the image's Ap, Am monomials
+                image = (self._q ** i * self._p ** j).terms.items()
+                form = self._combine(((0, 0, a + k, b + l), c) for (_, _, a, b), c in image)
+            else:
+                form = (poly.a_plus ** k * poly.a_minus ** (l % 2)
+                        * self._shell ** (l // 2))
+            self._forms[exps] = form
+        return form
+
+
 def reduce_on_shell(value, omega, p0):
     """Normal form of a phase-space polynomial on the oscillator shell.
 
-    Substitutes q = Ap*Am/omega and p = (Ap**2 - Am**2)/2, then eliminates
-    Am-powers above 1 through Am**2 = 2*p0 - Ap**2.  The result is the zero
-    polynomial exactly when the input vanishes on the shell (for the branch
-    chart's image, which is Zariski dense in it).
+    One `ShellReduction` table, used for this value only.  A caller that
+    reduces several values at one (omega, p0) shares a table instead.
     """
-    value = poly.as_poly(value)
-    w = _rational(omega)
-    p0 = _rational(p0)
-    substituted = value.substitute(
-        q=(poly.a_plus * poly.a_minus) * (1 / w),
-        p=(poly.a_plus ** 2 - poly.a_minus ** 2) * Fraction(1, 2),
-    )
-    shell = Poly.constant(2 * p0) - poly.a_plus ** 2
-    out = Poly()
-    for (eq, ep, eap, eam), coeff in substituted.terms.items():
-        # q and p are gone after the substitution
-        assert eq == 0 and ep == 0
-        k, r = divmod(eam, 2)
-        term = Poly.constant(coeff) * poly.a_plus ** eap * poly.a_minus ** r * shell ** k
-        out = out + term
-    return out
+    return ShellReduction(omega, p0).reduce(value)
 
 
 def raw_jacobian(mu):
@@ -200,10 +245,11 @@ def classical_jacobian(mu, omega, p0):
     """On-shell Jacobi defect of a (possibly time-dependent) bracket.
 
     Returns the three components of the cyclic defect evaluated on the basis
-    triple (e1, e2, e3), each reduced to shell normal form.  A Lie bracket on
-    the shell gives (0, 0, 0) exactly.
+    triple (e1, e2, e3), each reduced to shell normal form through one shared
+    `ShellReduction`.  A Lie bracket on the shell gives (0, 0, 0) exactly.
     """
-    return tuple(reduce_on_shell(c, omega, p0) for c in raw_jacobian(mu))
+    shell = ShellReduction(omega, p0)
+    return tuple(shell.reduce(c) for c in raw_jacobian(mu))
 
 
 def deformation_trace(t, omega, p0, times):

@@ -231,11 +231,13 @@ def _check_jacobi_classical(cfg, point, formal):
     # one set of flow samples serves every class
     times = [(n / 25.0) * (math.pi / w) * 0.99 for n in range(25)]
     flow = sample_flow(w, p0, times)
+    # one shell reduction table serves every class
+    shell = bianchi.ShellReduction(cfg.omega, cfg.p0)
     worst = 0.0
     for t, tensor in formal:
         mu = bianchi.deform_formal(tensor, cfg.p0)
         raw = bianchi.raw_jacobian(mu)
-        reduced = tuple(bianchi.reduce_on_shell(c, cfg.omega, cfg.p0) for c in raw)
+        reduced = tuple(map(shell.reduce, raw))
         if any(not c.is_zero for c in reduced):
             return False, f"on-shell defect of {t.label} is not zero: {reduced}"
         for component in raw:

@@ -37,7 +37,7 @@ from . import poly
 from .ncpoly import ExtScalar, _rational
 from .operad import Operation, Tensor, gerstenhaber_bracket
 from .poly import Poly
-from .structure import StructureTensor
+from .structure import StructureTensor, _position
 
 # ---------------------------------------------------------------------------
 # matrix layer
@@ -175,8 +175,10 @@ def solve_C(mu0, p0):
         raise ValueError(f"p0 must be positive, got {p0}")
     two_p0 = 2 * p0
 
+    flat = mu0.coeffs.flat
+
     def m(i, j, k):
-        return poly.as_poly(mu0.entry(i, j, k)).constant_value()
+        return poly.as_poly(flat[_position(i, j, k)]).constant_value()
 
     def over_s(value):
         return ExtScalar(0, value / two_p0, p0=p0)

@@ -16,8 +16,9 @@ coefficient that has the polynomial's p0.  The public constructors
 (`ExtScalar(...)`, `NCPoly(...)`, `scalar`, `generator`, `from_text`)
 check and coerce their input, and raise TypeError on anything that is not
 rational, a float included.  Only the ring operations, whose operands
-already hold the invariants, build their results through the private
-`_ext` and `_nc`, which check nothing.
+already hold the invariants, and `quantum.quantize_formal`, whose words
+come from distinct monomials of a Poly, build their results through the
+private `_ext` and `_nc`, which check nothing.
 """
 
 from __future__ import annotations
@@ -181,6 +182,18 @@ class ExtScalar:
         return cls(u, v, p0=p0)
 
 
+def _scalar(value, p0):
+    """A rational or ExtScalar as an ExtScalar of context p0.
+
+    ValueError on an ExtScalar of another p0, TypeError on a non-rational.
+    """
+    if isinstance(value, ExtScalar):
+        if value.p0 is not p0 and value.p0 != p0:
+            raise ValueError(f"mixed p0 contexts: {p0} vs {value.p0}")
+        return value
+    return _ext(_rational(value), _ZERO, p0)
+
+
 def _nc(terms, p0):
     """The NCPoly over terms that already hold the invariant, unchecked."""
     out = _new(NCPoly)
@@ -207,17 +220,10 @@ class NCPoly:
             for g in word:
                 if g not in _GEN_INDEX:
                     raise ValueError(f"unknown generator {g!r}, expected one of {GENERATORS}")
-            coeff = self._scalar(coeff)
+            coeff = _scalar(coeff, self.p0)
             if coeff:
                 clean[word] = coeff
         self.terms = clean
-
-    def _scalar(self, value):
-        if isinstance(value, ExtScalar):
-            if value.p0 is not self.p0 and value.p0 != self.p0:
-                raise ValueError(f"mixed p0 contexts: {self.p0} vs {value.p0}")
-            return value
-        return _ext(_rational(value), _ZERO, self.p0)
 
     # ---- constructors -----------------------------------------------------
 
@@ -255,7 +261,7 @@ class NCPoly:
                 raise ValueError(f"mixed p0 contexts: {self.p0} vs {other.p0}")
             return other
         if isinstance(other, (ExtScalar, Rational)):
-            c = self._scalar(other)
+            c = _scalar(other, self.p0)
             return _nc({(): c} if c else {}, self.p0)
         return None
 
@@ -314,7 +320,7 @@ class NCPoly:
     def _scaled(self, other):
         if not isinstance(other, (ExtScalar, Rational)):
             return NotImplemented
-        c = self._scalar(other)
+        c = _scalar(other, self.p0)
         # products of nonzero scalars vanish when sqrt(2*p0) is rational
         out = {}
         for word, coeff in self.terms.items():

@@ -16,7 +16,7 @@ lists Ap and Am.  Each checks omega > 0 and p0 > 0 once per call;
 `sample_flow` adds the chart window |omega*t| < pi, checked for every time
 before any sine is taken.  `exact_flow` and `quasi_coords` are one-element
 calls into the two kernels, so every formula and every check is written
-once.
+once; `exact_flow` first checks that its one time is finite.
 """
 
 from __future__ import annotations
@@ -78,7 +78,13 @@ def flow_columns(omega, p0, times):
 
 
 def exact_flow(omega, p0, t):
-    """Closed-form state at time t: q = (p0/omega) sin(omega t), p = p0 cos(omega t)."""
+    """Closed-form state at time t: q = (p0/omega) sin(omega t), p = p0 cos(omega t).
+
+    The time must be finite (ValueError naming it otherwise): the sine of an
+    infinite time is undefined, and a nan time has no state.
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"time {t} is not finite")
     (q,), (p,) = flow_columns(omega, p0, (t,))
     return OscillatorState(q=q, p=p, omega=omega, p0=p0)
 

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bianchi, poly
-from .ncpoly import GENERATORS, ExtScalar, NCPoly, _rational, commutator
+from .ncpoly import (GENERATORS, ExtScalar, NCPoly, _nc, _positive_p0, _rational, _scalar,
+                     commutator)
 from .structure import _cyclic_defect, _position
 
 RIGID = "Rigid"
@@ -60,13 +61,15 @@ def quantize_formal(formal, p0):
     """Operator form of a formal deformation at the same p0.
 
     Applies the quantization map to every entry; the coefficients, s
-    included, carry over unchanged.
+    included, carry over unchanged.  Distinct monomials map to distinct
+    words and every coefficient of a Poly is nonzero, so each entry is built
+    unchecked; p0 is checked once, and each ExtScalar coefficient against it.
     """
-    p0 = _rational(p0)
+    p0 = _positive_p0(p0)
 
     def operator(value):
         terms = poly.as_poly(value).terms
-        return NCPoly({_word(exps): c for exps, c in terms.items()}, p0=p0)
+        return _nc({_word(exps): _scalar(c, p0) for exps, c in terms.items()}, p0)
 
     return formal.map_entries(operator)
 

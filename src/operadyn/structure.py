@@ -5,11 +5,19 @@ A StructureTensor holds the coefficients mu[i][j][k] of a bracket
 degree-2 `operad.Operation` on a 3d space: a bracket enters the
 Gerstenhaber bracket and composition as it is, and equals the Operation
 with the same entries.  Its own part is the sparse constructor with mirror
-fill, the antisymmetry check and the views by independent entry.  Entries
-can be exact numbers, `poly.Poly`, or `ncpoly.NCPoly`; the container is
-agnostic as long as entries support +, -, * and == with each other and
-with 0, and a non-number entry has `is_constant` and `constant_value()`,
-as both do.
+fill, the antisymmetry check and the views by independent entry.
+
+The sparse constructor checks only what its input can break: a diagonal
+entry it was given must vanish, and a pair given in both orientations must
+be opposite.  A mirror it fills as -value is antisymmetric by construction,
+so it is not compared.  `from_array` and `map_entries` take a dense tensor
+or an arbitrary map, so they check all nine diagonal entries and all nine
+pairs.
+
+Entries can be exact numbers, `poly.Poly`, or `ncpoly.NCPoly`; the
+container is agnostic as long as entries support +, -, * and == with each
+other and with 0, and a non-number entry has `is_constant` and
+`constant_value()`, as both do.
 
 Indices are 1-based everywhere in the public interface, matching the usual
 e_1, e_2, e_3 notation; the independent components are reported in the
@@ -32,6 +40,9 @@ _SCALARS = (Rational, float, ExtScalar)
 
 # independent index pairs, in standard column order
 PAIRS = ((1, 2), (2, 3), (3, 1))
+
+# every 0-based (i, j, k) with j <= k, in the antisymmetry check's scan order
+_SCAN = tuple((i, j, k) for i in range(DIM) for j in range(DIM) for k in range(j, DIM))
 
 
 def _position(i, j, k):
@@ -71,7 +82,8 @@ class StructureTensor(Operation):
         """Build from a sparse mapping {(i, j, k): value} with 1-based indices.
 
         If only one orientation of a pair is given, the opposite one is filled
-        with its negative; if both are given they must already be opposite.
+        with its negative, and is not compared; a given diagonal entry must
+        vanish, and a pair given both ways must already be opposite.
         """
         provided = {}
         for idx, value in (entries or {}).items():
@@ -79,31 +91,37 @@ class StructureTensor(Operation):
             if any(not (1 <= n <= DIM) for n in (i, j, k)):
                 raise ValueError(f"index {idx!r} out of range 1..{DIM}")
             provided[(i, j, k)] = value
-        for (i, j, k), value in list(provided.items()):
-            mirror = (i, k, j)
-            if mirror not in provided:
-                provided[mirror] = -value
         flat = [Fraction(0)] * DIM ** 3
+        checks = set()
         for (i, j, k), value in provided.items():
             flat[_position(i, j, k)] = value
+            if (i, k, j) not in provided:
+                flat[_position(i, k, j)] = -value
+            else:
+                # a given diagonal, or a pair given both ways
+                checks.add((i - 1, min(j, k) - 1, max(j, k) - 1))
         super().__init__(DIM, 2, Tensor(flat, SHAPE))
-        self._validate()
+        self._validate(sorted(checks))
 
-    def _validate(self):
+    def _validate(self, checks=_SCAN):
+        """Antisymmetry at each 0-based (i, j, k) of `checks`, with j <= k.
+
+        A diagonal entry must vanish and mu^i_{jk} must equal -mu^i_{kj}.  By
+        default all 18 are checked, in scan order.
+        """
         flat = self.coeffs.flat
-        for i in range(DIM):
-            for j in range(DIM):
-                for k in range(j, DIM):
-                    a = flat[(i * DIM + j) * DIM + k]
-                    b = flat[(i * DIM + k) * DIM + j]
-                    if j == k:
-                        if not (a == 0):
-                            raise ValueError(
-                                f"diagonal entry mu^{i+1}_{{{j+1}{k+1}}} = {a} must vanish")
-                    elif not (a == -b):
-                        raise ValueError(
-                            f"antisymmetry broken at mu^{i+1}_{{{j+1}{k+1}}}:"
-                            f" {a} vs {b}")
+        for i, j, k in checks:
+            a = flat[(i * DIM + j) * DIM + k]
+            if j == k:
+                if not (a == 0):
+                    raise ValueError(
+                        f"diagonal entry mu^{i+1}_{{{j+1}{k+1}}} = {a} must vanish")
+            else:
+                b = flat[(i * DIM + k) * DIM + j]
+                if not (a == -b):
+                    raise ValueError(
+                        f"antisymmetry broken at mu^{i+1}_{{{j+1}{k+1}}}:"
+                        f" {a} vs {b}")
 
     @classmethod
     def from_array(cls, array):

@@ -14,15 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operadyn import poly, quantum
-from operadyn.bianchi import (BianchiType, TAGS, all_types,
+from operadyn.bianchi import (BianchiType, TAGS, ShellReduction, all_types,
                               classical_jacobian, deform, deform_formal,
                               deformation_trace, formal_deformation,
                               is_rigid, raw_jacobian, reduce_on_shell,
                               structure_constants)
+from operadyn.cli import main
 from operadyn.lax import LaxFamilyParams, formal_mu, solve_C
 from operadyn.ncpoly import ExtScalar
 from operadyn.oscillator import BranchError
 from operadyn.poly import Poly, rational_sqrt
+from operadyn.structure import StructureTensor
+from reference_shell import reference_reduce_on_shell
 from reference_tables import GRID, transcribed_deformation
 
 A = Fraction(1, 2)
@@ -127,6 +130,21 @@ class TestDeform:
         J = classical_jacobian(d, 1, 3)
         assert all(c.is_zero for c in J)
 
+    def test_fold_drops_cancelled_coefficients(self):
+        # at p0 = 2, sigma = 2, so s - 2 folds to 0 and must not be stored
+        p0 = Fraction(2)
+        entry = Poly({(1, 0, 0, 0): ExtScalar(-2, 1, p0=p0),
+                      (0, 1, 0, 0): ExtScalar(1, 1, p0=p0)})
+        formal = StructureTensor({(1, 2, 3): entry, (3, 1, 2): ExtScalar(-2, 1, p0=p0)})
+        folded = deform_formal(formal, p0)
+        assert folded.entry(1, 2, 3).terms == {(0, 1, 0, 0): Fraction(3)}
+        assert folded.entry(1, 3, 2).terms == {(0, 1, 0, 0): Fraction(-3)}
+        assert folded.entry(3, 1, 2) == 0 and type(folded.entry(3, 1, 2)) is Fraction
+        # every coefficient of a folded class table is a nonzero Fraction
+        for t in all_types(A):
+            for v in deform(t, 1, Fraction(8, 9)).coeffs.flat:
+                assert all(type(c) is Fraction and c for c in poly.as_poly(v).terms.values())
+
     def test_rigidity_set(self):
         rigid = {t.tag for t in all_types(A) if is_rigid(t)}
         assert rigid == {"I", "VII", "VIII", "IX"}
@@ -182,6 +200,132 @@ class TestOnShellReduction:
         assert reduce_on_shell(f, w, p0) == expected
 
 
+# p0 with rational sqrt(2*p0) (2, 8/9) and irrational (3, 5/7)
+SHELL_P0 = (Fraction(2), Fraction(8, 9), Fraction(3), Fraction(5, 7))
+
+
+@st.composite
+def shell_inputs(draw):
+    """(value, omega, p0): a zero, constant, Am-power or general polynomial."""
+    p0 = draw(st.sampled_from(SHELL_P0))
+    omega = draw(st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
+    small = st.fractions(max_denominator=6)
+    # a few fixed s-parts, so sums on one normal-form monomial often cancel s
+    fixed = st.sampled_from([ExtScalar(u, v, p0=p0) for u in (0, 1) for v in (1, -1)])
+    scalar = small | fixed | st.builds(lambda u, v: ExtScalar(u, v, p0=p0), small, small)
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+                     st.integers(0, 9))
+    value = draw(st.one_of(
+        st.just(Poly()),
+        scalar,
+        scalar.map(Poly.constant),
+        st.integers(0, 14).map(lambda n: poly.a_minus ** n),
+        st.builds(lambda c, n: c * poly.a_plus * poly.a_minus ** n, scalar,
+                  st.integers(0, 14)),
+        st.dictionaries(exps, scalar, max_size=6).map(Poly)))
+    return value, omega, p0
+
+
+def _same(got, want):
+    """Equal polynomials, with equal coefficient types and canonical text."""
+    return (got == want and str(got) == str(want)
+            and {e: type(c) for e, c in got.terms.items()}
+            == {e: type(c) for e, c in want.terms.items()})
+
+
+def _count_poly_products(monkeypatch):
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    return calls
+
+
+class TestShellReduction:
+    """The table-based reduction against the term-by-term oracle."""
+
+    @given(shell_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_term_by_term_oracle(self, case):
+        value, omega, p0 = case
+        want = reference_reduce_on_shell(value, omega, p0)
+        assert _same(reduce_on_shell(value, omega, p0), want)
+        shell = ShellReduction(omega, p0)
+        # a second pass reads the monomial forms the first one filled
+        for _ in range(2):
+            assert _same(shell.reduce(value), want)
+
+    def test_cancelled_s_part_folds_to_fraction(self):
+        # (1 + s)*Ap**2 - s*p and p = Ap**2 - p0 on the shell: the s-parts on
+        # Ap**2 cancel, leaving the Fraction 1
+        p0 = Fraction(3)
+        s = ExtScalar(0, 1, p0=p0)
+        f = Poly({(0, 0, 2, 0): 1 + s, (0, 1, 0, 0): -s})
+        got = ShellReduction(1, p0).reduce(f)
+        assert _same(got, reference_reduce_on_shell(f, 1, p0))
+        assert got.terms == {(0, 0, 2, 0): Fraction(1), (0, 0, 0, 0): 3 * s}
+        assert type(got.terms[(0, 0, 2, 0)]) is Fraction
+
+    @pytest.mark.parametrize("p0", SHELL_P0)
+    def test_every_raw_defect_through_one_table(self, p0):
+        for omega in (Fraction(1), Fraction(3, 2)):
+            shell = ShellReduction(omega, p0)
+            for t in all_types(Fraction(2, 3)):
+                for component in raw_jacobian(deform(t, omega, p0)):
+                    got = shell.reduce(component)
+                    assert _same(got, reference_reduce_on_shell(component, omega, p0))
+                    assert got.is_zero, (t.label, omega, p0)
+
+    def test_tables_share_no_state(self):
+        f = poly.q ** 2 * poly.a_minus ** 3 + poly.p * poly.a_plus + poly.q
+        points = ((1, Fraction(2)), (Fraction(3, 2), Fraction(5, 7)))
+        want = [reference_reduce_on_shell(f, w, p0) for w, p0 in points]
+        assert want[0] != want[1]
+        tables = [ShellReduction(w, p0) for w, p0 in points]
+        for _ in range(2):
+            for table, expected in zip(tables, want):
+                assert _same(table.reduce(f), expected)
+            for (w, p0), expected in zip(points, want):
+                assert _same(reduce_on_shell(f, w, p0), expected)
+
+    def test_no_cache_outlives_a_call(self, monkeypatch):
+        f = poly.q ** 3 + poly.p ** 2 * poly.a_minus ** 5
+        calls = _count_poly_products(monkeypatch)
+        costs = []
+        for _ in range(3):
+            calls.clear()
+            reduce_on_shell(f, 1, Fraction(2))
+            costs.append(len(calls))
+        assert costs[0] > 0 and costs == [costs[0]] * 3
+
+    def test_zero_input_costs_nothing(self, monkeypatch):
+        shell = ShellReduction(1, Fraction(2))
+        calls = _count_poly_products(monkeypatch)
+        assert shell.reduce(Poly()).is_zero and shell.reduce(0).is_zero
+        assert calls == []
+
+    def test_one_table_per_jacobian_and_suite(self, monkeypatch, capsys):
+        built = []
+        init = ShellReduction.__init__
+
+        def counted(self, omega, p0):
+            built.append((omega, p0))
+            init(self, omega, p0)
+
+        monkeypatch.setattr(ShellReduction, "__init__", counted)
+        classical_jacobian(deform(BianchiType("VIIa", A), 1, Fraction(2)), 1, Fraction(2))
+        assert len(built) == 1
+        built.clear()
+        assert main(["verify", "jacobi-classical", "--p0", "3"]) == 0
+        assert "jacobi-classical: PASS" in capsys.readouterr().out
+        assert built == [(Fraction(1), Fraction(3))]
+
+
 class TestJacobi:
     def test_symbolic_zero_across_moduli(self):
         for a in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
@@ -216,6 +360,8 @@ _FLOAT_CALLS = {
     "deform_formal p0": lambda: deform_formal(formal_deformation(_VIIA, 1, 2), 2.0),
     "reduce_on_shell omega": lambda: reduce_on_shell(poly.q, 0.5, Fraction(2)),
     "reduce_on_shell p0": lambda: reduce_on_shell(poly.q, 1, 0.5),
+    "ShellReduction omega": lambda: ShellReduction(0.5, Fraction(2)),
+    "ShellReduction p0": lambda: ShellReduction(1, 0.5),
     "deformation_trace omega": lambda: deformation_trace(_VIIA, 0.1, Fraction(2), [0.0]),
     "deformation_trace p0": lambda: deformation_trace(_VIIA, 1, 0.1, [0.0]),
     "solve_C p0": lambda: solve_C(structure_constants(_VIIA), 0.1),

@@ -33,6 +33,20 @@ def test_parameters_validated():
         integrate_rk4(1.0, 1.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_exact_flow_rejects_non_finite_time(t):
+    # sin(inf) was a bare "math domain error", and a nan time a nan state
+    with pytest.raises(ValueError, match=rf"^time {t} is not finite$"):
+        exact_flow(1.0, 2.0, t)
+
+
+def test_exact_flow_takes_any_finite_time():
+    # no chart window here: the flow is defined at every finite time
+    for t in (-1e300, 1e300, 7.5, 0):
+        s = exact_flow(1.0, 2.0, t)
+        assert math.isfinite(s.q) and math.isfinite(s.p)
+
+
 def test_rk4_tracks_exact_flow():
     steps = 1000
     T = 2 * math.pi

@@ -14,11 +14,12 @@ from fractions import Fraction
 import pytest
 
 from operadyn import poly
-from operadyn.bianchi import BianchiType, all_types, reduce_on_shell
+from operadyn.bianchi import BianchiType, all_types, formal_deformation, reduce_on_shell
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
 from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID,
                               basis_jacobian, classify, generator_commutator,
-                              quantize, quantum_jacobian, xi_pair, xi_pm)
+                              quantize, quantize_formal, quantum_jacobian, xi_pair,
+                              xi_pm)
 from operadyn.structure import StructureTensor
 from reference_compose import triple_product
 from reference_tables import GRID, operator_table
@@ -125,6 +126,32 @@ class TestQuantize:
             for t in all_types(a):
                 assert quantize(t, w, p0) == operator_table(t, w, p0), (
                     f"StructureTensor of {t.label} at omega={w}, p0={p0}")
+
+    def test_unchecked_build_equals_checked_build(self):
+        # every entry equals the NCPoly the checking constructor builds from
+        # the same words, and holds its invariant: nonzero ExtScalar
+        # coefficients of the entry's p0
+        for p0 in (Fraction(2), Fraction(8, 9), Fraction(3), Fraction(5, 7)):
+            for t in all_types(Fraction(2, 3)):
+                formal = formal_deformation(t, Fraction(3, 2), p0)
+                mu = quantize_formal(formal, p0)
+                for v, value in zip(mu.coeffs.flat, formal.coeffs.flat):
+                    words = {tuple(g for g, e in zip(GENERATORS, exps) for _ in range(e)): c
+                             for exps, c in poly.as_poly(value).terms.items()}
+                    assert v == NCPoly(words, p0=p0) and v.p0 == p0
+                    assert all(type(c) is ExtScalar and c and c.p0 == p0
+                               for c in v.terms.values())
+
+    def test_p0_checked_once_and_against_each_coefficient(self):
+        formal = formal_deformation(BianchiType("VIIa", Fraction(1, 2)), 1, Fraction(3))
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="^p0 must be positive"):
+                quantize_formal(formal, bad)
+        with pytest.raises(TypeError):
+            quantize_formal(formal, 3.0)
+        # the s-coefficients carry p0 = 3, so another context is refused
+        with pytest.raises(ValueError, match=r"^mixed p0 contexts: 5 vs 3$"):
+            quantize_formal(formal, 5)
 
     def test_sigma_stays_symbolic(self):
         # p0 = 2 makes sigma = 2 rational, but the operator entries keep s

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import operadyn
 from operadyn.bianchi import BianchiType, structure_constants
@@ -19,13 +21,76 @@ def test_mirror_filled_automatically():
 
 def test_explicit_mirror_must_match():
     StructureTensor({(1, 2, 3): Fraction(2), (1, 3, 2): Fraction(-2)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^antisymmetry broken at mu\^1_\{23\}: 2 vs 2$"):
         StructureTensor({(1, 2, 3): Fraction(2), (1, 3, 2): Fraction(2)})
+    # the message names the lower pair, whichever orientation came first
+    with pytest.raises(ValueError, match=r"^antisymmetry broken at mu\^2_\{13\}: \(1\)\*q vs \(5\)$"):
+        StructureTensor({(2, 3, 1): Poly.constant(5), (2, 1, 3): q})
 
 
 def test_diagonal_must_vanish():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^diagonal entry mu\^1_\{11\} = 1 must vanish$"):
         StructureTensor({(1, 1, 1): Fraction(1)})
+    StructureTensor({(2, 3, 3): Fraction(0), (3, 1, 1): Poly()})
+
+
+def test_first_fault_in_scan_order():
+    # upper index first, then the pair: mu^1_{23} is found before mu^2_{11}
+    entries = {(2, 1, 1): Fraction(7), (1, 3, 2): Fraction(1), (1, 2, 3): Fraction(1)}
+    with pytest.raises(ValueError, match=r"^antisymmetry broken at mu\^1_\{23\}: 1 vs 1$"):
+        StructureTensor(entries)
+    del entries[(1, 3, 2)]
+    with pytest.raises(ValueError, match=r"^diagonal entry mu\^2_\{11\} = 7 must vanish$"):
+        StructureTensor(entries)
+
+
+def _dense(entries):
+    """Nested 0-based lists of a sparse input, each missing mirror filled as -value."""
+    full = dict(entries)
+    for (i, j, k), value in entries.items():
+        full.setdefault((i, k, j), -value)
+    return [[[full.get((i, j, k), Fraction(0)) for k in (1, 2, 3)] for j in (1, 2, 3)]
+            for i in (1, 2, 3)]
+
+
+def _outcome(build, entries):
+    """The built tensor's entries, or the message it was refused with."""
+    try:
+        return build(entries).coeffs.flat
+    except ValueError as exc:
+        return str(exc)
+
+
+_INDEX = st.tuples(*(st.integers(1, 3),) * 3)
+
+
+@given(st.dictionaries(_INDEX, st.integers(-2, 2).map(Fraction), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_sparse_check_agrees_with_full_check(entries):
+    # given diagonals and pairs given both ways are what the sparse input can
+    # break; on the dense fill the full check raises the same first message
+    full = _outcome(lambda e: StructureTensor.from_array(_dense(e)), entries)
+    assert _outcome(StructureTensor, entries) == full
+
+
+@given(st.dictionaries(
+    _INDEX.filter(lambda idx: idx[1] < idx[2]),
+    st.builds(lambda c, e: c * q ** e, st.fractions(max_denominator=5), st.integers(0, 2))
+    | st.fractions(max_denominator=5)))
+@settings(max_examples=100, deadline=None)
+def test_mirror_filled_input_equals_from_array(entries):
+    # one orientation per pair: nothing to compare, and the same tensor as
+    # the fully checked dense build
+    t = StructureTensor(entries)
+    dense = StructureTensor.from_array(_dense(entries))
+    assert t == dense and t.coeffs.flat == dense.coeffs.flat
+
+
+def test_map_entries_keeps_full_check():
+    t = StructureTensor({(1, 2, 3): Fraction(1)})
+    with pytest.raises(ValueError, match=r"^antisymmetry broken at mu\^1_\{23\}: 2 vs 2$"):
+        # an even map breaks the mirror the constructor filled
+        t.map_entries(lambda v: 2 * abs(v))
 
 
 def test_index_range():

@@ -1,9 +1,10 @@
 """Compare the CLI output of two operadyn source trees byte for byte.
 
-Runs every `tables` format, `verify all`, `trace` of all eleven classes and
-the edge cases of the trace row template (an all-constant table and a
-single row: `trace I --t-samples 1`, `trace VIIa --t-samples 1`; 2000 and
-3000 samples, sizes the benchmark's trace workload runs) at a set of
+Runs every `tables` format, `verify all` and each of its four suites alone
+(each suite has its own dispatch), `trace` of all eleven classes and the
+edge cases of the trace row template (an all-constant table and a single
+row: `trace I --t-samples 1`, `trace VIIa --t-samples 1`; 2000 and 3000
+samples, sizes the benchmark's trace workload runs) at a set of
 (omega, p0, a) configs under both trees, then the `trace` error paths
 (no samples, an --omega or --p0 whose square overflows, an unknown tag) and
 every script in `demos/` of this checkout, and reports each command whose
@@ -27,6 +28,9 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # the eleven class tags, in the order of operadyn.bianchi.TAGS
 TAGS = ("I", "II", "VII", "VI", "IX", "VIII", "V", "IV", "VIIa", "IIIa1", "VIa")
+
+# the verify suites, in the order `verify all` runs them
+SUITES = ("matrix-lax", "operadic-lax", "jacobi-classical", "jacobi-quantum")
 
 CONFIGS = (
     (),
@@ -54,7 +58,8 @@ def commands():
         for which in ("bianchi", "deformed", "quantum"):
             for fmt in ("text", "json", "csv"):
                 yield ("tables", which, "--format", fmt, *cfg)
-        yield ("verify", "all", *cfg)
+        for suite in ("all", *SUITES):
+            yield ("verify", suite, *cfg)
         for tag in TAGS:
             yield ("trace", tag, *cfg)
         yield ("trace", "VIIa", "--t-samples", "2000", *cfg)
