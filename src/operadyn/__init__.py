@@ -63,7 +63,6 @@ from .quantum import (
     classify,
     generator_commutator,
     quantize,
-    quantum_jacobian,
     xi_pair,
     xi_pm,
 )
@@ -83,7 +82,7 @@ __all__ = [
     "formal_deformation", "formal_mu", "generator_commutator",
     "gerstenhaber_bracket", "graded_sign", "integrate_rk4", "is_rigid",
     "matrix_lax_residual", "operadic_lax_residual",
-    "partial_compose", "quantize", "quantum_jacobian",
+    "partial_compose", "quantize",
     "quasi_coords", "quasi_coords_derivative", "rational_sqrt",
     "raw_jacobian", "reduce_on_shell", "rotation_generator", "solve_C",
     "structure_constants", "total_compose",

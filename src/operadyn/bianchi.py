@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import poly
 from .lax import formal_mu, solve_C
-from .ncpoly import ExtScalar, _rational
+from .ncpoly import ExtScalar, _collect, _rational
 from .oscillator import sample_flow
 from .poly import Poly, rational_sqrt
 from .structure import StructureTensor, _cyclic_defect
@@ -80,10 +80,6 @@ class BianchiType:
         elif a is not None:
             raise ValueError(f"type {self.tag} takes no modulus")
         object.__setattr__(self, "a", a)
-
-    @property
-    def is_parametric(self):
-        return self.tag in PARAMETRIC
 
     @property
     def label(self):
@@ -195,16 +191,9 @@ class ShellReduction:
 
     def _combine(self, terms):
         """The sum of coeff times the normal form of exps over (exps, coeff)."""
-        out = {}
-        for exps, coeff in terms:
-            for key, c in self._form(exps).terms.items():
-                acc = out.get(key)
-                acc = coeff * c if acc is None else acc + coeff * c
-                if acc:
-                    out[key] = poly._fold(acc)
-                else:
-                    out.pop(key, None)
-        return poly._trusted(out)
+        pairs = ((key, coeff * c) for exps, coeff in terms
+                 for key, c in self._form(exps).terms.items())
+        return poly._trusted(_collect({}, pairs))
 
     def _form(self, exps):
         form = self._forms.get(exps)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from operator import sub
 
 from . import poly
-from .ncpoly import ExtScalar, _rational
+from .ncpoly import ExtScalar, _coefficient, _rational
 from .operad import Operation, Tensor, gerstenhaber_bracket
 from .poly import Poly
 from .structure import StructureTensor, _position
@@ -98,8 +98,8 @@ def matrix_lax_residual(q, p, omega):
 class LaxFamilyParams:
     """The nine coefficients C1..C9 of the bilinear Lax family.
 
-    Each is a rational or an ExtScalar; they are stored as Poly stores its
-    coefficients, and anything else is a TypeError.
+    Each is a rational or an ExtScalar, stored as a Fraction or as an
+    ExtScalar with nonzero s-part; anything else is a TypeError.
     """
 
     c: tuple
@@ -108,7 +108,7 @@ class LaxFamilyParams:
         values = tuple(self.c)
         if len(values) != 9:
             raise ValueError(f"expected nine coefficients, got {len(values)}")
-        coerced = tuple(map(poly._coerce, values))
+        coerced = tuple(map(_coefficient, values))
         object.__setattr__(self, "c", coerced)
 
     def __getitem__(self, n):

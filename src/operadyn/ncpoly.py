@@ -4,21 +4,28 @@ No commutation relations at all are imposed between the generators: words
 are compared letter by letter, so Q*P and P*Q are distinct monomials and a
 commutator vanishes only if it cancels literally.
 
-Coefficients live in the quadratic extension Q[s] / (s**2 - 2*p0), written
-u + v*s with rational u, v; s stands for sqrt(2*p0).  Every scalar carries
+Scalars live in the quadratic extension Q[s] / (s**2 - 2*p0), written
+u + v*s with rational u, v; s stands for sqrt(2*p0).  An `ExtScalar` carries
 its p0 so that values from different shells cannot be mixed by accident.
-The same scalars are the irrational coefficients of `poly.Poly`.  Combined
-with a float, a scalar gives a float, as a Fraction does.
+Combined with a float, it gives a float, as a Fraction does.
+
+The coefficient format, shared by `NCPoly` and `poly.Poly`: every stored
+coefficient is a nonzero Fraction or an ExtScalar with nonzero s-part.  An
+ExtScalar whose s-part is 0 is stored as its Fraction, whose text, `==` and
+`hash` it shares, so every value has one representation.  `_collect` is the
+one kernel that keeps the format: it adds (key, coefficient) pairs into
+sparse terms, drops zero sums and folds s-free sums to their Fraction.  Both
+polynomial types run their sums, products and scalar products through it.
 
 Invariants: an ExtScalar's u, v and p0 are Fractions with p0 > 0, and an
-NCPoly's words use only Q, P, Ap, Am, each with a nonzero ExtScalar
-coefficient that has the polynomial's p0.  The public constructors
-(`ExtScalar(...)`, `NCPoly(...)`, `scalar`, `generator`, `from_text`)
-check and coerce their input, and raise TypeError on anything that is not
-rational, a float included.  Only the ring operations, whose operands
-already hold the invariants, and `quantum.quantize_formal`, whose words
-come from distinct monomials of a Poly, build their results through the
-private `_ext` and `_nc`, which check nothing.
+NCPoly's words use only Q, P, Ap, Am, each with a coefficient in the format
+above whose ExtScalars have the polynomial's p0.  The public constructors
+(`ExtScalar(...)`, `NCPoly(...)`, `generator`, `from_text`) check and coerce
+their input, and raise TypeError on anything that is not rational, a float
+included.  Only the ring operations, whose operands already hold the
+invariants, and `quantum.quantize_formal`, whose words come from distinct
+monomials of a Poly, build their results through the private `_ext` and
+`_nc`, which check nothing.
 """
 
 from __future__ import annotations
@@ -182,16 +189,51 @@ class ExtScalar:
         return cls(u, v, p0=p0)
 
 
+def _coefficient(value):
+    """A rational or ExtScalar as its Fraction, or as itself with s-part != 0.
+
+    TypeError on anything else, a float included.
+    """
+    if isinstance(value, ExtScalar):
+        return value if value.v else value.u
+    return _rational(value)
+
+
 def _scalar(value, p0):
-    """A rational or ExtScalar as an ExtScalar of context p0.
+    """A rational or ExtScalar of context p0 in the coefficient format.
 
     ValueError on an ExtScalar of another p0, TypeError on a non-rational.
     """
-    if isinstance(value, ExtScalar):
-        if value.p0 is not p0 and value.p0 != p0:
-            raise ValueError(f"mixed p0 contexts: {p0} vs {value.p0}")
-        return value
-    return _ext(_rational(value), _ZERO, p0)
+    if isinstance(value, ExtScalar) and value.p0 is not p0 and value.p0 != p0:
+        raise ValueError(f"mixed p0 contexts: {p0} vs {value.p0}")
+    return _coefficient(value)
+
+
+def _collect(out, pairs):
+    """Add each (key, coeff) of pairs into the sparse terms out, in order.
+
+    A sum that vanishes is dropped and one whose s-part cancelled, such as
+    s*s, becomes its Fraction; a product of nonzero scalars can itself be 0,
+    (sigma - s)*(sigma + s) when sigma = sqrt(2*p0) is rational.  Returns out.
+    """
+    for key, c in pairs:
+        acc = out.get(key)
+        if acc is not None:
+            c = acc + c
+        if not c:
+            out.pop(key, None)
+        elif type(c) is ExtScalar and not c.v:
+            out[key] = c.u
+        else:
+            out[key] = c
+    return out
+
+
+def _scaled_terms(terms, c):
+    """The sparse terms times the scalar c, in the coefficient format."""
+    if not c:
+        return {}
+    return _collect({}, ((key, coeff * c) for key, coeff in terms.items()))
 
 
 def _nc(terms, p0):
@@ -228,10 +270,6 @@ class NCPoly:
     # ---- constructors -----------------------------------------------------
 
     @classmethod
-    def scalar(cls, value, *, p0):
-        return cls({(): value}, p0=p0)
-
-    @classmethod
     def generator(cls, name, *, p0):
         if name not in _GEN_INDEX:
             raise ValueError(f"unknown generator {name!r}, expected one of {GENERATORS}")
@@ -251,7 +289,7 @@ class NCPoly:
     def constant_value(self):
         if not self.is_constant:
             raise ValueError(f"not a constant element: {self}")
-        return self.terms[()] if self.terms else ExtScalar(0, p0=self.p0)
+        return self.terms[()] if self.terms else _ZERO
 
     # ---- ring structure ------------------------------------------------------
 
@@ -269,15 +307,7 @@ class NCPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[word] = acc
-            else:
-                del out[word]
-        return _nc(out, self.p0)
+        return _nc(_collect(dict(self.terms), other.terms.items()), self.p0)
 
     __radd__ = __add__
 
@@ -300,18 +330,9 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return self._scaled(other)
         other = self._coerce(other)
-        out = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                word = wa + wb
-                acc = out.get(word)
-                acc = ca * cb if acc is None else acc + ca * cb
-                if acc:
-                    out[word] = acc
-                else:
-                    # (sigma - s)(sigma + s) = 0 when sigma is rational
-                    out.pop(word, None)
-        return _nc(out, self.p0)
+        pairs = ((wa + wb, ca * cb) for wa, ca in self.terms.items()
+                 for wb, cb in other.terms.items())
+        return _nc(_collect({}, pairs), self.p0)
 
     def __rmul__(self, other):
         # scalars are central, so reflected multiplication is the same product
@@ -320,14 +341,7 @@ class NCPoly:
     def _scaled(self, other):
         if not isinstance(other, (ExtScalar, Rational)):
             return NotImplemented
-        c = _scalar(other, self.p0)
-        # products of nonzero scalars vanish when sqrt(2*p0) is rational
-        out = {}
-        for word, coeff in self.terms.items():
-            coeff = coeff * c
-            if coeff:
-                out[word] = coeff
-        return _nc(out, self.p0)
+        return _nc(_scaled_terms(self.terms, _scalar(other, self.p0)), self.p0)
 
     def __eq__(self, other):
         if isinstance(other, NCPoly):
@@ -346,17 +360,6 @@ class NCPoly:
         return hash((self.p0, frozenset(self.terms.items())))
 
     # ---- evaluation and text -------------------------------------------------
-
-    def commutative_image(self, q, p, ap, am):
-        """Evaluate as if the generators commuted (s evaluates numerically)."""
-        point = {"Q": q, "P": p, "Ap": ap, "Am": am}
-        total = 0
-        for word, coeff in self.terms.items():
-            val = float(coeff)
-            for g in word:
-                val *= point[g]
-            total += val
-        return total
 
     def _sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _word_key(kv[0]))

@@ -1,23 +1,21 @@
 """Exact multivariate polynomials in the phase-space variables q, p, Ap, Am.
 
 Every symbolic identity in this package is decided exactly.  Coefficients
-live in Q(s) with s = sqrt(2*p0): a rational coefficient is a
-`fractions.Fraction`, and one with a nonzero s-part is an
-`ncpoly.ExtScalar`.  An ExtScalar whose s-part is 0 is stored as its
-Fraction, so every value has one representation.  A polynomial is a mapping
-from exponent 4-tuples ``(e_q, e_p, e_Ap, e_Am)`` to coefficients.  Zero
+live in Q(s) with s = sqrt(2*p0), in the coefficient format that
+`ncpoly` states and shares with `ncpoly.NCPoly`: a nonzero Fraction, or an
+`ncpoly.ExtScalar` with nonzero s-part.  A polynomial is a mapping from
+exponent 4-tuples ``(e_q, e_p, e_Ap, e_Am)`` to coefficients.  Zero
 coefficients are never stored, which makes structural equality the same
 thing as canonical-form equality.
 
 Invariant of every Poly: its keys are 4-tuples of ints >= 0, and each
-coefficient is a nonzero Fraction or an ExtScalar with nonzero s-part.  The
-public constructors (`Poly(...)`, `constant`, `variable`, `from_text`)
-check and coerce their input.  Only `constant`, whose one key is known to
-be good once its value is coerced, and the ring operations (`+`, `-`, `*`,
-negation, scalar `*`, `derivative`), whose operands already hold the
-invariant, build their result through the private `_trusted`, which checks
-nothing; they still drop zero sums and fold an s-free ExtScalar, such as
-s*s, to its Fraction.
+coefficient is in that format.  The public constructors (`Poly(...)`,
+`constant`, `variable`, `from_text`) check and coerce their input.  Only
+`constant`, whose one key is known to be good once its value is coerced,
+and the ring operations (`+`, `-`, `*`, negation, scalar `*`,
+`derivative`), whose operands already hold the invariant, build their
+result through the private `_trusted`, which checks nothing; sums and
+products run through `ncpoly._collect`, which keeps the format.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from fractions import Fraction
 from numbers import Rational
 from operator import add, mul
 
-from .ncpoly import ExtScalar
+from .ncpoly import ExtScalar, _coefficient, _collect, _scaled_terms
 
 VARIABLES = ("q", "p", "Ap", "Am")
 
@@ -36,18 +34,6 @@ _ZERO_EXP = (0, 0, 0, 0)
 _SCALARS = (Rational, ExtScalar)
 
 _new = object.__new__
-
-
-def _coerce(value):
-    # ints and Fractions collapse to Fraction, and so does an ExtScalar
-    # without s-part
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, ExtScalar):
-        return value if value.v else value.u
-    if isinstance(value, Rational):
-        return Fraction(value)
-    raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
 
 def _trusted(terms):
@@ -59,11 +45,6 @@ def _trusted(terms):
 
 def _is_scalar(value):
     return type(value) is Fraction or isinstance(value, _SCALARS)
-
-
-def _fold(coeff):
-    """An ExtScalar whose s-part cancelled becomes its Fraction."""
-    return coeff.u if type(coeff) is ExtScalar and not coeff.v else coeff
 
 
 def rational_sqrt(value):
@@ -89,7 +70,7 @@ class Poly:
             key = tuple(exps)
             if len(key) != 4 or any((not isinstance(e, int)) or e < 0 for e in key):
                 raise ValueError(f"bad exponent tuple {exps!r}")
-            coeff = _coerce(coeff)
+            coeff = _coefficient(coeff)
             if coeff != 0:
                 clean[key] = coeff
         self.terms = clean
@@ -98,7 +79,7 @@ class Poly:
 
     @classmethod
     def constant(cls, value):
-        value = _coerce(value)
+        value = _coefficient(value)
         return _trusted({_ZERO_EXP: value} if value else {})
 
     @classmethod
@@ -131,15 +112,7 @@ class Poly:
 
     def __add__(self, other):
         if isinstance(other, Poly):
-            out = dict(self.terms)
-            for exps, coeff in other.terms.items():
-                acc = out.get(exps)
-                acc = coeff if acc is None else acc + coeff
-                if not acc:
-                    del out[exps]
-                else:
-                    out[exps] = _fold(acc)
-            return _trusted(out)
+            return _trusted(_collect(dict(self.terms), other.terms.items()))
         if _is_scalar(other):
             # sum() starts at int 0; Poly is immutable, so 0 + f can be f
             return self if other == 0 else self + Poly.constant(other)
@@ -164,31 +137,12 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            out = {}
-            for (a0, a1, a2, a3), ca in self.terms.items():
-                for (b0, b1, b2, b3), cb in other.terms.items():
-                    key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-                    acc = out.get(key)
-                    acc = ca * cb if acc is None else acc + ca * cb
-                    if not acc:
-                        # a product itself can be 0: (sigma - s)(sigma + s)
-                        # vanishes when sigma = sqrt(2*p0) is rational
-                        out.pop(key, None)
-                    else:
-                        out[key] = _fold(acc)
-            return _trusted(out)
+            pairs = (((a0 + b0, a1 + b1, a2 + b2, a3 + b3), ca * cb)
+                     for (a0, a1, a2, a3), ca in self.terms.items()
+                     for (b0, b1, b2, b3), cb in other.terms.items())
+            return _trusted(_collect({}, pairs))
         if _is_scalar(other):
-            other = _coerce(other)
-            if not other:
-                return _trusted({})
-            out = {}
-            for exps, coeff in self.terms.items():
-                coeff = coeff * other
-                # s-parts can cancel, and (sigma - s)(sigma + s) = 0 when
-                # sigma = sqrt(2*p0) is rational
-                if coeff:
-                    out[exps] = _fold(coeff)
-            return _trusted(out)
+            return _trusted(_scaled_terms(self.terms, _coefficient(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -229,27 +183,6 @@ class Poly:
             new[idx] = e - 1
             out[tuple(new)] = coeff * e
         return _trusted(out)
-
-    def substitute(self, **assignments):
-        """Replace variables by numbers or polynomials; unset ones stay."""
-        for name in assignments:
-            if name not in VARIABLES:
-                raise ValueError(f"unknown variable {name!r}")
-        out = Poly()
-        for exps, coeff in self.terms.items():
-            term = Poly.constant(coeff)
-            for idx, e in enumerate(exps):
-                if e == 0:
-                    continue
-                name = VARIABLES[idx]
-                if name in assignments:
-                    rep = assignments[name]
-                    base = rep if isinstance(rep, Poly) else Poly.constant(rep)
-                    term = term * base ** e
-                else:
-                    term = term * Poly.variable(name) ** e
-            out = out + term
-        return out
 
     def evaluate(self, q, p, ap, am):
         (value,) = evaluate_terms(self.terms.items(), ((q,), (p,), (ap,), (am,)))

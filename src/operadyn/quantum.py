@@ -7,17 +7,17 @@ sqrt(2*p0) stays the formal scalar s.  No commutation relations are imposed,
 so the Jacobi defect measures the obstruction that survives in the free
 algebra itself.
 
-The defect of the bracket mu at vectors x, y, z is computed component-wise as
+The defect of the bracket mu at vectors x, y, z is, component-wise,
 
     J^m(x, y, z) = sum over cyclic rotations (u, v, w) of (x, y, z) of
                    sum_{i,j,l,k}  mu^m_{l k} * mu^k_{i j} * u^i v^j w^l
 
 with the outer coefficient (indexed by the scalar argument l and the inner
-slot k) multiplying the inner one from the left: `quantum_jacobian`, the
-general weighted path.  The defect is trilinear and alternating, so it factors
-through det(x | y | z); classification only needs J(e1, e2, e3), whose weights
-are 1 on the cyclic (i, j, l) and 0 elsewhere.  `basis_jacobian` runs that
-weight-free cyclic kernel, the one `bianchi.raw_jacobian` runs.
+slot k) multiplying the inner one from the left.  The defect is trilinear and
+alternating, so it factors through det(x | y | z); classification only needs
+J(e1, e2, e3), whose weights are 1 on the cyclic (i, j, l) and 0 elsewhere.
+`basis_jacobian` runs that weight-free cyclic kernel, the one
+`bianchi.raw_jacobian` runs.
 
 Every class lands in exactly one bucket:
 
@@ -38,7 +38,7 @@ from fractions import Fraction
 from . import bianchi, poly
 from .ncpoly import (GENERATORS, ExtScalar, NCPoly, _nc, _positive_p0, _rational, _scalar,
                      commutator)
-from .structure import _cyclic_defect, _position
+from .structure import _cyclic_defect
 
 RIGID = "Rigid"
 QUANTUM_LIE = "QuantumLie"
@@ -61,9 +61,10 @@ def quantize_formal(formal, p0):
     """Operator form of a formal deformation at the same p0.
 
     Applies the quantization map to every entry; the coefficients, s
-    included, carry over unchanged.  Distinct monomials map to distinct
-    words and every coefficient of a Poly is nonzero, so each entry is built
-    unchecked; p0 is checked once, and each ExtScalar coefficient against it.
+    included, carry over unchanged, since Poly and NCPoly share one
+    coefficient format.  Distinct monomials map to distinct words, so each
+    entry is built unchecked; p0 is checked once, and each ExtScalar
+    coefficient against it.
     """
     p0 = _positive_p0(p0)
 
@@ -122,13 +123,6 @@ def _nc_entries(mu):
     return mu.coeffs.flat
 
 
-def _as_vector(x):
-    vec = tuple(Fraction(c) for c in x)
-    if len(vec) != 3:
-        raise ValueError(f"expected a 3-vector, got {x!r}")
-    return vec
-
-
 @dataclass(frozen=True)
 class JacobianTriple:
     j1: NCPoly
@@ -143,41 +137,8 @@ class JacobianTriple:
         return self.j1.is_zero and self.j2.is_zero and self.j3.is_zero
 
 
-def quantum_jacobian(mu, x, y, z):
-    """Jacobi defect of mu at scalar vectors x, y, z (see module docstring).
-
-    Component m accumulates mu^m_{l k} * mu^k_{i j} * x^i y^j z^l plus the
-    two cyclic rotations of (x, y, z), products taken in exactly that order.
-    Each nonzero weight is computed once for all three components.
-    """
-    p0 = _tensor_p0(mu)
-    x = _as_vector(x)
-    y = _as_vector(y)
-    z = _as_vector(z)
-    ent = _nc_entries(mu)
-
-    # (i, j, l, u^i v^j w^l) in (rotation, i, j, l) order; a zero factor
-    # skips the weight before anything is multiplied
-    weights = [(i, j, l, u[i - 1] * v[j - 1] * w[l - 1])
-               for (u, v, w) in ((x, y, z), (y, z, x), (z, x, y))
-               for i in (1, 2, 3) if u[i - 1]
-               for j in (1, 2, 3) if v[j - 1]
-               for l in (1, 2, 3) if w[l - 1]]
-
-    components = []
-    for m in (1, 2, 3):
-        total = NCPoly({}, p0=p0)
-        for i, j, l, weight in weights:
-            for k in (1, 2, 3):
-                term = ent[_position(m, l, k)] * ent[_position(k, i, j)]
-                # a unit weight, like each of the basis triple's, scales nothing
-                total = total + (term if weight == 1 else weight * term)
-        components.append(total)
-    return JacobianTriple(*components)
-
-
 def basis_jacobian(mu):
-    """The defect at (e1, e2, e3), term for term quantum_jacobian(mu, e1, e2, e3).
+    """The Jacobi defect of mu at the basis triple (e1, e2, e3).
 
     The cyclic kernel shared with `bianchi.raw_jacobian`, over NCPoly entries.
     """

@@ -9,12 +9,19 @@ entries; the argument checks of `partial_compose` are left out.
 `apply` evaluates an operation on vectors, the semantic oracle of
 composition, and `triple_product` is the determinant that the Jacobi
 defect of a 3d bracket factors through.
+
+`quantum_jacobian` is the general weighted Jacobi defect of an operator
+bracket at any three scalar vectors, the oracle of the weight-free cyclic
+kernel `quantum.basis_jacobian` runs at the basis triple.
 """
 
 from fractions import Fraction
 from operator import mul, neg
 
+from operadyn.ncpoly import NCPoly
 from operadyn.operad import Tensor, graded_sign
+from operadyn.quantum import JacobianTriple, _nc_entries, _tensor_p0
+from operadyn.structure import _position
 
 
 def dense_partial_compose(f, i, g):
@@ -56,3 +63,44 @@ def triple_product(x, y, z):
     return (x[0] * (y[1] * z[2] - y[2] * z[1])
             - x[1] * (y[0] * z[2] - y[2] * z[0])
             + x[2] * (y[0] * z[1] - y[1] * z[0]))
+
+
+def _as_vector(x):
+    vec = tuple(Fraction(c) for c in x)
+    if len(vec) != 3:
+        raise ValueError(f"expected a 3-vector, got {x!r}")
+    return vec
+
+
+def quantum_jacobian(mu, x, y, z):
+    """Jacobi defect of the operator bracket mu at scalar vectors x, y, z.
+
+    Component m accumulates mu^m_{l k} * mu^k_{i j} * x^i y^j z^l plus the
+    two cyclic rotations of (x, y, z), products taken in exactly that order
+    (the formula of the `quantum` module docstring).  Each nonzero weight is
+    computed once for all three components.
+    """
+    p0 = _tensor_p0(mu)
+    x = _as_vector(x)
+    y = _as_vector(y)
+    z = _as_vector(z)
+    ent = _nc_entries(mu)
+
+    # (i, j, l, u^i v^j w^l) in (rotation, i, j, l) order; a zero factor
+    # skips the weight before anything is multiplied
+    weights = [(i, j, l, u[i - 1] * v[j - 1] * w[l - 1])
+               for (u, v, w) in ((x, y, z), (y, z, x), (z, x, y))
+               for i in (1, 2, 3) if u[i - 1]
+               for j in (1, 2, 3) if v[j - 1]
+               for l in (1, 2, 3) if w[l - 1]]
+
+    components = []
+    for m in (1, 2, 3):
+        total = NCPoly({}, p0=p0)
+        for i, j, l, weight in weights:
+            for k in (1, 2, 3):
+                term = ent[_position(m, l, k)] * ent[_position(k, i, j)]
+                # a unit weight, like each of the basis triple's, scales nothing
+                total = total + (term if weight == 1 else weight * term)
+        components.append(total)
+    return JacobianTriple(*components)

@@ -20,9 +20,8 @@ from operadyn.operad import (Operation, Tensor, gerstenhaber_bracket,
 from operadyn.oscillator import (exact_flow, integrate_rk4, quasi_coords,
                                  quasi_coords_derivative)
 from operadyn.quantum import (ANOMALOUS_II, basis_jacobian, classify,
-                              generator_commutator, quantize,
-                              quantum_jacobian, xi_pair)
-from reference_compose import triple_product
+                              generator_commutator, quantize, xi_pair)
+from reference_compose import quantum_jacobian, triple_product
 from reference_tables import transcribed_deformation
 
 RIGID_TAGS = frozenset({"I", "VII", "VIII", "IX"})

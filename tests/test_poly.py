@@ -63,17 +63,6 @@ class TestCalculus:
         assert f.derivative("Ap") == Poly.constant(-2)
         assert f.derivative("Am").is_zero
 
-    def test_substitute(self):
-        f = q ** 2 + p
-        assert f.substitute(q=Fraction(2), p=Fraction(1, 2)) == Fraction(9, 2)
-        # polynomial substitution
-        g = f.substitute(q=a_plus * a_minus)
-        assert g == a_plus ** 2 * a_minus ** 2 + p
-
-    def test_substitute_rejects_unknown_names(self):
-        with pytest.raises(ValueError):
-            q.substitute(x=1)
-
     def test_evaluate_exact(self):
         f = Fraction(1, 3) * q * p - a_minus ** 2
         value = f.evaluate(Fraction(3), Fraction(2), Fraction(0), Fraction(1, 2))

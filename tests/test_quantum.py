@@ -1,7 +1,7 @@
 """Operator brackets, Jacobi defects, and the anomaly classification.
 
 The type V bootstrap below builds the operator tensor and the defect from
-literal dictionaries, bypassing quantize and quantum_jacobian entirely, so
+literal dictionaries, bypassing quantize and the defect code entirely, so
 the ordering convention of the defect is pinned by data rather than by the
 code under test.
 """
@@ -18,10 +18,9 @@ from operadyn.bianchi import BianchiType, all_types, formal_deformation, reduce_
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
 from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID,
                               basis_jacobian, classify, generator_commutator,
-                              quantize, quantize_formal, quantum_jacobian, xi_pair,
-                              xi_pm)
+                              quantize, quantize_formal, xi_pair, xi_pm)
 from operadyn.structure import StructureTensor
-from reference_compose import triple_product
+from reference_compose import quantum_jacobian, triple_product
 from reference_tables import GRID, operator_table
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -54,16 +53,25 @@ class TestXi:
                 xi_pm(sign, 1, Fraction(2))
 
     def test_commutative_image_vanishes_on_shell(self):
-        # substitute the classical on-shell values and reduce
-        from operadyn.oscillator import exact_flow, quasi_coords
-        xp, xm = xi_pair(1, Fraction(2))
-        for t in (0.0, 0.7, 2.1):
-            s = exact_flow(1.0, 2.0, t)
-            c = quasi_coords(s)
-            assert xp.commutative_image(s.q, s.p, c.a_plus, c.a_minus) == \
-                pytest.approx(0.0, abs=1e-12)
-            assert xm.commutative_image(s.q, s.p, c.a_plus, c.a_minus) == \
-                pytest.approx(0.0, abs=1e-12)
+        # send each word of xi+ and xi- to its commutative monomial: the image
+        # reduces to the zero polynomial on the shell, exactly
+        for omega, p0 in ((1, Fraction(2)), (Fraction(2, 3), Fraction(3)),
+                          (Fraction(3, 2), Fraction(5, 7))):
+            for xi in xi_pair(omega, p0):
+                image = _commutative_image(xi)
+                assert not image.is_zero
+                assert reduce_on_shell(image, omega, p0) == poly.Poly(), (omega, p0, xi)
+
+
+def _commutative_image(value, sigma=None):
+    """The Poly of an NCPoly with each word sent to its commutative monomial.
+
+    Given sigma, the formal s of each coefficient is sent to it.
+    """
+    def number(c):
+        return c.u + c.v * sigma if isinstance(c, ExtScalar) else c
+    return sum((poly.Poly({tuple(word.count(g) for g in GENERATORS): number(c)})
+                for word, c in value.terms.items()), poly.Poly())
 
 
 def _literal_type_v_tensor(p0):
@@ -129,8 +137,8 @@ class TestQuantize:
 
     def test_unchecked_build_equals_checked_build(self):
         # every entry equals the NCPoly the checking constructor builds from
-        # the same words, and holds its invariant: nonzero ExtScalar
-        # coefficients of the entry's p0
+        # the same words, and holds its invariant: each coefficient a nonzero
+        # Fraction or an ExtScalar with nonzero s-part of the entry's p0
         for p0 in (Fraction(2), Fraction(8, 9), Fraction(3), Fraction(5, 7)):
             for t in all_types(Fraction(2, 3)):
                 formal = formal_deformation(t, Fraction(3, 2), p0)
@@ -139,7 +147,8 @@ class TestQuantize:
                     words = {tuple(g for g, e in zip(GENERATORS, exps) for _ in range(e)): c
                              for exps, c in poly.as_poly(value).terms.items()}
                     assert v == NCPoly(words, p0=p0) and v.p0 == p0
-                    assert all(type(c) is ExtScalar and c and c.p0 == p0
+                    assert all((type(c) is Fraction and c)
+                               or (type(c) is ExtScalar and c.v and c.p0 == p0)
                                for c in v.terms.values())
 
     def test_p0_checked_once_and_against_each_coefficient(self):
@@ -191,9 +200,13 @@ class TestBracketAndJacobian:
 
         s = sympy.sqrt(2 * rational(p0))
 
+        def scalar(c):
+            if isinstance(c, ExtScalar):
+                return rational(c.u) + rational(c.v) * s
+            return rational(c)
+
         def to_sympy(value):
-            return sum(((rational(c.u) + rational(c.v) * s)
-                        * sympy.Mul(*(gens[g] for g in word))
+            return sum((scalar(c) * sympy.Mul(*(gens[g] for g in word))
                         for word, c in value.terms.items()), sympy.Integer(0))
 
         for t in all_types(a):
@@ -288,14 +301,8 @@ class TestClassification:
     def test_classical_limit_of_defects(self):
         # sending words to commuting monomials and s to sigma kills every
         # defect on the shell, matching the classical Jacobi identity
-        gen_of = {"Q": poly.q, "P": poly.p, "Ap": poly.a_plus, "Am": poly.a_minus}
         for t in all_types(Fraction(1, 2)):
             cert = classify(t, 1, Fraction(2))
             for component in cert.jacobian:
-                image = poly.Poly()
-                for word, coeff in component.terms.items():
-                    term = poly.Poly.constant(coeff.u + coeff.v * 2)  # s = 2
-                    for g in word:
-                        term = term * gen_of[g]
-                    image = image + term
+                image = _commutative_image(component, sigma=2)  # s = 2
                 assert reduce_on_shell(image, 1, Fraction(2)).is_zero, t.tag
