@@ -19,7 +19,6 @@ from .bianchi import (
     formal_deformation,
     is_rigid,
     raw_jacobian,
-    reduce_on_shell,
     structure_constants,
 )
 from .lax import (
@@ -64,7 +63,6 @@ from .quantum import (
     generator_commutator,
     quantize,
     xi_pair,
-    xi_pm,
 )
 from .structure import PAIRS, StructureTensor
 
@@ -84,7 +82,7 @@ __all__ = [
     "matrix_lax_residual", "operadic_lax_residual",
     "partial_compose", "quantize",
     "quasi_coords", "quasi_coords_derivative", "rational_sqrt",
-    "raw_jacobian", "reduce_on_shell", "rotation_generator", "solve_C",
+    "raw_jacobian", "rotation_generator", "solve_C",
     "structure_constants", "total_compose",
-    "xi_pair", "xi_pm",
+    "xi_pair",
 ]

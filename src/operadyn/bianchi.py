@@ -19,8 +19,8 @@ deformation once.  On the energy shell the deformed bracket satisfies the
 Jacobi identity at every time, which `classical_jacobian` verifies by exact
 polynomial reduction.  The reduction runs through a `ShellReduction` table
 for one (omega, p0), which keeps the normal form of each monomial it has
-met; `classical_jacobian` reduces its three components through one table,
-and `reduce_on_shell` builds one per call.  No table outlives its call.
+met; `classical_jacobian` reduces its three components through one table.
+No table outlives its caller.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ def _fold(value, sigma):
     """Replace the formal s of an entry by its rational value sigma.
 
     A Poly keeps its keys, so it is rebuilt unchecked; a coefficient that
-    folds to 0 is dropped.
+    folds to 0 is dropped.  The fold is odd, so `deform_formal` maps a
+    tensor through it unchecked.
     """
     def number(c):
         return c.u + c.v * sigma if isinstance(c, ExtScalar) else c
@@ -150,7 +151,7 @@ def deform_formal(formal, p0):
     sigma = rational_sqrt(2 * _rational(p0))
     if sigma is None:
         return formal
-    return formal.map_entries(lambda v: _fold(v, sigma))
+    return formal._map(lambda v: _fold(v, sigma))
 
 
 def is_rigid(t, omega=1, p0=2):
@@ -208,15 +209,6 @@ class ShellReduction:
                         * self._shell ** (l // 2))
             self._forms[exps] = form
         return form
-
-
-def reduce_on_shell(value, omega, p0):
-    """Normal form of a phase-space polynomial on the oscillator shell.
-
-    One `ShellReduction` table, used for this value only.  A caller that
-    reduces several values at one (omega, p0) shares a table instead.
-    """
-    return ShellReduction(omega, p0).reduce(value)
 
 
 def raw_jacobian(mu):

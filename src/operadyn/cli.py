@@ -23,7 +23,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,8 +58,8 @@ def _fraction(text):
 def _positive_float(value, flag):
     """The float of a positive rational flag, or ValueError naming the flag.
 
-    The float paths square --omega and --p0, so the square must be a normal
-    float: neither overflow to infinity nor underflow below
+    The float paths square --omega, --p0 and the modulus --a, so the square
+    must be a normal float: neither overflow to infinity nor underflow below
     sys.float_info.min.  The exact commands accept any positive value.
     """
     try:
@@ -112,25 +111,6 @@ def _build_parser():
     return parser
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    omega: Fraction
-    p0: Fraction
-    a: Fraction
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not self.p0 > 0:
-            raise ValueError(f"p0 must be positive, got {self.p0}")
-        if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
-
-
-def _config(args):
-    return RunConfig(omega=args.omega, p0=args.p0, a=args.a)
-
-
 def _selected_types(cfg, tag):
     if tag is not None:
         return [BianchiType(tag, cfg.a if tag in bianchi.PARAMETRIC else None)]
@@ -153,7 +133,8 @@ def _table_rows(which, cfg, tag):
         elif which == "deformed":
             tensor = bianchi.deform(t, cfg.omega, cfg.p0)
             # constant entries come back as bare numbers; promote so every
-            # value parses back through Poly.from_text
+            # value prints as Poly text, which parses back through
+            # Poly.from_text when sqrt(2*p0) is rational (a formal s does not)
             text = lambda v: str(poly.as_poly(v))
         else:
             tensor = quantum.quantize(t, cfg.omega, cfg.p0)
@@ -231,6 +212,7 @@ def _check_jacobi_classical(cfg, point, formal):
     # one set of flow samples serves every class
     times = [(n / 25.0) * (math.pi / w) * 0.99 for n in range(25)]
     flow = sample_flow(w, p0, times)
+    sizes = [list(map(abs, column)) for column in flow]
     # one shell reduction table serves every class
     shell = bianchi.ShellReduction(cfg.omega, cfg.p0)
     worst = 0.0
@@ -240,9 +222,17 @@ def _check_jacobi_classical(cfg, point, formal):
         reduced = tuple(map(shell.reduce, raw))
         if any(not c.is_zero for c in reduced):
             return False, f"on-shell defect of {t.label} is not zero: {reduced}"
+        failed = False
         for component in raw:
-            worst = max(worst, *map(abs, poly.evaluate_terms(component.terms.items(), flow)))
-        if worst > 1e-10:
+            terms = component.terms.items()
+            values = poly.evaluate_terms(terms, flow)
+            # rounding error grows with the terms, so each sample's bound is
+            # relative to the sum of their magnitudes; the detail names the
+            # absolute worst defect
+            scales = poly.evaluate_terms([(e, abs(float(c))) for e, c in terms], sizes)
+            worst = max(worst, *map(abs, values))
+            failed |= any(abs(v) > 1e-10 * max(1.0, m) for v, m in zip(values, scales))
+        if failed:
             return False, f"numeric defect of {t.label} reached {worst:.3e}"
     return True, (f"all classes reduce to zero on shell; numeric defect along"
                   f" the flow at most {worst:.3e}")
@@ -268,6 +258,8 @@ def _run_verify(which, cfg):
     point = None
     if "jacobi-classical" in suites:
         point = (_positive_float(cfg.omega, "--omega"), _positive_float(cfg.p0, "--p0"))
+        # the parametric classes carry the modulus into the float leg
+        _positive_float(cfg.a, "--a")
     # one formal deformation per class serves both Jacobi suites
     formal = None
     if "jacobi-classical" in suites or "jacobi-quantum" in suites:
@@ -299,6 +291,8 @@ def _run_trace(cfg, tag, samples):
         raise ValueError(f"--t-samples must be at least 1, got {samples}")
     w = _positive_float(cfg.omega, "--omega")
     _positive_float(cfg.p0, "--p0")
+    if t.tag in bianchi.PARAMETRIC:
+        _positive_float(cfg.a, "--a")
     times = [(n * math.pi / w) / samples for n in range(samples)]
     columns = bianchi.deformation_trace(t, cfg.omega, cfg.p0, times)
     # one row template: a %r per time-dependent column, and the repr of each
@@ -323,14 +317,16 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config(args)
+        for flag in ("omega", "p0", "a"):
+            if not getattr(args, flag) > 0:
+                raise ValueError(f"{flag} must be positive, got {getattr(args, flag)}")
         if args.command == "tables":
-            text = _render_tables(args.which, cfg, args.type_tag, args.format)
+            text = _render_tables(args.which, args, args.type_tag, args.format)
             code = 0
         elif args.command == "verify":
-            text, code = _run_verify(args.which, cfg)
+            text, code = _run_verify(args.which, args)
         else:
-            text = _run_trace(cfg, args.type_tag, args.t_samples)
+            text = _run_trace(args, args.type_tag, args.t_samples)
             code = 0
     except (ValueError, BranchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,11 +6,13 @@ Two layers live here.  The matrix layer is the classical 3x3 pair
     M = (omega/2) * [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 
 whose isospectral equation dL/dt = [M, L] encodes the equations of motion.
+M is `rotation_generator(omega)`, and [M, L] is the Gerstenhaber bracket of
+degree-1 operations, which is the matrix commutator.
 
 The operadic layer replaces L by a phase-space-dependent antisymmetric
 bilinear operation mu on a 3d space, drawn from a nine-parameter family
-mu(C1..C9), and replaces the matrix commutator by the Gerstenhaber bracket
-[M, mu] in the endomorphism operad.  `build_mu` returns mu as a
+mu(C1..C9), and keeps M and the bracket: [M, mu] is the same Gerstenhaber
+bracket in the endomorphism operad.  `build_mu` returns mu as a
 `StructureTensor`, the degree-2 Operation, so it enters the bracket as it
 is; `formal_mu` is `build_mu` at the generators q, p, Ap, Am.  Every member
 of the family satisfies
@@ -37,7 +39,7 @@ from . import poly
 from .ncpoly import ExtScalar, _coefficient, _rational
 from .operad import Operation, Tensor, gerstenhaber_bracket
 from .poly import Poly
-from .structure import StructureTensor, _position
+from .structure import StructureTensor, _position, _trusted
 
 # ---------------------------------------------------------------------------
 # matrix layer
@@ -49,27 +51,21 @@ class MatrixLaxPair:
     M: Tensor
 
 
+def rotation_generator(omega):
+    """M, the half-frequency rotation block, as a degree-1 operation of both layers."""
+    half_w, zero = _rational(omega) / 2, Fraction(0)
+    return Operation.from_matrix([[zero, -half_w, zero], [half_w, zero, zero], [zero] * 3])
+
+
 def build_matrix_lax(q, p, omega):
-    """The 3x3 Lax pair at a phase-space point (entries keep their ring)."""
-    zero, one = Fraction(0), Fraction(1)
-    half_w = omega * Fraction(1, 2)
+    """The 3x3 Lax pair at a phase-space point; M is `rotation_generator`'s matrix."""
+    zero = Fraction(0)
     L = Tensor.of([
         [p, omega * q, zero],
         [omega * q, -p, zero],
-        [zero, zero, one],
+        [zero, zero, Fraction(1)],
     ], (3, 3))
-    M = Tensor.of([
-        [zero, -half_w, zero],
-        [half_w, zero, zero],
-        [zero, zero, zero],
-    ], (3, 3))
-    return MatrixLaxPair(L=L, M=M)
-
-
-def _commutator(a, b):
-    """ab - ba of two 3x3 matrices, as a flat row-major tuple."""
-    return tuple(sum(a[i, k] * b[k, j] - b[i, k] * a[k, j] for k in range(3))
-                 for i in range(3) for j in range(3))
+    return MatrixLaxPair(L=L, M=rotation_generator(omega).coeffs)
 
 
 def matrix_lax_residual(q, p, omega):
@@ -77,6 +73,7 @@ def matrix_lax_residual(q, p, omega):
 
     The time derivative is taken through the equations of motion, so
     dL/dt = [[-omega**2 q, omega*p, 0], [omega*p, omega**2 q, 0], [0, 0, 0]].
+    [M, L] is the Gerstenhaber bracket of the two degree-1 operations.
     Exact inputs give exact zeros.  Every entry has degree <= 2 in omega, so
     a residual that is the zero polynomial in q, p at three distinct omegas
     is zero for all (q, p, omega).
@@ -87,7 +84,8 @@ def matrix_lax_residual(q, p, omega):
           omega * p, w2q, zero,
           zero, zero, zero)
     pair = build_matrix_lax(q, p, omega)
-    return Tensor(map(sub, dL, _commutator(pair.M, pair.L)), (3, 3))
+    bracket = gerstenhaber_bracket(Operation(3, 1, pair.M), Operation(3, 1, pair.L))
+    return Tensor(map(sub, dL, bracket.coeffs.flat), (3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +108,6 @@ class LaxFamilyParams:
             raise ValueError(f"expected nine coefficients, got {len(values)}")
         coerced = tuple(map(_coefficient, values))
         object.__setattr__(self, "c", coerced)
-
-    def __getitem__(self, n):
-        """1-based access: params[1] is C1."""
-        if not (1 <= n <= 9):
-            raise ValueError(f"coefficient index {n} out of range 1..9")
-        return self.c[n - 1]
 
     @property
     def is_admissible(self):
@@ -209,16 +201,6 @@ def _time_derivative(value, omega):
             + half_w * poly.a_plus * value.derivative("Am"))
 
 
-def rotation_generator(omega):
-    """The degree-1 operation M acting as the half-frequency rotation block."""
-    half_w = _rational(omega) / 2
-    return Operation.from_matrix([
-        [Fraction(0), -half_w, Fraction(0)],
-        [half_w, Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(0)],
-    ])
-
-
 def operadic_lax_residual(params, omega):
     """d(mu)/dt - [M, mu] as a symbolic tensor; zero for every family member.
 
@@ -233,4 +215,5 @@ def operadic_lax_residual(params, omega):
     bracket = gerstenhaber_bracket(rotation_generator(w), mu)
     residual = (_time_derivative(v, w) - b
                 for v, b in zip(mu.coeffs.flat, bracket.coeffs.flat))
-    return StructureTensor.from_array(Tensor(residual, (3, 3, 3)))
+    # a difference of antisymmetric tensors
+    return _trusted(residual)

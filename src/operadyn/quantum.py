@@ -3,9 +3,10 @@
 Each deformed bracket is promoted to operator coefficients by the
 quantization map applied to `bianchi.formal_deformation`: the monomial
 q^i p^j Ap^k Am^l becomes the word Q^i P^j Ap^k Am^l of `ncpoly.NCPoly`, and
-sqrt(2*p0) stays the formal scalar s.  No commutation relations are imposed,
-so the Jacobi defect measures the obstruction that survives in the free
-algebra itself.
+sqrt(2*p0) stays the formal scalar s.  The map is linear, so the operator
+tensor is built unchecked from the antisymmetric formal one.  No commutation
+relations are imposed, so the Jacobi defect measures the obstruction that
+survives in the free algebra itself.
 
 The defect of the bracket mu at vectors x, y, z is, component-wise,
 
@@ -72,32 +73,23 @@ def quantize_formal(formal, p0):
         terms = poly.as_poly(value).terms
         return _nc({_word(exps): _scalar(c, p0) for exps, c in terms.items()}, p0)
 
-    return formal.map_entries(operator)
+    return formal._map(operator)
 
 
 # ---------------------------------------------------------------------------
 # brackets, defects, classification
 
 
-def xi_pm(sign, omega, p0):
-    """One of the two anomaly polynomials xi+ or xi-.
+def xi_pair(omega, p0):
+    """The anomaly polynomials (xi+, xi-).
 
     xi+ = omega*Q*Am + P*Ap - p0*Ap and xi- = omega*Q*Ap - P*Am - p0*Am;
-    both have vanishing commutative image on the energy shell.  The sign is
-    +1 or -1.
+    both have vanishing commutative image on the energy shell.
     """
     w = _rational(omega)
     p0 = _rational(p0)
-    if sign == 1:
-        return NCPoly({("Q", "Am"): w, ("P", "Ap"): Fraction(1), ("Ap",): -p0}, p0=p0)
-    if sign == -1:
-        return NCPoly({("Q", "Ap"): w, ("P", "Am"): Fraction(-1), ("Am",): -p0}, p0=p0)
-    raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-
-
-def xi_pair(omega, p0):
-    """Both anomaly polynomials as the pair (xi+, xi-)."""
-    return xi_pm(1, omega, p0), xi_pm(-1, omega, p0)
+    return (NCPoly({("Q", "Am"): w, ("P", "Ap"): Fraction(1), ("Ap",): -p0}, p0=p0),
+            NCPoly({("Q", "Ap"): w, ("P", "Am"): Fraction(-1), ("Am",): -p0}, p0=p0))
 
 
 def generator_commutator(p0):

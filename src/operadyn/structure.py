@@ -7,12 +7,12 @@ Gerstenhaber bracket and composition as it is, and equals the Operation
 with the same entries.  Its own part is the sparse constructor with mirror
 fill, the antisymmetry check and the views by independent entry.
 
-The sparse constructor checks only what its input can break: a diagonal
-entry it was given must vanish, and a pair given in both orientations must
-be opposite.  A mirror it fills as -value is antisymmetric by construction,
-so it is not compared.  `from_array` and `map_entries` take a dense tensor
-or an arbitrary map, so they check all nine diagonal entries and all nine
-pairs.
+The sparse constructor is the one checked way in.  It checks only what its
+input can break: a given diagonal entry must vanish, and a pair given in
+both orientations must be opposite; a mirror it fills as -value is not
+compared.  A tensor derived from antisymmetric ones (an odd map of the
+entries, or the difference in `lax.operadic_lax_residual`) is built by the
+private `_trusted`, which checks nothing.
 
 Entries can be exact numbers, `poly.Poly`, or `ncpoly.NCPoly`; the
 container is agnostic as long as entries support +, -, * and == with each
@@ -30,7 +30,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .ncpoly import ExtScalar
-from .operad import Operation, Tensor
+from .operad import Operation, Tensor, _new
 
 DIM = 3
 SHAPE = (DIM, DIM, DIM)
@@ -40,9 +40,6 @@ _SCALARS = (Rational, float, ExtScalar)
 
 # independent index pairs, in standard column order
 PAIRS = ((1, 2), (2, 3), (3, 1))
-
-# every 0-based (i, j, k) with j <= k, in the antisymmetry check's scan order
-_SCAN = tuple((i, j, k) for i in range(DIM) for j in range(DIM) for k in range(j, DIM))
 
 
 def _position(i, j, k):
@@ -103,11 +100,10 @@ class StructureTensor(Operation):
         super().__init__(DIM, 2, Tensor(flat, SHAPE))
         self._validate(sorted(checks))
 
-    def _validate(self, checks=_SCAN):
+    def _validate(self, checks):
         """Antisymmetry at each 0-based (i, j, k) of `checks`, with j <= k.
 
-        A diagonal entry must vanish and mu^i_{jk} must equal -mu^i_{kj}.  By
-        default all 18 are checked, in scan order.
+        A diagonal entry must vanish and mu^i_{jk} must equal -mu^i_{kj}.
         """
         flat = self.coeffs.flat
         for i, j, k in checks:
@@ -122,14 +118,6 @@ class StructureTensor(Operation):
                     raise ValueError(
                         f"antisymmetry broken at mu^{i+1}_{{{j+1}{k+1}}}:"
                         f" {a} vs {b}")
-
-    @classmethod
-    def from_array(cls, array):
-        """Build from a Tensor or nested lists of shape (3, 3, 3), 0-based."""
-        obj = cls.__new__(cls)
-        Operation.__init__(obj, DIM, 2, array)
-        obj._validate()
-        return obj
 
     def independent_entries(self):
         """Yield ((i, j, k), value) over the nine independent components.
@@ -148,13 +136,28 @@ class StructureTensor(Operation):
         """Fold constant entries down to plain numbers."""
         if not self.is_constant:
             raise ValueError("tensor has non-constant entries")
-        return self.map_entries(
-            lambda v: v if isinstance(v, _SCALARS) else v.constant_value())
+        return self._map(lambda v: v if isinstance(v, _SCALARS) else v.constant_value())
 
-    def map_entries(self, fn):
-        return StructureTensor.from_array(Tensor(map(fn, self.coeffs.flat), SHAPE))
+    def _map(self, fn):
+        """The tensor of fn applied to every entry, built unchecked.
+
+        The contract: fn is odd, fn(-v) == -fn(v), so the image of an
+        antisymmetric tensor is antisymmetric.  Three maps use it:
+        `constant_tensor`'s constant value, `bianchi._fold` and the word map
+        of `quantum.quantize_formal`, each linear over the rationals.
+        """
+        return _trusted(map(fn, self.coeffs.flat))
 
     def __repr__(self):
         parts = [f"mu^{i}_{{{j}{k}}}={v}"
                  for (i, j, k), v in self.independent_entries() if not (v == 0)]
         return "StructureTensor(" + (", ".join(parts) or "0") + ")"
+
+
+def _trusted(flat):
+    """The StructureTensor over 27 antisymmetric row-major entries, unchecked."""
+    out = _new(StructureTensor)
+    out.dim = DIM
+    out.degree = 2
+    out.coeffs = Tensor(flat, SHAPE)
+    return out

@@ -4,7 +4,7 @@
 p = (Ap**2 - Am**2)/2 and the shell relation Am**2 = 2*p0 - Ap**2 on every
 call, substitutes the whole polynomial through `substitute`, and then
 reduces term by term through the public ring operations.  The tests compare
-`bianchi.ShellReduction` and `bianchi.reduce_on_shell` against it.
+`bianchi.ShellReduction` against it.
 """
 
 from fractions import Fraction

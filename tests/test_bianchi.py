@@ -17,10 +17,10 @@ from operadyn import poly, quantum
 from operadyn.bianchi import (BianchiType, TAGS, ShellReduction, all_types,
                               classical_jacobian, deform, deform_formal,
                               deformation_trace, formal_deformation,
-                              is_rigid, raw_jacobian, reduce_on_shell,
-                              structure_constants)
+                              is_rigid, raw_jacobian, structure_constants)
 from operadyn.cli import main
-from operadyn.lax import LaxFamilyParams, formal_mu, solve_C
+from operadyn.lax import (LaxFamilyParams, build_matrix_lax, formal_mu,
+                          matrix_lax_residual, solve_C)
 from operadyn.ncpoly import ExtScalar
 from operadyn.oscillator import BranchError
 from operadyn.poly import Poly, rational_sqrt
@@ -116,8 +116,9 @@ class TestDeform:
             sigma = rational_sqrt(2 * p0) or ExtScalar(0, 1, p0=p0)
             for t in all_types(A):
                 d = deform(t, 1, p0)
-                at0 = d.map_entries(
-                    lambda v: poly.as_poly(v).evaluate(Fraction(0), p0, sigma, Fraction(0)))
+                at0 = StructureTensor({
+                    idx: poly.as_poly(v).evaluate(Fraction(0), p0, sigma, Fraction(0))
+                    for idx, v in d.independent_entries()})
                 assert at0 == structure_constants(t), (t.tag, p0)
 
     def test_irrational_sigma_stays_formal(self):
@@ -156,23 +157,22 @@ class TestOnShellReduction:
         for w in (1, 2):
             for p0 in (Fraction(1, 2), Fraction(2)):
                 h = poly.p ** 2 + w * w * poly.q ** 2 - Fraction(p0) ** 2
-                assert reduce_on_shell(h, w, p0).is_zero
+                assert ShellReduction(w, p0).reduce(h).is_zero
 
     def test_defining_relations(self):
         p0 = Fraction(2)
-        assert reduce_on_shell(2 * poly.p - poly.a_plus ** 2 + poly.a_minus ** 2,
-                               1, p0).is_zero
-        assert reduce_on_shell(poly.q - poly.a_plus * poly.a_minus, 1, p0).is_zero
-        assert reduce_on_shell(poly.a_plus ** 2 + poly.a_minus ** 2 - 2 * p0,
-                               1, p0).is_zero
+        shell = ShellReduction(1, p0)
+        assert shell.reduce(2 * poly.p - poly.a_plus ** 2 + poly.a_minus ** 2).is_zero
+        assert shell.reduce(poly.q - poly.a_plus * poly.a_minus).is_zero
+        assert shell.reduce(poly.a_plus ** 2 + poly.a_minus ** 2 - 2 * p0).is_zero
 
     def test_nonvanishing_survives(self):
-        assert not reduce_on_shell(poly.a_plus, 1, Fraction(2)).is_zero
+        assert not ShellReduction(1, Fraction(2)).reduce(poly.a_plus).is_zero
         # p -> (Ap^2 - Am^2)/2 -> Ap^2 - p0 once Am^2 is eliminated
-        assert reduce_on_shell(poly.p, 1, Fraction(2)) == poly.a_plus ** 2 - 2
+        assert ShellReduction(1, Fraction(2)).reduce(poly.p) == poly.a_plus ** 2 - 2
 
     def test_am_powers_eliminated(self):
-        out = reduce_on_shell(poly.a_minus ** 4, 1, Fraction(2))
+        out = ShellReduction(1, Fraction(2)).reduce(poly.a_minus ** 4)
         assert all(exps[3] <= 1 for exps in out.terms)
 
     @given(st.dictionaries(st.tuples(*(st.integers(0, 3),) * 4),
@@ -197,7 +197,7 @@ class TestOnShellReduction:
         _, remainder = sympy.reduced(expr, basis, q, p, am, ap, order="lex")
         terms = sympy.Poly(remainder, q, p, ap, am).terms()
         expected = Poly({exps: Fraction(int(c.p), int(c.q)) for exps, c in terms})
-        assert reduce_on_shell(f, w, p0) == expected
+        assert ShellReduction(w, p0).reduce(f) == expected
 
 
 # p0 with rational sqrt(2*p0) (2, 8/9) and irrational (3, 5/7)
@@ -254,7 +254,7 @@ class TestShellReduction:
     def test_matches_term_by_term_oracle(self, case):
         value, omega, p0 = case
         want = reference_reduce_on_shell(value, omega, p0)
-        assert _same(reduce_on_shell(value, omega, p0), want)
+        assert _same(ShellReduction(omega, p0).reduce(value), want)
         shell = ShellReduction(omega, p0)
         # a second pass reads the monomial forms the first one filled
         for _ in range(2):
@@ -291,7 +291,7 @@ class TestShellReduction:
             for table, expected in zip(tables, want):
                 assert _same(table.reduce(f), expected)
             for (w, p0), expected in zip(points, want):
-                assert _same(reduce_on_shell(f, w, p0), expected)
+                assert _same(ShellReduction(w, p0).reduce(f), expected)
 
     def test_no_cache_outlives_a_call(self, monkeypatch):
         f = poly.q ** 3 + poly.p ** 2 * poly.a_minus ** 5
@@ -299,7 +299,7 @@ class TestShellReduction:
         costs = []
         for _ in range(3):
             calls.clear()
-            reduce_on_shell(f, 1, Fraction(2))
+            ShellReduction(1, Fraction(2)).reduce(f)
             costs.append(len(calls))
         assert costs[0] > 0 and costs == [costs[0]] * 3
 
@@ -358,14 +358,14 @@ _FLOAT_CALLS = {
     "deform omega": lambda: deform(_VIIA, 0.1, Fraction(2)),
     "deform p0": lambda: deform(_VIIA, 1, 0.1),
     "deform_formal p0": lambda: deform_formal(formal_deformation(_VIIA, 1, 2), 2.0),
-    "reduce_on_shell omega": lambda: reduce_on_shell(poly.q, 0.5, Fraction(2)),
-    "reduce_on_shell p0": lambda: reduce_on_shell(poly.q, 1, 0.5),
     "ShellReduction omega": lambda: ShellReduction(0.5, Fraction(2)),
     "ShellReduction p0": lambda: ShellReduction(1, 0.5),
     "deformation_trace omega": lambda: deformation_trace(_VIIA, 0.1, Fraction(2), [0.0]),
     "deformation_trace p0": lambda: deformation_trace(_VIIA, 1, 0.1, [0.0]),
     "solve_C p0": lambda: solve_C(structure_constants(_VIIA), 0.1),
     "formal_mu omega": lambda: formal_mu(_PARAMS, 0.1),
+    "build_matrix_lax omega": lambda: build_matrix_lax(Fraction(1), Fraction(2), 0.1),
+    "matrix_lax_residual omega": lambda: matrix_lax_residual(Fraction(1), Fraction(2), 0.1),
     "quantize omega": lambda: quantum.quantize(_VIIA, 0.1, Fraction(2)),
     "quantize p0": lambda: quantum.quantize(_VIIA, 1, 0.1),
     "classify omega": lambda: quantum.classify(_VIIA, 0.1, Fraction(2)),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from operadyn import bianchi, lax, quantum
+from operadyn import bianchi, cli, lax, quantum
 from operadyn.cli import COLUMNS, main
 from operadyn.ncpoly import NCPoly
 from operadyn.operad import Tensor
@@ -137,13 +137,34 @@ class TestVerify:
 
         def mutant(params, q, p, a_plus, a_minus, omega):
             entries = dict(real(params, q, p, a_plus, a_minus, omega).independent_entries())
-            entries[(1, 2, 3)] = entries[(1, 2, 3)] + params[3] * q * p
+            entries[(1, 2, 3)] = entries[(1, 2, 3)] + params.c[2] * q * p
             return StructureTensor(entries)
 
         monkeypatch.setattr(lax, "build_mu", mutant)
         code, out, _ = run(capsys, "verify", "operadic-lax")
         assert code == 1
         assert "operadic-lax: FAIL" in out and "C3" in out
+        assert out.rstrip().endswith("overall: FAIL")
+
+    @pytest.mark.parametrize("a", ["1000000", "100000000", "1000000000000"])
+    def test_jacobi_classical_large_modulus(self, capsys, a):
+        # the float defect grows like a from rounding alone; the bound is
+        # relative to the sum of the term magnitudes at each sample
+        code, out, _ = run(capsys, "verify", "jacobi-classical", "--a", a)
+        assert code == 0
+        assert out.splitlines()[1].startswith("jacobi-classical: PASS  (all classes reduce")
+
+    def test_jacobi_classical_catches_off_shell_flow(self, capsys, monkeypatch):
+        real = cli.sample_flow
+
+        def off_shell(omega, p0, times):
+            q, p, ap, am = real(omega, p0, times)
+            return q, [v * 1.001 for v in p], ap, am
+
+        monkeypatch.setattr(cli, "sample_flow", off_shell)
+        code, out, _ = run(capsys, "verify", "jacobi-classical")
+        assert code == 1
+        assert out.splitlines()[1].startswith("jacobi-classical: FAIL  (numeric defect of ")
         assert out.rstrip().endswith("overall: FAIL")
 
     def test_verify_all_builds_each_deformation_once(self, capsys, monkeypatch):
@@ -278,6 +299,12 @@ class TestUsageErrors:
         ("verify", "jacobi-classical", "--p0", "1e-200"),
         ("trace", "II", "--omega", "1e300"),
         ("trace", "II", "--omega", "1e-200"),
+        # the modulus enters the float leg of every parametric class
+        ("trace", "VIIa", "--a", "1e400"),
+        ("verify", "all", "--a", "1e400"),
+        ("verify", "jacobi-classical", "--a", "1e-400"),
+        ("trace", "VIa", "--a", "1e200"),
+        ("verify", "all", "--a", "1e-200"),
     ])
     def test_flag_outside_float_range(self, capsys, argv):
         # the float paths need a positive finite float; the exact tables do not
@@ -285,6 +312,15 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {argv[2]} ")
         assert run(capsys, "tables", "deformed", "--type", "II", *argv[2:])[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("trace", "II", "--a", "1e400", "--t-samples", "3"),
+        ("trace", "IIIa1", "--a", "1e400", "--t-samples", "3"),
+        ("verify", "operadic-lax", "--a", "1e400"),
+    ])
+    def test_modulus_range_only_where_it_enters_floats(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
 
     def test_float_range_reported_before_modulus(self, capsys):
         # both flags are bad; the float leg's range check comes first

@@ -50,12 +50,6 @@ class TestFamily:
         with pytest.raises(TypeError):
             LaxFamilyParams((0.5,) * 9)
 
-    def test_one_based_access(self):
-        params = LaxFamilyParams(tuple(Fraction(n) for n in range(1, 10)))
-        assert params[1] == 1 and params[9] == 9
-        with pytest.raises(ValueError):
-            params[0]
-
     def test_admissibility(self):
         assert LaxFamilyParams((0, 1, 0, 0, 0, 0, 0, 0, 0)).is_admissible
         assert LaxFamilyParams((0, 0, 0, 0, 0, 0, 0, 1, 0)).is_admissible

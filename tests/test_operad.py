@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operadyn import bianchi, poly
 from operadyn.lax import LaxFamilyParams, build_mu, rotation_generator
@@ -218,6 +220,20 @@ class TestGradedLie:
         # matrix bracket: diag(1, -1)
         assert c.entry(1, 1) == 1 and c.entry(2, 2) == -1
         assert c.entry(1, 2) == 0 and c.entry(2, 1) == 0
+
+    @given(st.lists(st.fractions(max_denominator=7), min_size=18, max_size=18))
+    @settings(max_examples=100, deadline=None)
+    def test_degree_one_bracket_is_matrix_commutator(self, values):
+        # the bracket the matrix Lax residual reads: [A, B] = A.B - B.A,
+        # entry for entry, on rational 3x3 matrices
+        a = [values[0:3], values[3:6], values[6:9]]
+        b = [values[9:12], values[12:15], values[15:18]]
+        c = gerstenhaber_bracket(Operation.from_matrix(a), Operation.from_matrix(b))
+        assert c.degree == 1
+        for i in range(3):
+            for j in range(3):
+                expected = sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(3))
+                assert c.coeffs[i, j] == expected
 
     def test_antisymmetry_random(self):
         rng = random.Random(11)

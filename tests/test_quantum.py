@@ -14,11 +14,11 @@ from fractions import Fraction
 import pytest
 
 from operadyn import poly
-from operadyn.bianchi import BianchiType, all_types, formal_deformation, reduce_on_shell
+from operadyn.bianchi import BianchiType, ShellReduction, all_types, formal_deformation
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
 from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID,
                               basis_jacobian, classify, generator_commutator,
-                              quantize, quantize_formal, xi_pair, xi_pm)
+                              quantize, quantize_formal, xi_pair)
 from operadyn.structure import StructureTensor
 from reference_compose import quantum_jacobian, triple_product
 from reference_tables import GRID, operator_table
@@ -39,18 +39,13 @@ class TestTripleProduct:
 
 class TestXi:
     def test_word_structure(self):
-        xp = xi_pm(1, 1, Fraction(2))
-        xm = xi_pm(-1, 1, Fraction(2))
+        xp, xm = xi_pair(1, Fraction(2))
         assert xp.terms == {("Q", "Am"): ExtScalar(1, p0=2),
                             ("P", "Ap"): ExtScalar(1, p0=2),
                             ("Ap",): ExtScalar(-2, p0=2)}
         assert xm.terms == {("Q", "Ap"): ExtScalar(1, p0=2),
                             ("P", "Am"): ExtScalar(-1, p0=2),
                             ("Am",): ExtScalar(-2, p0=2)}
-        assert xi_pair(1, Fraction(2)) == (xp, xm)
-        for sign in (0, "+", "-"):
-            with pytest.raises(ValueError):
-                xi_pm(sign, 1, Fraction(2))
 
     def test_commutative_image_vanishes_on_shell(self):
         # send each word of xi+ and xi- to its commutative monomial: the image
@@ -60,7 +55,7 @@ class TestXi:
             for xi in xi_pair(omega, p0):
                 image = _commutative_image(xi)
                 assert not image.is_zero
-                assert reduce_on_shell(image, omega, p0) == poly.Poly(), (omega, p0, xi)
+                assert ShellReduction(omega, p0).reduce(image) == poly.Poly(), (omega, p0, xi)
 
 
 def _commutative_image(value, sigma=None):
@@ -305,4 +300,4 @@ class TestClassification:
             cert = classify(t, 1, Fraction(2))
             for component in cert.jacobian:
                 image = _commutative_image(component, sigma=2)  # s = 2
-                assert reduce_on_shell(image, 1, Fraction(2)).is_zero, t.tag
+                assert ShellReduction(1, Fraction(2)).reduce(image).is_zero, t.tag

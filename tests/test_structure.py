@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import operadyn
-from operadyn.bianchi import BianchiType, structure_constants
-from operadyn.lax import LaxFamilyParams, formal_mu, rotation_generator
+from operadyn import quantum
+from operadyn.bianchi import BianchiType, all_types, deform, structure_constants
+from operadyn.lax import LaxFamilyParams, formal_mu, operadic_lax_residual, rotation_generator
 from operadyn.ncpoly import ExtScalar
 from operadyn.operad import Operation, Tensor, gerstenhaber_bracket
 from operadyn.poly import Poly, q, p
 from operadyn.structure import PAIRS, StructureTensor
+from reference_structure import from_array, full_check
+from reference_tables import GRID
 
 
 def test_mirror_filled_automatically():
@@ -69,7 +72,7 @@ _INDEX = st.tuples(*(st.integers(1, 3),) * 3)
 def test_sparse_check_agrees_with_full_check(entries):
     # given diagonals and pairs given both ways are what the sparse input can
     # break; on the dense fill the full check raises the same first message
-    full = _outcome(lambda e: StructureTensor.from_array(_dense(e)), entries)
+    full = _outcome(lambda e: from_array(_dense(e)), entries)
     assert _outcome(StructureTensor, entries) == full
 
 
@@ -82,15 +85,8 @@ def test_mirror_filled_input_equals_from_array(entries):
     # one orientation per pair: nothing to compare, and the same tensor as
     # the fully checked dense build
     t = StructureTensor(entries)
-    dense = StructureTensor.from_array(_dense(entries))
+    dense = from_array(_dense(entries))
     assert t == dense and t.coeffs.flat == dense.coeffs.flat
-
-
-def test_map_entries_keeps_full_check():
-    t = StructureTensor({(1, 2, 3): Fraction(1)})
-    with pytest.raises(ValueError, match=r"^antisymmetry broken at mu\^1_\{23\}: 2 vs 2$"):
-        # an even map breaks the mirror the constructor filled
-        t.map_entries(lambda v: 2 * abs(v))
 
 
 def test_index_range():
@@ -112,14 +108,35 @@ def test_operation_round_trip():
     t = StructureTensor({(2, 1, 2): Fraction(-1), (3, 3, 1): Fraction(1)})
     assert isinstance(t, Operation) and (t.dim, t.degree) == (3, 2)
     op = Operation(3, 2, t.coeffs)
-    assert StructureTensor.from_array(op.coeffs) == t == op
+    assert from_array(op.coeffs) == t == op
 
 
 def test_from_operation_rejects_asymmetric():
     flat = [Fraction(0)] * 27
     flat[5] = Fraction(1)  # mu^1_{23} without its mirror
     with pytest.raises(ValueError):
-        StructureTensor.from_array(Tensor(flat, (3, 3, 3)))
+        from_array(Tensor(flat, (3, 3, 3)))
+
+
+def test_derived_tensors_pass_full_check():
+    # the tensors built unchecked, from antisymmetric ones, hold up under the
+    # full scan: both tables of every class, the folded constant tensors and
+    # the nine Lax residual probes
+    rigid = ("I", "VII", "VIII", "IX")
+    derived = []
+    for omega, p0, a in GRID:
+        for t in all_types(a):
+            tables = (deform(t, omega, p0), quantum.quantize(t, omega, p0))
+            derived.extend(tables)
+            if t.tag in rigid:
+                derived.extend(table.constant_tensor() for table in tables)
+    for n in range(9):
+        probe = LaxFamilyParams(tuple(int(m == n) for m in range(9)))
+        derived.append(operadic_lax_residual(probe, Fraction(3, 2)))
+    assert len(derived) == len(GRID) * (2 * 11 + 2 * len(rigid)) + 9
+    for tensor in derived:
+        assert type(tensor) is StructureTensor
+        full_check(tensor)
 
 
 def test_brackets_are_operations():

@@ -1,14 +1,16 @@
 """Compare the CLI output of two operadyn source trees byte for byte.
 
-Runs every `tables` format, `verify all` and each of its four suites alone
-(each suite has its own dispatch), `trace` of all eleven classes and the
-edge cases of the trace row template (an all-constant table and a single
-row: `trace I --t-samples 1`, `trace VIIa --t-samples 1`; 2000 and 3000
-samples, sizes the benchmark's trace workload runs) at a set of
-(omega, p0, a) configs under both trees, then the `trace` error paths
-(no samples, an --omega or --p0 whose square overflows, an unknown tag) and
-every script in `demos/` of this checkout, and reports each command whose
-stdout, stderr or exit code differs.  A command that fails is compared like
+Runs every `tables` format, two single-class tables (`--type VIIa` deformed,
+`--type II` quantum), `verify all` and each of its four suites alone (each
+suite has its own dispatch), `trace` of all eleven classes and the edge
+cases of the trace row template (an all-constant table and a single row:
+`trace I --t-samples 1`, `trace VIIa --t-samples 1`; 2000 and 3000 samples,
+sizes the benchmark's trace workload runs) at a set of (omega, p0, a)
+configs under both trees, then the error paths (no samples, an --omega or
+--p0 whose square overflows, an unknown tag, a nonpositive flag, --a 1 when
+listing all classes, an unwritable --out) and every script in `demos/` of
+this checkout, and reports each command whose stdout, stderr or exit code
+differs.  A command that fails is compared like
 any other: its exit code and its error text are part of the contract.
 
     python3 tools/cli_diff.py BASE_SRC NEW_SRC
@@ -50,6 +52,11 @@ ERRORS = (
     ("trace", "VIIa", "--omega", "1e300"),
     ("trace", "VIIa", "--p0", "1e200"),
     ("trace", "X"),
+    ("tables", "bianchi", "--omega", "0"),
+    ("tables", "bianchi", "--p0", "-2"),
+    ("tables", "bianchi", "--a", "0"),
+    ("verify", "all", "--a", "1"),
+    ("tables", "bianchi", "--out", "/nonexistent/dir/x.txt"),
 )
 
 
@@ -58,6 +65,8 @@ def commands():
         for which in ("bianchi", "deformed", "quantum"):
             for fmt in ("text", "json", "csv"):
                 yield ("tables", which, "--format", fmt, *cfg)
+        yield ("tables", "deformed", "--type", "VIIa", *cfg)
+        yield ("tables", "quantum", "--type", "II", *cfg)
         for suite in ("all", *SUITES):
             yield ("verify", suite, *cfg)
         for tag in TAGS:
