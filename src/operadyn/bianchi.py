@@ -21,11 +21,15 @@ polynomial reduction.  The reduction runs through a `ShellReduction` table
 for one (omega, p0), which keeps the normal form of each monomial it has
 met; `classical_jacobian` reduces its three components through one table.
 No table outlives its caller.
+
+`BianchiType` is a namedtuple whose constructor, `_make` and `_replace` check
+and normalize (tag, a); it compares, hashes and unpacks as that tuple, so
+`BianchiType("II") == ("II", None)`, and setting a field raises AttributeError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import poly
@@ -56,30 +60,28 @@ _SIGNATURES = {
 PARAMETRIC = ("VIIa", "VIa")
 
 
-@dataclass(frozen=True)
-class BianchiType:
-    tag: str
-    a: Fraction | None = None
+class BianchiType(namedtuple("BianchiType", "tag a")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # `_replace` calls it
 
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown type tag {self.tag!r}, expected one of {TAGS}")
-        a = self.a
-        if self.tag in PARAMETRIC:
+    def __new__(cls, tag, a=None):
+        if tag not in TAGS:
+            raise ValueError(f"unknown type tag {tag!r}, expected one of {TAGS}")
+        if tag in PARAMETRIC:
             if a is None:
-                raise ValueError(f"type {self.tag} requires a modulus a > 0")
+                raise ValueError(f"type {tag} requires a modulus a > 0")
             a = _rational(a)
             if not a > 0:
                 raise ValueError(f"modulus must be positive, got {a}")
-            if self.tag == "VIa" and a == 1:
+            if tag == "VIa" and a == 1:
                 raise ValueError("type VIa requires a != 1 (a = 1 is type IIIa1)")
-        elif self.tag == "IIIa1":
+        elif tag == "IIIa1":
             if a is not None and _rational(a) != 1:
                 raise ValueError("type IIIa1 has fixed modulus a = 1")
             a = Fraction(1)
         elif a is not None:
-            raise ValueError(f"type {self.tag} takes no modulus")
-        object.__setattr__(self, "a", a)
+            raise ValueError(f"type {tag} takes no modulus")
+        return super().__new__(cls, tag, a)
 
     @property
     def label(self):

@@ -18,9 +18,7 @@ and when the output cannot be written.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import sys
 from fractions import Fraction
@@ -49,10 +47,17 @@ _EXPECTED_KIND = {
 
 def _fraction(text):
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
-    return value
+
+
+def _float(value):
+    """float(value), or infinity when its magnitude is too large to convert."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _positive_float(value, flag):
@@ -62,10 +67,7 @@ def _positive_float(value, flag):
     must be a normal float: neither overflow to infinity nor underflow below
     sys.float_info.min.  The exact commands accept any positive value.
     """
-    try:
-        f = float(value)
-    except OverflowError:
-        f = math.inf
+    f = _float(value)
     if not (f > 0 and sys.float_info.min <= f * f <= sys.float_info.max):
         raise ValueError(f"{flag} {value} is outside the float range"
                          " (its square must be a normal float)")
@@ -127,9 +129,9 @@ def _selected_types(cfg, tag):
 def _table_rows(which, cfg, tag):
     rows = []
     for t in _selected_types(cfg, tag):
+        text = str
         if which == "bianchi":
             tensor = bianchi.structure_constants(t)
-            text = str
         elif which == "deformed":
             tensor = bianchi.deform(t, cfg.omega, cfg.p0)
             # constant entries come back as bare numbers; promote so every
@@ -138,7 +140,6 @@ def _table_rows(which, cfg, tag):
             text = lambda v: str(poly.as_poly(v))
         else:
             tensor = quantum.quantize(t, cfg.omega, cfg.p0)
-            text = str
         entries = [((i, j, k), text(v)) for (i, j, k), v in tensor.independent_entries()]
         rows.append((t, entries))
     return rows
@@ -147,6 +148,7 @@ def _table_rows(which, cfg, tag):
 def _render_tables(which, cfg, tag, fmt):
     rows = _table_rows(which, cfg, tag)
     if fmt == "json":
+        import json  # only the formats that write json or csv load them
         doc = {
             "table": which,
             "omega": str(cfg.omega),
@@ -167,6 +169,7 @@ def _render_tables(which, cfg, tag, fmt):
         }
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["type", "a"] + COLUMNS)
@@ -224,12 +227,24 @@ def _check_jacobi_classical(cfg, point, formal):
             return False, f"on-shell defect of {t.label} is not zero: {reduced}"
         failed = False
         for component in raw:
-            terms = component.terms.items()
+            # each coefficient must stay a normal float, or the floats test another
+            # polynomial; converting up front changes no value (see evaluate_terms)
+            terms = [(e, _float(c)) for e, c in component.terms.items()]
+            bad = [c for _, c in terms
+                   if not sys.float_info.min <= abs(c) <= sys.float_info.max]
+            if bad:
+                raise ValueError(f"a Jacobi defect coefficient of {t.label} is {bad[0]!r}"
+                                 " as a float; the float leg of jacobi-classical needs"
+                                 " normal floats")
             values = poly.evaluate_terms(terms, flow)
             # rounding error grows with the terms, so each sample's bound is
             # relative to the sum of their magnitudes; the detail names the
             # absolute worst defect
-            scales = poly.evaluate_terms([(e, abs(float(c))) for e, c in terms], sizes)
+            scales = poly.evaluate_terms([(e, abs(c)) for e, c in terms], sizes)
+            if not all(map(math.isfinite, scales)):
+                raise ValueError(f"the Jacobi defect terms of {t.label} sum past the float"
+                                 " range along the flow; the float leg of jacobi-classical"
+                                 " needs finite sums")
             worst = max(worst, *map(abs, values))
             failed |= any(abs(v) > 1e-10 * max(1.0, m) for v, m in zip(values, scales))
         if failed:
@@ -306,13 +321,6 @@ def _run_trace(cfg, tag, samples):
 # entry point
 
 
-def _emit(text, out):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -320,19 +328,21 @@ def main(argv=None):
         for flag in ("omega", "p0", "a"):
             if not getattr(args, flag) > 0:
                 raise ValueError(f"{flag} must be positive, got {getattr(args, flag)}")
+        code = 0
         if args.command == "tables":
             text = _render_tables(args.which, args, args.type_tag, args.format)
-            code = 0
         elif args.command == "verify":
             text, code = _run_verify(args.which, args)
         else:
             text = _run_trace(args, args.type_tag, args.t_samples)
-            code = 0
     except (ValueError, BranchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(text, args.out)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            args.out.write_text(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,11 +27,14 @@ The parameters are exact.  solve_C places a constant tensor in the family at
 the reference point, where Ap = s = sqrt(2*p0); the four parameters that
 multiply Ap or Am come back in Q(s) with s formal, so every rational p0 > 0
 is exact.
+
+`MatrixLaxPair` and `LaxFamilyParams` are namedtuples with read-only fields;
+`LaxFamilyParams` checks c in its constructor, `_make` and `_replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import sub
 
@@ -45,10 +48,8 @@ from .structure import StructureTensor, _position, _trusted
 # matrix layer
 
 
-@dataclass(frozen=True)
-class MatrixLaxPair:
-    L: Tensor
-    M: Tensor
+class MatrixLaxPair(namedtuple("MatrixLaxPair", "L M")):
+    __slots__ = ()
 
 
 def rotation_generator(omega):
@@ -92,22 +93,21 @@ def matrix_lax_residual(q, p, omega):
 # operadic layer
 
 
-@dataclass(frozen=True)
-class LaxFamilyParams:
+class LaxFamilyParams(namedtuple("LaxFamilyParams", "c")):
     """The nine coefficients C1..C9 of the bilinear Lax family.
 
     Each is a rational or an ExtScalar, stored as a Fraction or as an
     ExtScalar with nonzero s-part; anything else is a TypeError.
     """
 
-    c: tuple
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # `_replace` calls it
 
-    def __post_init__(self):
-        values = tuple(self.c)
+    def __new__(cls, c):
+        values = tuple(c)
         if len(values) != 9:
             raise ValueError(f"expected nine coefficients, got {len(values)}")
-        coerced = tuple(map(_coefficient, values))
-        object.__setattr__(self, "c", coerced)
+        return super().__new__(cls, tuple(map(_coefficient, values)))
 
     @property
     def is_admissible(self):

@@ -17,12 +17,15 @@ lists Ap and Am.  Each checks omega > 0 and p0 > 0 once per call;
 before any sine is taken.  `exact_flow` and `quasi_coords` are one-element
 calls into the two kernels, so every formula and every check is written
 once; `exact_flow` first checks that its one time is finite.
+
+`OscillatorState` and `QuasiCoords` are namedtuples: they compare, hash and
+unpack as the tuple of their fields, and setting a field raises AttributeError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 # relative tolerance of the energy-shell check in `quasi_columns`
@@ -33,22 +36,16 @@ class BranchError(ValueError):
     """The quasi-canonical chart is not defined at the requested point."""
 
 
-@dataclass(frozen=True)
-class OscillatorState:
-    q: float
-    p: float
-    omega: float
-    p0: float
+class OscillatorState(namedtuple("OscillatorState", "q p omega p0")):
+    __slots__ = ()
 
     @property
     def energy(self):
         return _energy(self.q, self.p, self.omega)
 
 
-@dataclass(frozen=True)
-class QuasiCoords:
-    a_plus: float
-    a_minus: float
+class QuasiCoords(namedtuple("QuasiCoords", "a_plus a_minus")):
+    __slots__ = ()
 
 
 def _check_params(omega, p0):

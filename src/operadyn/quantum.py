@@ -27,13 +27,15 @@ Every class lands in exactly one bucket:
     AnomalousI   defect (0, 0, (1/p0) [Ap, Am])              (IV, V)
     AnomalousII  defect (tau*a/sqrt(2 p0**3) xi+, tau*a/sqrt(2 p0**3) xi-,
                  (a**2/p0) [Ap, Am]) with tau = -1           (IIIa1, VIa, VIIa)
+
+`JacobianTriple` and `AnomalyCertificate` are namedtuples with read-only
+fields, so a triple unpacks as j1, j2, j3 and compares as that tuple.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import bianchi, poly
@@ -115,14 +117,8 @@ def _nc_entries(mu):
     return mu.coeffs.flat
 
 
-@dataclass(frozen=True)
-class JacobianTriple:
-    j1: NCPoly
-    j2: NCPoly
-    j3: NCPoly
-
-    def __iter__(self):
-        return iter((self.j1, self.j2, self.j3))
+class JacobianTriple(namedtuple("JacobianTriple", "j1 j2 j3")):
+    __slots__ = ()
 
     @property
     def is_zero(self):
@@ -138,16 +134,9 @@ def basis_jacobian(mu):
     return JacobianTriple(*_cyclic_defect(_nc_entries(mu), NCPoly({}, p0=p0)))
 
 
-@dataclass(frozen=True)
-class AnomalyCertificate:
-    kind: str
-    type_label: str
-    omega: Fraction
-    p0: Fraction
-    a: Fraction | None
-    tau: int | None
-    jacobian: JacobianTriple
-    matched: tuple
+class AnomalyCertificate(namedtuple("AnomalyCertificate",
+                                    "kind type_label omega p0 a tau jacobian matched")):
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -162,6 +151,7 @@ class AnomalyCertificate:
         }
 
     def to_json(self):
+        import json  # here, not at the top: importing the CLI does not load json
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 

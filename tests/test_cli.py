@@ -167,6 +167,20 @@ class TestVerify:
         assert out.splitlines()[1].startswith("jacobi-classical: FAIL  (numeric defect of ")
         assert out.rstrip().endswith("overall: FAIL")
 
+    def test_jacobi_classical_rejects_infinite_term_sums(self, capsys, monkeypatch):
+        # finite samples whose term magnitudes sum past the float range:
+        # the relative bound 1e-10 * max(1, S) would then bound nothing
+        real = cli.sample_flow
+
+        def far_out(omega, p0, times):
+            return [[v * 1e200 for v in column] for column in real(omega, p0, times)]
+
+        monkeypatch.setattr(cli, "sample_flow", far_out)
+        code, out, err = run(capsys, "verify", "jacobi-classical")
+        assert code == 2 and out == ""
+        assert err.startswith("error: the Jacobi defect terms of ")
+        assert " sum past the float range along the flow;" in err and err.count("\n") == 1
+
     def test_verify_all_builds_each_deformation_once(self, capsys, monkeypatch):
         # jacobi-classical and jacobi-quantum share one formal deformation
         # per class instead of building it through deform and quantize each
@@ -322,6 +336,21 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert code == 0 and err == ""
 
+    @pytest.mark.parametrize("argv, value", [
+        # an ExtScalar coefficient too large for a float (it raised OverflowError)
+        (("verify", "jacobi-classical", "--a", "1e150", "--p0", "1e-150"), "inf"),
+        (("verify", "all", "--a", "1e150", "--p0", "1e-150"), "inf"),
+        # a nonzero coefficient that underflows to 0.0 (it printed a false FAIL)
+        (("verify", "jacobi-classical", "--omega", "1e-150", "--p0", "1e150"), "0.0"),
+    ])
+    def test_float_leg_coefficient_outside_float_range(self, capsys, argv, value):
+        # each flag is inside the float range; the Jacobi coefficients are not
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: a Jacobi defect coefficient of VIIa(a=")
+        assert err.endswith(f" is {value} as a float; the float leg of jacobi-classical"
+                            " needs normal floats\n")
+
     def test_float_range_reported_before_modulus(self, capsys):
         # both flags are bad; the float leg's range check comes first
         code, out, err = run(capsys, "verify", "all", "--a", "1", "--p0", "1e400")
@@ -339,19 +368,35 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-def test_numpy_stays_out():
-    # the CLI and both float paths run on the standard library alone
-    code = ("import contextlib, io, sys\n"
-            "import operadyn.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert operadyn.cli.main(['verify', 'all']) == 0\n"
-            "    assert operadyn.cli.main(['trace', 'II']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+def _python(code):
+    """Run code in a fresh interpreter with this checkout's src/ first on the path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_numpy_stays_out():
+    # the CLI and both float paths run on the standard library alone
+    proc = _python("import contextlib, io, sys\n"
+                   "import operadyn.cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    assert operadyn.cli.main(['verify', 'all']) == 0\n"
+                   "    assert operadyn.cli.main(['trace', 'II']) == 0\n"
+                   "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_dataclass_or_table_format_modules():
+    # the records are namedtuples, and json/csv load only for the table
+    # formats that write them; a mechanism check, with no clock in it
+    proc = _python("import sys\n"
+                   "before = set(sys.modules)\n"
+                   "import operadyn.cli\n"
+                   "new = set(sys.modules) - before\n"
+                   "print(sorted(new & {'dataclasses', 'inspect', 'json', 'csv'}))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point():

@@ -226,12 +226,13 @@ class TestNoStateObjects:
     """`trace` samples the flow by columns: no per-sample state objects."""
 
     def test_trace_builds_none(self, monkeypatch, capsys):
+        # the records are namedtuples, which build in __new__
         built = []
         for cls in (OscillatorState, QuasiCoords):
-            def counting(self, *args, _init=cls.__init__, **kwargs):
-                built.append(type(self).__name__)
-                _init(self, *args, **kwargs)
-            monkeypatch.setattr(cls, "__init__", counting)
+            def counting(record, *args, _new=cls.__new__, **kwargs):
+                built.append(record.__name__)
+                return _new(record, *args, **kwargs)
+            monkeypatch.setattr(cls, "__new__", counting)
         quasi_coords(exact_flow(1.0, 2.0, 0.5))
         assert built == ["OscillatorState", "QuasiCoords"]   # the count works
         built.clear()
