@@ -8,8 +8,8 @@ Subcommands:
 
 Rational flags accept fractions ("1/2") or decimal strings ("0.5").  Each
 verify suite is a finite exact proof whose detail line names its argument
-(a degree bound in omega, or linearity in C1..C9), so the output of every
-command depends only on its flags.
+(a degree bound in omega or on the shell conic, or linearity in C1..C9),
+so every output depends only on the flags; only trace computes in floats.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 and when the output cannot be written.
@@ -27,7 +27,8 @@ from pathlib import Path
 from . import bianchi, poly, quantum
 from .bianchi import BianchiType
 from .lax import LaxFamilyParams, matrix_lax_residual, operadic_lax_residual
-from .oscillator import BranchError, sample_flow
+from .ncpoly import ExtScalar, _coefficient
+from .oscillator import BranchError
 from .structure import PAIRS
 
 # nine independent components in column order
@@ -52,22 +53,17 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _float(value):
-    """float(value), or infinity when its magnitude is too large to convert."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
 def _positive_float(value, flag):
     """The float of a positive rational flag, or ValueError naming the flag.
 
-    The float paths square --omega, --p0 and the modulus --a, so the square
-    must be a normal float: neither overflow to infinity nor underflow below
-    sys.float_info.min.  The exact commands accept any positive value.
+    Only `trace` computes in floats: it squares --omega and --p0, and --a
+    enters them for the parametric classes, so each square must be a normal
+    float.
     """
-    f = _float(value)
+    try:
+        f = float(value)
+    except OverflowError:
+        f = math.inf
     if not (f > 0 and sys.float_info.min <= f * f <= sys.float_info.max):
         raise ValueError(f"{flag} {value} is outside the float range"
                          " (its square must be a normal float)")
@@ -210,47 +206,56 @@ def _check_operadic_lax(cfg):
                   " linear in C1..C9, so zero for every C")
 
 
-def _check_jacobi_classical(cfg, point, formal):
-    w, p0 = point
-    # one set of flow samples serves every class
-    times = [(n / 25.0) * (math.pi / w) * 0.99 for n in range(25)]
-    flow = sample_flow(w, p0, times)
-    sizes = [list(map(abs, column)) for column in flow]
+def _shell_points(omega, p0, n):
+    """Columns q, p, alpha, beta at the points u = 0..n-1 of the shell conic:
+    Ap = s*alpha = s*(1 - u**2)/(1 + u**2) and Am = s*beta = s*2u/(1 + u**2)."""
+    alpha = [Fraction(1 - u * u, 1 + u * u) for u in range(n)]
+    beta = [Fraction(2 * u, 1 + u * u) for u in range(n)]
+    return ([2 * p0 * x * y / omega for x, y in zip(alpha, beta)],
+            [p0 * (x * x - y * y) for x, y in zip(alpha, beta)], alpha, beta)
+
+
+def _shell_defect(values, omega, p0):
+    """(D, name) over (name, polynomial) pairs: D bounds each one's degree on
+    the shell conic, and name is the first not zero at u = 0..2D, or None.
+
+    At u a polynomial is N(u)/(1 + u**2)**D with deg N <= 2D, since D is at
+    least max(2i + 2j + k + l) over its terms q^i p^j Ap^k Am^l.  N has its
+    coefficients in a field, as s = sqrt(2*p0) is folded to its value when
+    that is rational, so zero at the 2D + 1 points means zero at every u,
+    and so on the whole conic, which the u cover but for one point.
+    """
+    s = poly.rational_sqrt(2 * p0) or ExtScalar(0, 1, p0=p0)
+    degree = max((2 * (i + j) + k + l for _, v in values for i, j, k, l in v.terms),
+                 default=0)
+    powers = [Fraction(1)]   # s^m for m = 0..D; each one free of s is a Fraction
+    while len(powers) <= degree:
+        powers.append(_coefficient(powers[-1] * s))
+    points = _shell_points(omega, p0, 2 * degree + 1)
+    for name, value in values:
+        terms = [(e, _coefficient(c * powers[e[2] + e[3]])) for e, c in value.terms.items()]
+        if any(poly.evaluate_terms(terms, points)):
+            return degree, name
+    return degree, None
+
+
+def _check_jacobi_classical(cfg, formal):
     # one shell reduction table serves every class
     shell = bianchi.ShellReduction(cfg.omega, cfg.p0)
-    worst = 0.0
+    components = []
     for t, tensor in formal:
-        mu = bianchi.deform_formal(tensor, cfg.p0)
-        raw = bianchi.raw_jacobian(mu)
+        raw = bianchi.raw_jacobian(bianchi.deform_formal(tensor, cfg.p0))
         reduced = tuple(map(shell.reduce, raw))
         if any(not c.is_zero for c in reduced):
             return False, f"on-shell defect of {t.label} is not zero: {reduced}"
-        failed = False
-        for component in raw:
-            # each coefficient must stay a normal float, or the floats test another
-            # polynomial; converting up front changes no value (see evaluate_terms)
-            terms = [(e, _float(c)) for e, c in component.terms.items()]
-            bad = [c for _, c in terms
-                   if not sys.float_info.min <= abs(c) <= sys.float_info.max]
-            if bad:
-                raise ValueError(f"a Jacobi defect coefficient of {t.label} is {bad[0]!r}"
-                                 " as a float; the float leg of jacobi-classical needs"
-                                 " normal floats")
-            values = poly.evaluate_terms(terms, flow)
-            # rounding error grows with the terms, so each sample's bound is
-            # relative to the sum of their magnitudes; the detail names the
-            # absolute worst defect
-            scales = poly.evaluate_terms([(e, abs(c)) for e, c in terms], sizes)
-            if not all(map(math.isfinite, scales)):
-                raise ValueError(f"the Jacobi defect terms of {t.label} sum past the float"
-                                 " range along the flow; the float leg of jacobi-classical"
-                                 " needs finite sums")
-            worst = max(worst, *map(abs, values))
-            failed |= any(abs(v) > 1e-10 * max(1.0, m) for v, m in zip(values, scales))
-        if failed:
-            return False, f"numeric defect of {t.label} reached {worst:.3e}"
-    return True, (f"all classes reduce to zero on shell; numeric defect along"
-                  f" the flow at most {worst:.3e}")
+        components += [(t.label, c) for c in raw]
+    # a second proof, independent of the reduction
+    degree, label = _shell_defect(components, cfg.omega, cfg.p0)
+    if label is not None:
+        return False, f"defect of {label} is not zero at the shell points u = 0..{2 * degree}"
+    return True, (f"all classes reduce to zero on shell; each defect has degree"
+                  f" <= {degree} on the shell conic and vanishes at its points"
+                  f" u = 0..{2 * degree}, so on all of it")
 
 
 def _check_jacobi_quantum(cfg, formal):
@@ -269,12 +274,6 @@ def _check_jacobi_quantum(cfg, formal):
 
 def _run_verify(which, cfg):
     suites = _VERIFY_SUITES if which == "all" else (which,)
-    # the float leg's range check comes before the class list's a != 1 check
-    point = None
-    if "jacobi-classical" in suites:
-        point = (_positive_float(cfg.omega, "--omega"), _positive_float(cfg.p0, "--p0"))
-        # the parametric classes carry the modulus into the float leg
-        _positive_float(cfg.a, "--a")
     # one formal deformation per class serves both Jacobi suites
     formal = None
     if "jacobi-classical" in suites or "jacobi-quantum" in suites:
@@ -283,7 +282,7 @@ def _run_verify(which, cfg):
     checks = {
         "matrix-lax": lambda: _check_matrix_lax(cfg),
         "operadic-lax": lambda: _check_operadic_lax(cfg),
-        "jacobi-classical": lambda: _check_jacobi_classical(cfg, point, formal),
+        "jacobi-classical": lambda: _check_jacobi_classical(cfg, formal),
         "jacobi-quantum": lambda: _check_jacobi_quantum(cfg, formal),
     }
     lines = [f"verify  omega={cfg.omega}  p0={cfg.p0}  a={cfg.a}"]

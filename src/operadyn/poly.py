@@ -251,8 +251,8 @@ def evaluate_terms(terms, columns):
     every base once per unit of its exponent.  So a Fraction or ExtScalar
     coefficient times a float converts itself to float first, and int 0 plus
     -0.0 gives 0.0.  This is the one evaluation loop: `Poly.evaluate` runs it
-    on one-point columns, and `bianchi.deformation_trace` and the float leg
-    of `verify jacobi-classical` on a column per coordinate.
+    on one-point columns, `bianchi.deformation_trace` on float columns of the
+    flow, and `verify jacobi-classical` on exact columns of shell points.
     """
     n = len(columns[0])
     total = [0] * n

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from operadyn import bianchi, cli, lax, quantum
+from operadyn import bianchi, cli, lax, poly, quantum
 from operadyn.cli import COLUMNS, main
-from operadyn.ncpoly import NCPoly
+from operadyn.ncpoly import ExtScalar, NCPoly
 from operadyn.operad import Tensor
 from operadyn.poly import Poly, as_poly
 from operadyn.structure import StructureTensor
@@ -148,38 +148,85 @@ class TestVerify:
 
     @pytest.mark.parametrize("a", ["1000000", "100000000", "1000000000000"])
     def test_jacobi_classical_large_modulus(self, capsys, a):
-        # the float defect grows like a from rounding alone; the bound is
-        # relative to the sum of the term magnitudes at each sample
+        # the detail names the points and the degree bound, whatever the modulus
         code, out, _ = run(capsys, "verify", "jacobi-classical", "--a", a)
         assert code == 0
-        assert out.splitlines()[1].startswith("jacobi-classical: PASS  (all classes reduce")
+        assert out.splitlines()[1] == (
+            "jacobi-classical: PASS  (all classes reduce to zero on shell; each defect"
+            " has degree <= 3 on the shell conic and vanishes at its points u = 0..6,"
+            " so on all of it)")
 
-    def test_jacobi_classical_catches_off_shell_flow(self, capsys, monkeypatch):
-        real = cli.sample_flow
+    def test_jacobi_classical_catches_off_shell_points(self, capsys, monkeypatch):
+        real = cli._shell_points
 
-        def off_shell(omega, p0, times):
-            q, p, ap, am = real(omega, p0, times)
-            return q, [v * 1.001 for v in p], ap, am
+        def off_shell(omega, p0, n):
+            q, p, alpha, beta = real(omega, p0, n)
+            return q, [v * Fraction(1001, 1000) for v in p], alpha, beta
 
-        monkeypatch.setattr(cli, "sample_flow", off_shell)
+        monkeypatch.setattr(cli, "_shell_points", off_shell)
         code, out, _ = run(capsys, "verify", "jacobi-classical")
         assert code == 1
-        assert out.splitlines()[1].startswith("jacobi-classical: FAIL  (numeric defect of ")
+        # VIIa is the first class whose defect holds p
+        assert out.splitlines()[1] == ("jacobi-classical: FAIL  (defect of VIIa(a=1/2)"
+                                       " is not zero at the shell points u = 0..6)")
         assert out.rstrip().endswith("overall: FAIL")
 
-    def test_jacobi_classical_rejects_infinite_term_sums(self, capsys, monkeypatch):
-        # finite samples whose term magnitudes sum past the float range:
-        # the relative bound 1e-10 * max(1, S) would then bound nothing
-        real = cli.sample_flow
+    @pytest.mark.parametrize("legs", ["both", "points"])
+    def test_jacobi_classical_catches_bracket_mutant(self, capsys, monkeypatch, legs):
+        # q added to mu^1_23 of VIIa breaks Jacobi on the shell; each leg alone
+        # sees it, so with the reduction blinded the points still fail
+        real = bianchi.formal_deformation
 
-        def far_out(omega, p0, times):
-            return [[v * 1e200 for v in column] for column in real(omega, p0, times)]
+        def mutant(t, omega, p0):
+            tensor = real(t, omega, p0)
+            if t.tag != "VIIa":
+                return tensor
+            entries = dict(tensor.independent_entries())
+            entries[(1, 2, 3)] = as_poly(entries[(1, 2, 3)]) + poly.q
+            return StructureTensor(entries)
 
-        monkeypatch.setattr(cli, "sample_flow", far_out)
-        code, out, err = run(capsys, "verify", "jacobi-classical")
-        assert code == 2 and out == ""
-        assert err.startswith("error: the Jacobi defect terms of ")
-        assert " sum past the float range along the flow;" in err and err.count("\n") == 1
+        monkeypatch.setattr(bianchi, "formal_deformation", mutant)
+        if legs == "points":
+            monkeypatch.setattr(bianchi.ShellReduction, "reduce", lambda self, v: Poly())
+        code, out, _ = run(capsys, "verify", "jacobi-classical")
+        assert code == 1
+        line = out.splitlines()[1]
+        assert line.startswith("jacobi-classical: FAIL  (") and "of VIIa(a=1/2) is not zero" in line
+        assert out.rstrip().endswith("overall: FAIL")
+
+    @pytest.mark.parametrize("p0, s", [
+        (Fraction(2), Fraction(2)),
+        (Fraction(3), ExtScalar(0, 1, p0=3)),     # irrational sigma: s stays formal
+    ])
+    def test_shell_points_follow_the_degree(self, p0, s):
+        # Am/(Ap + s) = u at the shell point u, so f vanishes at u = 0..6 and
+        # not at 7: a fixed grid of seven points would miss it, while its
+        # degree 7 on the conic takes the check to 15 points
+        ap, am = Poly.variable("Ap"), Poly.variable("Am")
+        f = Poly.constant(1)
+        for k in range(7):
+            f = f * (am - k * (ap + s))
+        q, p, alpha, beta = cli._shell_points(Fraction(1), p0, 8)
+        values = [f.evaluate(*point, s * x, s * y) for *point, x, y in zip(q, p, alpha, beta)]
+        assert [bool(v) for v in values] == [False] * 7 + [True]
+        assert cli._shell_defect([("f", f)], Fraction(1), p0) == (7, "f")
+        # zero on the conic, though not as a polynomial
+        shell = ap * ap + am * am - 2 * p0
+        assert cli._shell_defect([("0", Poly()), ("shell", shell)],
+                                 Fraction(1), p0) == (2, None)
+
+    def test_verify_path_holds_no_floats(self):
+        def names(code):
+            out = set(code.co_names)
+            for const in code.co_consts:
+                if hasattr(const, "co_names"):
+                    out |= names(const)
+            return out
+
+        for fn in (cli._run_verify, cli._check_jacobi_classical, cli._shell_defect,
+                   cli._shell_points):
+            assert not names(fn.__code__) & {"float", "math", "_positive_float"}, fn
+        assert not hasattr(cli, "sample_flow")
 
     def test_verify_all_builds_each_deformation_once(self, capsys, monkeypatch):
         # jacobi-classical and jacobi-quantum share one formal deformation
@@ -198,8 +245,8 @@ class TestVerify:
         assert len(set(calls)) == 11
 
     def test_verify_all_builds_each_raw_jacobian_once(self, capsys, monkeypatch):
-        # the exact reduction and the float leg of jacobi-classical read the
-        # same raw Jacobian
+        # the shell reduction and the shell points of jacobi-classical read
+        # the same raw Jacobian
         real = bianchi.raw_jacobian
         calls = []
 
@@ -313,18 +360,23 @@ class TestUsageErrors:
         ("verify", "jacobi-classical", "--p0", "1e-200"),
         ("trace", "II", "--omega", "1e300"),
         ("trace", "II", "--omega", "1e-200"),
-        # the modulus enters the float leg of every parametric class
+        # the modulus enters the floats of trace for the parametric classes
         ("trace", "VIIa", "--a", "1e400"),
         ("verify", "all", "--a", "1e400"),
         ("verify", "jacobi-classical", "--a", "1e-400"),
         ("trace", "VIa", "--a", "1e200"),
         ("verify", "all", "--a", "1e-200"),
+        ("verify", "all", "--p0", "1e400"),
     ])
     def test_flag_outside_float_range(self, capsys, argv):
-        # the float paths need a positive finite float; the exact tables do not
+        # trace needs a positive float whose square is a normal float; verify
+        # and the tables are exact and take any positive rational
         code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: {argv[2]} ")
+        if argv[0] == "trace":
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {argv[2]} ")
+        else:
+            assert code == 0 and err == "" and out.endswith("overall: PASS\n")
         assert run(capsys, "tables", "deformed", "--type", "II", *argv[2:])[0] == 0
 
     @pytest.mark.parametrize("argv", [
@@ -340,22 +392,36 @@ class TestUsageErrors:
         # an ExtScalar coefficient too large for a float (it raised OverflowError)
         (("verify", "jacobi-classical", "--a", "1e150", "--p0", "1e-150"), "inf"),
         (("verify", "all", "--a", "1e150", "--p0", "1e-150"), "inf"),
-        # a nonzero coefficient that underflows to 0.0 (it printed a false FAIL)
+        # a nonzero coefficient that underflows to 0.0
         (("verify", "jacobi-classical", "--omega", "1e-150", "--p0", "1e150"), "0.0"),
+        # a coefficient whose s-part -5e-317 is subnormal, so its float keeps
+        # few digits of -7.0710678118654752e-257
+        (("verify", "jacobi-classical", "--omega", "1e-153", "--p0", "1e120", "--a", "1e77"),
+         "-7.071068045679377e-257"),
     ])
     def test_float_leg_coefficient_outside_float_range(self, capsys, argv, value):
-        # each flag is inside the float range; the Jacobi coefficients are not
+        # each flag is inside the float range, and a Jacobi coefficient of VIIa
+        # has the float value; verify is exact and passes all the same
+        flags = dict(zip(argv[2::2], map(Fraction, argv[3::2])))
+        omega, p0 = flags.get("--omega", Fraction(1)), flags.get("--p0", Fraction(2))
+        t = bianchi.BianchiType("VIIa", flags.get("--a", Fraction(1, 2)))
+        floats = set()
+        for component in bianchi.raw_jacobian(bianchi.deform(t, omega, p0)):
+            for c in component.terms.values():
+                try:
+                    floats.add(float(c))
+                except OverflowError:
+                    floats.add(float("inf"))
+        assert float(value) in floats
         code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: a Jacobi defect coefficient of VIIa(a=")
-        assert err.endswith(f" is {value} as a float; the float leg of jacobi-classical"
-                            " needs normal floats\n")
+        assert code == 0 and err == ""
+        assert out.endswith("overall: PASS\n") and "jacobi-classical: PASS" in out
 
-    def test_float_range_reported_before_modulus(self, capsys):
-        # both flags are bad; the float leg's range check comes first
+    def test_modulus_reported_with_p0_outside_float_range(self, capsys):
+        # verify takes any positive p0, so only the modulus is at fault
         code, out, err = run(capsys, "verify", "all", "--a", "1", "--p0", "1e400")
         assert code == 2 and out == ""
-        assert err.startswith("error: --p0 ")
+        assert err.startswith("error: --a 1 is not valid when listing all classes")
 
     def test_bad_fraction_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

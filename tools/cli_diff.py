@@ -8,12 +8,12 @@ cases of the trace row template (an all-constant table and a single row:
 sizes the benchmark's trace workload runs) at a set of (omega, p0, a)
 configs under both trees, then the error paths (no samples, an --omega or
 --p0 whose square overflows, an unknown tag, a nonpositive flag, --a 1 when
-listing all classes, an unwritable --out, flags whose Jacobi coefficients
-leave the float range), the `--help` text of the program and of each
-subcommand, and every script in `demos/` of this checkout, and reports each
-command whose stdout, stderr or exit code differs.  A command that fails is
-compared like any other: its exit code and its error text are part of the
-contract.
+listing all classes, an unwritable --out), `verify` at extreme flags (a
+flag, or a Jacobi coefficient of the flags, outside the float range), the
+`--help` text of the program and of each subcommand, and every script in
+`demos/` of this checkout, and reports each command whose stdout, stderr or
+exit code differs.  A command that fails is compared like any other: its
+exit code and its error text are part of the contract.
 
     python3 tools/cli_diff.py BASE_SRC NEW_SRC
 
@@ -59,9 +59,15 @@ ERRORS = (
     ("tables", "bianchi", "--a", "0"),
     ("verify", "all", "--a", "1"),
     ("tables", "bianchi", "--out", "/nonexistent/dir/x.txt"),
+)
+
+# verify at flags whose values or Jacobi coefficients leave the float range
+EXTREME_VERIFY = (
     ("verify", "jacobi-classical", "--a", "1e150", "--p0", "1e-150"),
     ("verify", "all", "--a", "1e150", "--p0", "1e-150"),
     ("verify", "jacobi-classical", "--omega", "1e-150", "--p0", "1e150"),
+    ("verify", "jacobi-classical", "--omega", "1e-153", "--p0", "1e120", "--a", "1e77"),
+    ("verify", "all", "--p0", "1e400"),
 )
 
 # the usage text, which exits 0
@@ -89,6 +95,7 @@ def commands():
         yield ("trace", "VIIa", "--t-samples", "1", *cfg)
         yield ("trace", "IX", "--t-samples", "3000", *cfg)
     yield from ERRORS
+    yield from EXTREME_VERIFY
     yield from HELP
     for demo in sorted(DEMOS.glob("*.py")):
         yield (str(demo),)
