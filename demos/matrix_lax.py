@@ -12,14 +12,14 @@ pair = build_matrix_lax(q, p, w)
 
 
 def rows(m):
-    """The rows of a 3x3 matrix, entry by entry."""
-    return [[m[i, j] for j in range(3)] for i in range(3)]
+    """The rows of a 3x3 matrix (a degree-1 operation), entry by entry."""
+    return [[m.entry(i + 1, j + 1) for j in range(3)] for i in range(3)]
 
 
 def product(a, b):
     """The 3x3 matrix product a b, as rows."""
-    return [[sum(a[i, k] * b[k, j] for k in range(3)) for j in range(3)]
-            for i in range(3)]
+    return [[sum(a.entry(i + 1, k + 1) * b.entry(k + 1, j + 1) for k in range(3))
+             for j in range(3)] for i in range(3)]
 
 
 print(f"Lax pair at q = {q}, p = {p}, omega = {w}")
@@ -59,6 +59,5 @@ for n in range(3):
     pv = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
     wv = Fraction(rng.randint(1, 9), rng.randint(1, 4))
     r = matrix_lax_residual(qv, pv, wv)
-    flat = r.flat
     print(f"  q = {str(qv):>5}, p = {str(pv):>5}, omega = {str(wv):>4}:"
-          f" residual {'zero' if all(v == 0 for v in flat) else 'NONZERO'}")
+          f" residual {'zero' if r.is_zero else 'NONZERO'}")

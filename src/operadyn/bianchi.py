@@ -251,10 +251,9 @@ def deformation_trace(t, omega, p0, times):
     in `Poly.terms` order.  Each distinct time-dependent entry is evaluated
     over all times in one
     `poly.evaluate_terms` call, which at every time does the same float
-    operations, in the same order, as `float(entry.evaluate(q, p, Ap, Am))`
-    on the exact entry, since a Fraction or ExtScalar times a float converts
-    itself to float first.  So each value is bitwise the one the exact table
-    gives.
+    operations, in the same order, as its per-point loop on the exact entry,
+    since a Fraction or ExtScalar times a float converts itself to float
+    first.  So each value is bitwise the one the exact table gives.
     """
     table = deform(t, omega, p0)
     times = list(times)

@@ -191,7 +191,7 @@ def _render_tables(which, cfg, tag, fmt):
 def _check_matrix_lax(cfg):
     omegas = [cfg.omega + n for n in range(3)]
     for w in omegas:
-        if any(v != 0 for v in matrix_lax_residual(poly.q, poly.p, w).flat):
+        if not matrix_lax_residual(poly.q, poly.p, w).is_zero:
             return False, f"nonzero residual in q, p at omega={w}"
     return True, (f"zero polynomial in q, p at omega={', '.join(map(str, omegas))};"
                   " degree <= 2 in omega, so zero for every omega")

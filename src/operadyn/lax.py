@@ -6,8 +6,9 @@ Two layers live here.  The matrix layer is the classical 3x3 pair
     M = (omega/2) * [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 
 whose isospectral equation dL/dt = [M, L] encodes the equations of motion.
-M is `rotation_generator(omega)`, and [M, L] is the Gerstenhaber bracket of
-degree-1 operations, which is the matrix commutator.
+L and M are degree-1 Operations: M is `rotation_generator(omega)`, [M, L]
+is their Gerstenhaber bracket, which is the matrix commutator, and the
+residual dL/dt - [M, L] is a degree-1 Operation too.
 
 The operadic layer replaces L by a phase-space-dependent antisymmetric
 bilinear operation mu on a 3d space, drawn from a nine-parameter family
@@ -36,11 +37,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import sub
 
 from . import poly
 from .ncpoly import ExtScalar, _coefficient, _rational
-from .operad import Operation, Tensor, gerstenhaber_bracket
+from .operad import Operation, gerstenhaber_bracket
 from .poly import Poly
 from .structure import StructureTensor, _position, _trusted
 
@@ -59,18 +59,14 @@ def rotation_generator(omega):
 
 
 def build_matrix_lax(q, p, omega):
-    """The 3x3 Lax pair at a phase-space point; M is `rotation_generator`'s matrix."""
-    zero = Fraction(0)
-    L = Tensor.of([
-        [p, omega * q, zero],
-        [omega * q, -p, zero],
-        [zero, zero, Fraction(1)],
-    ], (3, 3))
-    return MatrixLaxPair(L=L, M=rotation_generator(omega).coeffs)
+    """The 3x3 Lax pair at a phase-space point; M is `rotation_generator(omega)`."""
+    wq, zero = omega * q, Fraction(0)
+    L = Operation.from_matrix([[p, wq, zero], [wq, -p, zero], [zero, zero, Fraction(1)]])
+    return MatrixLaxPair(L=L, M=rotation_generator(omega))
 
 
 def matrix_lax_residual(q, p, omega):
-    """dL/dt - [M, L] at a point; identically the zero matrix.
+    """dL/dt - [M, L] at a point, a degree-1 operation; identically zero.
 
     The time derivative is taken through the equations of motion, so
     dL/dt = [[-omega**2 q, omega*p, 0], [omega*p, omega**2 q, 0], [0, 0, 0]].
@@ -79,14 +75,10 @@ def matrix_lax_residual(q, p, omega):
     a residual that is the zero polynomial in q, p at three distinct omegas
     is zero for all (q, p, omega).
     """
-    zero = Fraction(0)
-    w2q = omega * omega * q
-    dL = (-w2q, omega * p, zero,
-          omega * p, w2q, zero,
-          zero, zero, zero)
+    w2q, wp, zero = omega * omega * q, omega * p, Fraction(0)
+    dL = Operation.from_matrix([[-w2q, wp, zero], [wp, w2q, zero], [zero] * 3])
     pair = build_matrix_lax(q, p, omega)
-    bracket = gerstenhaber_bracket(Operation(3, 1, pair.M), Operation(3, 1, pair.L))
-    return Tensor(map(sub, dL, bracket.coeffs.flat), (3, 3))
+    return dL - gerstenhaber_bracket(pair.M, pair.L)
 
 
 # ---------------------------------------------------------------------------

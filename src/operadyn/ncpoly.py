@@ -38,6 +38,8 @@ from numbers import Rational
 GENERATORS = ("Q", "P", "Ap", "Am")
 
 _ZERO = Fraction(0)
+# the smallest positive normal float
+_MIN_NORMAL = 2.0 ** -1022
 
 _GEN_INDEX = {name: i for i, name in enumerate(GENERATORS)}
 
@@ -100,7 +102,23 @@ class ExtScalar:
         return None
 
     def __float__(self):
-        return float(self.u) + float(self.v) * math.sqrt(2 * self.p0)
+        """float(u) + float(v) * sqrt(2*p0) where float(v) and float(2*p0) are
+        normal floats (or v is 0); elsewhere v*s is rounded once, exactly."""
+        u, v, two_p0 = self.u, self.v, 2 * self.p0
+        try:
+            fv, f2p0 = float(v), float(two_p0)
+        except OverflowError:
+            fv = f2p0 = 0.0
+        if f2p0 >= _MIN_NORMAL and (abs(fv) >= _MIN_NORMAL or not v):
+            return float(u) + fv * math.sqrt(f2p0)
+        # the root of (v*s)**2 = n/d scaled by 4**e to at least 56 bits; an
+        # inexact root gets its last bit set, which keeps it on the true side
+        # of every rounding midpoint, and int division rounds once
+        n, d = v.numerator ** 2 * two_p0.numerator, v.denominator ** 2 * two_p0.denominator
+        e = max(0, (113 - n.bit_length() + d.bit_length()) // 2)
+        root = math.isqrt((n << 2 * e) // d)
+        vs = (root | (root * root * d != n << 2 * e)) / (1 << e)
+        return float(u) + (-vs if v < 0 else vs)
 
     def __add__(self, other):
         if isinstance(other, float):

@@ -1,20 +1,17 @@
 """Endomorphism operad of a finite-dimensional space, with graded composition.
 
 An operation of degree n on a d-dimensional space V is a multilinear map
-V**n -> V, stored as its dense coefficient tensor with the output axis first:
-``coeffs[out, in_1, ..., in_n]``.  Entries may be exact numbers or elements
-of any commutative ring with the usual Python operators (the package uses
-`poly.Poly` for phase-space-dependent operations).
+V**n -> V, given by its d**(n+1) coefficients, output index first, as one
+row-major tuple (the last index varies fastest).  Entries may be exact
+numbers or elements of any commutative ring with the usual Python operators
+(the package uses `poly.Poly` for phase-space-dependent operations).  It is
+the package's one tensor type: the Lax matrices are degree-1 Operations, and
+`structure.StructureTensor` is the Operation of degree 2 on a 3d space.
 
-Coefficient tensors are `Tensor`s: read-only, with the entries kept as one
-flat tuple in row-major order (the last index varies fastest) beside the
-shape.  A bracket is the degree-2 case: `structure.StructureTensor` is the
-Operation of degree 2 on a 3d space.
-
-The public constructor checks the dimension (at most MAX_DIM), the degree
-(at most MAX_DEGREE) and the size.  Sums, differences, negations, scalar
-multiples and composition results are built through the private
-`_trusted`, which checks nothing; a composition may exceed MAX_DEGREE.
+The public constructor takes the flat entries and checks the dimension (at
+most MAX_DIM), the degree (at most MAX_DEGREE) and the entry count;
+`from_matrix` takes square rows.  Every other result is built through the
+private `_trusted`, which checks nothing; a composition may exceed MAX_DEGREE.
 
 Composition never multiplies by zero: it pairs only the nonzero entries of
 its operands, and a result entry without such a pair is the sum of a zero
@@ -36,7 +33,6 @@ total composition f . g with deg(f) = 0 is the zero operation of degree
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from numbers import Rational
 from operator import add, neg, sub
 
@@ -53,59 +49,17 @@ def graded_sign(exponent):
     return -1 if exponent % 2 else 1
 
 
-def _offset(index, shape):
-    """Row-major position of a 0-based index tuple, or IndexError."""
-    if len(index) != len(shape) or any(not 0 <= i < n for i, n in zip(index, shape)):
-        raise IndexError(f"index {index!r} out of range for shape {shape}")
-    offset = 0
-    for i, n in zip(index, shape):
-        offset = offset * n + i
-    return offset
-
-
 class Tensor:
-    """A read-only dense tensor: its entries as a flat row-major tuple.
+    """An Operation's `coeffs`: the read-only row-major tuple `flat` and its `size`."""
 
-    ``flat`` holds the entries, ``shape`` the axis lengths and ``size`` the
-    entry count; ``t[i, j, k]`` reads one entry by its 0-based index tuple.
-    """
+    __slots__ = ("flat", "size")
 
-    __slots__ = ("flat", "shape", "size")
-
-    def __init__(self, flat, shape):
-        flat, shape = tuple(flat), tuple(shape)
-        if len(flat) != prod(shape):
-            raise ValueError(f"{len(flat)} entries do not fill shape {shape}")
-        # operations and structure tensors share a Tensor instead of copying it
-        for name, value in (("flat", flat), ("shape", shape), ("size", len(flat))):
-            object.__setattr__(self, name, value)
+    def __init__(self, flat):
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "size", len(flat))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Tensor is read-only, cannot set {name!r}")
-
-    @classmethod
-    def of(cls, values, shape):
-        """A Tensor of the given shape from a Tensor or nested lists/tuples."""
-        if isinstance(values, Tensor):
-            if values.shape != shape:
-                raise ValueError(f"tensor has shape {values.shape}, expected {shape}")
-            return values
-        flat = [values]
-        for n in shape:
-            rows, flat = flat, []
-            for row in rows:
-                if not isinstance(row, (list, tuple)) or len(row) != n:
-                    raise ValueError(f"values do not nest to shape {shape}")
-                flat.extend(row)
-        if any(isinstance(v, (list, tuple, Tensor)) for v in flat):
-            raise ValueError(f"values nest deeper than shape {shape}")
-        return cls(flat, shape)
-
-    def __getitem__(self, index):
-        return self.flat[_offset(index, self.shape)]
-
-    def __repr__(self):
-        return f"Tensor({list(self.flat)!r}, shape={self.shape})"
 
 
 class Operation:
@@ -113,7 +67,7 @@ class Operation:
 
     __slots__ = ("dim", "degree", "coeffs")
 
-    def __init__(self, dim, degree, coeffs=None):
+    def __init__(self, dim, degree, flat=None):
         if not isinstance(dim, int) or not (1 <= dim <= MAX_DIM):
             raise ValueError(f"dimension must be an integer in 1..{MAX_DIM}, got {dim!r}")
         if not isinstance(degree, int) or degree < 0:
@@ -123,24 +77,29 @@ class Operation:
                 f"degree {degree} exceeds the construction limit {MAX_DEGREE}"
                 " (composition results may go higher, direct construction may not)"
             )
-        if dim ** (degree + 1) > MAX_ENTRIES:
+        size = dim ** (degree + 1)
+        if size > MAX_ENTRIES:
             raise ValueError(
-                f"coefficient tensor would hold {dim ** (degree + 1)} entries,"
+                f"coefficient tensor would hold {size} entries,"
                 f" above the cap of {MAX_ENTRIES}"
             )
-        shape = (dim,) * (degree + 1)
-        if coeffs is None:
-            coeffs = Tensor((Fraction(0),) * dim ** (degree + 1), shape)
+        if flat is None:
+            flat = (Fraction(0),) * size
+        # a Tensor or nested rows are not the flat entries
+        flat = () if isinstance(flat, Tensor) else tuple(flat)
+        if len(flat) != size or any(isinstance(v, (list, tuple, Tensor)) for v in flat):
+            raise ValueError(f"expected {size} flat entries for dim {dim}, degree {degree}")
         self.dim = dim
         self.degree = degree
-        self.coeffs = Tensor.of(coeffs, shape)
+        self.coeffs = Tensor(flat)
 
     @classmethod
     def from_matrix(cls, rows):
         """A degree-1 operation from a square matrix given as a list of rows."""
-        if not isinstance(rows, (list, tuple)) or not rows:
+        n = len(rows) if isinstance(rows, (list, tuple)) else 0
+        if not n or any(not isinstance(row, (list, tuple)) or len(row) != n for row in rows):
             raise ValueError(f"expected a square matrix as a list of rows, got {rows!r}")
-        return cls(len(rows), 1, rows)
+        return cls(n, 1, [v for row in rows for v in row])
 
     # ---- accessors --------------------------------------------------------
 
@@ -154,7 +113,8 @@ class Operation:
             raise ValueError(f"expected {self.degree + 1} indices, got {len(indices)}")
         if any(not (1 <= i <= self.dim) for i in indices):
             raise ValueError(f"index {indices!r} out of range for dim {self.dim}")
-        return self.coeffs[tuple(i - 1 for i in indices)]
+        offset = sum((i - 1) * self.dim ** n for n, i in enumerate(reversed(indices)))
+        return self.coeffs.flat[offset]
 
     @property
     def is_zero(self):
@@ -162,27 +122,24 @@ class Operation:
 
     # ---- linear structure --------------------------------------------------
 
-    def _check_shape(self, other):
+    def _like(self, flat):
+        return _trusted(Operation, self.dim, self.degree, flat)
+
+    def _combine(self, op, other):
+        if not isinstance(other, Operation):
+            return NotImplemented
         if self.dim != other.dim or self.degree != other.degree:
             raise ValueError(
                 f"shape mismatch: (dim {self.dim}, degree {self.degree})"
                 f" vs (dim {other.dim}, degree {other.degree})"
             )
-
-    def _like(self, flat):
-        return _trusted(self.dim, self.degree, flat)
+        return self._like(map(op, self.coeffs.flat, other.coeffs.flat))
 
     def __add__(self, other):
-        if not isinstance(other, Operation):
-            return NotImplemented
-        self._check_shape(other)
-        return self._like(map(add, self.coeffs.flat, other.coeffs.flat))
+        return self._combine(add, other)
 
     def __sub__(self, other):
-        if not isinstance(other, Operation):
-            return NotImplemented
-        self._check_shape(other)
-        return self._like(map(sub, self.coeffs.flat, other.coeffs.flat))
+        return self._combine(sub, other)
 
     def __neg__(self):
         return self._like(map(neg, self.coeffs.flat))
@@ -209,12 +166,12 @@ class Operation:
         return f"Operation(dim={self.dim}, degree={self.degree}, nonzero={nonzero})"
 
 
-def _trusted(dim, degree, flat):
-    """The Operation over row-major entries that fill its shape, unchecked."""
-    out = _new(Operation)
+def _trusted(cls, dim, degree, flat):
+    """The `cls` Operation over row-major entries that fill its shape, unchecked."""
+    out = _new(cls)
     out.dim = dim
     out.degree = degree
-    out.coeffs = Tensor(flat, (dim,) * (degree + 1))
+    out.coeffs = Tensor(tuple(flat))
     return out
 
 
@@ -278,7 +235,7 @@ def partial_compose(f, i, g):
             out[base + offset] = v * w if acc is None else acc + v * w
     zero = f_zero + g_zero
     flat = [zero if v is None else v for v in out]
-    return _trusted(d, out_degree, flat)
+    return _trusted(Operation, d, out_degree, flat)
 
 
 def total_compose(f, g):
@@ -292,7 +249,7 @@ def total_compose(f, g):
     if f.degree == 0:
         if g.degree == 0:
             raise ValueError("total composition of two degree-0 operations is undefined")
-        return _trusted(f.dim, g.reduced_degree, (Fraction(0),) * f.dim ** g.degree)
+        return _trusted(Operation, f.dim, g.reduced_degree, (Fraction(0),) * f.dim ** g.degree)
     acc = partial_compose(f, 0, g)
     for i in range(1, f.degree):
         acc = acc + partial_compose(f, i, g)

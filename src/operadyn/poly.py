@@ -184,10 +184,6 @@ class Poly:
             out[tuple(new)] = coeff * e
         return _trusted(out)
 
-    def evaluate(self, q, p, ap, am):
-        (value,) = evaluate_terms(self.terms.items(), ((q,), (p,), (ap,), (am,)))
-        return value
-
     # ---- canonical text form --------------------------------------------
 
     def _sorted_terms(self):
@@ -250,9 +246,9 @@ def evaluate_terms(terms, columns):
     order), and each term starts at its coefficient and is multiplied by
     every base once per unit of its exponent.  So a Fraction or ExtScalar
     coefficient times a float converts itself to float first, and int 0 plus
-    -0.0 gives 0.0.  This is the one evaluation loop: `Poly.evaluate` runs it
-    on one-point columns, `bianchi.deformation_trace` on float columns of the
-    flow, and `verify jacobi-classical` on exact columns of shell points.
+    -0.0 gives 0.0.  This is the one evaluation loop:
+    `bianchi.deformation_trace` runs it on float columns of the flow, and
+    `verify jacobi-classical` on exact columns of shell points.
     """
     n = len(columns[0])
     total = [0] * n

@@ -11,8 +11,8 @@ The sparse constructor is the one checked way in.  It checks only what its
 input can break: a given diagonal entry must vanish, and a pair given in
 both orientations must be opposite; a mirror it fills as -value is not
 compared.  A tensor derived from antisymmetric ones (an odd map of the
-entries, or the difference in `lax.operadic_lax_residual`) is built by the
-private `_trusted`, which checks nothing.
+entries, or the difference in `lax.operadic_lax_residual`) is built by
+`operad._trusted` through the private `_trusted`, which checks nothing.
 
 Entries can be exact numbers, `poly.Poly`, or `ncpoly.NCPoly`; the
 container is agnostic as long as entries support +, -, * and == with each
@@ -30,10 +30,10 @@ from fractions import Fraction
 from numbers import Rational
 
 from .ncpoly import ExtScalar
-from .operad import Operation, Tensor, _new
+from . import operad
+from .operad import Operation
 
 DIM = 3
-SHAPE = (DIM, DIM, DIM)
 
 # entries that are numbers rather than polynomials
 _SCALARS = (Rational, float, ExtScalar)
@@ -97,7 +97,7 @@ class StructureTensor(Operation):
             else:
                 # a given diagonal, or a pair given both ways
                 checks.add((i - 1, min(j, k) - 1, max(j, k) - 1))
-        super().__init__(DIM, 2, Tensor(flat, SHAPE))
+        super().__init__(DIM, 2, flat)
         self._validate(sorted(checks))
 
     def _validate(self, checks):
@@ -156,8 +156,4 @@ class StructureTensor(Operation):
 
 def _trusted(flat):
     """The StructureTensor over 27 antisymmetric row-major entries, unchecked."""
-    out = _new(StructureTensor)
-    out.dim = DIM
-    out.degree = 2
-    out.coeffs = Tensor(flat, SHAPE)
-    return out
+    return operad._trusted(StructureTensor, DIM, 2, flat)

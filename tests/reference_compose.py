@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul, neg
 
 from operadyn.ncpoly import NCPoly
-from operadyn.operad import Tensor, graded_sign
+from operadyn.operad import graded_sign
 from operadyn.quantum import JacobianTriple, _nc_entries, _tensor_p0
 from operadyn.structure import _position
 
@@ -48,7 +48,9 @@ def apply(op, vectors):
     d = op.dim
     out = op.coeffs.flat
     for vec in vectors:
-        v = Tensor.of(vec, (d,)).flat
+        v = tuple(vec)
+        if len(v) != d:
+            raise ValueError(f"expected a vector of length {d}, got {vec!r}")
         # contract the first input axis, whose stride is `step`
         block = len(out) // d
         step = block // d

@@ -22,8 +22,8 @@ def full_check(tensor):
     return tensor
 
 
-def from_array(array):
-    """A fully checked StructureTensor from a Tensor or nested 0-based lists."""
+def from_array(flat):
+    """A fully checked StructureTensor from its 27 row-major entries."""
     tensor = StructureTensor.__new__(StructureTensor)
-    Operation.__init__(tensor, DIM, 2, array)
+    Operation.__init__(tensor, DIM, 2, flat)
     return full_check(tensor)

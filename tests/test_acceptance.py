@@ -15,7 +15,7 @@ from operadyn.bianchi import (BianchiType, TAGS, all_types, classical_jacobian,
 from operadyn.lax import (LaxFamilyParams, build_mu, matrix_lax_residual,
                           operadic_lax_residual, solve_C)
 from operadyn.ncpoly import ExtScalar
-from operadyn.operad import (Operation, Tensor, gerstenhaber_bracket,
+from operadyn.operad import (Operation, gerstenhaber_bracket,
                              graded_sign)
 from operadyn.oscillator import (exact_flow, integrate_rk4, quasi_coords,
                                  quasi_coords_derivative)
@@ -23,6 +23,7 @@ from operadyn.quantum import (ANOMALOUS_II, basis_jacobian, classify,
                               generator_commutator, quantize, xi_pair)
 from reference_compose import quantum_jacobian, triple_product
 from reference_tables import transcribed_deformation
+from reference_trace import scalar_evaluate
 
 RIGID_TAGS = frozenset({"I", "VII", "VIII", "IX"})
 
@@ -38,7 +39,7 @@ def test_criterion_01_matrix_lax_residual_exact():
         pv = _rational(rng, 60, 20)
         wv = Fraction(rng.randint(1, 40), rng.randint(1, 10))
         residual = matrix_lax_residual(qv, pv, wv)
-        assert all(v == 0 for v in residual.flat)
+        assert all(v == 0 for v in residual.coeffs.flat)
     print("ACCEPTANCE 1: PASS - matrix residual exactly zero at 1000"
           " random rational points")
 
@@ -102,8 +103,8 @@ def test_criterion_05_classical_jacobi_on_shell():
                 state = exact_flow(1.0, 2.0, tm)
                 coords = quasi_coords(state)
                 for component in raw:
-                    value = component.evaluate(state.q, state.p,
-                                               coords.a_plus, coords.a_minus)
+                    value = scalar_evaluate(component.terms.items(),
+                                            (state.q, state.p, coords.a_plus, coords.a_minus))
                     worst = max(worst, abs(value))
     assert worst < 1e-10
     print(f"ACCEPTANCE 5: PASS - on-shell defect vanishes symbolically for"
@@ -166,10 +167,9 @@ def test_criterion_08_second_anomalous_family():
 
 
 def _random_operation(rng, dim, arity, fractions):
-    shape = (dim,) * (arity + 1)
     flat = [_rational(rng, 4, 3) if fractions else rng.randint(-4, 4)
             for _ in range(dim ** (arity + 1))]
-    return Operation(dim, arity, Tensor(flat, shape))
+    return Operation(dim, arity, flat)
 
 
 def _jacobi_defect(f, g, h):

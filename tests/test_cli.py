@@ -17,10 +17,10 @@ import pytest
 from operadyn import bianchi, cli, lax, poly, quantum
 from operadyn.cli import COLUMNS, main
 from operadyn.ncpoly import ExtScalar, NCPoly
-from operadyn.operad import Tensor
+from operadyn.operad import Operation
 from operadyn.poly import Poly, as_poly
 from operadyn.structure import StructureTensor
-from reference_trace import reference_trace
+from reference_trace import reference_trace, scalar_evaluate
 
 
 def run(capsys, *argv):
@@ -122,9 +122,9 @@ class TestVerify:
 
         def mutant(q, p, omega):
             pair = real(q, p, omega)
-            entries = list(pair.L.flat)
+            entries = list(pair.L.coeffs.flat)
             entries[1] = omega * omega * q
-            return lax.MatrixLaxPair(L=Tensor(entries, (3, 3)), M=pair.M)
+            return lax.MatrixLaxPair(L=Operation(3, 1, entries), M=pair.M)
 
         monkeypatch.setattr(lax, "build_matrix_lax", mutant)
         code, out, _ = run(capsys, "verify", "matrix-lax")
@@ -207,7 +207,8 @@ class TestVerify:
         for k in range(7):
             f = f * (am - k * (ap + s))
         q, p, alpha, beta = cli._shell_points(Fraction(1), p0, 8)
-        values = [f.evaluate(*point, s * x, s * y) for *point, x, y in zip(q, p, alpha, beta)]
+        values = [scalar_evaluate(f.terms.items(), (*point, s * x, s * y))
+                  for *point, x, y in zip(q, p, alpha, beta)]
         assert [bool(v) for v in values] == [False] * 7 + [True]
         assert cli._shell_defect([("f", f)], Fraction(1), p0) == (7, "f")
         # zero on the conic, though not as a polynomial
@@ -394,10 +395,11 @@ class TestUsageErrors:
         (("verify", "all", "--a", "1e150", "--p0", "1e-150"), "inf"),
         # a nonzero coefficient that underflows to 0.0
         (("verify", "jacobi-classical", "--omega", "1e-150", "--p0", "1e150"), "0.0"),
-        # a coefficient whose s-part -5e-317 is subnormal, so its float keeps
-        # few digits of -7.0710678118654752e-257
+        # a coefficient whose s-part -5e-317 is subnormal; its float is
+        # -7.0710678118654752e-257 rounded once (it used to keep few digits,
+        # -7.071068045679377e-257)
         (("verify", "jacobi-classical", "--omega", "1e-153", "--p0", "1e120", "--a", "1e77"),
-         "-7.071068045679377e-257"),
+         "-7.071067811865475e-257"),
     ])
     def test_float_leg_coefficient_outside_float_range(self, capsys, argv, value):
         # each flag is inside the float range, and a Jacobi coefficient of VIIa

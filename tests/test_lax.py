@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from operadyn import poly
 from operadyn.ncpoly import ExtScalar
-from operadyn.operad import Tensor
+from operadyn.operad import Operation, gerstenhaber_bracket
 from operadyn.poly import Poly
 from operadyn.lax import (LaxFamilyParams, _time_derivative, build_matrix_lax, build_mu,
                           formal_mu, matrix_lax_residual,
@@ -17,15 +17,27 @@ from operadyn.structure import StructureTensor
 
 class TestMatrixPair:
     def test_frozen_commutator(self):
-        # [M, L] at (q, p, omega) = (1, 2, 3)
+        # [M, L] at (q, p, omega) = (1, 2, 3), as the matrix commutator and
+        # as the Gerstenhaber bracket of the pair's degree-1 operations
         pair = build_matrix_lax(Fraction(1), Fraction(2), Fraction(3))
-        ml = Tensor([sum(pair.M[i, k] * pair.L[k, j] - pair.L[i, k] * pair.M[k, j]
-                         for k in range(3))
-                     for i in range(3) for j in range(3)], (3, 3))
+        M, L = pair.M.entry, pair.L.entry
+        bracket = gerstenhaber_bracket(pair.M, pair.L)
         expected = [[-9, 6, 0], [6, 9, 0], [0, 0, 0]]
-        for i in range(3):
-            for j in range(3):
-                assert ml[i, j] == expected[i][j]
+        for i in range(1, 4):
+            for j in range(1, 4):
+                ml = sum(M(i, k) * L(k, j) - L(i, k) * M(k, j) for k in range(1, 4))
+                assert ml == bracket.entry(i, j) == expected[i - 1][j - 1]
+
+    def test_pair_holds_operations(self):
+        # L and M are degree-1 Operations, M is rotation_generator itself,
+        # and the residual is a degree-1 Operation too
+        w = Fraction(3)
+        pair = build_matrix_lax(Fraction(1), Fraction(2), w)
+        residual = matrix_lax_residual(Fraction(1), Fraction(2), w)
+        for op in (pair.L, pair.M, residual):
+            assert type(op) is Operation and (op.dim, op.degree) == (3, 1)
+        assert pair.M == rotation_generator(w)
+        assert residual.is_zero and all(type(v) is Fraction for v in residual.coeffs.flat)
 
     def test_residual_exact_zero_random(self):
         rng = random.Random(7)
@@ -34,13 +46,13 @@ class TestMatrixPair:
             pv = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
             wv = Fraction(rng.randint(1, 24), rng.randint(1, 8))
             r = matrix_lax_residual(qv, pv, wv)
-            assert all(v == 0 for v in r.flat)
+            assert all(v == 0 for v in r.coeffs.flat)
 
     def test_l_encodes_phase_point(self):
         pair = build_matrix_lax(Fraction(1, 2), Fraction(-3), Fraction(2))
-        assert pair.L[0, 0] == -3 and pair.L[0, 1] == 1
-        assert pair.L[1, 1] == 3 and pair.L[2, 2] == 1
-        assert pair.M[0, 1] == -1 and pair.M[1, 0] == 1
+        assert pair.L.entry(1, 1) == -3 and pair.L.entry(1, 2) == 1
+        assert pair.L.entry(2, 2) == 3 and pair.L.entry(3, 3) == 1
+        assert pair.M.entry(1, 2) == -1 and pair.M.entry(2, 1) == 1
 
 
 class TestFamily:

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -55,6 +56,30 @@ class TestExtScalar:
     @given(scalars)
     def test_text_round_trip(self, x):
         assert ExtScalar.from_text(str(x), p0=P0) == x
+
+    @pytest.mark.parametrize("u, v, p0, expected", [
+        # float(v) is subnormal, so float(v) * sqrt(2*p0) kept few digits
+        (0, Fraction(1, 10**320), Fraction(10**300), 1.4142135623730951e-170),
+        # float(2*p0) overflows, though the value is a normal float
+        (0, Fraction(1, 10**400), Fraction(10**700), 1.414213562373095e-50),
+        # float(v) overflows and float(2*p0) underflows
+        (0, Fraction(10**400), Fraction(1, 10**700), 1.414213562373095e+50),
+        (0, Fraction(-1), Fraction(1, 10**330), -1.414213562373095e-165),
+        # a subnormal result, and u added after v*s is rounded
+        (0, Fraction(7, 10**310), Fraction(3, 2), 1.21243556529821e-309),
+        (1, Fraction(-7, 10**310), Fraction(3, 2), 1.0),
+    ])
+    def test_float_is_correctly_rounded_at_the_float_range(self, u, v, p0, expected):
+        # each expected value is v*sqrt(2*p0) to 60 digits, rounded once
+        assert float(ExtScalar(u, v, p0=p0)) == expected
+
+    @given(st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6),
+           st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6))
+    def test_float_of_an_ordinary_value_is_unchanged(self, u, v, p0):
+        # where float(v) and float(2*p0) are normal floats, the float is
+        # float(u) + float(v) * sqrt(2*p0) bit for bit, so no trace byte moves
+        got = float(ExtScalar(u, v, p0=p0))
+        assert repr(got) == repr(float(u) + float(v) * math.sqrt(2 * p0))
 
 
 class TestNCPoly:

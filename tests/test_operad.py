@@ -21,6 +21,7 @@ from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, Tensor,
                              partial_compose, total_compose)
 from operadyn.poly import Poly
 from operadyn.quantum import basis_jacobian, quantize
+from operadyn.structure import StructureTensor
 from reference_compose import apply, dense_partial_compose
 
 
@@ -35,7 +36,7 @@ def from_entries(dim, degree, entries):
     flat = [Fraction(0)] * dim ** (degree + 1)
     for idx, value in entries.items():
         flat[sum((i - 1) * dim ** (degree - n) for n, i in enumerate(idx))] = value
-    return Operation(dim, degree, Tensor(flat, (dim,) * (degree + 1)))
+    return Operation(dim, degree, flat)
 
 
 def identity(dim):
@@ -94,24 +95,39 @@ class TestConstruction:
 
 
 class TestTensor:
+    """Flat row-major entries in, and the read-only record `coeffs` out."""
+
     def test_row_major_indexing(self):
-        t = Tensor.of([[[1, 2], [3, 4]], [[5, 6], [7, 8]]], (2, 2, 2))
-        assert t.flat == (1, 2, 3, 4, 5, 6, 7, 8) and t.size == 8
-        assert t[0, 1, 0] == 3 and t[1, 0, 1] == 6
-        with pytest.raises(IndexError):
-            t[0, 2, 0]
+        f = Operation(2, 2, range(1, 9))
+        assert f.coeffs.flat == (1, 2, 3, 4, 5, 6, 7, 8) and f.coeffs.size == 8
+        assert f.entry(1, 2, 1) == 3 and f.entry(2, 1, 2) == 6
+        with pytest.raises(ValueError):
+            f.entry(1, 3, 1)
+        with pytest.raises(ValueError):
+            f.entry(1, 2)
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
-            Tensor((1, 2, 3), (2, 2))
+            Operation(2, 1, (1, 2, 3))
         with pytest.raises(ValueError):
-            Tensor.of([[1, 2], [3]], (2, 2))
-        with pytest.raises(ValueError):
-            Tensor.of([[[1], [2]], [[3], [4]]], (2, 2))
-        with pytest.raises(ValueError):
-            Tensor.of(Tensor((1, 2, 3, 4), (4,)), (2, 2))
+            Operation(2, 1, (1, 2, 3, 4, 5))
+        # nested rows: the wrong count, or the right count of rows
         with pytest.raises(ValueError):
             Operation(2, 1, [[1, 2], [3, 4], [5, 6]])
+        with pytest.raises(ValueError):
+            Operation(2, 0, [[1, 2], [3, 4]])
+        with pytest.raises(ValueError):
+            Operation(2, 1, [1, 2, (3,), 4])
+        # a Tensor, though its entries fill the shape
+        with pytest.raises(ValueError):
+            Operation(2, 1, identity(2).coeffs)
+
+    def test_from_matrix_checks_square(self):
+        assert Operation.from_matrix([[1, 2], [3, 4]]) == Operation(2, 1, (1, 2, 3, 4))
+        for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1], [2]], [], [1, 2],
+                     [[[1], [2]], [[3], [4]]], "ab"):
+            with pytest.raises(ValueError):
+                Operation.from_matrix(rows)
 
     def test_read_only(self):
         t = identity(2).coeffs
@@ -119,7 +135,21 @@ class TestTensor:
             t[0, 0] = 5
         with pytest.raises(AttributeError):
             t.flat = (5, 0, 0, 1)
+        with pytest.raises(AttributeError):
+            t.size = 3
         assert t.flat == (1, 0, 0, 1)
+
+    def test_coeffs_record_the_tracer_reads(self):
+        # perfbench's partial_compose hook reads coeffs.flat and coeffs.size
+        # of an Operation, a StructureTensor and a composition result
+        f = Operation(3, 1, range(9))
+        mu = StructureTensor({(1, 2, 3): Fraction(2), (3, 1, 2): Fraction(-1)})
+        for op in (f, mu, partial_compose(mu, 1, f), gerstenhaber_bracket(f, mu)):
+            t = op.coeffs
+            assert type(t) is Tensor and type(t.flat) is tuple
+            assert t.size == len(t.flat) == op.dim ** (op.degree + 1)
+            assert t.flat == tuple(op.entry(*idx) for idx in itertools.product(
+                range(1, op.dim + 1), repeat=op.degree + 1))
 
 
 class TestPartialCompose:
@@ -198,11 +228,11 @@ class TestDegreeZero:
         # f . v = f(v, .) - f(., v) since (-1)**(i*(-1)) alternates
         out = total_compose(self.f, self.v)
         assert out.degree == 1
-        plugged0 = [apply(self.f, [self.v.coeffs, e]) for e in (E1, E2, E3)]
-        plugged1 = [apply(self.f, [e, self.v.coeffs]) for e in (E1, E2, E3)]
+        plugged0 = [apply(self.f, [self.v.coeffs.flat, e]) for e in (E1, E2, E3)]
+        plugged1 = [apply(self.f, [e, self.v.coeffs.flat]) for e in (E1, E2, E3)]
         for col, (p0c, p1c) in enumerate(zip(plugged0, plugged1)):
             for row in range(3):
-                assert out.coeffs[row, col] == p0c[row] - p1c[row]
+                assert out.entry(row + 1, col + 1) == p0c[row] - p1c[row]
 
     def test_two_vectors_rejected(self):
         w = Operation(3, 0)
@@ -233,7 +263,7 @@ class TestGradedLie:
         for i in range(3):
             for j in range(3):
                 expected = sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(3))
-                assert c.coeffs[i, j] == expected
+                assert c.entry(i + 1, j + 1) == expected
 
     def test_antisymmetry_random(self):
         rng = random.Random(11)
@@ -283,7 +313,7 @@ def _kernel_operation(rng, dim, degree, kind, density):
     zeros = {"int": [0], "Fraction": [Fraction(0)], "Poly": [Fraction(0), Poly()]}[kind]
     size = dim ** (degree + 1)
     flat = [nonzero() if rng.random() < density else rng.choice(zeros) for _ in range(size)]
-    return Operation(dim, degree, Tensor(flat, (dim,) * (degree + 1)))
+    return Operation(dim, degree, flat)
 
 
 class TestCompositionKernel:
@@ -313,7 +343,7 @@ class TestCompositionKernel:
 
     def test_all_zero_operands(self):
         for zero, kind in ((0, int), (Fraction(0), Fraction)):
-            f = Operation(2, 2, Tensor((zero,) * 8, (2, 2, 2)))
+            f = Operation(2, 2, (zero,) * 8)
             for i in range(2):
                 flat = partial_compose(f, i, f).coeffs.flat
                 assert flat == dense_partial_compose(f, i, f)

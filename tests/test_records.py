@@ -39,11 +39,8 @@ RECORDS = {
         "BianchiType(tag='IIIa1', a=Fraction(1, 1))"),
     "MatrixLaxPair": (
         lambda: build_matrix_lax(Fraction(0), Fraction(2), Fraction(1)),
-        "MatrixLaxPair(L=Tensor([Fraction(2, 1), "
-        + f"{_ZERO}, {_ZERO}, {_ZERO}, Fraction(-2, 1), {_ZERO}, {_ZERO}, {_ZERO}, "
-        + "Fraction(1, 1)], shape=(3, 3)), M=Tensor("
-        + f"[{_ZERO}, Fraction(-1, 2), {_ZERO}, {_HALF}, {_ZERO}, {_ZERO}, {_ZERO}, "
-        + f"{_ZERO}, {_ZERO}], shape=(3, 3)))"),
+        "MatrixLaxPair(L=Operation(dim=3, degree=1, nonzero=3),"
+        " M=Operation(dim=3, degree=1, nonzero=2))"),
     "LaxFamilyParams": (
         lambda: LaxFamilyParams(
             c=(1, 0, 0, 0, ExtScalar(0, Fraction(1, 4), p0=2), 0, 0, 0, Fraction(-1, 2))),
@@ -89,6 +86,11 @@ def test_record_types_and_fields():
     assert BianchiType("II") == ("II", None)
     assert LaxFamilyParams(c=(0,) * 9) == ((Fraction(0),) * 9,)
     assert MatrixLaxPair._fields == ("L", "M")
+    # the pair's entries, which the repr of its Operations does not show
+    L, M = RECORDS["MatrixLaxPair"][0]()
+    assert L.coeffs.flat == (2, 0, 0, 0, -2, 0, 0, 0, 1)
+    assert M.coeffs.flat == (0, Fraction(-1, 2), 0, Fraction(1, 2), 0, 0, 0, 0, 0)
+    assert all(type(v) is Fraction for v in L.coeffs.flat + M.coeffs.flat)
     assert JacobianTriple._fields == ("j1", "j2", "j3")
     assert AnomalyCertificate._fields == ("kind", "type_label", "omega", "p0", "a", "tau",
                                           "jacobian", "matched")

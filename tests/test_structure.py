@@ -9,11 +9,12 @@ from operadyn import quantum
 from operadyn.bianchi import BianchiType, all_types, deform, structure_constants
 from operadyn.lax import LaxFamilyParams, formal_mu, operadic_lax_residual, rotation_generator
 from operadyn.ncpoly import ExtScalar
-from operadyn.operad import Operation, Tensor, gerstenhaber_bracket
+from operadyn.operad import Operation, gerstenhaber_bracket
 from operadyn.poly import Poly, q, p
 from operadyn.structure import PAIRS, StructureTensor
 from reference_structure import from_array, full_check
 from reference_tables import GRID
+from reference_trace import scalar_evaluate
 
 
 def test_mirror_filled_automatically():
@@ -48,12 +49,12 @@ def test_first_fault_in_scan_order():
 
 
 def _dense(entries):
-    """Nested 0-based lists of a sparse input, each missing mirror filled as -value."""
+    """The row-major entries of a sparse input, each missing mirror filled as -value."""
     full = dict(entries)
     for (i, j, k), value in entries.items():
         full.setdefault((i, k, j), -value)
-    return [[[full.get((i, j, k), Fraction(0)) for k in (1, 2, 3)] for j in (1, 2, 3)]
-            for i in (1, 2, 3)]
+    return [full.get((i, j, k), Fraction(0)) for i in (1, 2, 3) for j in (1, 2, 3)
+            for k in (1, 2, 3)]
 
 
 def _outcome(build, entries):
@@ -107,15 +108,15 @@ def test_independent_entries_order():
 def test_operation_round_trip():
     t = StructureTensor({(2, 1, 2): Fraction(-1), (3, 3, 1): Fraction(1)})
     assert isinstance(t, Operation) and (t.dim, t.degree) == (3, 2)
-    op = Operation(3, 2, t.coeffs)
-    assert from_array(op.coeffs) == t == op
+    op = Operation(3, 2, t.coeffs.flat)
+    assert from_array(op.coeffs.flat) == t == op
 
 
 def test_from_operation_rejects_asymmetric():
     flat = [Fraction(0)] * 27
     flat[5] = Fraction(1)  # mu^1_{23} without its mirror
     with pytest.raises(ValueError):
-        from_array(Tensor(flat, (3, 3, 3)))
+        from_array(flat)
 
 
 def test_derived_tensors_pass_full_check():
@@ -149,7 +150,7 @@ def test_brackets_are_operations():
     mu = formal_mu(params, w)
     for tensor in (t, mu):
         assert isinstance(tensor, Operation) and (tensor.dim, tensor.degree) == (3, 2)
-        plain = Operation(3, 2, tensor.coeffs)
+        plain = Operation(3, 2, tensor.coeffs.flat)
         assert type(plain) is Operation
         assert tensor == plain and plain == tensor and hash(tensor) == hash(plain)
     bracket = gerstenhaber_bracket(rotation_generator(w), mu)
@@ -168,7 +169,8 @@ def test_polynomial_entries_and_evaluate():
     t = StructureTensor({(1, 2, 3): q * p, (3, 1, 2): Fraction(2)})
     assert not t.is_constant
     assert t.entry(1, 3, 2) == -(q * p)
-    assert t.entry(1, 2, 3).evaluate(Fraction(3), Fraction(1, 3), 0, 0) == 1
+    point = (Fraction(3), Fraction(1, 3), 0, 0)
+    assert scalar_evaluate(t.entry(1, 2, 3).terms.items(), point) == 1
     assert t.entry(3, 1, 2) == 2
 
 

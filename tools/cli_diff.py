@@ -10,15 +10,19 @@ configs under both trees, then the error paths (no samples, an --omega or
 --p0 whose square overflows, an unknown tag, a nonpositive flag, --a 1 when
 listing all classes, an unwritable --out), `verify` at extreme flags (a
 flag, or a Jacobi coefficient of the flags, outside the float range), the
-`--help` text of the program and of each subcommand, and every script in
-`demos/` of this checkout, and reports each command whose stdout, stderr or
-exit code differs.  A command that fails is compared like any other: its
-exit code and its error text are part of the contract.
+`--help` text of the program and of each subcommand, and every demo script,
+and reports each command whose stdout, stderr or exit code differs.  A
+command that fails is compared like any other: its exit code and its error
+text are part of the contract.
 
     python3 tools/cli_diff.py BASE_SRC NEW_SRC
 
 where each argument is a directory holding the `operadyn` package (the
-`src/` of a checkout).  Exit code 0 when every compared command matches.
+`src/` of a checkout).  Each tree runs its own demos, from the `demos/`
+beside its `SRC` when there is one and from this checkout's otherwise, so a
+demo that follows an API change is compared by its output.  The demos are
+matched by file name; one that only one tree has is reported as differing.
+Exit code 0 when every compared command matches.
 """
 
 from __future__ import annotations
@@ -97,14 +101,32 @@ def commands():
     yield from ERRORS
     yield from EXTREME_VERIFY
     yield from HELP
-    for demo in sorted(DEMOS.glob("*.py")):
-        yield (str(demo),)
+
+
+def demos(*srcs):
+    """The demo file names of the trees, each named once, as commands."""
+    names = set()
+    for src in srcs:
+        names.update(path.name for path in demo_dir(src).glob("*.py"))
+    return [(name,) for name in sorted(names)]
+
+
+def demo_dir(src):
+    """The `demos/` beside `src`, or this checkout's when it has none."""
+    sibling = Path(src).resolve().parent / "demos"
+    return sibling if sibling.is_dir() else DEMOS
 
 
 def run(src, argv):
     env = dict(os.environ, PYTHONPATH=src)
-    # a demo is a script path; everything else is a CLI command line
-    head = argv if argv[0].endswith(".py") else ("-m", "operadyn.cli", *argv)
+    # a demo is a script name; everything else is a CLI command line
+    if argv[0].endswith(".py"):
+        script = demo_dir(src) / argv[0]
+        if not script.is_file():
+            return "missing", b"", b""
+        head = (str(script),)
+    else:
+        head = ("-m", "operadyn.cli", *argv)
     proc = subprocess.run([sys.executable, *head], capture_output=True, env=env, timeout=600)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -115,7 +137,7 @@ def main(argv=None):
         sys.exit(__doc__)
     base, new = args
     same = differ = 0
-    for cmd in commands():
+    for cmd in (*commands(), *demos(base, new)):
         old, cur = run(base, cmd), run(new, cmd)
         if old == cur:
             same += 1
