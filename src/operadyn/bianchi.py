@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import poly
 from .lax import formal_mu, solve_C
-from .ncpoly import ExtScalar, _collect, _rational
+from .ncpoly import ExtScalar, _collect, _positive, _rational
 from .oscillator import sample_flow
 from .poly import Poly, rational_sqrt
 from .structure import StructureTensor, _cyclic_defect
@@ -119,8 +119,7 @@ def formal_deformation(t, omega, p0):
     point and the family member is taken symbolically: entries are Poly in
     q, p, Ap, Am with coefficients in Q(s).
     """
-    if not _rational(omega) > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    _positive(omega, "omega")
     return formal_mu(solve_C(structure_constants(t), p0), omega)
 
 
@@ -177,8 +176,8 @@ class ShellReduction:
     """
 
     def __init__(self, omega, p0):
-        w = _rational(omega)
-        p0 = _rational(p0)
+        w = _positive(omega, "omega")
+        p0 = _positive(p0, "p0")
         self._q = (poly.a_plus * poly.a_minus) * (1 / w)
         self._p = (poly.a_plus ** 2 - poly.a_minus ** 2) * Fraction(1, 2)
         self._shell = Poly.constant(2 * p0) - poly.a_plus ** 2

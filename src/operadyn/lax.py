@@ -39,7 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import poly
-from .ncpoly import ExtScalar, _coefficient, _rational
+from .ncpoly import ExtScalar, _coefficient, _positive, _rational
 from .operad import Operation, gerstenhaber_bracket
 from .poly import Poly
 from .structure import StructureTensor, _position, _trusted
@@ -154,9 +154,7 @@ def solve_C(mu0, p0):
     entry m by s and come back as the ExtScalar m*s/(2 p0); the other five
     are rational.
     """
-    p0 = _rational(p0)
-    if not p0 > 0:
-        raise ValueError(f"p0 must be positive, got {p0}")
+    p0 = _positive(p0, "p0")
     two_p0 = 2 * p0
 
     flat = mu0.coeffs.flat
@@ -200,9 +198,7 @@ def operadic_lax_residual(params, omega):
     vectors C = e_n proves it zero for every C.  The identity holds on every
     energy shell at once, so p0 never enters.
     """
-    w = _rational(omega)
-    if not w > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    w = _positive(omega, "omega")
     mu = build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, w)
     bracket = gerstenhaber_bracket(rotation_generator(w), mu)
     residual = (_time_derivative(v, w) - b

@@ -14,8 +14,12 @@ coefficient is a nonzero Fraction or an ExtScalar with nonzero s-part.  An
 ExtScalar whose s-part is 0 is stored as its Fraction, whose text, `==` and
 `hash` it shares, so every value has one representation.  `_collect` is the
 one kernel that keeps the format: it adds (key, coefficient) pairs into
-sparse terms, drops zero sums and folds s-free sums to their Fraction.  Both
-polynomial types run their sums, products and scalar products through it.
+sparse terms, drops zero sums and folds s-free sums to their Fraction.
+
+Both polynomial types are the one sparse ring `_Ring` over that format,
+with words as keys here and exponent tuples in `poly`.  An NCPoly's context
+is its p0, which every operand must share: `==` across contexts is False,
+and arithmetic raises ValueError.
 
 Invariants: an ExtScalar's u, v and p0 are Fractions with p0 > 0, and an
 NCPoly's words use only Q, P, Ap, Am, each with a coefficient in the format
@@ -25,7 +29,7 @@ their input, and raise TypeError on anything that is not rational, a float
 included.  Only the ring operations, whose operands already hold the
 invariants, and `quantum.quantize_formal`, whose words come from distinct
 monomials of a Poly, build their results through the private `_ext` and
-`_nc`, which check nothing.
+`NCPoly._like`, which check nothing.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ _GEN_INDEX = {name: i for i, name in enumerate(GENERATORS)}
 
 # "v" or "u<sign>v" with u, v signed rationals: the text before "*s"
 _S_PART = re.compile(r"(?:(?P<u>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<v>[+-]?\d+(?:/\d+)?)")
+# one term of NCPoly text: "(coefficient)*word", the empty word written 1
+_TERM = re.compile(r"\((?P<coeff>[^)]*)\)\*(?P<word>[A-Za-z0-9*]+)")
 
 
 def _rational(value):
@@ -60,11 +66,51 @@ def _rational(value):
     raise TypeError(f"unsupported scalar {value!r}: expected a rational")
 
 
-def _positive_p0(p0):
-    value = _rational(p0)
-    if not value > 0:
-        raise ValueError(f"p0 must be positive, got {p0}")
-    return value
+def _positive(value, name):
+    """The Fraction of a positive rational: `_rational`, and ValueError naming it if not."""
+    fraction = _rational(value)
+    if not fraction > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return fraction
+
+
+def _same_p0(p0, other):
+    """other, an ExtScalar or NCPoly, if its context is p0; ValueError if not."""
+    if other.p0 is not p0 and other.p0 != p0:
+        raise ValueError(f"mixed p0 contexts: {p0} vs {other.p0}")
+    return other
+
+
+def _round_once(u, v, t):
+    """float(u + v*sqrt(t)) rounded once, for rationals v != 0 and t > 0 and
+    a u that is 0 or of the sign opposite to v's.
+
+    Over integers the value is (a + b*r) / d with r = sqrt(m) and d > 0.  As
+    a - b*r does not cancel, a**2 - b**2*m = (a + b*r)(a - b*r) gives the
+    sign and a lower bound 2**(k - 2) on the magnitude x.  So z =
+    floor(x * 2**e) has at least 56 bits; an inexact floor gets its last bit
+    set, which keeps z on the true side of every rounding midpoint, and int
+    division rounds once.
+    """
+    d = u.denominator * v.denominator * t.denominator
+    a = u.numerator * v.denominator * t.denominator
+    b = v.numerator * u.denominator
+    m = t.numerator * t.denominator
+    b2m = b * b * m
+    excess = a * a - b2m
+    if not excess:
+        return 0.0
+    negative = (a if excess > 0 else b) < 0
+    if negative:
+        a, b = -a, -b
+    k = excess.bit_length() - d.bit_length() - max(a.bit_length(), (b2m.bit_length() + 1) // 2)
+    e = max(0, 57 - k)
+    root = math.isqrt(b2m << 2 * e)
+    inexact = root * root != b2m << 2 * e
+    # b*r * 2**e rounded down, whose dropped fraction leaves z unchanged
+    z, rest = divmod((a << e) + (root if b > 0 else -root - inexact), d)
+    x = (z | bool(rest or inexact)) / (1 << e)
+    return -x if negative else x
 
 
 _new = object.__new__
@@ -87,14 +133,12 @@ class ExtScalar:
     def __init__(self, u, v=Fraction(0), *, p0):
         self.u = _rational(u)
         self.v = _rational(v)
-        self.p0 = _positive_p0(p0)
+        self.p0 = _positive(p0, "p0")
 
     def _coerce(self, other):
         # an ExtScalar of the same p0, a Fraction, or None
         if isinstance(other, ExtScalar):
-            if other.p0 is not self.p0 and other.p0 != self.p0:
-                raise ValueError(f"mixed p0 contexts: {self.p0} vs {other.p0}")
-            return other
+            return _same_p0(self.p0, other)
         if type(other) is Fraction:
             return other
         if isinstance(other, Rational):
@@ -102,23 +146,19 @@ class ExtScalar:
         return None
 
     def __float__(self):
-        """float(u) + float(v) * sqrt(2*p0) where float(v) and float(2*p0) are
-        normal floats (or v is 0); elsewhere v*s is rounded once, exactly."""
+        """u + v*s rounded once where u and v have opposite signs.  Elsewhere
+        float(u) + float(v) * sqrt(2*p0) where float(v) and float(2*p0) are
+        normal floats (or v is 0), else float(u) plus v*s rounded once."""
         u, v, two_p0 = self.u, self.v, 2 * self.p0
+        if u * v < 0:
+            return _round_once(u, v, two_p0)
         try:
             fv, f2p0 = float(v), float(two_p0)
         except OverflowError:
             fv = f2p0 = 0.0
         if f2p0 >= _MIN_NORMAL and (abs(fv) >= _MIN_NORMAL or not v):
             return float(u) + fv * math.sqrt(f2p0)
-        # the root of (v*s)**2 = n/d scaled by 4**e to at least 56 bits; an
-        # inexact root gets its last bit set, which keeps it on the true side
-        # of every rounding midpoint, and int division rounds once
-        n, d = v.numerator ** 2 * two_p0.numerator, v.denominator ** 2 * two_p0.denominator
-        e = max(0, (113 - n.bit_length() + d.bit_length()) // 2)
-        root = math.isqrt((n << 2 * e) // d)
-        vs = (root | (root * root * d != n << 2 * e)) / (1 << e)
-        return float(u) + (-vs if v < 0 else vs)
+        return float(u) + _round_once(_ZERO, v, two_p0)
 
     def __add__(self, other):
         if isinstance(other, float):
@@ -207,6 +247,11 @@ class ExtScalar:
         return cls(u, v, p0=p0)
 
 
+# the scalars of both polynomial rings; Rational is an ABC, whose isinstance
+# check runs Python code, so the exact types in use are tried first
+_SCALARS = (int, ExtScalar, Fraction, Rational)
+
+
 def _coefficient(value):
     """A rational or ExtScalar as its Fraction, or as itself with s-part != 0.
 
@@ -222,8 +267,8 @@ def _scalar(value, p0):
 
     ValueError on an ExtScalar of another p0, TypeError on a non-rational.
     """
-    if isinstance(value, ExtScalar) and value.p0 is not p0 and value.p0 != p0:
-        raise ValueError(f"mixed p0 contexts: {p0} vs {value.p0}")
+    if isinstance(value, ExtScalar):
+        _same_p0(p0, value)
     return _coefficient(value)
 
 
@@ -247,53 +292,29 @@ def _collect(out, pairs):
     return out
 
 
-def _scaled_terms(terms, c):
-    """The sparse terms times the scalar c, in the coefficient format."""
-    if not c:
-        return {}
-    return _collect({}, ((key, coeff * c) for key, coeff in terms.items()))
+class _Ring:
+    """The body of Poly and NCPoly: `terms` maps monomial keys to coefficients.
 
+    A subclass supplies `_ONE`, the constant key; `_key`, which checks a key;
+    `_coeff`, a scalar in the format of its context; `_like`, an element of
+    its type and context over trusted terms, unchecked; `_products`, the
+    (key, coefficient) pairs of its terms times other terms, with the key
+    product inline; `_order` and `_monomial`, the text order and a key's text
+    after its coefficient; and `_term`, the parser of one term's text.
+    """
 
-def _nc(terms, p0):
-    """The NCPoly over terms that already hold the invariant, unchecked."""
-    out = _new(NCPoly)
-    out.terms = terms
-    out.p0 = p0
-    return out
+    __slots__ = ("terms",)
 
-
-def _word_key(word):
-    # graded order: length first, then generator indices letter by letter
-    return (len(word), tuple(_GEN_INDEX[g] for g in word))
-
-
-class NCPoly:
-    """Finite sum of scalar-weighted words in the free algebra."""
-
-    __slots__ = ("terms", "p0")
-
-    def __init__(self, terms=None, *, p0):
-        self.p0 = _positive_p0(p0)
+    def __init__(self, terms=None):
         clean = {}
-        for word, coeff in (terms or {}).items():
-            word = tuple(word)
-            for g in word:
-                if g not in _GEN_INDEX:
-                    raise ValueError(f"unknown generator {g!r}, expected one of {GENERATORS}")
-            coeff = _scalar(coeff, self.p0)
+        for key, coeff in (terms or {}).items():
+            key = self._key(key)
+            coeff = self._coeff(coeff)
             if coeff:
-                clean[word] = coeff
+                clean[key] = coeff
         self.terms = clean
 
-    # ---- constructors -----------------------------------------------------
-
-    @classmethod
-    def generator(cls, name, *, p0):
-        if name not in _GEN_INDEX:
-            raise ValueError(f"unknown generator {name!r}, expected one of {GENERATORS}")
-        return cls({(name,): Fraction(1)}, p0=p0)
-
-    # ---- predicates ---------------------------------------------------------
+    # ---- predicates -----------------------------------------------------------
 
     @property
     def is_zero(self):
@@ -301,95 +322,150 @@ class NCPoly:
 
     @property
     def is_constant(self):
-        """True when every word is empty (the zero element included)."""
-        return all(word == () for word in self.terms)
+        """True when the constant monomial is the only key (the zero element included)."""
+        return self.terms.keys() <= {self._ONE}
 
     def constant_value(self):
         if not self.is_constant:
             raise ValueError(f"not a constant element: {self}")
-        return self.terms[()] if self.terms else _ZERO
+        return self.terms.get(self._ONE, _ZERO)
 
-    # ---- ring structure ------------------------------------------------------
+    # ---- ring structure ---------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, NCPoly):
-            if other.p0 is not self.p0 and other.p0 != self.p0:
-                raise ValueError(f"mixed p0 contexts: {self.p0} vs {other.p0}")
-            return other
-        if isinstance(other, (ExtScalar, Rational)):
-            c = _scalar(other, self.p0)
-            return _nc({(): c} if c else {}, self.p0)
+        """The terms of an element of the same ring or of a scalar, or None."""
+        if type(other) is type(self):
+            return other.terms
+        if isinstance(other, _SCALARS):
+            c = self._coeff(other)
+            return {self._ONE: c} if c else {}
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        terms = self._coerce(other)
+        if terms is None:
             return NotImplemented
-        return _nc(_collect(dict(self.terms), other.terms.items()), self.p0)
+        # sum() starts at int 0; elements are immutable, so f + 0 can be f
+        return self._like(_collect(dict(self.terms), terms.items())) if terms else self
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _nc({w: -c for w, c in self.terms.items()}, self.p0)
+        return self._like({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        terms = self._coerce(other)
+        if terms is None:
             return NotImplemented
-        return self + (-other)
+        negated = ((key, -c) for key, c in terms.items())
+        return self._like(_collect(dict(self.terms), negated)) if terms else self
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        terms = self._coerce(other)
+        if terms is None:
             return NotImplemented
-        return other + (-self)
+        return self._like(terms) + -self
 
     def __mul__(self, other):
-        if not isinstance(other, NCPoly):
-            return self._scaled(other)
-        other = self._coerce(other)
-        pairs = ((wa + wb, ca * cb) for wa, ca in self.terms.items()
-                 for wb, cb in other.terms.items())
-        return _nc(_collect({}, pairs), self.p0)
-
-    def __rmul__(self, other):
-        # scalars are central, so reflected multiplication is the same product
-        return self._scaled(other)
-
-    def _scaled(self, other):
-        if not isinstance(other, (ExtScalar, Rational)):
+        terms = self._coerce(other)
+        if terms is None:
             return NotImplemented
-        return _nc(_scaled_terms(self.terms, _scalar(other, self.p0)), self.p0)
+        if type(other) is type(self):
+            return self._like(_collect({}, self._products(terms)))
+        # a scalar, whose terms hold its value unless it is 0
+        return self._like(_collect({}, ((key, coeff * c) for c in terms.values()
+                                        for key, coeff in self.terms.items())))
+
+    # only a scalar comes reflected, and scalars are central
+    __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, NCPoly):
-            return self.p0 == other.p0 and self.terms == other.terms
-        if isinstance(other, (ExtScalar, Rational)):
-            try:
-                return self == self._coerce(other)
-            except ValueError:
-                return False
-        return NotImplemented
+        if isinstance(other, Rational):
+            # only a constant of the same value, compared without coercion
+            return self.is_constant and self.terms.get(self._ONE, 0) == other
+        try:
+            terms = self._coerce(other)
+        except ValueError:
+            # an NCPoly or ExtScalar of another p0
+            return False
+        return NotImplemented if terms is None else self.terms == terms
 
     def __hash__(self):
-        # a scalar element equals its scalar, so it hashes like it
+        # a constant element equals its scalar, so it hashes like it
         if self.is_constant:
-            return hash(self.terms.get((), 0))
-        return hash((self.p0, frozenset(self.terms.items())))
+            return hash(self.terms.get(self._ONE, 0))
+        return hash(frozenset(self.terms.items()))
 
-    # ---- evaluation and text -------------------------------------------------
-
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _word_key(kv[0]))
+    # ---- canonical text ---------------------------------------------------------
 
     def __str__(self):
         if not self.terms:
             return "(0)"
-        chunks = []
-        for word, coeff in self._sorted_terms():
-            body = "*".join(word) if word else "1"
-            chunks.append(f"({coeff})*{body}")
-        return " + ".join(chunks)
+        return " + ".join(f"({self.terms[key]}){self._monomial(key)}"
+                          for key in sorted(self.terms, key=self._order))
+
+    def _read(self, text):
+        """`from_text` in the context of the zero self."""
+        text = text.strip()
+        if text == "(0)":
+            return self
+        pairs = []
+        for chunk in text.split(" + "):
+            try:
+                pairs.append(self._term(chunk))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"malformed term {chunk!r}") from None
+        return self._like(_collect({}, pairs))
+
+
+class NCPoly(_Ring):
+    """Finite sum of scalar-weighted words in the free algebra."""
+
+    __slots__ = ("p0",)
+
+    _ONE = ()
+
+    def __init__(self, terms=None, *, p0):
+        self.p0 = _positive(p0, "p0")
+        _Ring.__init__(self, terms)
+
+    @classmethod
+    def generator(cls, name, *, p0):
+        return cls({(name,): 1}, p0=p0)
+
+    @staticmethod
+    def _key(word):
+        word = tuple(word)
+        for g in word:
+            if g not in _GEN_INDEX:
+                raise ValueError(f"unknown generator {g!r}, expected one of {GENERATORS}")
+        return word
+
+    def _coeff(self, value):
+        return _scalar(value, self.p0)
+
+    def _like(self, terms):
+        out = _new(NCPoly)
+        out.terms = terms
+        out.p0 = self.p0
+        return out
+
+    def _coerce(self, other):
+        if type(other) is NCPoly:
+            _same_p0(self.p0, other)
+        return _Ring._coerce(self, other)
+
+    def _products(self, terms):
+        return ((wa + wb, ca * cb) for wa, ca in self.terms.items() for wb, cb in terms.items())
+
+    @staticmethod
+    def _order(word):
+        # graded order: length first, then generator indices letter by letter
+        return len(word), tuple(_GEN_INDEX[g] for g in word)
+
+    @staticmethod
+    def _monomial(word):
+        return "*" + ("*".join(word) or "1")
 
     def __repr__(self):
         return f"NCPoly({self}, p0={self.p0})"
@@ -400,24 +476,15 @@ class NCPoly:
 
         Raises ValueError naming the first malformed term.
         """
-        zero = cls({}, p0=p0)
-        text = text.strip()
-        if text == "(0)":
-            return zero
-        terms = {}
-        for chunk in text.split(" + "):
-            m = re.fullmatch(r"\((?P<coeff>[^)]*)\)\*(?P<word>[A-Za-z0-9*]+)", chunk)
-            body = m.group("word") if m else ""
-            word = () if body == "1" else tuple(body.split("*"))
-            try:
-                if not m or any(g not in _GEN_INDEX for g in word):
-                    raise ValueError(chunk)
-                coeff = ExtScalar.from_text(m.group("coeff"), p0=p0)
-            except ValueError:
-                raise ValueError(f"malformed term {chunk!r}") from None
-            prev = terms.get(word)
-            terms[word] = coeff if prev is None else prev + coeff
-        return cls(terms, p0=p0)
+        return cls(p0=p0)._read(text)
+
+    def _term(self, chunk):
+        m = _TERM.fullmatch(chunk)
+        if not m:
+            raise ValueError(chunk)
+        body = m.group("word")
+        word = self._key(() if body == "1" else body.split("*"))
+        return word, ExtScalar.from_text(m.group("coeff"), p0=self.p0)
 
 
 def commutator(f, g):

@@ -9,9 +9,10 @@ the package's one tensor type: the Lax matrices are degree-1 Operations, and
 `structure.StructureTensor` is the Operation of degree 2 on a 3d space.
 
 The public constructor takes the flat entries and checks the dimension (at
-most MAX_DIM), the degree (at most MAX_DEGREE) and the entry count;
+most MAX_DIM), the degree (at most MAX_DEGREE) and the number of entries;
 `from_matrix` takes square rows.  Every other result is built through the
-private `_trusted`, which checks nothing; a composition may exceed MAX_DEGREE.
+private `_trusted`, which checks nothing; a composition may exceed MAX_DEGREE,
+up to MAX_ENTRIES entries.
 
 Composition never multiplies by zero: it pairs only the nonzero entries of
 its operands, and a result entry without such a pair is the sum of a zero
@@ -38,7 +39,6 @@ from operator import add, neg, sub
 
 MAX_DIM = 8
 MAX_DEGREE = 4
-# hard cap on tensor size for composition results (they may exceed MAX_DEGREE)
 MAX_ENTRIES = 2 ** 20
 
 _new = object.__new__
@@ -78,11 +78,6 @@ class Operation:
                 " (composition results may go higher, direct construction may not)"
             )
         size = dim ** (degree + 1)
-        if size > MAX_ENTRIES:
-            raise ValueError(
-                f"coefficient tensor would hold {size} entries,"
-                f" above the cap of {MAX_ENTRIES}"
-            )
         if flat is None:
             flat = (Fraction(0),) * size
         # a Tensor or nested rows are not the flat entries
@@ -198,6 +193,8 @@ def partial_compose(f, i, g):
     if not (0 <= i <= f.reduced_degree):
         raise ValueError(f"slot index {i} out of range 0..{f.reduced_degree}")
     out_degree = f.degree + g.reduced_degree
+    # a hard cap on the result's size: a composition may exceed MAX_DEGREE,
+    # and only here can the entry count pass MAX_DIM ** (MAX_DEGREE + 1)
     if f.dim ** (out_degree + 1) > MAX_ENTRIES:
         raise ValueError(
             f"composition result would hold {f.dim ** (out_degree + 1)} entries,"

@@ -39,8 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import bianchi, poly
-from .ncpoly import (GENERATORS, ExtScalar, NCPoly, _nc, _positive_p0, _rational, _scalar,
-                     commutator)
+from .ncpoly import GENERATORS, ExtScalar, NCPoly, _rational, commutator
 from .structure import _cyclic_defect
 
 RIGID = "Rigid"
@@ -69,11 +68,11 @@ def quantize_formal(formal, p0):
     entry is built unchecked; p0 is checked once, and each ExtScalar
     coefficient against it.
     """
-    p0 = _positive_p0(p0)
+    zero = NCPoly(p0=p0)
 
     def operator(value):
         terms = poly.as_poly(value).terms
-        return _nc({_word(exps): _scalar(c, p0) for exps, c in terms.items()}, p0)
+        return zero._like({_word(exps): zero._coeff(c) for exps, c in terms.items()})
 
     return formal._map(operator)
 

@@ -20,7 +20,7 @@ from operadyn.bianchi import (BianchiType, TAGS, ShellReduction, all_types,
                               is_rigid, raw_jacobian, structure_constants)
 from operadyn.cli import main
 from operadyn.lax import (LaxFamilyParams, build_matrix_lax, formal_mu,
-                          matrix_lax_residual, solve_C)
+                          matrix_lax_residual, operadic_lax_residual, solve_C)
 from operadyn.ncpoly import ExtScalar
 from operadyn.oscillator import BranchError
 from operadyn.poly import Poly, rational_sqrt
@@ -375,11 +375,38 @@ _FLOAT_CALLS = {
 }
 
 
+# each exact entry point with omega or p0 not positive, and the message it gives
+_NONPOSITIVE_CALLS = {
+    "ShellReduction omega 0": (lambda: ShellReduction(0, 2), "omega must be positive, got 0"),
+    "ShellReduction omega < 0": (lambda: ShellReduction(-1, 2), "omega must be positive, got -1"),
+    "ShellReduction p0 < 0": (lambda: ShellReduction(1, Fraction(-1, 2)),
+                              "p0 must be positive, got -1/2"),
+    "classical_jacobian omega 0": (
+        lambda: classical_jacobian(deform(_VIIA, 1, 2), 0, 2), "omega must be positive, got 0"),
+    "formal_deformation omega": (lambda: formal_deformation(_VIIA, 0, 2),
+                                 "omega must be positive, got 0"),
+    "formal_deformation p0": (lambda: formal_deformation(_VIIA, 1, -2),
+                              "p0 must be positive, got -2"),
+    "solve_C p0": (lambda: solve_C(structure_constants(_VIIA), 0), "p0 must be positive, got 0"),
+    "operadic_lax_residual omega": (lambda: operadic_lax_residual(_PARAMS, -3),
+                                    "omega must be positive, got -3"),
+    "quantize p0": (lambda: quantum.quantize_formal(formal_deformation(_VIIA, 1, 2), 0),
+                    "p0 must be positive, got 0"),
+}
+
+
 @pytest.mark.parametrize("name", list(_FLOAT_CALLS))
 def test_float_rejected_by_exact_entry_points(name):
     # Fraction(0.1) would silently become 3602879701896397/36028797018963968
     with pytest.raises(TypeError):
         _FLOAT_CALLS[name]()
+
+
+@pytest.mark.parametrize("name", list(_NONPOSITIVE_CALLS))
+def test_nonpositive_rejected_by_exact_entry_points(name):
+    call, message = _NONPOSITIVE_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def _row(columns, n):

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -68,18 +69,38 @@ class TestExtScalar:
         # a subnormal result, and u added after v*s is rounded
         (0, Fraction(7, 10**310), Fraction(3, 2), 1.21243556529821e-309),
         (1, Fraction(-7, 10**310), Fraction(3, 2), 1.0),
+        # u and v*s cancel to 5 of their 17 digits
+        (Fraction(-99, 70), 1, 1, -7.215191261923692e-05),
+        # 1 + 2**-53 + about 2**-201: just above a rounding midpoint
+        (2, -1, (1 - Fraction(1, 2**53)) ** 2 / 2 - Fraction(1, 2**201), 1.0000000000000002),
     ])
     def test_float_is_correctly_rounded_at_the_float_range(self, u, v, p0, expected):
-        # each expected value is v*sqrt(2*p0) to 60 digits, rounded once
+        # each expected value is u + v*sqrt(2*p0) to 200 digits, rounded once
         assert float(ExtScalar(u, v, p0=p0)) == expected
 
     @given(st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6),
            st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6))
     def test_float_of_an_ordinary_value_is_unchanged(self, u, v, p0):
-        # where float(v) and float(2*p0) are normal floats, the float is
-        # float(u) + float(v) * sqrt(2*p0) bit for bit, so no trace byte moves
+        # where u and v do not have opposite signs and float(v) and float(2*p0)
+        # are normal floats, the float is float(u) + float(v) * sqrt(2*p0) bit
+        # for bit, so no trace byte moves
+        v = v if u * v >= 0 else -v
         got = float(ExtScalar(u, v, p0=p0))
         assert repr(got) == repr(float(u) + float(v) * math.sqrt(2 * p0))
+
+    @given(st.fractions(max_denominator=10**6).filter(bool),
+           st.fractions(max_denominator=10**6).filter(bool),
+           st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6))
+    def test_float_with_cancellation_is_correctly_rounded(self, u, v, p0):
+        # u and v*s of opposite signs lose up to about 50 of the terms' digits
+        # here, so 120 digits of the exact value round like the value itself
+        u = abs(u) if v < 0 else -abs(u)
+        with localcontext() as ctx:
+            ctx.prec = 120
+            exact = (Decimal(u.numerator) / u.denominator
+                     + Decimal(v.numerator) / v.denominator
+                     * (Decimal(2 * p0.numerator) / p0.denominator).sqrt())
+        assert float(ExtScalar(u, v, p0=p0)) == float(exact)
 
 
 class TestNCPoly:
@@ -180,6 +201,50 @@ def test_equal_values_hash_alike(u, v):
         for b in forms:
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+
+
+terms_strategy = st.dictionaries(
+    st.tuples(*(st.integers(min_value=0, max_value=2),) * 4), scalars.filter(bool),
+    min_size=2, max_size=5)
+
+
+@given(terms_strategy, st.randoms(use_true_random=False))
+def test_equal_elements_hash_alike_in_any_term_order(terms, rng):
+    # the same terms given in another order build an equal element, which
+    # hashes alike, for Poly and NCPoly both
+    items = list(terms.items())
+    rng.shuffle(items)
+    words = {exps: tuple(g for g, e in zip(GENERATORS, exps) for _ in range(e))
+             for exps in terms}
+    for build in (Poly, lambda t: NCPoly({words[k]: c for k, c in t.items()}, p0=P0)):
+        a, b = build(terms), build(dict(items))
+        assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("terms", [{}, {(): Fraction(3)}, {(): ExtScalar(0, 1, p0=2)},
+                                   {("Q", "P"): Fraction(1), ("Am",): Fraction(-2)}])
+def test_ncpolys_of_different_p0_are_unequal(terms):
+    # == answers False across contexts; only arithmetic raises
+    a = NCPoly({w: _rebase(c, 2) for w, c in terms.items()}, p0=2)
+    b = NCPoly({w: _rebase(c, 3) for w, c in terms.items()}, p0=3)
+    assert (a == b) is False and (b == a) is False and a != b
+    with pytest.raises(ValueError, match="^mixed p0 contexts: 2 vs 3$"):
+        a + b
+
+
+def _rebase(c, p0):
+    return ExtScalar(c.u, c.v, p0=p0) if isinstance(c, ExtScalar) else c
+
+
+@pytest.mark.parametrize("value", [0, Fraction(5, 2), ExtScalar(1, 1, p0=P0)])
+def test_poly_and_ncpoly_are_never_equal(value):
+    # the two rings share scalars, but their elements do not compare equal
+    f, x = Poly.constant(value), NCPoly({(): value}, p0=P0)
+    assert f == value and x == value
+    assert f != x and x != f and not (f == x) and not (x == f)
+    g = Poly({(1, 0, 0, 0): value or 1})
+    y = NCPoly({("Q",): value or 1}, p0=P0)
+    assert g != y and y != g
 
 
 # Operands for the trusted ring operations: s-parts that cancel (s*s is

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operadyn import bianchi, poly
+from operadyn import bianchi, operad, poly
 from operadyn.lax import LaxFamilyParams, build_mu, rotation_generator
 from operadyn.ncpoly import NCPoly
 from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, Tensor,
@@ -86,6 +86,15 @@ class TestConstruction:
         assert h + h == 2 * h == h * 2 and (h + h).entry(1, *top) == 4
         assert (h - h).is_zero and (h - h).degree == MAX_DEGREE + 1
         assert -h == (-1) * h and -(-h) == h and -h != h
+
+    def test_entry_cap_bounds_compositions_only(self, monkeypatch):
+        # the dimension and degree limits keep a constructed tensor under the
+        # entry cap, so the cap has nothing to check in the constructor
+        assert MAX_DIM ** (MAX_DEGREE + 1) <= operad.MAX_ENTRIES
+        monkeypatch.setattr(operad, "MAX_ENTRIES", MAX_DIM ** (MAX_DEGREE + 1) - 1)
+        f = Operation(MAX_DIM, MAX_DEGREE)
+        with pytest.raises(ValueError, match="^composition result would hold 32768 entries"):
+            partial_compose(f, 0, Operation(MAX_DIM, 1))
 
     def test_shape_mismatch_rejected(self):
         f = Operation(3, 2)

@@ -22,6 +22,8 @@ where each argument is a directory holding the `operadyn` package (the
 beside its `SRC` when there is one and from this checkout's otherwise, so a
 demo that follows an API change is compared by its output.  The demos are
 matched by file name; one that only one tree has is reported as differing.
+The summary ends with the line count of each tree's `operadyn/*.py` (as
+`wc -l` counts them) and the difference, `src lines: 2420 -> 2370 (-50)`.
 Exit code 0 when every compared command matches.
 """
 
@@ -131,6 +133,11 @@ def run(src, argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def src_lines(src):
+    """The number of lines of the tree's `operadyn/*.py`."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(src, "operadyn").glob("*.py"))
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -145,6 +152,8 @@ def main(argv=None):
             differ += 1
             print(f"DIFFERS (exit {old[0]} -> {cur[0]}): {' '.join(cmd)}")
     print(f"{same} identical, {differ} different")
+    before, after = src_lines(base), src_lines(new)
+    print(f"src lines: {before} -> {after} ({after - before:+d})")
     return 1 if differ else 0
 
 
