@@ -149,7 +149,7 @@ def deform_formal(formal, p0):
     When sigma = sqrt(2*p0) is rational, s is folded to sigma and every
     coefficient is a Fraction; otherwise s stays formal.
     """
-    sigma = rational_sqrt(2 * _rational(p0))
+    sigma = rational_sqrt(2 * _positive(p0, "p0"))
     if sigma is None:
         return formal
     return formal._map(lambda v: _fold(v, sigma))

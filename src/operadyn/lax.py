@@ -37,10 +37,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 
 from . import poly
-from .ncpoly import ExtScalar, _coefficient, _positive, _rational
-from .operad import Operation, gerstenhaber_bracket
+from .ncpoly import _ZERO, ExtScalar, _coefficient, _collect, _positive
+from .operad import Operation, _sums, gerstenhaber_bracket
 from .poly import Poly
 from .structure import StructureTensor, _position, _trusted
 
@@ -54,7 +55,7 @@ class MatrixLaxPair(namedtuple("MatrixLaxPair", "L M")):
 
 def rotation_generator(omega):
     """M, the half-frequency rotation block, as a degree-1 operation of both layers."""
-    half_w, zero = _rational(omega) / 2, Fraction(0)
+    half_w, zero = _positive(omega, "omega") / 2, Fraction(0)
     return Operation.from_matrix([[zero, -half_w, zero], [half_w, zero, zero], [zero] * 3])
 
 
@@ -125,16 +126,17 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
         mu^3_{12} = C9
     """
     c1, c2, c3, c4, c5, c6, c7, c8, c9 = params.c
-    wq = omega * q
+    # coordinates on the left: a polynomial's `*` runs, not a scalar's NotImplemented
+    wq = q * omega
     entries = {
-        (1, 2, 3): c2 * p - c3 * wq - c4,
-        (2, 1, 3): c2 * p - c3 * wq + c4,
-        (1, 3, 1): c2 * wq + c3 * p - c1,
-        (2, 2, 3): c2 * wq + c3 * p + c1,
-        (1, 1, 2): c5 * a_plus + c6 * a_minus,
-        (2, 1, 2): c5 * a_minus - c6 * a_plus,
-        (3, 1, 3): c7 * a_plus + c8 * a_minus,
-        (3, 2, 3): c7 * a_minus - c8 * a_plus,
+        (1, 2, 3): p * c2 - wq * c3 - c4,
+        (2, 1, 3): p * c2 - wq * c3 + c4,
+        (1, 3, 1): wq * c2 + p * c3 - c1,
+        (2, 2, 3): wq * c2 + p * c3 + c1,
+        (1, 1, 2): a_plus * c5 + a_minus * c6,
+        (2, 1, 2): a_minus * c5 - a_plus * c6,
+        (3, 1, 3): a_plus * c7 + a_minus * c8,
+        (3, 2, 3): a_minus * c7 - a_plus * c8,
         (3, 1, 2): c9,
     }
     return StructureTensor(entries)
@@ -142,7 +144,7 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
 
 def formal_mu(params, omega):
     """The symbolic family member, with Poly entries in q, p, Ap, Am."""
-    return build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, _rational(omega))
+    return build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, _positive(omega, "omega"))
 
 
 def solve_C(mu0, p0):
@@ -179,16 +181,21 @@ def solve_C(mu0, p0):
 
 
 def _time_derivative(value, omega):
-    """d/dt of a coefficient through the oscillator and half-angle flows."""
+    """d/dt of a coefficient through the oscillator and half-angle flows,
+    p*d/dq - omega**2*q*d/dp - (omega/2)*Am*d/dAp + (omega/2)*Ap*d/dAm: a Poly
+    in one `_collect` pass over the four flows' terms, each in `value.terms` order."""
     if not isinstance(value, Poly):
-        return Fraction(0)
+        return _ZERO
     if value.is_constant:
-        return Poly()
+        return poly._trusted({})
+    terms = value.terms.items()
     half_w = omega / 2
-    return (poly.p * value.derivative("q")
-            - (omega * omega) * poly.q * value.derivative("p")
-            - half_w * poly.a_minus * value.derivative("Ap")
-            + half_w * poly.a_plus * value.derivative("Am"))
+    minus_w2, minus_half_w = -omega * omega, -half_w
+    return poly._trusted(_collect({}, chain(
+        (((i - 1, j + 1, k, l), c * i) for (i, j, k, l), c in terms if i),
+        (((i + 1, j - 1, k, l), c * (minus_w2 * j)) for (i, j, k, l), c in terms if j),
+        (((i, j, k - 1, l + 1), c * (minus_half_w * k)) for (i, j, k, l), c in terms if k),
+        (((i, j, k + 1, l - 1), c * (half_w * l)) for (i, j, k, l), c in terms if l))))
 
 
 def operadic_lax_residual(params, omega):
@@ -201,7 +208,6 @@ def operadic_lax_residual(params, omega):
     w = _positive(omega, "omega")
     mu = build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, w)
     bracket = gerstenhaber_bracket(rotation_generator(w), mu)
-    residual = (_time_derivative(v, w) - b
-                for v, b in zip(mu.coeffs.flat, bracket.coeffs.flat))
-    # a difference of antisymmetric tensors
-    return _trusted(residual)
+    flow = [_time_derivative(v, w) for v in mu.coeffs.flat]
+    # a difference of antisymmetric tensors, which adds no exact zero
+    return _trusted(_sums(flow, bracket.coeffs.flat, True))

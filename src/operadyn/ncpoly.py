@@ -19,7 +19,9 @@ sparse terms, drops zero sums and folds s-free sums to their Fraction.
 Both polynomial types are the one sparse ring `_Ring` over that format,
 with words as keys here and exponent tuples in `poly`.  An NCPoly's context
 is its p0, which every operand must share: `==` across contexts is False,
-and arithmetic raises ValueError.
+and arithmetic raises ValueError.  `+`, `-`, `*` and `==` try an operand by
+exact type first, an element of the same ring, then a Fraction or int, and
+only then the other scalars, whose `numbers.Rational` check runs Python code.
 
 Invariants: an ExtScalar's u, v and p0 are Fractions with p0 > 0, and an
 NCPoly's words use only Q, P, Ap, Am, each with a coefficient in the format
@@ -61,7 +63,7 @@ def _rational(value):
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, Rational):
+    if type(value) is int or isinstance(value, Rational):
         return Fraction(value)
     raise TypeError(f"unsupported scalar {value!r}: expected a rational")
 
@@ -79,6 +81,11 @@ def _same_p0(p0, other):
     if other.p0 is not p0 and other.p0 != p0:
         raise ValueError(f"mixed p0 contexts: {p0} vs {other.p0}")
     return other
+
+
+def _plus(a, b):
+    """a + b for Fractions, without the sum when either is 0."""
+    return a + b if a and b else a or b
 
 
 def _round_once(u, v, t):
@@ -141,7 +148,7 @@ class ExtScalar:
             return _same_p0(self.p0, other)
         if type(other) is Fraction:
             return other
-        if isinstance(other, Rational):
+        if type(other) is int or isinstance(other, Rational):
             return Fraction(other)
         return None
 
@@ -167,13 +174,13 @@ class ExtScalar:
         if other is None:
             return NotImplemented
         if type(other) is Fraction:
-            return _ext(self.u + other, self.v, self.p0)
-        return _ext(self.u + other.u, self.v + other.v, self.p0)
+            return _ext(_plus(self.u, other), self.v, self.p0)
+        return _ext(_plus(self.u, other.u), _plus(self.v, other.v), self.p0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _ext(-self.u, -self.v, self.p0)
+        return _ext(self.u and -self.u, self.v and -self.v, self.p0)
 
     def __sub__(self, other):
         return self + (-other)
@@ -187,22 +194,22 @@ class ExtScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        u, v = self.u, self.v
         if type(other) is Fraction:
-            return _ext(self.u * other, self.v * other, self.p0)
-        # (u1 + v1 s)(u2 + v2 s) with s**2 = 2 p0
-        return _ext(
-            self.u * other.u + 2 * self.p0 * self.v * other.v,
-            self.u * other.v + self.v * other.u,
-            self.p0,
-        )
+            return _ext(u and u * other, v and v * other, self.p0)
+        # (u + v s)(x + y s) = (u x + 2 p0 v y) + (u y + v x) s, nonzero parts only
+        x, y = other.u, other.v
+        ux, uy = (x and u * x, y and u * y) if u else (u, u)
+        vx, vy = (x and v * x, y and v * y * self.p0 * 2) if v else (v, v)
+        return _ext(_plus(ux, vy), _plus(uy, vx), self.p0)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, ExtScalar):
             return self.p0 == other.p0 and self.u == other.u and self.v == other.v
-        if isinstance(other, Rational):
-            return self.v == 0 and self.u == other
+        if type(other) is Fraction or type(other) is int or isinstance(other, Rational):
+            return not self.v and self.u == other
         return NotImplemented
 
     def __hash__(self):
@@ -247,9 +254,8 @@ class ExtScalar:
         return cls(u, v, p0=p0)
 
 
-# the scalars of both polynomial rings; Rational is an ABC, whose isinstance
-# check runs Python code, so the exact types in use are tried first
-_SCALARS = (int, ExtScalar, Fraction, Rational)
+# the scalars of the polynomial rings after the exact types Fraction and int
+_SCALARS = (ExtScalar, Rational)
 
 
 def _coefficient(value):
@@ -333,9 +339,14 @@ class _Ring:
     # ---- ring structure ---------------------------------------------------------
 
     def _coerce(self, other):
-        """The terms of an element of the same ring or of a scalar, or None."""
-        if type(other) is type(self):
+        """The terms of an element or scalar, in the dispatch order; None if neither."""
+        cls = type(other)
+        if cls is type(self):
+            if cls is NCPoly:
+                _same_p0(self.p0, other)
             return other.terms
+        if cls is Fraction or cls is int:
+            return {self._ONE: other if cls is Fraction else Fraction(other)} if other else {}
         if isinstance(other, _SCALARS):
             c = self._coeff(other)
             return {self._ONE: c} if c else {}
@@ -373,16 +384,17 @@ class _Ring:
         if type(other) is type(self):
             return self._like(_collect({}, self._products(terms)))
         # a scalar, whose terms hold its value unless it is 0
-        return self._like(_collect({}, ((key, coeff * c) for c in terms.values()
-                                        for key, coeff in self.terms.items())))
+        c = terms.get(self._ONE)
+        if c is None:
+            return self._like({})
+        scaled = ((key, coeff * c) for key, coeff in self.terms.items())
+        # a nonzero rational neither cancels nor folds a coefficient
+        return self._like(dict(scaled) if type(c) is Fraction else _collect({}, scaled))
 
     # only a scalar comes reflected, and scalars are central
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, Rational):
-            # only a constant of the same value, compared without coercion
-            return self.is_constant and self.terms.get(self._ONE, 0) == other
         try:
             terms = self._coerce(other)
         except ValueError:
@@ -449,11 +461,6 @@ class NCPoly(_Ring):
         out.terms = terms
         out.p0 = self.p0
         return out
-
-    def _coerce(self, other):
-        if type(other) is NCPoly:
-            _same_p0(self.p0, other)
-        return _Ring._coerce(self, other)
 
     def _products(self, terms):
         return ((wa + wb, ca * cb) for wa, ca in self.terms.items() for wb, cb in terms.items())

@@ -16,7 +16,10 @@ up to MAX_ENTRIES entries.
 
 Composition never multiplies by zero: it pairs only the nonzero entries of
 its operands, and a result entry without such a pair is the sum of a zero
-entry of each operand (see `partial_compose`).
+entry of each operand (see `partial_compose`).  The linear structure never
+adds an exact zero: where one operand of an entry's sum or difference is an
+int or Fraction 0 and the other a Fraction, an `ncpoly.ExtScalar` or a
+polynomial, the entry is that other operand, or its negative (see `_sums`).
 
 Signs are driven by the reduced degree |f| = deg(f) - 1:
 
@@ -35,13 +38,34 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from operator import add, neg, sub
+from operator import neg
+
+from .ncpoly import ExtScalar, _Ring
 
 MAX_DIM = 8
 MAX_DEGREE = 4
 MAX_ENTRIES = 2 ** 20
 
 _new = object.__new__
+
+# the exact zeros, and the entry types that adding one to leaves as they are
+_EXACT = (int, Fraction)
+_ABSORBING = (Fraction, ExtScalar, _Ring)
+
+
+def _sums(xs, ys, negate):
+    """The list of x + y (x - y if negate) over the pairs of xs and ys, with
+    no sum formed where one is an exact zero and the other `_ABSORBING`."""
+    out = []
+    for x, y in zip(xs, ys):
+        y_zero = type(y) in _EXACT and not y
+        if y_zero and isinstance(x, _ABSORBING):
+            out.append(x)
+        elif type(x) in _EXACT and not x and isinstance(y, _ABSORBING):
+            out.append(-y if negate and not y_zero else y)
+        else:
+            out.append(x - y if negate else x + y)
+    return out
 
 
 def graded_sign(exponent):
@@ -120,7 +144,7 @@ class Operation:
     def _like(self, flat):
         return _trusted(Operation, self.dim, self.degree, flat)
 
-    def _combine(self, op, other):
+    def _combine(self, negate, other):
         if not isinstance(other, Operation):
             return NotImplemented
         if self.dim != other.dim or self.degree != other.degree:
@@ -128,19 +152,19 @@ class Operation:
                 f"shape mismatch: (dim {self.dim}, degree {self.degree})"
                 f" vs (dim {other.dim}, degree {other.degree})"
             )
-        return self._like(map(op, self.coeffs.flat, other.coeffs.flat))
+        return self._like(_sums(self.coeffs.flat, other.coeffs.flat, negate))
 
     def __add__(self, other):
-        return self._combine(add, other)
+        return self._combine(False, other)
 
     def __sub__(self, other):
-        return self._combine(sub, other)
+        return self._combine(True, other)
 
     def __neg__(self):
         return self._like(map(neg, self.coeffs.flat))
 
     def __mul__(self, scalar):
-        if isinstance(scalar, (Rational, float)):
+        if isinstance(scalar, (Fraction, int, float, Rational)):
             return self._like(v * scalar for v in self.coeffs.flat)
         return NotImplemented
 
@@ -178,11 +202,11 @@ def partial_compose(f, i, g):
 
     No product with a zero factor is formed.  An entry sums its other
     products, f's entry on the left, in increasing order of the contracted
-    index; an entry with none is `z_f + z_g`, for a zero entry of each
-    operand (int 0 for an operand without one), so Fraction operands give
-    Fraction(0) and int ones int 0.  Every entry equals, and hashes like,
-    the sum of all products, but a `Poly` entry that comes out zero or
-    constant may come back as the equal scalar.
+    index; an entry with none is `z_f + z_g` (through `_sums`), for a zero
+    entry of each operand (int 0 for an operand without one), so Fraction
+    operands give Fraction(0) and int ones int 0.  Every entry equals, and
+    hashes like, the sum of all products, but a `Poly` entry that comes out
+    zero or constant may come back as the equal scalar.
     """
     if not isinstance(f, Operation) or not isinstance(g, Operation):
         raise TypeError("partial_compose expects two Operations")
@@ -230,7 +254,7 @@ def partial_compose(f, i, g):
         for offset, w in rows[k]:
             acc = out[base + offset]
             out[base + offset] = v * w if acc is None else acc + v * w
-    zero = f_zero + g_zero
+    (zero,) = _sums((f_zero,), (g_zero,), False)
     flat = [zero if v is None else v for v in out]
     return _trusted(Operation, d, out_degree, flat)
 

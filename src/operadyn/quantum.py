@@ -39,7 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import bianchi, poly
-from .ncpoly import GENERATORS, ExtScalar, NCPoly, _rational, commutator
+from .ncpoly import GENERATORS, ExtScalar, NCPoly, _positive, _rational, commutator
 from .structure import _cyclic_defect
 
 RIGID = "Rigid"
@@ -87,7 +87,7 @@ def xi_pair(omega, p0):
     xi+ = omega*Q*Am + P*Ap - p0*Ap and xi- = omega*Q*Ap - P*Am - p0*Am;
     both have vanishing commutative image on the energy shell.
     """
-    w = _rational(omega)
+    w = _positive(omega, "omega")
     p0 = _rational(p0)
     return (NCPoly({("Q", "Am"): w, ("P", "Ap"): Fraction(1), ("Ap",): -p0}, p0=p0),
             NCPoly({("Q", "Ap"): w, ("P", "Am"): Fraction(-1), ("Am",): -p0}, p0=p0))
@@ -165,7 +165,7 @@ def classify(t, omega, p0):
 
 def classify_formal(t, formal, omega, p0):
     """`classify` for class t, given its formal deformation at omega, p0."""
-    w = _rational(omega)
+    w = _positive(omega, "omega")
     p0 = _rational(p0)
     mu = quantize_formal(formal, p0)
     defect = basis_jacobian(mu)

@@ -35,8 +35,9 @@ from .operad import Operation
 
 DIM = 3
 
-# entries that are numbers rather than polynomials
-_SCALARS = (Rational, float, ExtScalar)
+# entries that are numbers rather than polynomials; the exact types come
+# first, as an isinstance check of the ABC Rational runs Python code
+_SCALARS = (Fraction, int, float, ExtScalar, Rational)
 
 # independent index pairs, in standard column order
 PAIRS = ((1, 2), (2, 3), (3, 1))
@@ -93,7 +94,9 @@ class StructureTensor(Operation):
         for (i, j, k), value in provided.items():
             flat[_position(i, j, k)] = value
             if (i, k, j) not in provided:
-                flat[_position(i, k, j)] = -value
+                # a Fraction 0 is its own mirror, without the negation
+                flat[_position(i, k, j)] = (value if type(value) is Fraction and not value
+                                            else -value)
             else:
                 # a given diagonal, or a pair given both ways
                 checks.add((i - 1, min(j, k) - 1, max(j, k) - 1))

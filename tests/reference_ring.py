@@ -1,0 +1,110 @@
+"""Reference ring arithmetic the exact-type fast paths are compared against.
+
+These are the generic bodies that `ncpoly._Ring` and `ncpoly.ExtScalar` ran
+before they tested exact types first and skipped exact zeros, kept as the
+oracle of the fast paths: every scalar goes through the one `isinstance`
+check of `SCALARS` and the subclass's `_coeff`, every scalar product through
+`_collect`, and an ExtScalar product forms all four part products.  Each
+function takes the element as its first argument and returns what the
+method returned, `NotImplemented` included; an NCPoly of another p0 raises
+ValueError in arithmetic and compares unequal.
+
+`ext_add`, `ext_neg` and `ext_mul` are the ExtScalar bodies, which formed
+every part sum and product.  `entry_sums` is the plain elementwise sum of
+two operations' entries, the oracle of `operad._sums`.
+"""
+
+from fractions import Fraction
+from numbers import Rational
+from operator import add, sub
+
+from operadyn.ncpoly import ExtScalar, NCPoly, _collect, _ext, _same_p0
+
+SCALARS = (int, ExtScalar, Fraction, Rational)
+
+
+def coerce(f, other):
+    """The terms of an element of f's ring or of a scalar, or None."""
+    if type(other) is type(f):
+        if type(f) is NCPoly:
+            _same_p0(f.p0, other)
+        return other.terms
+    if isinstance(other, SCALARS):
+        c = f._coeff(other)
+        return {f._ONE: c} if c else {}
+    return None
+
+
+def ring_add(f, other):
+    terms = coerce(f, other)
+    if terms is None:
+        return NotImplemented
+    return f._like(_collect(dict(f.terms), terms.items())) if terms else f
+
+
+def ring_neg(f):
+    return f._like({key: -c for key, c in f.terms.items()})
+
+
+def ring_sub(f, other):
+    terms = coerce(f, other)
+    if terms is None:
+        return NotImplemented
+    negated = ((key, -c) for key, c in terms.items())
+    return f._like(_collect(dict(f.terms), negated)) if terms else f
+
+
+def ring_rsub(f, other):
+    terms = coerce(f, other)
+    if terms is None:
+        return NotImplemented
+    return ring_add(f._like(terms), ring_neg(f))
+
+
+def ring_mul(f, other):
+    terms = coerce(f, other)
+    if terms is None:
+        return NotImplemented
+    if type(other) is type(f):
+        return f._like(_collect({}, f._products(terms)))
+    return f._like(_collect({}, ((key, coeff * c) for c in terms.values()
+                                 for key, coeff in f.terms.items())))
+
+
+def ring_eq(f, other):
+    if isinstance(other, Rational):
+        return f.is_constant and f.terms.get(f._ONE, 0) == other
+    try:
+        terms = coerce(f, other)
+    except ValueError:
+        return False
+    return NotImplemented if terms is None else f.terms == terms
+
+
+def _ext_operand(b):
+    # an ExtScalar as itself, any other rational as its Fraction
+    return b if isinstance(b, ExtScalar) else Fraction(b)
+
+
+def ext_add(a, b):
+    b = _ext_operand(b)
+    if type(b) is Fraction:
+        return _ext(a.u + b, a.v, a.p0)
+    return _ext(a.u + b.u, a.v + b.v, a.p0)
+
+
+def ext_neg(a):
+    return _ext(-a.u, -a.v, a.p0)
+
+
+def ext_mul(a, b):
+    """a * b for a rational or an ExtScalar b of a's p0, every part product formed."""
+    b = _ext_operand(b)
+    if type(b) is Fraction:
+        return _ext(a.u * b, a.v * b, a.p0)
+    return _ext(a.u * b.u + 2 * a.p0 * a.v * b.v, a.u * b.v + a.v * b.u, a.p0)
+
+
+def entry_sums(xs, ys, negate):
+    """The plain elementwise x + y (x - y if negate)."""
+    return list(map(sub if negate else add, xs, ys))

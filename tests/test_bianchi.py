@@ -20,7 +20,8 @@ from operadyn.bianchi import (BianchiType, TAGS, ShellReduction, all_types,
                               is_rigid, raw_jacobian, structure_constants)
 from operadyn.cli import main
 from operadyn.lax import (LaxFamilyParams, build_matrix_lax, formal_mu,
-                          matrix_lax_residual, operadic_lax_residual, solve_C)
+                          matrix_lax_residual, operadic_lax_residual,
+                          rotation_generator, solve_C)
 from operadyn.ncpoly import ExtScalar
 from operadyn.oscillator import BranchError
 from operadyn.poly import Poly, rational_sqrt
@@ -392,6 +393,19 @@ _NONPOSITIVE_CALLS = {
                                     "omega must be positive, got -3"),
     "quantize p0": (lambda: quantum.quantize_formal(formal_deformation(_VIIA, 1, 2), 0),
                     "p0 must be positive, got 0"),
+    "formal_mu omega 0": (lambda: formal_mu(_PARAMS, 0), "omega must be positive, got 0"),
+    "formal_mu omega < 0": (lambda: formal_mu(_PARAMS, -1), "omega must be positive, got -1"),
+    "build_matrix_lax omega": (lambda: build_matrix_lax(1, 2, 0), "omega must be positive, got 0"),
+    "matrix_lax_residual omega": (lambda: matrix_lax_residual(1, 2, -1),
+                                  "omega must be positive, got -1"),
+    "rotation_generator omega": (lambda: rotation_generator(Fraction(-1, 2)),
+                                 "omega must be positive, got -1/2"),
+    "xi_pair omega": (lambda: quantum.xi_pair(0, 2), "omega must be positive, got 0"),
+    "classify_formal omega": (
+        lambda: quantum.classify_formal(_VIIA, formal_deformation(_VIIA, 1, 2), 0, 2),
+        "omega must be positive, got 0"),
+    "deform_formal p0": (lambda: deform_formal(formal_deformation(_VIIA, 1, 2), -2),
+                         "p0 must be positive, got -2"),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_ring
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly, commutator
 from operadyn.poly import Poly
 
@@ -337,3 +338,89 @@ class TestParsers:
                 parse(text)
             except ValueError:
                 pass
+
+
+# ---- the exact-type fast paths against the generic bodies they replaced
+
+_RING_METHODS = (
+    ("__add__", reference_ring.ring_add), ("__radd__", reference_ring.ring_add),
+    ("__sub__", reference_ring.ring_sub), ("__rsub__", reference_ring.ring_rsub),
+    ("__mul__", reference_ring.ring_mul), ("__rmul__", reference_ring.ring_mul),
+    ("__eq__", reference_ring.ring_eq),
+)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the ValueError it raises (mixed p0)."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def _assert_same_element(got, want):
+    # the same type, and for an element the same terms in the same order,
+    # each coefficient of the same type and value, and the same hash
+    assert type(got) is type(want)
+    if isinstance(want, (Poly, NCPoly)):
+        assert list(got.terms) == list(want.terms)
+        for key, coeff in want.terms.items():
+            assert type(got.terms[key]) is type(coeff) and got.terms[key] == coeff
+        assert got == want and hash(got) == hash(want)
+        assert getattr(got, "p0", None) == getattr(want, "p0", None)
+    else:
+        assert got == want
+
+
+def _assert_same_scalar(got, want):
+    assert type(got) is ExtScalar and type(want) is ExtScalar
+    for part in ("u", "v", "p0"):
+        assert type(getattr(got, part)) is Fraction
+        assert getattr(got, part) == getattr(want, part)
+
+
+@st.composite
+def dispatch_operands(draw):
+    """A Poly and an NCPoly of one p0, and an operand for each: an element of
+    the same ring, an int, a Fraction, an exact zero or an ExtScalar, and for
+    the NCPoly also an NCPoly or ExtScalar of another p0."""
+    p0, f, g, x, y, c = draw(ring_operands())
+    other_p0 = p0 + 1
+    scalar = st.one_of(
+        st.sampled_from((0, Fraction(0))),
+        st.integers(min_value=-2, max_value=2),
+        small,
+        st.builds(lambda u, v: ExtScalar(u, v, p0=p0), small, small),
+        st.just(c),
+    )
+    foreign = st.one_of(
+        st.sampled_from(({}, {("P",): 1})).map(lambda terms: NCPoly(terms, p0=other_p0)),
+        st.builds(lambda v: ExtScalar(0, v, p0=other_p0), s_parts),
+    )
+    return (f, draw(st.just(g) | scalar)), (x, draw(st.just(y) | scalar | foreign))
+
+
+@given(dispatch_operands())
+@settings(max_examples=100, deadline=None)
+def test_ring_fast_paths_match_reference(operands):
+    for element, other in operands:
+        for name, reference in _RING_METHODS:
+            got = _outcome(getattr(type(element), name), element, other)
+            want = _outcome(reference, element, other)
+            _assert_same_element(got, want)
+        _assert_same_element(-element, reference_ring.ring_neg(element))
+
+
+@given(st.sampled_from((Fraction(2), Fraction(3))), st.data())
+@settings(max_examples=100, deadline=None)
+def test_ext_scalar_fast_paths_match_reference(p0, data):
+    parts = st.sampled_from((0, Fraction(0))) | small
+    a = data.draw(st.builds(lambda u, v: ExtScalar(u, v, p0=p0), parts, parts))
+    b = data.draw(st.builds(lambda u, v: ExtScalar(u, v, p0=p0), parts, parts)
+                  | parts | st.integers(min_value=-2, max_value=2))
+    _assert_same_scalar(a + b, reference_ring.ext_add(a, b))
+    _assert_same_scalar(b + a, reference_ring.ext_add(a, b))
+    _assert_same_scalar(-a, reference_ring.ext_neg(a))
+    _assert_same_scalar(a * b, reference_ring.ext_mul(a, b))
+    _assert_same_scalar(b * a, reference_ring.ext_mul(a, b))
+    assert (a == b) == (b == a) == (a - b).is_zero

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operadyn import bianchi, operad, poly
-from operadyn.lax import LaxFamilyParams, build_mu, rotation_generator
-from operadyn.ncpoly import NCPoly
+from operadyn.lax import (LaxFamilyParams, build_mu, operadic_lax_residual,
+                          rotation_generator)
+from operadyn.ncpoly import ExtScalar, NCPoly
 from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, Tensor,
                              gerstenhaber_bracket, graded_sign,
                              partial_compose, total_compose)
@@ -23,6 +24,7 @@ from operadyn.poly import Poly
 from operadyn.quantum import basis_jacobian, quantize
 from operadyn.structure import StructureTensor
 from reference_compose import apply, dense_partial_compose
+from reference_ring import entry_sums
 
 
 def basis(d, i):
@@ -404,3 +406,98 @@ class TestNoZeroProducts:
         zero_calls = _recording_mul(monkeypatch, NCPoly)
         basis_jacobian(mu)
         assert zero_calls == []
+
+
+def _recording_sums(monkeypatch):
+    """Replace Fraction's +, - and negation by ones that record every call
+    with an exact-zero operand (an int or Fraction 0)."""
+    zero_calls = []
+
+    def record(name):
+        method = getattr(Fraction, name)
+
+        def wrapped(self, *other):
+            if any(type(v) in (int, Fraction) and v == 0 for v in (self, *other)):
+                zero_calls.append((name, self, *other))
+            return method(self, *other)
+        return wrapped
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, record(name))
+    return zero_calls
+
+
+class TestNoZeroSums:
+    """The linear structure and the Lax residual never add an exact zero."""
+
+    def test_sum_and_difference_of_sparse_operations(self, monkeypatch):
+        w = Fraction(1)
+        for n in range(1, 10):
+            probe = LaxFamilyParams(tuple(int(m == n) for m in range(1, 10)))
+            mu = build_mu(probe, poly.q, poly.p, poly.a_plus, poly.a_minus, w)
+            bracket = gerstenhaber_bracket(rotation_generator(w), mu)
+            with monkeypatch.context() as patch:
+                zero_calls = _recording_sums(patch)
+                total, difference = mu + bracket, mu - bracket
+            assert zero_calls == [], f"C{n} probe"
+            assert total - bracket == mu and difference + bracket == mu
+
+    def test_operadic_lax_residual_of_each_probe(self, monkeypatch):
+        for n in range(1, 10):
+            probe = LaxFamilyParams(tuple(int(m == n) for m in range(1, 10)))
+            with monkeypatch.context() as patch:
+                zero_calls = _recording_sums(patch)
+                residual = operadic_lax_residual(probe, Fraction(3, 2))
+            assert zero_calls == [], f"C{n} probe"
+            assert residual.is_zero
+
+
+# entries of every kind the linear structure meets: the exact zeros, a zero
+# polynomial, the signed float zeros and nonzero scalars and polynomials
+_ENTRIES = (0, Fraction(0), Poly(), 0.0, -0.0, 2, Fraction(-3, 4),
+            ExtScalar(1, -2, p0=Fraction(3)), poly.q * 2 + poly.a_minus, 1.5)
+
+
+def _entry_outcomes(compute):
+    try:
+        return compute()
+    except TypeError:
+        # a Poly and a float do not add, with or without the fast path
+        return TypeError
+
+
+def _assert_same_entries(got, want):
+    if want is TypeError:
+        assert got is TypeError
+        return
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert type(x) is type(y)
+        if isinstance(y, float):
+            assert repr(x) == repr(y)
+        elif isinstance(y, Poly):
+            assert list(x.terms) == list(y.terms) and x == y
+            assert all(type(x.terms[k]) is type(c) for k, c in y.terms.items())
+        else:
+            assert x == y
+
+
+class TestLinearStructureMatchesReference:
+    """`Operation` + and - give the entries of the plain elementwise sum."""
+
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_every_pair_of_entries(self, negate):
+        for x, y in itertools.product(_ENTRIES, repeat=2):
+            a, b = Operation(1, 0, [x]), Operation(1, 0, [y])
+            got = _entry_outcomes(lambda: (a - b if negate else a + b).coeffs.flat)
+            want = _entry_outcomes(lambda: entry_sums([x], [y], negate))
+            _assert_same_entries(got, want)
+
+    @given(st.lists(st.sampled_from(_ENTRIES), min_size=18, max_size=18),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_operations(self, entries, negate):
+        a, b = Operation(3, 1, entries[:9]), Operation(3, 1, entries[9:])
+        got = _entry_outcomes(lambda: (a - b if negate else a + b).coeffs.flat)
+        want = _entry_outcomes(lambda: entry_sums(entries[:9], entries[9:], negate))
+        _assert_same_entries(got, want)
