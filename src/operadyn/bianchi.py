@@ -15,9 +15,11 @@ source of both the classical table (`deform`, which folds s to its value
 when that is rational) and the operator table (`quantum.quantize`).  Each
 is a thin call over a function of the formal tensor (`deform_formal`,
 `quantum.quantize_formal`), so a caller that needs both builds the formal
-deformation once.  On the energy shell the deformed bracket satisfies the
-Jacobi identity at every time, which `classical_jacobian` verifies by exact
-polynomial reduction.  The reduction runs through a `ShellReduction` table
+deformation once; `verify all` takes the classical Jacobi defect as the
+commutative image of the operator one (`quantum.commutative_image`).  On
+the energy shell the deformed bracket satisfies the Jacobi identity at
+every time, which `classical_jacobian` verifies by exact polynomial
+reduction.  The reduction runs through a `ShellReduction` table
 for one (omega, p0), which keeps the normal form of each monomial it has
 met; `classical_jacobian` reduces its three components through one table.
 No table outlives its caller.
@@ -218,9 +220,13 @@ def raw_jacobian(mu):
     Component m is the polynomial sum of mu^m_{l k} * mu^k_{i j} over
     (i, j, l) = (1,2,3), (2,3,1), (3,1,2) and all k.  For a time-dependent
     bracket this generally does not vanish as a polynomial; it only has to
-    vanish on the energy shell.
+    vanish on the energy shell.  An exact zero entry goes in as the zero
+    Poly, which the kernel skips, so only its factors are promoted.
     """
-    return _cyclic_defect([poly.as_poly(v) for v in mu.coeffs.flat], Poly())
+    zero = Poly()
+    return _cyclic_defect([v if isinstance(v, Poly)
+                           else zero if type(v) in (int, Fraction) and not v
+                           else Poly.constant(v) for v in mu.coeffs.flat], zero)
 
 
 def classical_jacobian(mu, omega, p0):

@@ -162,7 +162,9 @@ def solve_C(mu0, p0):
     flat = mu0.coeffs.flat
 
     def m(i, j, k):
-        return poly.as_poly(flat[_position(i, j, k)]).constant_value()
+        # a scalar entry as its coefficient, a constant Poly as its value
+        value = flat[_position(i, j, k)]
+        return value.constant_value() if isinstance(value, Poly) else _coefficient(value)
 
     def over_s(value):
         return ExtScalar(0, value / two_p0, p0=p0)

@@ -48,9 +48,11 @@ MAX_ENTRIES = 2 ** 20
 
 _new = object.__new__
 
-# the exact zeros, and the entry types that adding one to leaves as they are
+# the exact zeros, and the entry types that adding one to leaves as they are,
+# Fraction last: its metaclass is an ABCMeta, whose isinstance check of any
+# other type runs Python code
 _EXACT = (int, Fraction)
-_ABSORBING = (Fraction, ExtScalar, _Ring)
+_ABSORBING = (_Ring, ExtScalar, Fraction)
 
 
 def _sums(xs, ys, negate):

@@ -18,7 +18,9 @@ slot k) multiplying the inner one from the left.  The defect is trilinear and
 alternating, so it factors through det(x | y | z); classification only needs
 J(e1, e2, e3), whose weights are 1 on the cyclic (i, j, l) and 0 elsewhere.
 `basis_jacobian` runs that weight-free cyclic kernel, the one
-`bianchi.raw_jacobian` runs.
+`bianchi.raw_jacobian` runs.  Making the generators commute maps the
+operator defect onto the classical one (`commutative_image`), so one kernel
+call per class serves both sides.
 
 Every class lands in exactly one bucket:
 
@@ -39,7 +41,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import bianchi, poly
-from .ncpoly import GENERATORS, ExtScalar, NCPoly, _positive, _rational, commutator
+from .ncpoly import GENERATORS, ExtScalar, NCPoly, _collect, _positive, _rational, commutator
 from .structure import _cyclic_defect
 
 RIGID = "Rigid"
@@ -52,6 +54,26 @@ UNCLASSIFIED = "Unclassified"
 def _word(exps):
     """The word Q^i P^j Ap^k Am^l of the monomial q^i p^j Ap^k Am^l."""
     return tuple(g for g, e in zip(GENERATORS, exps) for _ in range(e))
+
+
+def _exps(word):
+    """The exponents (i, j, k, l) of a word's commutative image: how often
+    it holds Q, P, Ap and Am.  `_exps(_word(e)) == e` for every monomial."""
+    return tuple(map(word.count, GENERATORS))
+
+
+def commutative_image(value, sigma=None):
+    """The Poly of an NCPoly whose generators commute: each word becomes the
+    monomial of its letter counts, merged through `_collect`, and given the
+    rational value sigma of s, each u + v*s folds to u + v*sigma first, as
+    in `bianchi.deform_formal`.  A ring map that undoes `quantize_formal`,
+    so it takes the operator defect of a formal tensor to its commutative
+    one, `bianchi.raw_jacobian(bianchi.deform_formal(formal, p0))`."""
+    terms = value.terms.items()
+    if sigma is not None:
+        terms = ((word, c.u + c.v * sigma if type(c) is ExtScalar else c)
+                 for word, c in terms)
+    return poly._trusted(_collect({}, ((_exps(word), c) for word, c in terms)))
 
 
 def quantize(t, omega, p0):
@@ -71,8 +93,10 @@ def quantize_formal(formal, p0):
     zero = NCPoly(p0=p0)
 
     def operator(value):
-        terms = poly.as_poly(value).terms
-        return zero._like({_word(exps): zero._coeff(c) for exps, c in terms.items()})
+        if isinstance(value, poly.Poly):
+            return zero._like({_word(exps): zero._coeff(c) for exps, c in value.terms.items()})
+        c = zero._coeff(value)
+        return zero._like({(): c} if c else {})
 
     return formal._map(operator)
 

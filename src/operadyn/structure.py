@@ -29,18 +29,24 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational
 
-from .ncpoly import ExtScalar
+from .ncpoly import ExtScalar, _Ring
 from . import operad
 from .operad import Operation
 
 DIM = 3
 
-# entries that are numbers rather than polynomials; the exact types come
-# first, as an isinstance check of the ABC Rational runs Python code
-_SCALARS = (Fraction, int, float, ExtScalar, Rational)
+# entries that are numbers rather than polynomials; the types whose
+# isinstance check runs no Python code come first, then Fraction, whose
+# metaclass is the ABCMeta of Rational
+_SCALARS = (int, float, ExtScalar, Fraction, Rational)
 
 # independent index pairs, in standard column order
 PAIRS = ((1, 2), (2, 3), (3, 1))
+
+
+def _is_number(value):
+    """True for a number entry; a polynomial is told before any ABC check."""
+    return not isinstance(value, _Ring) and isinstance(value, _SCALARS)
 
 
 def _position(i, j, k):
@@ -133,13 +139,13 @@ class StructureTensor(Operation):
 
     @property
     def is_constant(self):
-        return all(isinstance(v, _SCALARS) or v.is_constant for v in self.coeffs.flat)
+        return all(_is_number(v) or v.is_constant for v in self.coeffs.flat)
 
     def constant_tensor(self):
         """Fold constant entries down to plain numbers."""
         if not self.is_constant:
             raise ValueError("tensor has non-constant entries")
-        return self._map(lambda v: v if isinstance(v, _SCALARS) else v.constant_value())
+        return self._map(lambda v: v if _is_number(v) else v.constant_value())
 
     def _map(self, fn):
         """The tensor of fn applied to every entry, built unchecked.

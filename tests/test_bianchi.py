@@ -25,7 +25,7 @@ from operadyn.lax import (LaxFamilyParams, build_matrix_lax, formal_mu,
 from operadyn.ncpoly import ExtScalar
 from operadyn.oscillator import BranchError
 from operadyn.poly import Poly, rational_sqrt
-from operadyn.structure import StructureTensor
+from operadyn.structure import StructureTensor, _cyclic_defect
 from reference_shell import reference_reduce_on_shell
 from reference_tables import GRID, transcribed_deformation
 from reference_trace import scalar_evaluate
@@ -340,6 +340,24 @@ class TestJacobi:
                 t = BianchiType(tag, a if tag != "IIIa1" else None)
                 J = classical_jacobian(deform(t, 1, Fraction(2)), 1, Fraction(2))
                 assert all(c.is_zero for c in J), (tag, a)
+
+    def test_raw_jacobian_promotes_only_the_factors(self, monkeypatch):
+        # each component holds the terms, in their order, of the kernel over
+        # fully promoted entries; exact zeros build no constant Poly
+        for p0 in (Fraction(2), Fraction(3)):
+            for t in all_types(A):
+                mu = deform(t, 1, p0)
+                promoted = _cyclic_defect([poly.as_poly(v) for v in mu.coeffs.flat], Poly())
+                got = raw_jacobian(mu)
+                for c, want in zip(got, promoted):
+                    assert list(c.terms.items()) == list(want.terms.items()), t.label
+        mu = structure_constants(BianchiType("VI"))
+        constants = []
+        real = Poly.constant.__func__
+        monkeypatch.setattr(Poly, "constant",
+                            classmethod(lambda cls, v: constants.append(v) or real(cls, v)))
+        assert all(c.is_zero for c in raw_jacobian(mu))
+        assert constants == [v for v in mu.coeffs.flat if v]
 
     def test_raw_defect_nonzero_off_shell(self):
         # before reduction the parametric defect is a real polynomial

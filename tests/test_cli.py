@@ -194,6 +194,18 @@ class TestVerify:
         assert line.startswith("jacobi-classical: FAIL  (") and "of VIIa(a=1/2) is not zero" in line
         assert out.rstrip().endswith("overall: FAIL")
 
+    def test_jacobi_classical_catches_image_mutant(self, capsys, monkeypatch):
+        # an image that counts Am as Ap is no ring map onto the commutative
+        # defect, and both proofs read the image
+        def mutant(word):
+            return (word.count("Q"), word.count("P"), word.count("Ap") + word.count("Am"), 0)
+
+        monkeypatch.setattr(quantum, "_exps", mutant)
+        code, out, _ = run(capsys, "verify", "jacobi-classical")
+        assert code == 1
+        assert out.splitlines()[1].startswith("jacobi-classical: FAIL  (on-shell defect of ")
+        assert out.rstrip().endswith("overall: FAIL")
+
     @pytest.mark.parametrize("p0, s", [
         (Fraction(2), Fraction(2)),
         (Fraction(3), ExtScalar(0, 1, p0=3)),     # irrational sigma: s stays formal
@@ -245,25 +257,27 @@ class TestVerify:
         assert len(calls) == len(bianchi.TAGS) == 11
         assert len(set(calls)) == 11
 
-    def test_verify_all_builds_each_raw_jacobian_once(self, capsys, monkeypatch):
-        # the shell reduction and the shell points of jacobi-classical read
-        # the same raw Jacobian
-        real = bianchi.raw_jacobian
+    def test_verify_all_builds_each_operator_defect_once(self, capsys, monkeypatch):
+        # both Jacobi suites read one operator defect per class: jacobi-quantum
+        # classifies it, and jacobi-classical proves its commutative image
+        # zero on shell, so no commutative defect is built
+        real = quantum.basis_jacobian
         calls = []
 
         def counted(mu):
             calls.append(mu)
             return real(mu)
 
-        monkeypatch.setattr(bianchi, "raw_jacobian", counted)
+        monkeypatch.setattr(quantum, "basis_jacobian", counted)
         code, out, _ = run(capsys, "verify", "all")
         assert code == 0 and out.rstrip().endswith("overall: PASS")
         assert len(calls) == len(bianchi.TAGS) == 11
 
     def test_verify_all_takes_the_cyclic_kernel_only(self, capsys, monkeypatch):
         # the basis defects come from the weight-free cyclic kernel, one call
-        # per class on each side, and the text is the same; the general
-        # weighted defect is a test oracle, not part of the package
+        # per class on the operator side and none on the commutative side,
+        # and the text is the same; the general weighted defect is a test
+        # oracle, not part of the package
         assert not hasattr(quantum, "quantum_jacobian")
         _, plain, _ = run(capsys, "verify", "all")
         calls = {"basis_jacobian": 0, "raw_jacobian": 0}
@@ -274,7 +288,7 @@ class TestVerify:
             monkeypatch.setattr(module, name, counted)
         code, out, _ = run(capsys, "verify", "all")
         assert code == 0 and out == plain
-        assert calls == {"basis_jacobian": 11, "raw_jacobian": 11}
+        assert calls == {"basis_jacobian": 11, "raw_jacobian": 0}
         assert out.splitlines()[4] == (
             "jacobi-quantum: PASS  (I=Rigid; II=QuantumLie; VII=Rigid; VI=QuantumLie;"
             " IX=Rigid; VIII=Rigid; V=AnomalousI; IV=AnomalousI;"

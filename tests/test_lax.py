@@ -190,6 +190,24 @@ class TestSolveC:
         assert params.c[4] * ExtScalar(0, 1, p0=1) == 1
         assert float(params.c[4]) == pytest.approx(1 / 2 ** 0.5)
 
+    def test_constant_poly_entries_read_as_their_values(self):
+        # a constant Poly entry gives the parameters of its number, and an int
+        # entry those of its Fraction
+        p0 = Fraction(3)
+        numbers = {(1, 2, 3): Fraction(1), (2, 1, 3): Fraction(-2, 3),
+                   (1, 3, 1): Fraction(5), (2, 2, 3): Fraction(3),
+                   (1, 1, 2): Fraction(1, 2), (3, 2, 3): Fraction(-1),
+                   (3, 1, 2): Fraction(7)}
+        want = solve_C(StructureTensor(numbers), p0)
+        constants = {idx: Poly.constant(v) for idx, v in numbers.items()}
+        assert solve_C(StructureTensor(constants), p0) == want
+        assert solve_C(StructureTensor({(1, 2, 3): Poly()}), p0) == solve_C(StructureTensor({}), p0)
+        ints = {idx: int(v) for idx, v in numbers.items() if v.denominator == 1}
+        got = solve_C(StructureTensor(ints), p0)
+        assert got == solve_C(StructureTensor({k: Fraction(v) for k, v in ints.items()}), p0)
+        # C1 = (mu^2_23 - mu^1_31)/2 of two int entries is a Fraction, not a float
+        assert got.c[0] == -1 and all(type(c) in (Fraction, ExtScalar) for c in got.c)
+
     def test_rejects_nonpositive_p0(self):
         with pytest.raises(ValueError):
             solve_C(StructureTensor({}), 0)

@@ -12,13 +12,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operadyn import poly
-from operadyn.bianchi import BianchiType, ShellReduction, all_types, formal_deformation
+from operadyn.bianchi import (BianchiType, ShellReduction, all_types, deform_formal,
+                              formal_deformation, raw_jacobian)
+from operadyn.lax import LaxFamilyParams, formal_mu
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
-from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID,
-                              basis_jacobian, classify, generator_commutator,
-                              quantize, quantize_formal, xi_pair)
+from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, _exps, _word,
+                              basis_jacobian, classify, commutative_image,
+                              generator_commutator, quantize, quantize_formal, xi_pair)
 from operadyn.structure import StructureTensor
 from reference_compose import quantum_jacobian, triple_product
 from reference_tables import GRID, operator_table
@@ -64,7 +68,7 @@ def _commutative_image(value, sigma=None):
     Given sigma, the formal s of each coefficient is sent to it.
     """
     def number(c):
-        return c.u + c.v * sigma if isinstance(c, ExtScalar) else c
+        return c.u + c.v * sigma if isinstance(c, ExtScalar) and sigma is not None else c
     return sum((poly.Poly({tuple(word.count(g) for g in GENERATORS): number(c)})
                 for word, c in value.terms.items()), poly.Poly())
 
@@ -253,6 +257,87 @@ class TestBracketAndJacobian:
             assert full.j1 == det * base.j1
             assert full.j2 == det * base.j2
             assert full.j3 == det * base.j3
+
+
+def _image_and_defect(formal, p0):
+    """The commutative image of the operator defect of a formal tensor, and
+    the commutative defect of its phase-space table."""
+    sigma = poly.rational_sqrt(2 * p0)
+    image = tuple(commutative_image(c, sigma)
+                  for c in basis_jacobian(quantize_formal(formal, p0)))
+    return image, raw_jacobian(deform_formal(formal, p0))
+
+
+def _in_format(value, sigma):
+    """True when each coefficient is a nonzero Fraction, or an ExtScalar with
+    nonzero s-part where s stays formal."""
+    return all((type(c) is Fraction and c) or (sigma is None and type(c) is ExtScalar and c.v)
+               for c in value.terms.values())
+
+
+@st.composite
+def _formal_members(draw):
+    """(formal, p0): the symbolic Lax family member at drawn C1..C9 and omega.
+
+    Each C is u + v*s, so a rational one where v = 0; p0 gives a rational
+    sigma (2, 9/8) or a formal one (3, 5/7).
+    """
+    p0 = draw(st.sampled_from((Fraction(2), Fraction(9, 8), Fraction(3), Fraction(5, 7))))
+    parts = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    c = [ExtScalar(draw(parts), draw(st.sampled_from((Fraction(0), draw(parts)))), p0=p0)
+         for _ in range(9)]
+    omega = draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
+    return formal_mu(LaxFamilyParams(c), omega), p0
+
+
+class TestCommutativeImage:
+    """The image map that lets jacobi-classical read the operator defect."""
+
+    def test_left_inverse_of_the_word_map(self):
+        for exps in itertools.product(range(3), repeat=4):
+            assert _exps(_word(exps)) == exps
+        # letters commute in the image
+        assert _exps(("Am", "Q", "Ap", "Q")) == (2, 0, 1, 1)
+
+    def test_undoes_quantization_entry_by_entry(self):
+        for omega, p0, a in ((1, Fraction(2), Fraction(1, 2)), (1, Fraction(3), Fraction(1, 2))):
+            sigma = poly.rational_sqrt(2 * p0)
+            for t in all_types(a):
+                formal = formal_deformation(t, omega, p0)
+                operator = quantize_formal(formal, p0).coeffs.flat
+                table = deform_formal(formal, p0).coeffs.flat
+                for got, want in zip(operator, table):
+                    assert commutative_image(got, sigma) == poly.as_poly(want), t.label
+
+    def test_matches_the_checked_oracle(self):
+        # the unchecked _collect build against sums of checked Polys
+        for p0, sigma in ((Fraction(2), Fraction(2)), (Fraction(3), None)):
+            for t in all_types(Fraction(3, 2)):
+                for c in classify(t, 1, p0).jacobian:
+                    image = commutative_image(c, sigma)
+                    assert image == _commutative_image(c, sigma), t.label
+                    assert _in_format(image, sigma), t.label
+
+    @pytest.mark.parametrize("omega, p0, a", [
+        (Fraction(1), Fraction(2), Fraction(1, 2)),        # rational sigma 2
+        (Fraction(1), Fraction(3), Fraction(1, 2)),        # irrational sigma
+        (Fraction(1), Fraction(2), Fraction(10 ** 6)),     # large modulus
+        (Fraction(2, 3), Fraction(9, 8), Fraction(3, 2)),  # rational sigma 3/2
+        (Fraction(3, 2), Fraction(5, 7), Fraction(3)),     # irrational sigma
+    ])
+    def test_image_of_operator_defect_is_the_commutative_defect(self, omega, p0, a):
+        for t in all_types(a):
+            image, defect = _image_and_defect(formal_deformation(t, omega, p0), p0)
+            assert image == defect, t.label
+            assert tuple(map(str, image)) == tuple(map(str, defect)), t.label
+
+    @given(_formal_members())
+    @settings(max_examples=30, deadline=None)
+    def test_image_of_operator_defect_for_family_members(self, case):
+        formal, p0 = case
+        image, defect = _image_and_defect(formal, p0)
+        assert image == defect
+        assert all(_in_format(c, poly.rational_sqrt(2 * p0)) for c in image)
 
 
 class TestClassification:

@@ -1,3 +1,5 @@
+import abc
+import sys
 from fractions import Fraction
 
 import pytest
@@ -188,6 +190,39 @@ def test_bare_extscalar_entry_is_constant():
     assert mu.entry(3, 1, 2) is s
     assert mu.is_constant
     assert mu.constant_tensor().entry(3, 1, 2) == s
+
+
+def _abc_checks(fn):
+    """fn's result and how many times it ran `ABCMeta.__instancecheck__`."""
+    check = abc.ABCMeta.__instancecheck__.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is check:
+            calls.append(frame.f_locals.get("cls"))
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, len(calls)
+
+
+def test_entry_kinds_by_exact_type_before_abc():
+    # polynomial entries and the exact scalars are told without the Python
+    # isinstance check of Fraction's ABCMeta; a float entry stays a number,
+    # and a numbers.Rational that is no Fraction still counts as one
+    mu = quantum.quantize(BianchiType("IX"), 1, Fraction(2))
+    assert _abc_checks(lambda: mu.is_constant) == (True, 0)
+    folded, checks = _abc_checks(mu.constant_tensor)
+    assert checks == 0 and folded == structure_constants(BianchiType("IX"))
+    assert all(type(v) is Fraction for v in folded.coeffs.flat)
+    floats = StructureTensor({(1, 2, 3): 0.5, (3, 1, 2): Fraction(1, 3), (2, 3, 1): 2})
+    assert floats.is_constant
+    assert [type(v) for v in floats.constant_tensor().coeffs.flat] == [
+        type(v) for v in floats.coeffs.flat]
+    assert StructureTensor({(1, 2, 3): True}).is_constant
 
 
 def test_zero_and_equality():
