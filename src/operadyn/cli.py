@@ -14,6 +14,11 @@ so every output depends only on the flags; only trace computes in floats.
 jacobi-quantum classifies the operator defect, and jacobi-classical proves
 its commutative image, the classical defect, zero on the energy shell.
 
+The argparse parser is built once per process, on the first call of
+`main`, and reused by every later call; it holds no results, and each call
+parses into a fresh namespace, so in-process callers see what separate
+processes see.
+
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 and when the output cannot be written.
 """
@@ -21,6 +26,7 @@ and when the output cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -73,7 +79,10 @@ def _positive_float(value, flag):
     return f
 
 
+@functools.cache
 def _build_parser():
+    """The argparse parser, built on the first call and then reused: it holds
+    no results, and parse_args returns a fresh Namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="operadyn",
         description="Exact tables, verifications, and traces for dynamically"
@@ -329,8 +338,7 @@ def _run_trace(cfg, tag, samples):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         for flag in ("omega", "p0", "a"):
             if not getattr(args, flag) > 0:

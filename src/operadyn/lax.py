@@ -15,8 +15,13 @@ bilinear operation mu on a 3d space, drawn from a nine-parameter family
 mu(C1..C9), and keeps M and the bracket: [M, mu] is the same Gerstenhaber
 bracket in the endomorphism operad.  `build_mu` returns mu as a
 `StructureTensor`, the degree-2 Operation, so it enters the bracket as it
-is; `formal_mu` is `build_mu` at the generators q, p, Ap, Am.  Every member
-of the family satisfies
+is; `formal_mu` is `build_mu` at the generators q, p, Ap, Am.  The family
+formula is written once, as the table `_FAMILY` of each independent entry's
+terms.  At the generators `build_mu` writes each entry's Poly terms from it
+directly, in the formula's term order; at a numeric point it sums the same
+terms with the ring operators.  Either way mu^3_{12} is the scalar C9, each
+mirror is the negated entry, and the tensor is built unchecked.  Every
+member of the family satisfies
 
     d(mu)/dt = [M, mu]
 
@@ -43,7 +48,7 @@ from . import poly
 from .ncpoly import _ZERO, ExtScalar, _coefficient, _collect, _positive
 from .operad import Operation, _sums, gerstenhaber_bracket
 from .poly import Poly
-from .structure import StructureTensor, _position, _trusted
+from .structure import _mirror, _position, _trusted
 
 # ---------------------------------------------------------------------------
 # matrix layer
@@ -112,38 +117,78 @@ class LaxFamilyParams(namedtuple("LaxFamilyParams", "c")):
         return any(self.c[i] != 0 for i in (1, 2, 4, 5, 6, 7))
 
 
+# the monomials of 1, omega*q, p, Ap and Am; omega multiplies the q terms and no other
+_1, _WQ, _P, _AP, _AM = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+# The family, one row per independent entry mu^i_{jk}: its terms in sum
+# order, (n, x) for C_|n| times x, subtracted where n < 0.
+_FAMILY = (
+    ((1, 2, 3), ((2, _P), (-3, _WQ), (-4, _1))),
+    ((2, 1, 3), ((2, _P), (-3, _WQ), (4, _1))),
+    ((1, 3, 1), ((2, _WQ), (3, _P), (-1, _1))),
+    ((2, 2, 3), ((2, _WQ), (3, _P), (1, _1))),
+    ((1, 1, 2), ((5, _AP), (6, _AM))),
+    ((2, 1, 2), ((5, _AM), (-6, _AP))),
+    ((3, 1, 3), ((7, _AP), (8, _AM))),
+    ((3, 2, 3), ((7, _AM), (-8, _AP))),
+    ((3, 1, 2), ((9, _1),)),
+)
+
+
 def build_mu(params, q, p, a_plus, a_minus, omega):
-    """The family member mu(C1..C9) as a validated StructureTensor.
+    """The family member mu(C1..C9) as a StructureTensor, read off `_FAMILY`.
 
     The arguments q, p, a_plus, a_minus may be numbers (giving a numeric
-    tensor) or polynomial generators (giving the symbolic family member).
-    Entry layout, with all mirrors filled in by antisymmetry:
+    tensor) or polynomials (giving a symbolic one).  Entry layout, with
+    every mirror mu^i_{kj} = -mu^i_{jk}:
 
         mu^1_{23} = C2*p - C3*omega*q - C4     mu^1_{31} = C2*omega*q + C3*p - C1
         mu^2_{13} = C2*p - C3*omega*q + C4     mu^2_{23} = C2*omega*q + C3*p + C1
         mu^1_{12} = C5*Ap + C6*Am              mu^2_{12} = C5*Am - C6*Ap
         mu^3_{13} = C7*Ap + C8*Am              mu^3_{23} = C7*Am - C8*Ap
         mu^3_{12} = C9
+
+    At the generators `poly.q`, `poly.p`, `poly.a_plus`, `poly.a_minus`,
+    every entry but mu^3_{12} is a Poly written term by term in the order
+    above, with coefficient C_n or C_n*omega and without its zero terms, so
+    an all-zero entry is the zero Poly.  Elsewhere each entry is the sum of
+    its terms in that order, each term coordinate times C_n, with omega*q
+    formed once: the ring arithmetic the table stands for.  mu^3_{12} is
+    C9 itself, and each mirror is the negative of its entry (see
+    `structure._mirror`), so the tensor is antisymmetric by construction
+    and is built unchecked.
     """
-    c1, c2, c3, c4, c5, c6, c7, c8, c9 = params.c
-    # coordinates on the left: a polynomial's `*` runs, not a scalar's NotImplemented
-    wq = q * omega
-    entries = {
-        (1, 2, 3): p * c2 - wq * c3 - c4,
-        (2, 1, 3): p * c2 - wq * c3 + c4,
-        (1, 3, 1): wq * c2 + p * c3 - c1,
-        (2, 2, 3): wq * c2 + p * c3 + c1,
-        (1, 1, 2): a_plus * c5 + a_minus * c6,
-        (2, 1, 2): a_minus * c5 - a_plus * c6,
-        (3, 1, 3): a_plus * c7 + a_minus * c8,
-        (3, 2, 3): a_minus * c7 - a_plus * c8,
-        (3, 1, 2): c9,
-    }
-    return StructureTensor(entries)
+    c = (None, *params.c)   # C_n at index n
+    formal = q is poly.q and p is poly.p and a_plus is poly.a_plus and a_minus is poly.a_minus
+    point = None if formal else {_WQ: q * omega, _P: p, _AP: a_plus, _AM: a_minus}
+    omega = _coefficient(omega) if formal else omega
+    flat = [_ZERO] * 27
+    for (i, j, k), form in _FAMILY:
+        # mu^3_{12}, the one entry free of coordinates, stays the number C9
+        if formal and len(form) > 1:
+            value = poly._trusted(_collect({}, _formal_terms(form, c, omega)))
+        else:
+            # coordinate on the left: a polynomial's `*` runs, not a scalar's NotImplemented
+            value = None
+            for n, x in form:
+                v = c[abs(n)] if x == _1 else point[x] * c[abs(n)]
+                value = v if value is None else value - v if n < 0 else value + v
+        flat[_position(i, j, k)], flat[_position(i, k, j)] = value, _mirror(value)
+    return _trusted(flat)
+
+
+def _formal_terms(form, c, omega):
+    """The (monomial, coefficient) pairs of an entry at the generators, in
+    the order of its form, for each nonzero C_n."""
+    for n, x in form:
+        if c[abs(n)]:
+            v = c[abs(n)] * omega if x == _WQ else c[abs(n)]
+            yield x, -v if n < 0 else v
 
 
 def formal_mu(params, omega):
-    """The symbolic family member, with Poly entries in q, p, Ap, Am."""
+    """The symbolic family member: `build_mu` at the generators, so every
+    entry but the scalar mu^3_{12} = C9 is a Poly in q, p, Ap, Am written
+    from its terms."""
     return build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, _positive(omega, "omega"))
 
 

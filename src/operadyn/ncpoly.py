@@ -388,9 +388,11 @@ class _Ring:
         c = terms.get(self._ONE)
         if c is None:
             return self._like({})
-        scaled = ((key, coeff * c) for key, coeff in self.terms.items())
-        # a nonzero rational neither cancels nor folds a coefficient
-        return self._like(dict(scaled) if type(c) is Fraction else _collect({}, scaled))
+        # a nonzero rational neither cancels nor folds a coefficient; an
+        # ExtScalar goes on the left, so its `*` runs before a Fraction's
+        if type(c) is Fraction:
+            return self._like({key: coeff * c for key, coeff in self.terms.items()})
+        return self._like(_collect({}, ((key, c * coeff) for key, coeff in self.terms.items())))
 
     # only a scalar comes reflected, and scalars are central
     __rmul__ = __mul__
@@ -464,7 +466,9 @@ class NCPoly(_Ring):
         return out
 
     def _products(self, terms):
-        return ((wa + wb, ca * cb) for wa, ca in self.terms.items() for wb, cb in terms.items())
+        # scalars are central: a Fraction's `*` runs only against a Fraction
+        return ((wa + wb, cb * ca if type(ca) is Fraction else ca * cb)
+                for wa, ca in self.terms.items() for wb, cb in terms.items())
 
     @staticmethod
     def _order(word):

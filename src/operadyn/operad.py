@@ -203,8 +203,9 @@ def partial_compose(f, i, g):
     has degree deg(f) + |g| and carries the sign (-1)**(i*|g|).
 
     No product with a zero factor is formed.  An entry sums its other
-    products, f's entry on the left, in increasing order of the contracted
-    index; an entry with none is `z_f + z_g` (through `_sums`), for a zero
+    products in increasing order of the contracted index, f's entry on the
+    left unless it is a Fraction, which is central, so that g's entry's `*`
+    runs; an entry with none is `z_f + z_g` (through `_sums`), for a zero
     entry of each operand (int 0 for an operand without one), so Fraction
     operands give Fraction(0) and int ones int 0.  Every entry equals, and
     hashes like, the sum of all products, but a `Poly` entry that comes out
@@ -254,8 +255,10 @@ def partial_compose(f, i, g):
         k, c = divmod(rest, step)
         base = r * width * step + c
         for offset, w in rows[k]:
+            # a Fraction is central: the other factor's `*` runs first
+            product = w * v if type(v) is Fraction else v * w
             acc = out[base + offset]
-            out[base + offset] = v * w if acc is None else acc + v * w
+            out[base + offset] = product if acc is None else acc + product
     (zero,) = _sums((f_zero,), (g_zero,), False)
     flat = [zero if v is None else v for v in out]
     return _trusted(Operation, d, out_degree, flat)

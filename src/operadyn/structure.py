@@ -49,6 +49,11 @@ def _is_number(value):
     return not isinstance(value, _Ring) and isinstance(value, _SCALARS)
 
 
+def _mirror(value):
+    """-value, the entry opposite value; a Fraction 0 is its own, without the negation."""
+    return value if type(value) is Fraction and not value else -value
+
+
 def _position(i, j, k):
     """Row-major position of mu^i_{jk} (1-based indices) in the flat entries."""
     return ((i - 1) * DIM + j - 1) * DIM + k - 1
@@ -57,22 +62,22 @@ def _position(i, j, k):
 def _cyclic_defect(flat, zero):
     """Cyclic Jacobi defect at the basis triple, from the row-major entries.
 
+    The entries are polynomials of one ring (`_Ring`) and `zero` is its zero.
     Component m starts at `zero` and adds mu^m_{lk} * mu^k_{ij}, outer factor
     on the left, over (i, j, l) = (1,2,3), (2,3,1), (3,1,2) and then k,
-    skipping every product with a factor equal to `zero`; adding the zero
+    skipping every product with a factor without terms; adding the zero
     product would change no term, so each component holds the same terms in
     the same order as the sum of all nine.  The one kernel of
     `bianchi.raw_jacobian` and `quantum.basis_jacobian`.
     """
-    nonzero = [v != zero for v in flat]
     components = []
     for m in (1, 2, 3):
         total = zero
         for (i, j, l) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             for k in (1, 2, 3):
-                outer, inner = _position(m, l, k), _position(k, i, j)
-                if nonzero[outer] and nonzero[inner]:
-                    total = total + flat[outer] * flat[inner]
+                outer, inner = flat[_position(m, l, k)], flat[_position(k, i, j)]
+                if outer.terms and inner.terms:
+                    total = total + outer * inner
         components.append(total)
     return tuple(components)
 
@@ -100,9 +105,7 @@ class StructureTensor(Operation):
         for (i, j, k), value in provided.items():
             flat[_position(i, j, k)] = value
             if (i, k, j) not in provided:
-                # a Fraction 0 is its own mirror, without the negation
-                flat[_position(i, k, j)] = (value if type(value) is Fraction and not value
-                                            else -value)
+                flat[_position(i, k, j)] = _mirror(value)
             else:
                 # a given diagonal, or a pair given both ways
                 checks.add((i - 1, min(j, k) - 1, max(j, k) - 1))

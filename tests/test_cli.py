@@ -5,6 +5,7 @@ behavior are exercised exactly as a shell user would see them; one smoke
 test runs the real interpreter via -m.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -448,6 +449,65 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# mixed commands whose flags and defaults differ from one to the next
+_SEQUENCE = (
+    ("tables", "deformed", "--type", "VIIa", "--a", "2", "--format", "json"),
+    ("tables", "bianchi"),
+    ("verify", "jacobi-quantum", "--omega", "3/2", "--p0", "3"),
+    ("verify", "all"),
+    ("trace", "VIa", "--t-samples", "4", "--a", "1/3"),
+    ("tables", "quantum", "--format", "csv"),
+    ("tables", "bianchi", "--omega", "fast"),
+    ("tables", "bianchi", "--type", "X"),
+    ("--help",),
+    ("verify", "operadic-lax", "--help"),
+    ("trace", "II", "--t-samples", "3"),
+)
+
+
+class TestParserReuse:
+    """One argparse parser per process, with no state carried between calls."""
+
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        # count the parsers constructed: the program's and its three subcommands'
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        for argv in (["tables", "bianchi"], ["verify", "matrix-lax"],
+                     ["trace", "II", "--t-samples", "3"], ["verify", "all", "--p0", "3"]):
+            assert main(argv) == 0
+        assert built.count("operadyn") == 1 and len(built) == 4
+
+    def test_sequence_matches_each_command_alone(self, capsys, monkeypatch):
+        # the help text wraps at the terminal width, so fix it
+        monkeypatch.setenv("COLUMNS", "80")
+        alone = []
+        for argv in _SEQUENCE:
+            cli._build_parser.cache_clear()
+            alone.append(_outcome(capsys, argv))
+        assert [code for code, _, _ in alone] == [0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0]
+        for order in (_SEQUENCE, _SEQUENCE[::-1]):
+            cli._build_parser.cache_clear()
+            got = [_outcome(capsys, argv) for argv in order]
+            assert got == (alone if order is _SEQUENCE else alone[::-1])
 
 
 def _python(code):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_lax
 from operadyn import poly
 from operadyn.ncpoly import ExtScalar
 from operadyn.operad import Operation, gerstenhaber_bracket
@@ -13,6 +14,7 @@ from operadyn.lax import (LaxFamilyParams, _time_derivative, build_matrix_lax, b
                           formal_mu, matrix_lax_residual,
                           operadic_lax_residual, rotation_generator, solve_C)
 from operadyn.structure import StructureTensor
+from reference_structure import full_check
 
 
 class TestMatrixPair:
@@ -84,9 +86,9 @@ class TestFamily:
         monkeypatch.setattr(StructureTensor, "_validate",
                             lambda self, *checks: calls.append(checks) or validate(self, *checks))
         formal_mu(LaxFamilyParams((1, 2, 0, 3, 0, 1, 0, 0, 2)), 1)
-        # one check, and build_mu gives no diagonal and no pair both ways,
-        # so it has nothing to compare
-        assert calls == [([],)]
+        # build_mu writes every mirror as the negative of its entry, so the
+        # tensor is antisymmetric by construction and built unchecked
+        assert calls == []
 
     def test_formal_member_entries(self):
         params = LaxFamilyParams((1, 0, 0, 0, 1, 0, 0, 0, 2))
@@ -216,3 +218,77 @@ class TestSolveC:
         t = StructureTensor({(1, 2, 3): poly.q})
         with pytest.raises(ValueError):
             solve_C(t, Fraction(2))
+
+
+small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+positive = st.builds(Fraction, st.integers(1, 12), st.integers(1, 6))
+# 2*p0 a square (sigma = 2, 1) and not (sqrt(6), sqrt(10/7))
+shells = st.sampled_from((Fraction(2), Fraction(1, 2), Fraction(3), Fraction(5, 7)))
+
+
+@st.composite
+def families(draw):
+    """(params, p0): C5..C8 rational or in Q(s), drawn directly or placed
+    by solve_C through a random constant tensor."""
+    p0 = draw(shells)
+    if draw(st.booleans()):
+        entries = {(i, j, k): draw(small) for (j, k) in ((1, 2), (2, 3), (3, 1))
+                   for i in (1, 2, 3)}
+        return solve_C(StructureTensor(entries), p0), p0
+    extension = st.builds(lambda u, v: ExtScalar(u, v, p0=p0), small, small)
+    c = [draw(small) for _ in range(4)] + [draw(st.one_of(small, extension))
+                                           for _ in range(4)] + [draw(small)]
+    return LaxFamilyParams(c), p0
+
+
+def _assert_same_entries(got, want):
+    assert type(got) is StructureTensor
+    for a, b in zip(got.coeffs.flat, want.coeffs.flat, strict=True):
+        assert type(a) is type(b) and a == b
+        if isinstance(a, float):
+            assert repr(a) == repr(b)
+        if isinstance(a, Poly):
+            assert list(a.terms.items()) == list(b.terms.items())
+            assert [type(v) for v in a.terms.values()] == [type(v) for v in b.terms.values()]
+
+
+class TestBuildMuMatchesRingArithmetic:
+    """`build_mu` from its term table against the ring-arithmetic oracle."""
+
+    @given(families(), st.one_of(positive, st.integers(1, 5)))
+    def test_at_the_generators(self, family, omega):
+        params, _ = family
+        args = (params, poly.q, poly.p, poly.a_plus, poly.a_minus, omega)
+        got = build_mu(*args)
+        _assert_same_entries(got, reference_lax.build_mu(*args))
+        full_check(got)
+
+    @given(families(), st.lists(small, min_size=4, max_size=4), positive)
+    def test_at_a_rational_point(self, family, point, omega):
+        params, _ = family
+        args = (params, *point, omega)
+        _assert_same_entries(build_mu(*args), reference_lax.build_mu(*args))
+
+    @given(families(), st.lists(small, min_size=8, max_size=8), positive)
+    def test_at_a_point_in_q_of_s(self, family, parts, omega):
+        params, p0 = family
+        point = [ExtScalar(u, v, p0=p0) for u, v in zip(parts[::2], parts[1::2])]
+        args = (params, *point, omega)
+        _assert_same_entries(build_mu(*args), reference_lax.build_mu(*args))
+
+    @given(families(), st.lists(st.floats(-4, 4), min_size=4, max_size=4),
+           st.floats(0.1, 4))
+    def test_at_a_float_point(self, family, point, omega):
+        params, _ = family
+        args = (params, *point, omega)
+        _assert_same_entries(build_mu(*args), reference_lax.build_mu(*args))
+
+    def test_scalar_entry_and_its_mirror(self):
+        zero = LaxFamilyParams((0,) * 9)
+        mu = formal_mu(zero, 1)
+        assert type(mu.entry(3, 1, 2)) is Fraction and mu.entry(3, 2, 1) is mu.entry(3, 1, 2)
+        assert all(type(v) is Poly and v.is_zero for idx, v in mu.independent_entries()
+                   if idx != (3, 1, 2))
+        c9 = ExtScalar(1, 2, p0=3)
+        mu = formal_mu(LaxFamilyParams((0,) * 8 + (c9,)), 1)
+        assert mu.entry(3, 1, 2) is c9 and mu.entry(3, 2, 1) == -c9

@@ -452,6 +452,58 @@ class TestNoZeroSums:
             assert residual.is_zero
 
 
+def _recording_fraction_mul(monkeypatch):
+    """Replace Fraction's `*` by one that records every call whose other
+    operand is not an int or a Fraction; `fractions` runs an ABC check
+    before it hands such an operand to the reflected method."""
+    calls = []
+    mul = Fraction.__mul__
+
+    def wrapped(self, other):
+        if type(other) not in (int, Fraction):
+            calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Fraction, "__mul__", wrapped)
+    return calls
+
+
+class TestFractionOnTheRight:
+    """Where one factor is a Fraction, the other operand's `*` runs first."""
+
+    # s = sqrt(6) stays formal, so the entries hold ExtScalar coefficients
+    VIIA = bianchi.BianchiType("VIIa", Fraction(1, 2))
+
+    def test_bracket_and_operator_defect(self, monkeypatch):
+        w, p0 = Fraction(3, 2), Fraction(3)
+        mu, op = bianchi.formal_deformation(self.VIIA, w, p0), quantize(self.VIIA, w, p0)
+        assert any(type(c) is ExtScalar for v in mu.coeffs.flat if isinstance(v, Poly)
+                   for c in v.terms.values())
+        calls = _recording_fraction_mul(monkeypatch)
+        gerstenhaber_bracket(rotation_generator(w), mu)
+        gerstenhaber_bracket(rotation_generator(w), op)
+        basis_jacobian(op)
+        s = ExtScalar(0, 1, p0=p0)
+        (poly.q + 2) * s
+        NCPoly.generator("Q", p0=p0) * NCPoly({("P",): s}, p0=p0)
+        assert calls == []
+
+    def test_products_keep_type_and_term_order(self):
+        # the dense kernel multiplies f's entry by g's, Fraction on the left
+        w, p0 = Fraction(3, 2), Fraction(3)
+        m = rotation_generator(w)
+        for mu in (bianchi.formal_deformation(self.VIIA, w, p0), quantize(self.VIIA, w, p0)):
+            for f, g in ((m, mu), (mu, m)):
+                for i in range(f.degree):
+                    got = partial_compose(f, i, g).coeffs.flat
+                    for a, b in zip(got, dense_partial_compose(f, i, g), strict=True):
+                        assert a == b
+                        if isinstance(a, (Poly, NCPoly)):
+                            assert list(a.terms.items()) == list(b.terms.items())
+                            assert ([type(c) for c in a.terms.values()]
+                                    == [type(c) for c in b.terms.values()])
+
+
 # entries of every kind the linear structure meets: the exact zeros, a zero
 # polynomial, the signed float zeros and nonzero scalars and polynomials
 _ENTRIES = (0, Fraction(0), Poly(), 0.0, -0.0, 2, Fraction(-3, 4),

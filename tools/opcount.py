@@ -2,12 +2,15 @@
 
 For `verify all` and each of its four suites alone, at two fixed flag sets
 (the defaults, where sqrt(2*p0) = 2 is rational, and one where sqrt(2*p0) =
-sqrt(6) stays formal), prints three counts per tree, taken with
+sqrt(6) stays formal), prints four counts per tree, taken with
 `sys.setprofile` over one in-process `operadyn.cli.main` call after a warm-up
 call:
 
     calls      Python function calls (profile "call" events, generator
                resumptions included)
+    operadyn   the calls whose code lies in the `operadyn` package, so
+               operadyn's own share of `calls`, without the standard
+               library's (argparse, fractions, abc) and the counter's
     Fractions  calls of `Fraction.__new__`, so every Fraction built
     ABC        calls of `ABCMeta.__instancecheck__`, the Python-level
                isinstance check of an abstract base class: `numbers.Rational`
@@ -39,27 +42,31 @@ FLAG_SETS = (
     ("omega=3/2 p0=3 a=2/3, sqrt(2*p0) = sqrt(6)", ("--omega", "3/2", "--p0", "3", "--a", "2/3")),
 )
 
-COUNTS = ("calls", "Fractions", "ABC")
+COUNTS = ("calls", "operadyn", "Fractions", "ABC")
 
 # run in the child: warm up once, then count one call of main
 CHILD = r"""
-import abc, contextlib, io, json, sys
+import abc, contextlib, io, json, os, sys
 from fractions import Fraction
+import operadyn
 from operadyn import cli
 
 argv = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(argv)
-counts = {"calls": 0, "Fractions": 0, "ABC": 0}
+counts = {"calls": 0, "operadyn": 0, "Fractions": 0, "ABC": 0}
 new_code = Fraction.__new__.__code__
 check_code = abc.ABCMeta.__instancecheck__.__code__
+package = os.path.dirname(operadyn.__file__) + os.sep
 
 def profile(frame, event, arg):
     if event != "call":
         return
     counts["calls"] += 1
     code = frame.f_code
-    if code is new_code:
+    if code.co_filename.startswith(package):
+        counts["operadyn"] += 1
+    elif code is new_code:
         counts["Fractions"] += 1
     elif code is check_code:
         counts["ABC"] += 1
