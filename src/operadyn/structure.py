@@ -9,10 +9,12 @@ fill, the antisymmetry check and the views by independent entry.
 
 The sparse constructor is the one checked way in.  It checks only what its
 input can break: a given diagonal entry must vanish, and a pair given in
-both orientations must be opposite; a mirror it fills as -value is not
-compared.  A tensor derived from antisymmetric ones (an odd map of the
-entries, or the difference in `lax.operadic_lax_residual`) is built by
-`operad._trusted` through the private `_trusted`, which checks nothing.
+both orientations must be opposite; a mirror it fills (`_mirror`: -value,
+a Fraction 0 its own) is not compared.  A tensor derived from
+antisymmetric ones (an odd map of the entries, or the difference in
+`lax.operadic_lax_residual`), and the family member of `lax.build_mu`,
+whose mirrors are `_mirror` of its entries, is built by `operad._trusted`
+through the private `_trusted`, which checks nothing.
 
 Entries can be exact numbers, `poly.Poly`, or `ncpoly.NCPoly`; the
 container is agnostic as long as entries support +, -, * and == with each
