@@ -36,12 +36,10 @@ from fractions import Fraction
 
 from . import poly
 from .lax import formal_mu, solve_C
-from .ncpoly import ExtScalar, _collect, _positive, _rational
+from .ncpoly import _collect, _fold_s, _positive, _rational
 from .oscillator import sample_flow
 from .poly import Poly, rational_sqrt
 from .structure import StructureTensor, _cyclic_defect
-
-TAGS = ("I", "II", "VII", "VI", "IX", "VIII", "V", "IV", "VIIa", "IIIa1", "VIa")
 
 # signature (alpha, n1, n2, n3) per class; the modulus a enters two of them
 _SIGNATURES = {
@@ -57,6 +55,8 @@ _SIGNATURES = {
     "IIIa1": lambda a: (1, 0, 1, -1),
     "VIa":   lambda a: (a, 0, 1, -1),
 }
+
+TAGS = tuple(_SIGNATURES)
 
 # the classes that take a modulus a
 PARAMETRIC = ("VIIa", "VIa")
@@ -101,17 +101,9 @@ def all_types(a=Fraction(1, 2)):
 def structure_constants(t):
     """The constant structure tensor of the class, exact."""
     alpha, n1, n2, n3 = (Fraction(v) for v in _SIGNATURES[t.tag](t.a))
-    entries = {}
-    if alpha:
-        entries[(2, 1, 2)] = -alpha
-        entries[(3, 3, 1)] = alpha
-    if n3:
-        entries[(3, 1, 2)] = n3
-    if n1:
-        entries[(1, 2, 3)] = n1
-    if n2:
-        entries[(2, 3, 1)] = n2
-    return StructureTensor(entries)
+    # mu^2_{21} = alpha, whose mirror mu^2_{12} = -alpha the constructor fills
+    entries = {(2, 2, 1): alpha, (3, 3, 1): alpha, (3, 1, 2): n3, (1, 2, 3): n1, (2, 3, 1): n2}
+    return StructureTensor({idx: v for idx, v in entries.items() if v})
 
 
 def formal_deformation(t, omega, p0):
@@ -126,17 +118,15 @@ def formal_deformation(t, omega, p0):
 
 
 def _fold(value, sigma):
-    """Replace the formal s of an entry by its rational value sigma.
+    """Replace the formal s of an entry by its rational value sigma (`ncpoly._fold_s`).
 
     A Poly keeps its keys, so it is rebuilt unchecked; a coefficient that
     folds to 0 is dropped.  The fold is odd, so `deform_formal` maps a
     tensor through it unchecked.
     """
-    def number(c):
-        return c.u + c.v * sigma if isinstance(c, ExtScalar) else c
     if not isinstance(value, Poly):
-        return number(value)
-    folded = ((exps, number(c)) for exps, c in value.terms.items())
+        return _fold_s(value, sigma)
+    folded = ((exps, _fold_s(c, sigma)) for exps, c in value.terms.items())
     return poly._trusted({exps: c for exps, c in folded if c})
 
 

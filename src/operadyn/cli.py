@@ -223,7 +223,7 @@ def _shell_points(omega, p0, n):
     Ap = s*alpha = s*(1 - u**2)/(1 + u**2) and Am = s*beta = s*2u/(1 + u**2)."""
     alpha = [Fraction(1 - u * u, 1 + u * u) for u in range(n)]
     beta = [Fraction(2 * u, 1 + u * u) for u in range(n)]
-    return ([2 * p0 * x * y / omega for x, y in zip(alpha, beta)],
+    return ([p0 * 2 * x * y / omega for x, y in zip(alpha, beta)],
             [p0 * (x * x - y * y) for x, y in zip(alpha, beta)], alpha, beta)
 
 

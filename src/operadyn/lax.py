@@ -66,7 +66,7 @@ def rotation_generator(omega):
 
 def build_matrix_lax(q, p, omega):
     """The 3x3 Lax pair at a phase-space point; M is `rotation_generator(omega)`."""
-    wq, zero = omega * q, Fraction(0)
+    wq, zero = q * omega, Fraction(0)
     L = Operation.from_matrix([[p, wq, zero], [wq, -p, zero], [zero, zero, Fraction(1)]])
     return MatrixLaxPair(L=L, M=rotation_generator(omega))
 
@@ -81,7 +81,7 @@ def matrix_lax_residual(q, p, omega):
     a residual that is the zero polynomial in q, p at three distinct omegas
     is zero for all (q, p, omega).
     """
-    w2q, wp, zero = omega * omega * q, omega * p, Fraction(0)
+    w2q, wp, zero = q * (omega * omega), p * omega, Fraction(0)
     dL = Operation.from_matrix([[-w2q, wp, zero], [wp, w2q, zero], [zero] * 3])
     pair = build_matrix_lax(q, p, omega)
     return dL - gerstenhaber_bracket(pair.M, pair.L)
@@ -165,7 +165,13 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
     for (i, j, k), form in _FAMILY:
         # mu^3_{12}, the one entry free of coordinates, stays the number C9
         if formal and len(form) > 1:
-            value = poly._trusted(_collect({}, _formal_terms(form, c, omega)))
+            # a row's monomials are distinct, and a nonzero C_n (times omega) is in the format
+            terms = {}
+            for n, x in form:
+                if c[abs(n)]:
+                    v = c[abs(n)] * omega if x == _WQ else c[abs(n)]
+                    terms[x] = -v if n < 0 else v
+            value = poly._trusted(terms)
         else:
             # coordinate on the left: a polynomial's `*` runs, not a scalar's NotImplemented
             value = None
@@ -174,15 +180,6 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
                 value = v if value is None else value - v if n < 0 else value + v
         flat[_position(i, j, k)], flat[_position(i, k, j)] = value, _mirror(value)
     return _trusted(flat)
-
-
-def _formal_terms(form, c, omega):
-    """The (monomial, coefficient) pairs of an entry at the generators, in
-    the order of its form, for each nonzero C_n."""
-    for n, x in form:
-        if c[abs(n)]:
-            v = c[abs(n)] * omega if x == _WQ else c[abs(n)]
-            yield x, -v if n < 0 else v
 
 
 def formal_mu(params, omega):
@@ -202,7 +199,7 @@ def solve_C(mu0, p0):
     are rational.
     """
     p0 = _positive(p0, "p0")
-    two_p0 = 2 * p0
+    two_p0 = p0 * 2
 
     flat = mu0.coeffs.flat
 

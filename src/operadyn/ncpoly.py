@@ -269,14 +269,10 @@ def _coefficient(value):
     return _rational(value)
 
 
-def _scalar(value, p0):
-    """A rational or ExtScalar of context p0 in the coefficient format.
-
-    ValueError on an ExtScalar of another p0, TypeError on a non-rational.
-    """
-    if isinstance(value, ExtScalar):
-        _same_p0(p0, value)
-    return _coefficient(value)
+def _fold_s(c, sigma):
+    """c with s set to its rational value sigma: u + v*sigma for an ExtScalar,
+    any other c as it is.  The s-fold of `bianchi._fold` and `quantum.commutative_image`."""
+    return c.u + c.v * sigma if type(c) is ExtScalar else c
 
 
 def _collect(out, pairs):
@@ -457,7 +453,10 @@ class NCPoly(_Ring):
         return word
 
     def _coeff(self, value):
-        return _scalar(value, self.p0)
+        """value in the format; ValueError on another p0's ExtScalar, TypeError if not rational."""
+        if isinstance(value, ExtScalar):
+            _same_p0(self.p0, value)
+        return _coefficient(value)
 
     def _like(self, terms):
         out = _new(NCPoly)

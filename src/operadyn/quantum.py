@@ -41,7 +41,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import bianchi, poly
-from .ncpoly import GENERATORS, ExtScalar, NCPoly, _collect, _positive, _rational, commutator
+from .ncpoly import (GENERATORS, ExtScalar, NCPoly, _collect, _fold_s, _positive, _rational,
+                     commutator)
 from .structure import _cyclic_defect
 
 RIGID = "Rigid"
@@ -65,14 +66,13 @@ def _exps(word):
 def commutative_image(value, sigma=None):
     """The Poly of an NCPoly whose generators commute: each word becomes the
     monomial of its letter counts, merged through `_collect`, and given the
-    rational value sigma of s, each u + v*s folds to u + v*sigma first, as
-    in `bianchi.deform_formal`.  A ring map that undoes `quantize_formal`,
-    so it takes the operator defect of a formal tensor to its commutative
-    one, `bianchi.raw_jacobian(bianchi.deform_formal(formal, p0))`."""
+    rational value sigma of s, each u + v*s folds to u + v*sigma first by
+    `ncpoly._fold_s`, the s-fold of `bianchi.deform_formal`.  A ring map that
+    undoes `quantize_formal`, so it takes the operator defect of a formal
+    tensor to its commutative one, `bianchi.raw_jacobian(bianchi.deform_formal(formal, p0))`."""
     terms = value.terms.items()
     if sigma is not None:
-        terms = ((word, c.u + c.v * sigma if type(c) is ExtScalar else c)
-                 for word, c in terms)
+        terms = ((word, _fold_s(c, sigma)) for word, c in terms)
     return poly._trusted(_collect({}, ((_exps(word), c) for word, c in terms)))
 
 
@@ -173,10 +173,6 @@ class AnomalyCertificate(namedtuple("AnomalyCertificate",
             "matched": list(self.matched),
         }
 
-    def to_json(self):
-        import json  # here, not at the top: importing the CLI does not load json
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def classify(t, omega, p0):
     """Sort a class into Rigid / QuantumLie / AnomalousI / AnomalousII.
@@ -193,35 +189,29 @@ def classify_formal(t, formal, omega, p0):
     p0 = _rational(p0)
     mu = quantize_formal(formal, p0)
     defect = basis_jacobian(mu)
+    kind, tau, matched = _match(t, mu, defect, w, p0)
+    return AnomalyCertificate(kind, t.label, w, p0, t.a, tau, defect, matched)
 
+
+def _match(t, mu, defect, w, p0):
+    """(kind, tau, matched) of class t, whose operator bracket mu has the
+    basis defect `defect`: the first bucket that fits, or Unclassified."""
     if mu.is_constant and mu.constant_tensor() == bianchi.structure_constants(t):
-        return AnomalyCertificate(RIGID, t.label, w, p0, t.a, None, defect,
-                                  ("0", "0", "0"))
+        return RIGID, None, ("0", "0", "0")
     if defect.is_zero:
-        return AnomalyCertificate(QUANTUM_LIE, t.label, w, p0, t.a, None, defect,
-                                  ("0", "0", "0"))
-
+        return QUANTUM_LIE, None, ("0", "0", "0")
     comm = generator_commutator(p0)
-    if (defect.j1.is_zero and defect.j2.is_zero
-            and defect.j3 == (1 / p0) * comm):
-        return AnomalyCertificate(ANOMALOUS_I, t.label, w, p0, t.a, None, defect,
-                                  ("0", "0", "(1/p0)*[Ap,Am]"))
-
+    if defect.j1.is_zero and defect.j2.is_zero and defect.j3 == (1 / p0) * comm:
+        return ANOMALOUS_I, None, ("0", "0", "(1/p0)*[Ap,Am]")
     if t.a is not None:
-        a_val = t.a
         # a / sqrt(2 p0**3) = (a / (2 p0**2)) * s
-        scale = ExtScalar(0, a_val / (2 * p0 * p0), p0=p0)
+        scale = ExtScalar(0, t.a / (2 * p0 * p0), p0=p0)
         xp, xm = xi_pair(w, p0)
-        j3_target = (a_val * a_val / p0) * comm
+        j3_target = (t.a * t.a / p0) * comm
         for tau in (-1, 1):
-            if (defect.j1 == tau * scale * xp
-                    and defect.j2 == tau * scale * xm
+            if (defect.j1 == tau * scale * xp and defect.j2 == tau * scale * xm
                     and defect.j3 == j3_target):
-                return AnomalyCertificate(
-                    ANOMALOUS_II, t.label, w, p0, t.a, tau, defect,
-                    (f"{tau:+d}*(a/sqrt(2*p0^3))*xi_plus",
-                     f"{tau:+d}*(a/sqrt(2*p0^3))*xi_minus",
-                     "(a^2/p0)*[Ap,Am]"))
-
-    return AnomalyCertificate(UNCLASSIFIED, t.label, w, p0, t.a, None, defect,
-                              ())
+                return ANOMALOUS_II, tau, (f"{tau:+d}*(a/sqrt(2*p0^3))*xi_plus",
+                                           f"{tau:+d}*(a/sqrt(2*p0^3))*xi_minus",
+                                           "(a^2/p0)*[Ap,Am]")
+    return UNCLASSIFIED, None, ()

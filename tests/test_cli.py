@@ -6,7 +6,10 @@ test runs the real interpreter via -m.
 """
 
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from operadyn import bianchi, cli, lax, poly, quantum
 from operadyn.cli import COLUMNS, main
@@ -449,6 +454,80 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# a flag value: m * 10**e across the float range and beyond, a small
+# fraction (0 and negative values included), or 1
+_FLAG_VALUES = st.one_of(
+    st.builds("{}e{}".format, st.integers(-2, 30), st.integers(-400, 400)),
+    st.builds("{}/{}".format, st.integers(-3, 12), st.integers(1, 8)),
+    st.just("1"),
+)
+
+
+@st.composite
+def _commands(draw):
+    """A `tables`, `verify` or `trace` command line with drawn flags."""
+    kind = draw(st.sampled_from(("tables", "verify", "trace")))
+    if kind == "tables":
+        argv = ["tables", draw(st.sampled_from(("bianchi", "deformed", "quantum"))),
+                "--format", draw(st.sampled_from(("text", "json", "csv")))]
+        tag = draw(st.none() | st.sampled_from(bianchi.TAGS))
+        argv += ["--type", tag] if tag else []
+    elif kind == "verify":
+        argv = ["verify", draw(st.sampled_from((*cli._VERIFY_SUITES, "all")))]
+    else:
+        argv = ["trace", draw(st.sampled_from(bianchi.TAGS)),
+                "--t-samples", str(draw(st.integers(1, 3)))]
+    for flag in ("--omega", "--p0", "--a"):
+        value = draw(st.none() | _FLAG_VALUES)
+        # `--flag=value`, as argparse reads "-2e5" after a space as an option
+        argv += [f"{flag}={value}"] if value else []
+    return tuple(argv)
+
+
+class TestContractFuzz:
+    """The exit-code contract of `main` on drawn commands and flags."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_commands())
+    # the error and extreme-flag commands of tools/cli_diff.py
+    @example(("trace", "VIIa", "--t-samples", "0"))
+    @example(("trace", "VIIa", "--omega", "1e300"))
+    @example(("trace", "VIIa", "--p0", "1e200"))
+    @example(("trace", "X"))
+    @example(("tables", "bianchi", "--omega", "0"))
+    @example(("tables", "bianchi", "--p0", "-2"))
+    @example(("tables", "bianchi", "--a", "0"))
+    @example(("verify", "all", "--a", "1"))
+    @example(("verify", "jacobi-classical", "--a", "1e150", "--p0", "1e-150"))
+    @example(("verify", "all", "--a", "1e150", "--p0", "1e-150"))
+    @example(("verify", "jacobi-classical", "--omega", "1e-150", "--p0", "1e150"))
+    @example(("verify", "jacobi-classical", "--omega", "1e-153", "--p0", "1e120", "--a", "1e77"))
+    @example(("verify", "all", "--p0", "1e400"))
+    def test_exit_codes_and_output(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+            return
+        assert err == ""
+        if argv[0] == "verify":
+            # exact verification passes at every positive rational flag
+            assert code == 0 and out.endswith("overall: PASS\n")
+        elif argv[0] == "tables":
+            assert code == 0
+            if argv[3] == "json":
+                json.loads(out)
+        else:
+            assert code == 0
+            header, *rows = out.splitlines()
+            assert header == ",".join(["t", "q", "p", "Ap", "Am", *COLUMNS])
+            samples = int(argv[argv.index("--t-samples") + 1]) if "--t-samples" in argv else 100
+            assert len(rows) == samples
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 def _outcome(capsys, argv):

@@ -356,6 +356,27 @@ class TestClassification:
             else:
                 assert cert.tau is None
 
+    ZEROS = ("0", "0", "0")
+    CERTIFICATES = {
+        "I": (RIGID, None, ZEROS), "VII": (RIGID, None, ZEROS),
+        "VIII": (RIGID, None, ZEROS), "IX": (RIGID, None, ZEROS),
+        "II": (QUANTUM_LIE, None, ZEROS), "VI": (QUANTUM_LIE, None, ZEROS),
+        "IV": (ANOMALOUS_I, None, ("0", "0", "(1/p0)*[Ap,Am]")),
+        "V": (ANOMALOUS_I, None, ("0", "0", "(1/p0)*[Ap,Am]")),
+        **dict.fromkeys(("VIIa", "IIIa1", "VIa"), (
+            ANOMALOUS_II, -1, ("-1*(a/sqrt(2*p0^3))*xi_plus", "-1*(a/sqrt(2*p0^3))*xi_minus",
+                               "(a^2/p0)*[Ap,Am]"))),
+    }
+
+    # the flag sets of tools/opcount.py: sqrt(2*p0) = 2, then sqrt(6)
+    @pytest.mark.parametrize("omega, p0, a", [
+        (1, Fraction(2), Fraction(1, 2)),
+        (Fraction(3, 2), Fraction(3), Fraction(2, 3)),
+    ])
+    def test_kind_tau_and_matched(self, omega, p0, a):
+        certs = {t.tag: classify(t, omega, p0) for t in all_types(a)}
+        assert {tag: (c.kind, c.tau, c.matched) for tag, c in certs.items()} == self.CERTIFICATES
+
     def test_anomalous_ii_closed_form(self):
         p0 = Fraction(2)
         a = Fraction(3, 2)
@@ -368,7 +389,7 @@ class TestClassification:
 
     def test_certificate_json(self):
         cert = classify(BianchiType("V"), 1, Fraction(2))
-        doc = json.loads(cert.to_json())
+        doc = json.loads(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
         assert doc["kind"] == ANOMALOUS_I
         assert doc["type"] == "V"
         assert doc["tau"] is None

@@ -23,15 +23,20 @@ beside its `SRC` when there is one and from this checkout's otherwise, so a
 demo that follows an API change is compared by its output.  The demos are
 matched by file name; one that only one tree has is reported as differing.
 The summary ends with the line count of each tree's `operadyn/*.py` (as
-`wc -l` counts them) and the difference, `src lines: 2420 -> 2370 (-50)`.
+`wc -l` counts them) and the difference, `src lines: 2420 -> 2370 (-50)`,
+then the same for its code lines, the lines that hold a token of code (no
+comment, docstring or blank line), `src code lines: 1408 -> 1383 (-25)`.
 Exit code 0 when every compared command matches.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -138,6 +143,33 @@ def src_lines(src):
     return sum(path.read_bytes().count(b"\n") for path in Path(src, "operadyn").glob("*.py"))
 
 
+# tokens that are not code: comments, line ends, indentation and file marks
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(text):
+    """The number of lines of Python source that hold a token of code, not
+    counting the lines of a module, class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def src_code_lines(src):
+    """The number of code lines of the tree's `operadyn/*.py`."""
+    return sum(code_lines(path.read_text()) for path in Path(src, "operadyn").glob("*.py"))
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -154,6 +186,8 @@ def main(argv=None):
     print(f"{same} identical, {differ} different")
     before, after = src_lines(base), src_lines(new)
     print(f"src lines: {before} -> {after} ({after - before:+d})")
+    before, after = src_code_lines(base), src_code_lines(new)
+    print(f"src code lines: {before} -> {after} ({after - before:+d})")
     return 1 if differ else 0
 
 
