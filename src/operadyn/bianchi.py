@@ -10,13 +10,13 @@ boundary case kept as its own entry.
 
 `formal_deformation` turns a class into a one-parameter family of brackets
 driven by the harmonic oscillator: the constant tensor is fed through
-solve_C and the Lax family, with s = sqrt(2*p0) kept formal.  It is the one
-source of both the classical table (`deform`, which folds s to its value
-when that is rational) and the operator table (`quantum.quantize`).  Each
-is a thin call over a function of the formal tensor (`deform_formal`,
-`quantum.quantize_formal`), so a caller that needs both builds the formal
-deformation once; `verify all` takes the classical Jacobi defect as the
-commutative image of the operator one (`quantum.commutative_image`).  On
+solve_C and the Lax family, with s = sqrt(2*p0) kept formal.  It is the
+source of the classical table (`deform`, a thin call over `deform_formal`,
+which folds s to its value when that is rational); the operator table
+(`quantum.quantize`) is the same family member written at the words.
+`verify all` builds no classical table: it takes the classical Jacobi
+defect as the commutative image of the operator one
+(`quantum.commutative_image`).  On
 the energy shell the deformed bracket satisfies the Jacobi identity at
 every time, which `classical_jacobian` verifies by exact polynomial
 reduction.  The reduction runs through a `ShellReduction` table

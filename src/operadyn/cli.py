@@ -10,9 +10,10 @@ Rational flags accept fractions ("1/2") or decimal strings ("0.5").  Each
 verify suite is a finite exact proof whose detail line names its argument
 (a degree bound in omega or on the shell conic, or linearity in C1..C9),
 so every output depends only on the flags; only trace computes in floats.
-`verify` builds each class's formal deformation and Jacobi defect once:
-jacobi-quantum classifies the operator defect, and jacobi-classical proves
-its commutative image, the classical defect, zero on the energy shell.
+`verify` builds each class's operator bracket and Jacobi defect once
+(`quantum.classify`): jacobi-quantum reads the certificate, and
+jacobi-classical proves the commutative image of its defect, the classical
+defect, zero on the energy shell.
 
 The argparse parser is built once per process, on the first call of
 `main`, and reused by every later call; it holds no results, and each call
@@ -287,15 +288,13 @@ def _check_jacobi_quantum(certificates):
 
 def _run_verify(which, cfg):
     suites = _VERIFY_SUITES if which == "all" else (which,)
-    # one formal deformation and one operator defect per class serve both
+    # one operator bracket and one operator defect per class serve both
     # Jacobi suites: the certificate holds the defect, whose commutative
     # image jacobi-classical proves zero on shell
     certificates = None
     if "jacobi-classical" in suites or "jacobi-quantum" in suites:
-        certificates = [
-            (t, quantum.classify_formal(
-                t, bianchi.formal_deformation(t, cfg.omega, cfg.p0), cfg.omega, cfg.p0))
-            for t in _selected_types(cfg, None)]
+        certificates = [(t, quantum.classify(t, cfg.omega, cfg.p0))
+                        for t in _selected_types(cfg, None)]
     checks = {
         "matrix-lax": lambda: _check_matrix_lax(cfg),
         "operadic-lax": lambda: _check_operadic_lax(cfg),

@@ -20,8 +20,9 @@ formula is written once, as the table `_FAMILY` of each independent entry's
 terms.  At the generators `build_mu` writes each entry's Poly terms from it
 directly, in the formula's term order; at a numeric point it sums the same
 terms with the ring operators.  Either way mu^3_{12} is the scalar C9, each
-mirror is the negated entry, and the tensor is built unchecked.  Every
-member of the family satisfies
+mirror is the negated entry, and the tensor is built unchecked.  The same
+writer, keyed by words, gives the operator bracket over the free algebra
+that `quantum.quantize` returns.  Every member of the family satisfies
 
     d(mu)/dt = [M, mu]
 
@@ -132,6 +133,8 @@ _FAMILY = (
     ((3, 2, 3), ((7, _AM), (-8, _AP))),
     ((3, 1, 2), ((9, _1),)),
 )
+# the word of each monomial among the keys of `ncpoly.NCPoly`
+_WORDS = {_1: (), _WQ: ("Q",), _P: ("P",), _AP: ("Ap",), _AM: ("Am",)}
 
 
 def build_mu(params, q, p, a_plus, a_minus, omega):
@@ -148,30 +151,42 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
         mu^3_{12} = C9
 
     At the generators `poly.q`, `poly.p`, `poly.a_plus`, `poly.a_minus`,
-    every entry but mu^3_{12} is a Poly written term by term in the order
-    above, with coefficient C_n or C_n*omega and without its zero terms, so
-    an all-zero entry is the zero Poly.  Elsewhere each entry is the sum of
-    its terms in that order, each term coordinate times C_n, with omega*q
-    formed once: the ring arithmetic the table stands for.  mu^3_{12} is
-    C9 itself, and each mirror is the negative of its entry (see
-    `structure._mirror`), so the tensor is antisymmetric by construction
-    and is built unchecked.
+    every entry but mu^3_{12} is a Poly written term by term (see
+    `_member`).  Elsewhere each entry is the sum of its terms in the order
+    above, each term coordinate times C_n, with omega*q formed once: the
+    ring arithmetic the table stands for.  mu^3_{12} is C9 itself, and each
+    mirror is the negative of its entry (see `structure._mirror`), so the
+    tensor is antisymmetric by construction and is built unchecked.
+    """
+    if q is poly.q and p is poly.p and a_plus is poly.a_plus and a_minus is poly.a_minus:
+        return _member(params, _coefficient(omega))
+    return _member(params, omega, {_WQ: q * omega, _P: p, _AP: a_plus, _AM: a_minus})
+
+
+def _member(params, omega, point=None, zero=None):
+    """`build_mu` at a point, {monomial: coordinate}, or at the generators.
+
+    At the generators (no point) each entry is written from its `_FAMILY`
+    row, term by term in the row's order, with coefficient C_n or C_n*omega
+    and without its zero terms, so an all-zero entry has no terms.  It is a
+    Poly keyed by the monomials, but mu^3_{12} stays the number C9 and the
+    diagonal the Fraction 0.  Given `zero`, the zero NCPoly of a p0 instead,
+    every entry is an NCPoly of that context keyed by the monomials'
+    `_WORDS`, mu^3_{12} the constant C9 and the diagonal `zero`: the
+    operator bracket over the free algebra.
     """
     c = (None, *params.c)   # C_n at index n
-    formal = q is poly.q and p is poly.p and a_plus is poly.a_plus and a_minus is poly.a_minus
-    point = None if formal else {_WQ: q * omega, _P: p, _AP: a_plus, _AM: a_minus}
-    omega = _coefficient(omega) if formal else omega
-    flat = [_ZERO] * 27
+    like = poly._trusted if zero is None else zero._like
+    flat = [_ZERO if zero is None else zero] * 27
     for (i, j, k), form in _FAMILY:
-        # mu^3_{12}, the one entry free of coordinates, stays the number C9
-        if formal and len(form) > 1:
+        if point is None and (zero is not None or len(form) > 1):
             # a row's monomials are distinct, and a nonzero C_n (times omega) is in the format
             terms = {}
             for n, x in form:
                 if c[abs(n)]:
                     v = c[abs(n)] * omega if x == _WQ else c[abs(n)]
-                    terms[x] = -v if n < 0 else v
-            value = poly._trusted(terms)
+                    terms[x if zero is None else _WORDS[x]] = -v if n < 0 else v
+            value = like(terms)
         else:
             # coordinate on the left: a polynomial's `*` runs, not a scalar's NotImplemented
             value = None

@@ -29,9 +29,10 @@ above whose ExtScalars have the polynomial's p0.  The public constructors
 (`ExtScalar(...)`, `NCPoly(...)`, `generator`, `from_text`) check and coerce
 their input, and raise TypeError on anything that is not rational, a float
 included.  Only the ring operations, whose operands already hold the
-invariants, and `quantum.quantize_formal`, whose words come from distinct
-monomials of a Poly, build their results through the private `_ext` and
-`NCPoly._like`, which check nothing.
+invariants, and the operator bracket of `quantum.quantize`, whose entries
+`lax` writes from the family table with distinct words and the nonzero
+coefficients `solve_C` makes at the bracket's p0, build their results
+through the private `_ext` and `NCPoly._like`, which check nothing.
 """
 
 from __future__ import annotations

@@ -16,7 +16,11 @@ up to MAX_ENTRIES entries.
 
 Composition never multiplies by zero: it pairs only the nonzero entries of
 its operands, and a result entry without such a pair is the sum of a zero
-entry of each operand (see `partial_compose`).  The linear structure never
+entry of each operand (see `partial_compose`).  `total_compose` and
+`gerstenhaber_bracket` add every partial composition's products, signs
+folded in, into one entry list and build no Operation in between, so each
+entry equals, and hashes like, the sum of the partial compositions, with
+its terms in the order of that one running sum.  The linear structure never
 adds an exact zero: where one operand of an entry's sum or difference is an
 int or Fraction 0 and the other a Fraction, an `ncpoly.ExtScalar` or a
 polynomial, the entry is that other operand, or its negative (see `_sums`).
@@ -219,38 +223,73 @@ def partial_compose(f, i, g):
         raise ValueError("a degree-0 operation has no composition slots")
     if not (0 <= i <= f.reduced_degree):
         raise ValueError(f"slot index {i} out of range 0..{f.reduced_degree}")
-    out_degree = f.degree + g.reduced_degree
+    return _composed(f, g, [(False, i, graded_sign(i * g.reduced_degree) < 0)])
+
+
+def _composed(f, g, parts):
+    """The Operation of degree deg(f) + |g| that sums the partial
+    compositions of `parts` in one entry list: (False, i, negate) puts g
+    into slot i of f, (True, i, negate) f into slot i of g, negated where
+    `negate` is set.
+
+    Each operand's nonzero entries are found once, and negated once per
+    sign.  Each entry adds the products of each part in turn, and an entry
+    without any is `z_f + z_g` (see `partial_compose`, the one-part case).
+    """
+    d, out_degree = f.dim, f.degree + g.reduced_degree
     # a hard cap on the result's size: a composition may exceed MAX_DEGREE,
     # and only here can the entry count pass MAX_DIM ** (MAX_DEGREE + 1)
-    if f.dim ** (out_degree + 1) > MAX_ENTRIES:
+    if d ** (out_degree + 1) > MAX_ENTRIES:
         raise ValueError(
-            f"composition result would hold {f.dim ** (out_degree + 1)} entries,"
+            f"composition result would hold {d ** (out_degree + 1)} entries,"
             f" above the cap of {MAX_ENTRIES}"
         )
-    # The result index is (out, f's inputs before slot i, g's inputs, f's
-    # inputs after slot i): position (r * width + b) * step + c for the row r
-    # of f's leading indices, g's input column b and f's trailing inputs c.
-    # Each nonzero f[r, k, c] (k in slot i) meets the nonzero entries of g's
-    # row k, with the sign folded into g; f is walked in row-major order, so
-    # each entry receives its products in increasing k.
-    d = f.dim
-    ff, gf = f.coeffs.flat, g.coeffs.flat
-    step = d ** (f.degree - 1 - i)
-    width = len(gf) // d
-    negate = graded_sign(i * g.reduced_degree) < 0
-    f_zero = g_zero = 0
-    rows = [[] for _ in range(d)]
-    for pos, v in enumerate(gf):
+    out = [None] * d ** (out_degree + 1)
+    (f_pairs, f_zero), (g_pairs, g_zero) = _nonzero(f), _nonzero(g)
+    signed = {}
+    for swap, i, negate in parts:
+        outer, outer_pairs, inner, inner_pairs = ((g, g_pairs, f, f_pairs) if swap
+                                                  else (f, f_pairs, g, g_pairs))
+        if (swap, negate) not in signed:
+            signed[swap, negate] = ([(pos, -v) for pos, v in inner_pairs] if negate
+                                    else inner_pairs)
+        _compose_into(out, outer, i, outer_pairs, signed[swap, negate],
+                      len(inner.coeffs.flat) // d)
+    (zero,) = _sums((f_zero,), (g_zero,), False)
+    return _trusted(Operation, d, out_degree, [zero if v is None else v for v in out])
+
+
+def _nonzero(op):
+    """The (position, entry) pairs of op's nonzero entries, in row-major
+    order, and its last zero entry (int 0 if it has none)."""
+    pairs, zero = [], 0
+    for pos, v in enumerate(op.coeffs.flat):
         if v == 0:
-            g_zero = v
+            zero = v
         else:
-            k, b = divmod(pos, width)
-            rows[k].append((b * step, -v if negate else v))
-    out = [None] * (len(ff) // d * width)
-    for pos, v in enumerate(ff):
-        if v == 0:
-            f_zero = v
-            continue
+            pairs.append((pos, v))
+    return pairs, zero
+
+
+def _compose_into(out, f, i, f_pairs, g_pairs, width):
+    """Add each product of f after g in slot i into the entry list out, from
+    the nonzero entries of each, with g's `width` entries per output index.
+
+    The result index is (out, f's inputs before slot i, g's inputs, f's
+    inputs after slot i): position (r * width + b) * step + c for the row r
+    of f's leading indices, g's input column b and f's trailing inputs c.
+    Each nonzero f[r, k, c] (k in slot i) meets the nonzero entries of g's
+    row k, whose sign is folded in; f is walked in row-major order, so each
+    entry receives its products in increasing k.  A product lands as it is
+    where out holds None and is added to the entry elsewhere.
+    """
+    d = f.dim
+    step = d ** (f.degree - 1 - i)
+    rows = [[] for _ in range(d)]
+    for pos, w in g_pairs:
+        k, b = divmod(pos, width)
+        rows[k].append((b * step, w))
+    for pos, v in f_pairs:
         r, rest = divmod(pos, d * step)
         k, c = divmod(rest, step)
         base = r * width * step + c
@@ -259,13 +298,18 @@ def partial_compose(f, i, g):
             product = w * v if type(v) is Fraction else v * w
             acc = out[base + offset]
             out[base + offset] = product if acc is None else acc + product
-    (zero,) = _sums((f_zero,), (g_zero,), False)
-    flat = [zero if v is None else v for v in out]
-    return _trusted(Operation, d, out_degree, flat)
+
+
+def _slots(f, g, swap, negate):
+    """The parts of the total composition f . g (g . f if swap), each
+    negated if negate."""
+    outer, inner = (g, f) if swap else (f, g)
+    return [(swap, i, (graded_sign(i * inner.reduced_degree) < 0) != negate)
+            for i in range(outer.degree)]
 
 
 def total_compose(f, g):
-    """Sum of partial compositions over every input slot of f.
+    """Sum of partial compositions over every input slot of f, in one entry list.
 
     For degree-0 f the sum is empty: the result is the zero operation of
     degree |g|, and the combination of two degree-0 operations is rejected.
@@ -276,21 +320,19 @@ def total_compose(f, g):
         if g.degree == 0:
             raise ValueError("total composition of two degree-0 operations is undefined")
         return _trusted(Operation, f.dim, g.reduced_degree, (Fraction(0),) * f.dim ** g.degree)
-    acc = partial_compose(f, 0, g)
-    for i in range(1, f.degree):
-        acc = acc + partial_compose(f, i, g)
-    return acc
+    return _composed(f, g, _slots(f, g, False, False))
 
 
 def gerstenhaber_bracket(f, g):
     """Graded commutator of total composition.
 
-    [f, g] = f.g - (-1)**(|f||g|) g.f, an operation of degree |f|+|g|+1.
+    [f, g] = f.g - (-1)**(|f||g|) g.f, an operation of degree |f|+|g|+1,
+    summed in one entry list: every partial composition of f.g, then every
+    one of g.f with the bracket's sign folded into f.
     """
     if f.degree == 0 and g.degree == 0:
         raise ValueError("bracket of two degree-0 operations is undefined")
-    a = total_compose(f, g)
-    b = total_compose(g, f)
-    if graded_sign(f.reduced_degree * g.reduced_degree) < 0:
-        return a + b
-    return a - b
+    if f.dim != g.dim:
+        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
+    plus = graded_sign(f.reduced_degree * g.reduced_degree) < 0
+    return _composed(f, g, _slots(f, g, False, False) + _slots(f, g, True, not plus))

@@ -1,12 +1,13 @@
 """Quantum counterparts of the dynamical deformations, over the free algebra.
 
-Each deformed bracket is promoted to operator coefficients by the
-quantization map applied to `bianchi.formal_deformation`: the monomial
-q^i p^j Ap^k Am^l becomes the word Q^i P^j Ap^k Am^l of `ncpoly.NCPoly`, and
-sqrt(2*p0) stays the formal scalar s.  The map is linear, so the operator
-tensor is built unchecked from the antisymmetric formal one.  No commutation
-relations are imposed, so the Jacobi defect measures the obstruction that
-survives in the free algebra itself.
+Each class's operator bracket puts operators into the operadic Lax family:
+solve_C places the class tensor in the family, and the member is written
+from its table at the words (), Q, P, Ap, Am of `ncpoly.NCPoly`, with
+sqrt(2*p0) the formal scalar s.  Each entry is the entry of
+`bianchi.formal_deformation` with the monomial q^i p^j Ap^k Am^l read as
+the word Q^i P^j Ap^k Am^l.  No commutation relations are imposed, so the
+Jacobi defect measures the obstruction that survives in the free algebra
+itself.
 
 The defect of the bracket mu at vectors x, y, z is, component-wise,
 
@@ -41,9 +42,12 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import bianchi, poly
+from .lax import _member, solve_C
 from .ncpoly import (GENERATORS, ExtScalar, NCPoly, _collect, _fold_s, _positive, _rational,
-                     commutator)
+                     _same_p0, commutator)
 from .structure import _cyclic_defect
+
+_ONE = Fraction(1)
 
 RIGID = "Rigid"
 QUANTUM_LIE = "QuantumLie"
@@ -52,14 +56,9 @@ ANOMALOUS_II = "AnomalousII"
 UNCLASSIFIED = "Unclassified"
 
 
-def _word(exps):
-    """The word Q^i P^j Ap^k Am^l of the monomial q^i p^j Ap^k Am^l."""
-    return tuple(g for g, e in zip(GENERATORS, exps) for _ in range(e))
-
-
 def _exps(word):
     """The exponents (i, j, k, l) of a word's commutative image: how often
-    it holds Q, P, Ap and Am.  `_exps(_word(e)) == e` for every monomial."""
+    it holds Q, P, Ap and Am."""
     return tuple(map(word.count, GENERATORS))
 
 
@@ -67,9 +66,11 @@ def commutative_image(value, sigma=None):
     """The Poly of an NCPoly whose generators commute: each word becomes the
     monomial of its letter counts, merged through `_collect`, and given the
     rational value sigma of s, each u + v*s folds to u + v*sigma first by
-    `ncpoly._fold_s`, the s-fold of `bianchi.deform_formal`.  A ring map that
-    undoes `quantize_formal`, so it takes the operator defect of a formal
-    tensor to its commutative one, `bianchi.raw_jacobian(bianchi.deform_formal(formal, p0))`."""
+    `ncpoly._fold_s`, the s-fold of `bianchi.deform_formal`.  A ring map
+    that takes each entry of `quantize(t, omega, p0)` to the entry of
+    `bianchi.deform(t, omega, p0)`, so it takes the operator defect of a
+    class to its commutative one, `bianchi.raw_jacobian(bianchi.deform(t,
+    omega, p0))`."""
     terms = value.terms.items()
     if sigma is not None:
         terms = ((word, _fold_s(c, sigma)) for word, c in terms)
@@ -77,28 +78,17 @@ def commutative_image(value, sigma=None):
 
 
 def quantize(t, omega, p0):
-    """Operator form of the deformed bracket."""
-    return quantize_formal(bianchi.formal_deformation(t, omega, p0), p0)
+    """Operator form of the deformed bracket of class t: the Lax family
+    member through its structure constants, written at the words (see the
+    module docstring and `lax._member`), so every entry is built unchecked."""
+    return _operator(bianchi.structure_constants(t), _positive(omega, "omega"),
+                     _positive(p0, "p0"))
 
 
-def quantize_formal(formal, p0):
-    """Operator form of a formal deformation at the same p0.
-
-    Applies the quantization map to every entry; the coefficients, s
-    included, carry over unchanged, since Poly and NCPoly share one
-    coefficient format.  Distinct monomials map to distinct words, so each
-    entry is built unchecked; p0 is checked once, and each ExtScalar
-    coefficient against it.
-    """
-    zero = NCPoly(p0=p0)
-
-    def operator(value):
-        if isinstance(value, poly.Poly):
-            return zero._like({_word(exps): zero._coeff(c) for exps, c in value.terms.items()})
-        c = zero._coeff(value)
-        return zero._like({(): c} if c else {})
-
-    return formal._map(operator)
+def _operator(constants, w, p0):
+    """The operator bracket through the structure constants `constants`, at
+    checked omega and p0."""
+    return _member(solve_C(constants, p0), w, zero=NCPoly(p0=p0))
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +123,15 @@ def _tensor_p0(mu):
 
 
 def _nc_entries(mu):
-    """The 27 row-major entries of mu, each checked to be an NCPoly."""
-    for (i, j, k), value in zip(itertools.product((1, 2, 3), repeat=3), mu.coeffs.flat):
+    """The 27 row-major entries of mu, each checked to be an NCPoly of the
+    first one's p0 (ValueError if not)."""
+    flat = mu.coeffs.flat
+    for (i, j, k), value in zip(itertools.product((1, 2, 3), repeat=3), flat):
         if not isinstance(value, NCPoly):
             raise ValueError(f"entry mu^{i}_{{{j}{k}}} is not an NCPoly: {value!r}")
-    return mu.coeffs.flat
+        if value.p0 is not flat[0].p0:
+            _same_p0(flat[0].p0, value)
+    return flat
 
 
 class JacobianTriple(namedtuple("JacobianTriple", "j1 j2 j3")):
@@ -177,39 +171,37 @@ class AnomalyCertificate(namedtuple("AnomalyCertificate",
 def classify(t, omega, p0):
     """Sort a class into Rigid / QuantumLie / AnomalousI / AnomalousII.
 
-    The certificate carries the full basis defect so the claim can be checked
-    independently of the matching logic.
+    The operator bracket is `quantize`'s, through the structure constants
+    built once, which the rigidity test compares it with.  The certificate
+    carries the full basis defect so the claim can be checked independently
+    of the matching logic.
     """
-    return classify_formal(t, bianchi.formal_deformation(t, omega, p0), omega, p0)
-
-
-def classify_formal(t, formal, omega, p0):
-    """`classify` for class t, given its formal deformation at omega, p0."""
-    w = _positive(omega, "omega")
-    p0 = _rational(p0)
-    mu = quantize_formal(formal, p0)
+    constants = bianchi.structure_constants(t)
+    w, p0 = _positive(omega, "omega"), _positive(p0, "p0")
+    mu = _operator(constants, w, p0)
     defect = basis_jacobian(mu)
-    kind, tau, matched = _match(t, mu, defect, w, p0)
+    kind, tau, matched = _match(t, mu == constants, defect, w, p0)
     return AnomalyCertificate(kind, t.label, w, p0, t.a, tau, defect, matched)
 
 
-def _match(t, mu, defect, w, p0):
-    """(kind, tau, matched) of class t, whose operator bracket mu has the
-    basis defect `defect`: the first bucket that fits, or Unclassified."""
-    if mu.is_constant and mu.constant_tensor() == bianchi.structure_constants(t):
+def _match(t, rigid, defect, w, p0):
+    """(kind, tau, matched) of class t, whose operator bracket has the basis
+    defect `defect` and equals the class's structure constants if rigid:
+    the first bucket that fits, or Unclassified."""
+    if rigid:
         return RIGID, None, ("0", "0", "0")
     if defect.is_zero:
         return QUANTUM_LIE, None, ("0", "0", "0")
     comm = generator_commutator(p0)
-    if defect.j1.is_zero and defect.j2.is_zero and defect.j3 == (1 / p0) * comm:
+    if defect.j1.is_zero and defect.j2.is_zero and defect.j3 == comm * (_ONE / p0):
         return ANOMALOUS_I, None, ("0", "0", "(1/p0)*[Ap,Am]")
     if t.a is not None:
         # a / sqrt(2 p0**3) = (a / (2 p0**2)) * s
-        scale = ExtScalar(0, t.a / (2 * p0 * p0), p0=p0)
+        scale = ExtScalar(0, t.a / (p0 * p0 * 2), p0=p0)
         xp, xm = xi_pair(w, p0)
-        j3_target = (t.a * t.a / p0) * comm
+        j3_target = comm * (t.a * t.a / p0)
         for tau in (-1, 1):
-            if (defect.j1 == tau * scale * xp and defect.j2 == tau * scale * xm
+            if (defect.j1 == xp * (scale * tau) and defect.j2 == xm * (scale * tau)
                     and defect.j3 == j3_target):
                 return ANOMALOUS_II, tau, (f"{tau:+d}*(a/sqrt(2*p0^3))*xi_plus",
                                            f"{tau:+d}*(a/sqrt(2*p0^3))*xi_minus",

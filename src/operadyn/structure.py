@@ -12,9 +12,9 @@ input can break: a given diagonal entry must vanish, and a pair given in
 both orientations must be opposite; a mirror it fills (`_mirror`: -value,
 a Fraction 0 its own) is not compared.  A tensor derived from
 antisymmetric ones (an odd map of the entries, or the difference in
-`lax.operadic_lax_residual`), and the family member of `lax.build_mu`,
-whose mirrors are `_mirror` of its entries, is built by `operad._trusted`
-through the private `_trusted`, which checks nothing.
+`lax.operadic_lax_residual`), and the family member of `lax.build_mu` or
+its operator bracket, whose mirrors are `_mirror` of its entries, is built
+by `operad._trusted` through the private `_trusted`, which checks nothing.
 
 Entries can be exact numbers, `poly.Poly`, or `ncpoly.NCPoly`; the
 container is agnostic as long as entries support +, -, * and == with each
@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational
 
-from .ncpoly import ExtScalar, _Ring
+from .ncpoly import ExtScalar, _collect, _Ring
 from . import operad
 from .operad import Operation
 
@@ -61,26 +61,34 @@ def _position(i, j, k):
     return ((i - 1) * DIM + j - 1) * DIM + k - 1
 
 
+# per component m, the positions of each (mu^m_{lk}, mu^k_{ij}) pair, over
+# (i, j, l) = (1,2,3), (2,3,1), (3,1,2) and then k
+_CYCLIC = tuple(tuple((_position(m, l, k), _position(k, i, j))
+                      for (i, j, l) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) for k in (1, 2, 3))
+                for m in (1, 2, 3))
+
+
 def _cyclic_defect(flat, zero):
     """Cyclic Jacobi defect at the basis triple, from the row-major entries.
 
-    The entries are polynomials of one ring (`_Ring`) and `zero` is its zero.
-    Component m starts at `zero` and adds mu^m_{lk} * mu^k_{ij}, outer factor
-    on the left, over (i, j, l) = (1,2,3), (2,3,1), (3,1,2) and then k,
-    skipping every product with a factor without terms; adding the zero
-    product would change no term, so each component holds the same terms in
-    the same order as the sum of all nine.  The one kernel of
-    `bianchi.raw_jacobian` and `quantum.basis_jacobian`.
+    The entries are polynomials of one ring and context (`_Ring`) and
+    `zero` is its zero.  Component m collects each product mu^m_{lk} *
+    mu^k_{ij}, outer factor on the left, in `_CYCLIC` order and adds it into
+    the component's one term dict, skipping every product with a factor
+    without terms.  Each product is collected before it is added, so each
+    component holds the same terms in the same order as the ring sum of all
+    nine from `zero`.  The one kernel of `bianchi.raw_jacobian` and
+    `quantum.basis_jacobian`.
     """
     components = []
-    for m in (1, 2, 3):
-        total = zero
-        for (i, j, l) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            for k in (1, 2, 3):
-                outer, inner = flat[_position(m, l, k)], flat[_position(k, i, j)]
-                if outer.terms and inner.terms:
-                    total = total + outer * inner
-        components.append(total)
+    for pairs in _CYCLIC:
+        terms = {}
+        for a, b in pairs:
+            outer, inner = flat[a], flat[b]
+            if outer.terms and inner.terms:
+                product = _collect({}, outer._products(inner.terms))
+                terms = _collect(terms, product.items()) if terms else product
+        components.append(zero._like(terms))
     return tuple(components)
 
 
@@ -156,9 +164,9 @@ class StructureTensor(Operation):
         """The tensor of fn applied to every entry, built unchecked.
 
         The contract: fn is odd, fn(-v) == -fn(v), so the image of an
-        antisymmetric tensor is antisymmetric.  Three maps use it:
-        `constant_tensor`'s constant value, `bianchi._fold` and the word map
-        of `quantum.quantize_formal`, each linear over the rationals.
+        antisymmetric tensor is antisymmetric.  Two maps use it:
+        `constant_tensor`'s constant value and `bianchi._fold`, each linear
+        over the rationals.
         """
         return _trusted(map(fn, self.coeffs.flat))
 

@@ -13,13 +13,17 @@ defect of a 3d bracket factors through.
 `quantum_jacobian` is the general weighted Jacobi defect of an operator
 bracket at any three scalar vectors, the oracle of the weight-free cyclic
 kernel `quantum.basis_jacobian` runs at the basis triple.
+
+`total_of_partials` and `bracket_of_partials` sum the partial compositions
+as Operations, the oracle of the one entry list `operad.total_compose` and
+`operad.gerstenhaber_bracket` fill.
 """
 
 from fractions import Fraction
 from operator import mul, neg
 
 from operadyn.ncpoly import NCPoly
-from operadyn.operad import graded_sign
+from operadyn.operad import graded_sign, partial_compose, total_compose
 from operadyn.quantum import JacobianTriple, _nc_entries, _tensor_p0
 from operadyn.structure import _position
 
@@ -106,3 +110,22 @@ def quantum_jacobian(mu, x, y, z):
                 total = total + (term if weight == 1 else weight * term)
         components.append(total)
     return JacobianTriple(*components)
+
+
+def total_of_partials(f, g):
+    """The total composition as the `Operation` sum of its partial
+    compositions, the body `operad.total_compose` had before it summed
+    every slot into one entry list."""
+    if f.degree == 0:
+        return total_compose(f, g)
+    acc = partial_compose(f, 0, g)
+    for i in range(1, f.degree):
+        acc = acc + partial_compose(f, i, g)
+    return acc
+
+
+def bracket_of_partials(f, g):
+    """The Gerstenhaber bracket as the `Operation` difference (or sum) of
+    the two total compositions, each summed from its partial compositions."""
+    a, b = total_of_partials(f, g), total_of_partials(g, f)
+    return a + b if graded_sign(f.reduced_degree * g.reduced_degree) < 0 else a - b

@@ -1,0 +1,76 @@
+"""The operator bracket and certificate of the quantization map, for the tests.
+
+`quantum.quantize` writes each class's operator bracket from the Lax family
+at the words, and `quantum.classify` classifies it.  Before that, the
+operator bracket was the quantization map applied entry by entry to
+`bianchi.formal_deformation`, and the certificate was built from it with
+the cyclic defect summed in the ring and the rigidity test on its constant
+tensor.  `quantize_formal` and `classify_formal` here are those bodies,
+kept as the oracle: the tests compare every entry's value, type, term order
+and coefficient types, and every certificate, against them.
+"""
+
+from operadyn import bianchi
+from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly, _positive, _rational
+from operadyn.poly import Poly
+from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, UNCLASSIFIED,
+                              AnomalyCertificate, generator_commutator, xi_pair)
+from reference_compose import quantum_jacobian
+
+_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _word(exps):
+    """The word Q^i P^j Ap^k Am^l of the monomial q^i p^j Ap^k Am^l."""
+    return tuple(g for g, e in zip(GENERATORS, exps) for _ in range(e))
+
+
+def quantize_formal(formal, p0):
+    """The quantization map on every entry of a formal deformation at p0.
+
+    The coefficients, s included, carry over unchanged; distinct monomials
+    map to distinct words, so each entry is built unchecked.  p0 is checked
+    once, and each ExtScalar coefficient against it.
+    """
+    zero = NCPoly(p0=p0)
+
+    def operator(value):
+        if isinstance(value, Poly):
+            return zero._like({_word(exps): zero._coeff(c) for exps, c in value.terms.items()})
+        c = zero._coeff(value)
+        return zero._like({(): c} if c else {})
+
+    return formal._map(operator)
+
+
+def classify_formal(t, formal, omega, p0):
+    """The certificate of class t, given its formal deformation at omega, p0."""
+    w = _positive(omega, "omega")
+    p0 = _rational(p0)
+    mu = quantize_formal(formal, p0)
+    defect = quantum_jacobian(mu, *_BASIS)
+    kind, tau, matched = _match(t, mu, defect, w, p0)
+    return AnomalyCertificate(kind, t.label, w, p0, t.a, tau, defect, matched)
+
+
+def _match(t, mu, defect, w, p0):
+    """(kind, tau, matched): the first bucket that fits, or Unclassified."""
+    if mu.is_constant and mu.constant_tensor() == bianchi.structure_constants(t):
+        return RIGID, None, ("0", "0", "0")
+    if defect.is_zero:
+        return QUANTUM_LIE, None, ("0", "0", "0")
+    comm = generator_commutator(p0)
+    if defect.j1.is_zero and defect.j2.is_zero and defect.j3 == (1 / p0) * comm:
+        return ANOMALOUS_I, None, ("0", "0", "(1/p0)*[Ap,Am]")
+    if t.a is not None:
+        scale = ExtScalar(0, t.a / (2 * p0 * p0), p0=p0)
+        xp, xm = xi_pair(w, p0)
+        j3_target = (t.a * t.a / p0) * comm
+        for tau in (-1, 1):
+            if (defect.j1 == tau * scale * xp and defect.j2 == tau * scale * xm
+                    and defect.j3 == j3_target):
+                return ANOMALOUS_II, tau, (f"{tau:+d}*(a/sqrt(2*p0^3))*xi_plus",
+                                           f"{tau:+d}*(a/sqrt(2*p0^3))*xi_minus",
+                                           "(a^2/p0)*[Ap,Am]")
+    return UNCLASSIFIED, None, ()
+

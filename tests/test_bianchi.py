@@ -409,8 +409,7 @@ _NONPOSITIVE_CALLS = {
     "solve_C p0": (lambda: solve_C(structure_constants(_VIIA), 0), "p0 must be positive, got 0"),
     "operadic_lax_residual omega": (lambda: operadic_lax_residual(_PARAMS, -3),
                                     "omega must be positive, got -3"),
-    "quantize p0": (lambda: quantum.quantize_formal(formal_deformation(_VIIA, 1, 2), 0),
-                    "p0 must be positive, got 0"),
+    "quantize p0": (lambda: quantum.quantize(_VIIA, 1, 0), "p0 must be positive, got 0"),
     "formal_mu omega 0": (lambda: formal_mu(_PARAMS, 0), "omega must be positive, got 0"),
     "formal_mu omega < 0": (lambda: formal_mu(_PARAMS, -1), "omega must be positive, got -1"),
     "build_matrix_lax omega": (lambda: build_matrix_lax(1, 2, 0), "omega must be positive, got 0"),
@@ -419,9 +418,7 @@ _NONPOSITIVE_CALLS = {
     "rotation_generator omega": (lambda: rotation_generator(Fraction(-1, 2)),
                                  "omega must be positive, got -1/2"),
     "xi_pair omega": (lambda: quantum.xi_pair(0, 2), "omega must be positive, got 0"),
-    "classify_formal omega": (
-        lambda: quantum.classify_formal(_VIIA, formal_deformation(_VIIA, 1, 2), 0, 2),
-        "omega must be positive, got 0"),
+    "classify omega": (lambda: quantum.classify(_VIIA, 0, 2), "omega must be positive, got 0"),
     "deform_formal p0": (lambda: deform_formal(formal_deformation(_VIIA, 1, 2), -2),
                          "p0 must be positive, got -2"),
 }

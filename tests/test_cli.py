@@ -25,7 +25,7 @@ from operadyn.cli import COLUMNS, main
 from operadyn.ncpoly import ExtScalar, NCPoly
 from operadyn.operad import Operation
 from operadyn.poly import Poly, as_poly
-from operadyn.structure import StructureTensor
+from operadyn.structure import StructureTensor, _position, _trusted
 from reference_trace import reference_trace, scalar_evaluate
 
 
@@ -179,19 +179,23 @@ class TestVerify:
 
     @pytest.mark.parametrize("legs", ["both", "points"])
     def test_jacobi_classical_catches_bracket_mutant(self, capsys, monkeypatch, legs):
-        # q added to mu^1_23 of VIIa breaks Jacobi on the shell; each leg alone
-        # sees it, so with the reduction blinded the points still fail
-        real = bianchi.formal_deformation
+        # Q added to mu^1_23 of VIIa's operator bracket breaks Jacobi on the
+        # shell; each leg alone sees it, so with the reduction blinded the
+        # points still fail
+        real = quantum._operator
+        vii_a = bianchi.structure_constants(bianchi.BianchiType("VIIa", Fraction(1, 2)))
 
-        def mutant(t, omega, p0):
-            tensor = real(t, omega, p0)
-            if t.tag != "VIIa":
+        def mutant(constants, omega, p0):
+            tensor = real(constants, omega, p0)
+            if constants != vii_a:
                 return tensor
-            entries = dict(tensor.independent_entries())
-            entries[(1, 2, 3)] = as_poly(entries[(1, 2, 3)]) + poly.q
-            return StructureTensor(entries)
+            # the diagonal holds NCPoly zeros, so the mirror is filled here
+            flat = list(tensor.coeffs.flat)
+            value = flat[_position(1, 2, 3)] + NCPoly.generator("Q", p0=p0)
+            flat[_position(1, 2, 3)], flat[_position(1, 3, 2)] = value, -value
+            return _trusted(flat)
 
-        monkeypatch.setattr(bianchi, "formal_deformation", mutant)
+        monkeypatch.setattr(quantum, "_operator", mutant)
         if legs == "points":
             monkeypatch.setattr(bianchi.ShellReduction, "reduce", lambda self, v: Poly())
         code, out, _ = run(capsys, "verify", "jacobi-classical")
@@ -248,16 +252,16 @@ class TestVerify:
         assert not hasattr(cli, "sample_flow")
 
     def test_verify_all_builds_each_deformation_once(self, capsys, monkeypatch):
-        # jacobi-classical and jacobi-quantum share one formal deformation
-        # per class instead of building it through deform and quantize each
-        real = bianchi.formal_deformation
+        # jacobi-classical and jacobi-quantum share one operator bracket per
+        # class instead of building it through deform and quantize each
+        real = quantum._operator
         calls = []
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(bianchi, "formal_deformation", counted)
+        monkeypatch.setattr(quantum, "_operator", counted)
         code, out, _ = run(capsys, "verify", "all")
         assert code == 0 and out.rstrip().endswith("overall: PASS")
         assert len(calls) == len(bianchi.TAGS) == 11

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operadyn import bianchi, operad, poly
-from operadyn.lax import (LaxFamilyParams, build_mu, operadic_lax_residual,
-                          rotation_generator)
+from operadyn.lax import (LaxFamilyParams, build_matrix_lax, build_mu,
+                          operadic_lax_residual, rotation_generator)
 from operadyn.ncpoly import ExtScalar, NCPoly
 from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, Tensor,
                              gerstenhaber_bracket, graded_sign,
@@ -23,7 +23,8 @@ from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, Tensor,
 from operadyn.poly import Poly
 from operadyn.quantum import basis_jacobian, quantize
 from operadyn.structure import StructureTensor
-from reference_compose import apply, dense_partial_compose
+from reference_compose import (apply, bracket_of_partials, dense_partial_compose,
+                               total_of_partials)
 from reference_ring import entry_sums
 
 
@@ -380,6 +381,55 @@ def _recording_mul(monkeypatch, cls):
     monkeypatch.setattr(cls, "__mul__", record(mul))
     monkeypatch.setattr(cls, "__rmul__", record(rmul))
     return zero_calls
+
+
+def _assert_same_entry(got, want):
+    """Same type and value; for a polynomial, the same terms in the same order."""
+    assert type(got) is type(want) and got == want
+    if isinstance(want, (Poly, NCPoly)):
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+class TestOneEntryList:
+    """`total_compose` and `gerstenhaber_bracket` against the Operation sum
+    of their partial compositions (`reference_compose`)."""
+
+    def test_lax_family_brackets_keep_every_entry(self):
+        # the brackets the verify suites form, and the class brackets both ways
+        w, p0 = Fraction(3, 2), Fraction(3)
+        m = rotation_generator(w)
+        pairs = [(m, build_mu(LaxFamilyParams(tuple(int(k == n) for k in range(1, 10))),
+                              poly.q, poly.p, poly.a_plus, poly.a_minus, w))
+                 for n in range(1, 10)]
+        pairs.append(tuple(build_matrix_lax(poly.q, poly.p, w))[::-1])
+        for t in bianchi.all_types(Fraction(2, 3)):
+            pairs += [(m, bianchi.formal_deformation(t, w, p0)), (m, quantize(t, w, p0))]
+        for f, g in pairs:
+            for got, want in ((gerstenhaber_bracket(f, g), bracket_of_partials(f, g)),
+                              (gerstenhaber_bracket(g, f), bracket_of_partials(g, f)),
+                              (total_compose(g, f), total_of_partials(g, f))):
+                assert (got.dim, got.degree) == (want.dim, want.degree)
+                for x, y in zip(got.coeffs.flat, want.coeffs.flat, strict=True):
+                    _assert_same_entry(x, y)
+
+    @pytest.mark.parametrize("kinds", [("int", "Fraction"), ("Poly", "Fraction"),
+                                       ("Poly", "Poly"), ("int", "Poly")])
+    def test_random_operations_equal_the_sum(self, kinds):
+        # entries may come back as the equal scalar, or with cancelled terms
+        # in another order, but every entry equals and hashes like the sum's
+        rng = random.Random(23)
+        for _ in range(40):
+            d = rng.randint(1, 3)
+            f = _kernel_operation(rng, d, rng.randint(0, 2), kinds[0], 0.5)
+            g = _kernel_operation(rng, d, rng.randint(0, 2), kinds[1], 0.5)
+            if f.degree == 0 and g.degree == 0:
+                continue
+            got, want = gerstenhaber_bracket(f, g), bracket_of_partials(f, g)
+            assert got == want and hash(got) == hash(want)
+            if f.degree:
+                got, want = total_compose(f, g), total_of_partials(f, g)
+                assert got == want and hash(got) == hash(want)
 
 
 class TestNoZeroProducts:

@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 from operadyn import poly
 from operadyn.bianchi import (BianchiType, ShellReduction, all_types, deform_formal,
                               formal_deformation, raw_jacobian)
-from operadyn.lax import LaxFamilyParams, formal_mu
+from operadyn.lax import LaxFamilyParams, _member, formal_mu
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
-from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, _exps, _word,
+from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, _exps,
                               basis_jacobian, classify, commutative_image,
-                              generator_commutator, quantize, quantize_formal, xi_pair)
-from operadyn.structure import StructureTensor
+                              generator_commutator, quantize, xi_pair)
+from operadyn.structure import StructureTensor, _position, _trusted
 from reference_compose import quantum_jacobian, triple_product
+from reference_quantum import _word, classify_formal, quantize_formal
 from reference_tables import GRID, operator_table
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -141,7 +142,7 @@ class TestQuantize:
         for p0 in (Fraction(2), Fraction(8, 9), Fraction(3), Fraction(5, 7)):
             for t in all_types(Fraction(2, 3)):
                 formal = formal_deformation(t, Fraction(3, 2), p0)
-                mu = quantize_formal(formal, p0)
+                mu = quantize(t, Fraction(3, 2), p0)
                 for v, value in zip(mu.coeffs.flat, formal.coeffs.flat):
                     words = {tuple(g for g, e in zip(GENERATORS, exps) for _ in range(e)): c
                              for exps, c in poly.as_poly(value).terms.items()}
@@ -151,15 +152,19 @@ class TestQuantize:
                                for c in v.terms.values())
 
     def test_p0_checked_once_and_against_each_coefficient(self):
-        formal = formal_deformation(BianchiType("VIIa", Fraction(1, 2)), 1, Fraction(3))
+        t = BianchiType("VIIa", Fraction(1, 2))
         for bad in (0, -3):
             with pytest.raises(ValueError, match="^p0 must be positive"):
-                quantize_formal(formal, bad)
+                quantize(t, 1, bad)
         with pytest.raises(TypeError):
-            quantize_formal(formal, 3.0)
-        # the s-coefficients carry p0 = 3, so another context is refused
+            quantize(t, 1, 3.0)
+        # every entry holds the one p0 of its bracket, so the defect refuses
+        # a tensor that mixes contexts, as the ring operations do
+        flat = list(quantize(t, 1, 5).coeffs.flat)
+        flat[_position(1, 2, 3)] = NCPoly.generator("Q", p0=3)
+        flat[_position(1, 3, 2)] = -flat[_position(1, 2, 3)]
         with pytest.raises(ValueError, match=r"^mixed p0 contexts: 5 vs 3$"):
-            quantize_formal(formal, 5)
+            basis_jacobian(_trusted(flat))
 
     def test_sigma_stays_symbolic(self):
         # p0 = 2 makes sigma = 2 rational, but the operator entries keep s
@@ -235,6 +240,22 @@ class TestBracketAndJacobian:
                 assert str(got) == str(want), t.label
                 assert list(got.terms) == list(want.terms), t.label
 
+    def test_each_product_collected_before_it_is_added(self):
+        # mu^3_{21} * mu^1_{31} gives P twice, 1 then -1, while j3 already
+        # holds -P, so adding the two uncollected would drop P and append it
+        # again; the kernel keeps the ring sum's term order
+        p0 = Fraction(2)
+        flat = [NCPoly(p0=p0)] * 27
+        for idx, terms in (((1, 1, 2), {("Q",): 1, (): 1}), ((1, 1, 3), {("P",): 1, (): -1}),
+                           ((1, 2, 3), {("Q",): -1}), ((2, 1, 3), {("P",): -1, (): -1}),
+                           ((3, 1, 2), {("P",): -1, (): -1}), ((3, 1, 3), {("P",): 1, (): -1})):
+            value = NCPoly(terms, p0=p0)
+            i, j, k = idx
+            flat[_position(i, j, k)], flat[_position(i, k, j)] = value, -value
+        mu = _trusted(flat)
+        for got, want in zip(basis_jacobian(mu), quantum_jacobian(mu, E1, E2, E3), strict=True):
+            assert got == want and list(got.terms) == list(want.terms)
+
     def test_non_ncpoly_entry_rejected(self):
         # every entry but mu^3_{12} = -mu^3_{21} stays the NCPoly of quantize
         op = quantize(BianchiType("V"), 1, Fraction(2))
@@ -259,12 +280,11 @@ class TestBracketAndJacobian:
             assert full.j3 == det * base.j3
 
 
-def _image_and_defect(formal, p0):
-    """The commutative image of the operator defect of a formal tensor, and
-    the commutative defect of its phase-space table."""
+def _image_and_defect(operator, formal, p0):
+    """The commutative image of the defect of an operator bracket, and the
+    commutative defect of the phase-space table of its formal tensor."""
     sigma = poly.rational_sqrt(2 * p0)
-    image = tuple(commutative_image(c, sigma)
-                  for c in basis_jacobian(quantize_formal(formal, p0)))
+    image = tuple(commutative_image(c, sigma) for c in basis_jacobian(operator))
     return image, raw_jacobian(deform_formal(formal, p0))
 
 
@@ -277,7 +297,8 @@ def _in_format(value, sigma):
 
 @st.composite
 def _formal_members(draw):
-    """(formal, p0): the symbolic Lax family member at drawn C1..C9 and omega.
+    """(operator, formal, p0): the Lax family member at drawn C1..C9 and
+    omega, written at the words and at the generators.
 
     Each C is u + v*s, so a rational one where v = 0; p0 gives a rational
     sigma (2, 9/8) or a formal one (3, 5/7).
@@ -287,7 +308,8 @@ def _formal_members(draw):
     c = [ExtScalar(draw(parts), draw(st.sampled_from((Fraction(0), draw(parts)))), p0=p0)
          for _ in range(9)]
     omega = draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
-    return formal_mu(LaxFamilyParams(c), omega), p0
+    params = LaxFamilyParams(c)
+    return _member(params, omega, zero=NCPoly(p0=p0)), formal_mu(params, omega), p0
 
 
 class TestCommutativeImage:
@@ -303,9 +325,8 @@ class TestCommutativeImage:
         for omega, p0, a in ((1, Fraction(2), Fraction(1, 2)), (1, Fraction(3), Fraction(1, 2))):
             sigma = poly.rational_sqrt(2 * p0)
             for t in all_types(a):
-                formal = formal_deformation(t, omega, p0)
-                operator = quantize_formal(formal, p0).coeffs.flat
-                table = deform_formal(formal, p0).coeffs.flat
+                operator = quantize(t, omega, p0).coeffs.flat
+                table = deform_formal(formal_deformation(t, omega, p0), p0).coeffs.flat
                 for got, want in zip(operator, table):
                     assert commutative_image(got, sigma) == poly.as_poly(want), t.label
 
@@ -327,17 +348,69 @@ class TestCommutativeImage:
     ])
     def test_image_of_operator_defect_is_the_commutative_defect(self, omega, p0, a):
         for t in all_types(a):
-            image, defect = _image_and_defect(formal_deformation(t, omega, p0), p0)
+            image, defect = _image_and_defect(quantize(t, omega, p0),
+                                              formal_deformation(t, omega, p0), p0)
             assert image == defect, t.label
             assert tuple(map(str, image)) == tuple(map(str, defect)), t.label
 
     @given(_formal_members())
     @settings(max_examples=30, deadline=None)
     def test_image_of_operator_defect_for_family_members(self, case):
-        formal, p0 = case
-        image, defect = _image_and_defect(formal, p0)
+        operator, formal, p0 = case
+        image, defect = _image_and_defect(operator, formal, p0)
         assert image == defect
         assert all(_in_format(c, poly.rational_sqrt(2 * p0)) for c in image)
+
+
+# sqrt(2*p0) is rational at p0 = 2 and 9/8, and stays the formal s at 3 and 1/5
+_ORACLE_P0S = (Fraction(2), Fraction(3), Fraction(9, 8), Fraction(1, 5))
+_ORACLE_FLAGS = ((Fraction(1), Fraction(1, 2)), (Fraction(3, 2), Fraction(2, 3)))
+
+
+def _assert_same_ncpoly(got, want):
+    """Same value, type, p0, text, term order and coefficient types."""
+    assert type(got) is type(want) is NCPoly and got == want and got.p0 == want.p0
+    assert str(got) == str(want)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+class TestFamilyWrittenBracket:
+    """The operator bracket written from the Lax family at the words against
+    the quantization map of the formal deformation (`reference_quantum`)."""
+
+    @pytest.mark.parametrize("p0", _ORACLE_P0S)
+    def test_operator_bracket_matches_the_quantization_map(self, p0):
+        for omega, a in _ORACLE_FLAGS:
+            for t in all_types(a):
+                got = quantize(t, omega, p0)
+                want = quantize_formal(formal_deformation(t, omega, p0), p0)
+                assert type(got) is type(want) is StructureTensor
+                for x, y in zip(got.coeffs.flat, want.coeffs.flat, strict=True):
+                    _assert_same_ncpoly(x, y)
+
+    @pytest.mark.parametrize("p0", _ORACLE_P0S)
+    def test_certificates_match_the_quantization_map(self, p0):
+        for omega, a in _ORACLE_FLAGS:
+            for t in all_types(a):
+                got = classify(t, omega, p0)
+                want = classify_formal(t, formal_deformation(t, omega, p0), omega, p0)
+                assert (got.kind, got.tau, got.matched) == (want.kind, want.tau, want.matched)
+                assert got == want
+                for x, y in zip(got.jacobian, want.jacobian, strict=True):
+                    _assert_same_ncpoly(x, y)
+
+    @given(_formal_members())
+    @settings(max_examples=30, deadline=None)
+    def test_family_members_match_the_quantization_map(self, case):
+        # and the cyclic kernel keeps the terms and term order of the ring sum
+        operator, formal, p0 = case
+        want = quantize_formal(formal, p0)
+        for x, y in zip(operator.coeffs.flat, want.coeffs.flat, strict=True):
+            _assert_same_ncpoly(x, y)
+        for x, y in zip(basis_jacobian(operator), quantum_jacobian(want, E1, E2, E3),
+                        strict=True):
+            _assert_same_ncpoly(x, y)
 
 
 class TestClassification:

@@ -1,10 +1,10 @@
-"""Count the Python-level work of `verify` in two operadyn source trees.
+"""Count the Python-level work of `verify` and `tables quantum` in two operadyn trees.
 
-For `verify all` and each of its four suites alone, at two fixed flag sets
-(the defaults, where sqrt(2*p0) = 2 is rational, and one where sqrt(2*p0) =
-sqrt(6) stays formal), prints four counts per tree, taken with
-`sys.setprofile` over one in-process `operadyn.cli.main` call after a warm-up
-call:
+For `verify all`, each of its four suites alone and `tables quantum` (the
+operator table), at two fixed flag sets (the defaults, where sqrt(2*p0) = 2
+is rational, and one where sqrt(2*p0) = sqrt(6) stays formal), prints four
+counts per tree, taken with `sys.setprofile` over one in-process
+`operadyn.cli.main` call after a warm-up call:
 
     calls      Python function calls (profile "call" events, generator
                resumptions included)
@@ -35,7 +35,9 @@ import os
 import subprocess
 import sys
 
-SUITES = ("all", "matrix-lax", "operadic-lax", "jacobi-classical", "jacobi-quantum")
+COMMANDS = (*(("verify", suite) for suite in
+               ("all", "matrix-lax", "operadic-lax", "jacobi-classical", "jacobi-quantum")),
+            ("tables", "quantum"))
 
 FLAG_SETS = (
     ("defaults: omega=1 p0=2 a=1/2, sqrt(2*p0) = 2", ()),
@@ -83,7 +85,7 @@ print(json.dumps({"exit": code, "counts": counts}))
 
 
 def count(src, argv):
-    """The exit code and counts of one `verify` command line under src."""
+    """The exit code and counts of one command line under src."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
                           env=env, text=True, timeout=600, check=True)
@@ -106,15 +108,14 @@ def main(argv=None):
     same = True
     for title, flags in FLAG_SETS:
         print(f"flags: {title}")
-        print((f"  {'verify':<18}" + "".join(f"{name:<31}" for name in COUNTS)).rstrip())
-        for suite in SUITES:
-            command = ("verify", suite, *flags)
-            base_exit, base = count(base_src, command)
-            new_exit, new = count(new_src, command)
+        print((f"  {'command':<25}" + "".join(f"{name:<31}" for name in COUNTS)).rstrip())
+        for command in COMMANDS:
+            base_exit, base = count(base_src, (*command, *flags))
+            new_exit, new = count(new_src, (*command, *flags))
             same = same and base_exit == new_exit
             line = "".join(f"{_change(base[name], new[name]):<31}" for name in COUNTS)
             note = "" if base_exit == new_exit else f"  exit {base_exit} -> {new_exit}"
-            print(f"  {suite:<18}{line.rstrip()}{note}")
+            print(f"  {' '.join(command):<25}{line.rstrip()}{note}")
     return 0 if same else 1
 
 
