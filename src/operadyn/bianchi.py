@@ -10,19 +10,19 @@ boundary case kept as its own entry.
 
 `formal_deformation` turns a class into a one-parameter family of brackets
 driven by the harmonic oscillator: the constant tensor is fed through
-solve_C and the Lax family, with s = sqrt(2*p0) kept formal.  It is the
-source of the classical table (`deform`, a thin call over `deform_formal`,
-which folds s to its value when that is rational); the operator table
-(`quantum.quantize`) is the same family member written at the words.
+solve_C and the Lax family, with s = sqrt(2*p0) kept formal.  The
+classical table (`deform`) is the same family member written from
+parameters in which s is folded to its value when that is rational; the
+operator table (`quantum.quantize`) is the member written at the words.
 `verify all` builds no classical table: it takes the classical Jacobi
 defect as the commutative image of the operator one
-(`quantum.commutative_image`).  On
-the energy shell the deformed bracket satisfies the Jacobi identity at
-every time, which `classical_jacobian` verifies by exact polynomial
-reduction.  The reduction runs through a `ShellReduction` table
-for one (omega, p0), which keeps the normal form of each monomial it has
-met; `classical_jacobian` reduces its three components through one table.
-No table outlives its caller.
+(`quantum.commutative_image`).  On the energy shell the deformed bracket
+satisfies the Jacobi identity at every time.  A `ShellReduction` for one
+(omega, p0) owns the shell: its sigma = sqrt(2*p0) when rational, the exact
+reduction to normal form, which keeps the normal form of each monomial it
+has met (`classical_jacobian` reduces its three components through one
+table), and a second proof independent of it, at points of the shell
+conic as many as a degree bound asks for.  No table outlives its caller.
 
 `BianchiType` is a namedtuple whose constructor, `_make` and `_replace` check
 and normalize (tag, a); it compares, hashes and unpacks as that tuple, so
@@ -35,8 +35,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import poly
-from .lax import formal_mu, solve_C
-from .ncpoly import _collect, _fold_s, _positive, _rational
+from .lax import LaxFamilyParams, formal_mu, solve_C
+from .ncpoly import ExtScalar, _coefficient, _collect, _fold_s, _positive, _rational
 from .oscillator import sample_flow
 from .poly import Poly, rational_sqrt
 from .structure import StructureTensor, _cyclic_defect
@@ -117,40 +117,26 @@ def formal_deformation(t, omega, p0):
     return formal_mu(solve_C(structure_constants(t), p0), omega)
 
 
-def _fold(value, sigma):
-    """Replace the formal s of an entry by its rational value sigma (`ncpoly._fold_s`).
-
-    A Poly keeps its keys, so it is rebuilt unchecked; a coefficient that
-    folds to 0 is dropped.  The fold is odd, so `deform_formal` maps a
-    tensor through it unchecked.
-    """
-    if not isinstance(value, Poly):
-        return _fold_s(value, sigma)
-    folded = ((exps, _fold_s(c, sigma)) for exps, c in value.terms.items())
-    return poly._trusted({exps: c for exps, c in folded if c})
-
-
 def deform(t, omega, p0):
-    """The dynamical deformation of class t as a phase-space table."""
-    return deform_formal(formal_deformation(t, omega, p0), p0)
+    """The dynamical deformation of class t as a phase-space table.
 
-
-def deform_formal(formal, p0):
-    """The phase-space table of a formal deformation at the same p0.
-
-    When sigma = sqrt(2*p0) is rational, s is folded to sigma and every
-    coefficient is a Fraction; otherwise s stays formal.
+    The member of `formal_deformation` with s folded to its value in C5..C8
+    (`ncpoly._fold_s`) when that is rational, so every coefficient is a
+    Fraction; otherwise s stays formal.
     """
-    sigma = rational_sqrt(2 * _positive(p0, "p0"))
-    if sigma is None:
-        return formal
-    return formal._map(lambda v: _fold(v, sigma))
+    _positive(omega, "omega")
+    params = solve_C(structure_constants(t), p0)
+    sigma = rational_sqrt(2 * p0)
+    if sigma is not None:
+        # only C5..C8 carry s
+        c = params.c
+        params = LaxFamilyParams((*c[:4], *(_fold_s(v, sigma) for v in c[4:8]), c[8]))
+    return formal_mu(params, omega)
 
 
 def is_rigid(t, omega=1, p0=2):
     """True when the deformation is constant in time and equals the class tensor."""
-    d = deform(t, omega, p0)
-    return d.is_constant and d.constant_tensor() == structure_constants(t)
+    return deform(t, omega, p0) == structure_constants(t)
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +144,21 @@ def is_rigid(t, omega=1, p0=2):
 
 
 class ShellReduction:
-    """Normal forms on the oscillator shell of one (omega, p0), filled lazily.
+    """Normal forms, filled lazily, and conic points on the shell of one (omega, p0).
 
     The shell substitutes q = Ap*Am/omega and p = (Ap**2 - Am**2)/2, then
     eliminates Am-powers above 1 through Am**2 = 2*p0 - Ap**2.  The table
     keeps the normal form of each monomial it has met, so the values reduced
     through one table pay for each monomial once, and a zero value costs
-    nothing.  Nothing outlives the table.
+    nothing.  Nothing outlives the table.  `sigma` is sqrt(2*p0) when that
+    is rational and None otherwise; `conic_points` and `point_defect` prove
+    values zero on the shell without the reduction.
     """
 
     def __init__(self, omega, p0):
-        w = _positive(omega, "omega")
-        p0 = _positive(p0, "p0")
+        self._w = w = _positive(omega, "omega")
+        self._p0 = p0 = _positive(p0, "p0")
+        self.sigma = rational_sqrt(2 * p0)
         self._q = (poly.a_plus * poly.a_minus) * (1 / w)
         self._p = (poly.a_plus ** 2 - poly.a_minus ** 2) * Fraction(1, 2)
         self._shell = Poly.constant(2 * p0) - poly.a_plus ** 2
@@ -202,6 +191,37 @@ class ShellReduction:
                         * self._shell ** (l // 2))
             self._forms[exps] = form
         return form
+
+    def conic_points(self, n):
+        """Columns q, p, alpha, beta at the points u = 0..n-1 of the shell conic:
+        Ap = s*alpha = s*(1 - u**2)/(1 + u**2) and Am = s*beta = s*2u/(1 + u**2)."""
+        alpha = [Fraction(1 - u * u, 1 + u * u) for u in range(n)]
+        beta = [Fraction(2 * u, 1 + u * u) for u in range(n)]
+        return ([self._p0 * 2 * x * y / self._w for x, y in zip(alpha, beta)],
+                [self._p0 * (x * x - y * y) for x, y in zip(alpha, beta)], alpha, beta)
+
+    def point_defect(self, values):
+        """(D, name) over (name, polynomial) pairs: D bounds each one's degree on
+        the shell conic, and name is the first not zero at u = 0..2D, or None.
+
+        At u a polynomial is N(u)/(1 + u**2)**D with deg N <= 2D, since D is at
+        least max(2i + 2j + k + l) over its terms q^i p^j Ap^k Am^l.  N has its
+        coefficients in a field, as s = sqrt(2*p0) is folded to its value when
+        that is rational, so zero at the 2D + 1 points means zero at every u,
+        and so on the whole conic, which the u cover but for one point.
+        """
+        s = self.sigma or ExtScalar(0, 1, p0=self._p0)
+        degree = max((2 * (i + j) + k + l for _, v in values for i, j, k, l in v.terms),
+                     default=0)
+        powers = [Fraction(1)]   # s^m for m = 0..D; each one free of s is a Fraction
+        while len(powers) <= degree:
+            powers.append(_coefficient(powers[-1] * s))
+        points = self.conic_points(2 * degree + 1)
+        for name, value in values:
+            terms = [(e, _coefficient(c * powers[e[2] + e[3]])) for e, c in value.terms.items()]
+            if any(poly.evaluate_terms(terms, points)):
+                return degree, name
+        return degree, None
 
 
 def raw_jacobian(mu):

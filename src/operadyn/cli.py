@@ -13,7 +13,7 @@ so every output depends only on the flags; only trace computes in floats.
 `verify` builds each class's operator bracket and Jacobi defect once
 (`quantum.classify`): jacobi-quantum reads the certificate, and
 jacobi-classical proves the commutative image of its defect, the classical
-defect, zero on the energy shell.
+defect, zero on the energy shell by the two proofs of a `ShellReduction`.
 
 The argparse parser is built once per process, on the first call of
 `main`, and reused by every later call; it holds no results, and each call
@@ -37,7 +37,6 @@ from pathlib import Path
 from . import bianchi, poly, quantum
 from .bianchi import BianchiType
 from .lax import LaxFamilyParams, matrix_lax_residual, operadic_lax_residual
-from .ncpoly import ExtScalar, _coefficient
 from .oscillator import BranchError
 from .structure import PAIRS
 
@@ -45,15 +44,6 @@ from .structure import PAIRS
 COLUMNS = [f"mu{i}_{j}{k}" for (j, k) in PAIRS for i in (1, 2, 3)]
 
 _VERIFY_SUITES = ("matrix-lax", "operadic-lax", "jacobi-classical", "jacobi-quantum")
-
-_EXPECTED_KIND = {
-    "I": quantum.RIGID, "VII": quantum.RIGID, "VIII": quantum.RIGID,
-    "IX": quantum.RIGID,
-    "II": quantum.QUANTUM_LIE, "VI": quantum.QUANTUM_LIE,
-    "IV": quantum.ANOMALOUS_I, "V": quantum.ANOMALOUS_I,
-    "VIIa": quantum.ANOMALOUS_II, "IIIa1": quantum.ANOMALOUS_II,
-    "VIa": quantum.ANOMALOUS_II,
-}
 
 
 def _fraction(text):
@@ -219,53 +209,19 @@ def _check_operadic_lax(cfg):
                   " linear in C1..C9, so zero for every C")
 
 
-def _shell_points(omega, p0, n):
-    """Columns q, p, alpha, beta at the points u = 0..n-1 of the shell conic:
-    Ap = s*alpha = s*(1 - u**2)/(1 + u**2) and Am = s*beta = s*2u/(1 + u**2)."""
-    alpha = [Fraction(1 - u * u, 1 + u * u) for u in range(n)]
-    beta = [Fraction(2 * u, 1 + u * u) for u in range(n)]
-    return ([p0 * 2 * x * y / omega for x, y in zip(alpha, beta)],
-            [p0 * (x * x - y * y) for x, y in zip(alpha, beta)], alpha, beta)
-
-
-def _shell_defect(values, omega, p0):
-    """(D, name) over (name, polynomial) pairs: D bounds each one's degree on
-    the shell conic, and name is the first not zero at u = 0..2D, or None.
-
-    At u a polynomial is N(u)/(1 + u**2)**D with deg N <= 2D, since D is at
-    least max(2i + 2j + k + l) over its terms q^i p^j Ap^k Am^l.  N has its
-    coefficients in a field, as s = sqrt(2*p0) is folded to its value when
-    that is rational, so zero at the 2D + 1 points means zero at every u,
-    and so on the whole conic, which the u cover but for one point.
-    """
-    s = poly.rational_sqrt(2 * p0) or ExtScalar(0, 1, p0=p0)
-    degree = max((2 * (i + j) + k + l for _, v in values for i, j, k, l in v.terms),
-                 default=0)
-    powers = [Fraction(1)]   # s^m for m = 0..D; each one free of s is a Fraction
-    while len(powers) <= degree:
-        powers.append(_coefficient(powers[-1] * s))
-    points = _shell_points(omega, p0, 2 * degree + 1)
-    for name, value in values:
-        terms = [(e, _coefficient(c * powers[e[2] + e[3]])) for e, c in value.terms.items()]
-        if any(poly.evaluate_terms(terms, points)):
-            return degree, name
-    return degree, None
-
-
 def _check_jacobi_classical(cfg, certificates):
     # one shell reduction table serves every class
     shell = bianchi.ShellReduction(cfg.omega, cfg.p0)
-    sigma = poly.rational_sqrt(2 * cfg.p0)
     components = []
     for t, cert in certificates:
         # the commutative image of the operator defect is the classical one
-        raw = [quantum.commutative_image(c, sigma) for c in cert.jacobian]
+        raw = [quantum.commutative_image(c, shell.sigma) for c in cert.jacobian]
         reduced = tuple(map(shell.reduce, raw))
         if any(not c.is_zero for c in reduced):
             return False, f"on-shell defect of {t.label} is not zero: {reduced}"
         components += [(t.label, c) for c in raw]
     # a second proof, independent of the reduction
-    degree, label = _shell_defect(components, cfg.omega, cfg.p0)
+    degree, label = shell.point_defect(components)
     if label is not None:
         return False, f"defect of {label} is not zero at the shell points u = 0..{2 * degree}"
     return True, (f"all classes reduce to zero on shell; each defect has degree"
@@ -276,7 +232,7 @@ def _check_jacobi_classical(cfg, certificates):
 def _check_jacobi_quantum(certificates):
     lines = []
     for t, cert in certificates:
-        expected = _EXPECTED_KIND[t.tag]
+        expected = quantum._EXPECTED_KIND[t.tag]
         if cert.kind != expected:
             return False, f"{t.label} classified {cert.kind}, expected {expected}"
         if expected == quantum.ANOMALOUS_II and cert.tau != -1:

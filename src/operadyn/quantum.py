@@ -65,11 +65,11 @@ def _exps(word):
 def commutative_image(value, sigma=None):
     """The Poly of an NCPoly whose generators commute: each word becomes the
     monomial of its letter counts, merged through `_collect`, and given the
-    rational value sigma of s, each u + v*s folds to u + v*sigma first by
-    `ncpoly._fold_s`, the s-fold of `bianchi.deform_formal`.  A ring map
-    that takes each entry of `quantize(t, omega, p0)` to the entry of
-    `bianchi.deform(t, omega, p0)`, so it takes the operator defect of a
-    class to its commutative one, `bianchi.raw_jacobian(bianchi.deform(t,
+    rational value sigma of s (`bianchi.ShellReduction.sigma`), each u + v*s
+    folds to u + v*sigma first by `ncpoly._fold_s`, as in `bianchi.deform`.
+    A ring map that takes each entry of `quantize(t, omega, p0)` to the
+    entry of `bianchi.deform(t, omega, p0)`, so it takes the operator defect
+    of a class to its commutative one, `bianchi.raw_jacobian(bianchi.deform(t,
     omega, p0))`."""
     terms = value.terms.items()
     if sigma is not None:
@@ -115,13 +115,6 @@ def generator_commutator(p0):
     return commutator(ap, am)
 
 
-def _tensor_p0(mu):
-    for _, value in mu.independent_entries():
-        if isinstance(value, NCPoly):
-            return value.p0
-    raise ValueError("tensor has no NCPoly entries to infer the p0 context from")
-
-
 def _nc_entries(mu):
     """The 27 row-major entries of mu, each checked to be an NCPoly of the
     first one's p0 (ValueError if not)."""
@@ -147,8 +140,8 @@ def basis_jacobian(mu):
 
     The cyclic kernel shared with `bianchi.raw_jacobian`, over NCPoly entries.
     """
-    p0 = _tensor_p0(mu)
-    return JacobianTriple(*_cyclic_defect(_nc_entries(mu), NCPoly({}, p0=p0)))
+    flat = _nc_entries(mu)
+    return JacobianTriple(*_cyclic_defect(flat, flat[0]._like({})))
 
 
 class AnomalyCertificate(namedtuple("AnomalyCertificate",
@@ -207,3 +200,12 @@ def _match(t, rigid, defect, w, p0):
                                            f"{tau:+d}*(a/sqrt(2*p0^3))*xi_minus",
                                            "(a^2/p0)*[Ap,Am]")
     return UNCLASSIFIED, None, ()
+
+
+# the bucket each class is expected to land in (see the module docstring)
+_EXPECTED_KIND = {
+    "I": RIGID, "VII": RIGID, "VIII": RIGID, "IX": RIGID,
+    "II": QUANTUM_LIE, "VI": QUANTUM_LIE,
+    "IV": ANOMALOUS_I, "V": ANOMALOUS_I,
+    "VIIa": ANOMALOUS_II, "IIIa1": ANOMALOUS_II, "VIa": ANOMALOUS_II,
+}

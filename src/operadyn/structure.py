@@ -155,20 +155,14 @@ class StructureTensor(Operation):
         return all(_is_number(v) or v.is_constant for v in self.coeffs.flat)
 
     def constant_tensor(self):
-        """Fold constant entries down to plain numbers."""
+        """Fold constant entries down to plain numbers.
+
+        Taking the constant value is odd, so the image of an antisymmetric
+        tensor is antisymmetric and is built unchecked.
+        """
         if not self.is_constant:
             raise ValueError("tensor has non-constant entries")
-        return self._map(lambda v: v if _is_number(v) else v.constant_value())
-
-    def _map(self, fn):
-        """The tensor of fn applied to every entry, built unchecked.
-
-        The contract: fn is odd, fn(-v) == -fn(v), so the image of an
-        antisymmetric tensor is antisymmetric.  Two maps use it:
-        `constant_tensor`'s constant value and `bianchi._fold`, each linear
-        over the rationals.
-        """
-        return _trusted(map(fn, self.coeffs.flat))
+        return _trusted(v if _is_number(v) else v.constant_value() for v in self.coeffs.flat)
 
     def __repr__(self):
         parts = [f"mu^{i}_{{{j}{k}}}={v}"

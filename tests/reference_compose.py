@@ -24,7 +24,7 @@ from operator import mul, neg
 
 from operadyn.ncpoly import NCPoly
 from operadyn.operad import graded_sign, partial_compose, total_compose
-from operadyn.quantum import JacobianTriple, _nc_entries, _tensor_p0
+from operadyn.quantum import JacobianTriple, _nc_entries
 from operadyn.structure import _position
 
 
@@ -86,11 +86,11 @@ def quantum_jacobian(mu, x, y, z):
     (the formula of the `quantum` module docstring).  Each nonzero weight is
     computed once for all three components.
     """
-    p0 = _tensor_p0(mu)
     x = _as_vector(x)
     y = _as_vector(y)
     z = _as_vector(z)
     ent = _nc_entries(mu)
+    p0 = ent[0].p0
 
     # (i, j, l, u^i v^j w^l) in (rotation, i, j, l) order; a zero factor
     # skips the weight before anything is multiplied

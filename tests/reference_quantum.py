@@ -1,18 +1,25 @@
-"""The operator bracket and certificate of the quantization map, for the tests.
+"""The old maps of the formal table, for the tests.
 
 `quantum.quantize` writes each class's operator bracket from the Lax family
 at the words, and `quantum.classify` classifies it.  Before that, the
 operator bracket was the quantization map applied entry by entry to
 `bianchi.formal_deformation`, and the certificate was built from it with
 the cyclic defect summed in the ring and the rigidity test on its constant
-tensor.  `quantize_formal` and `classify_formal` here are those bodies,
-kept as the oracle: the tests compare every entry's value, type, term order
-and coefficient types, and every certificate, against them.
+tensor.  `quantize_formal` and `classify_formal` here are those bodies.
+
+`bianchi.deform` writes the phase-space table from parameters in which s =
+sqrt(2*p0) is folded to its value when that is rational.  Before that, it
+folded every coefficient of the formal table: `deform_formal` and `_fold`
+here are that map.
+
+Both are kept as the oracle: the tests compare every entry's value, type,
+term order and coefficient types, and every certificate, against them.
 """
 
-from operadyn import bianchi
-from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly, _positive, _rational
-from operadyn.poly import Poly
+from operadyn import bianchi, poly
+from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly, _fold_s, _positive, _rational
+from operadyn.poly import Poly, rational_sqrt
+from operadyn.structure import _trusted
 from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, UNCLASSIFIED,
                               AnomalyCertificate, generator_commutator, xi_pair)
 from reference_compose import quantum_jacobian
@@ -40,7 +47,32 @@ def quantize_formal(formal, p0):
         c = zero._coeff(value)
         return zero._like({(): c} if c else {})
 
-    return formal._map(operator)
+    return _trusted(map(operator, formal.coeffs.flat))
+
+
+def _fold(value, sigma):
+    """Replace the formal s of an entry by its rational value sigma (`ncpoly._fold_s`).
+
+    A Poly keeps its keys, so it is rebuilt unchecked; a coefficient that
+    folds to 0 is dropped.  The fold is odd, so `deform_formal` maps a
+    tensor through it unchecked.
+    """
+    if not isinstance(value, Poly):
+        return _fold_s(value, sigma)
+    folded = ((exps, _fold_s(c, sigma)) for exps, c in value.terms.items())
+    return poly._trusted({exps: c for exps, c in folded if c})
+
+
+def deform_formal(formal, p0):
+    """The phase-space table of a formal deformation at the same p0.
+
+    When sigma = sqrt(2*p0) is rational, s is folded to sigma and every
+    coefficient is a Fraction; otherwise s stays formal.
+    """
+    sigma = rational_sqrt(2 * _positive(p0, "p0"))
+    if sigma is None:
+        return formal
+    return _trusted(_fold(v, sigma) for v in formal.coeffs.flat)
 
 
 def classify_formal(t, formal, omega, p0):

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from operadyn import poly, quantum
 from operadyn.bianchi import (BianchiType, TAGS, ShellReduction, all_types,
-                              classical_jacobian, deform, deform_formal,
-                              deformation_trace, formal_deformation,
-                              is_rigid, raw_jacobian, structure_constants)
+                              classical_jacobian, deform, deformation_trace,
+                              formal_deformation, is_rigid, raw_jacobian,
+                              structure_constants)
 from operadyn.cli import main
 from operadyn.lax import (LaxFamilyParams, build_matrix_lax, formal_mu,
                           matrix_lax_residual, operadic_lax_residual,
@@ -26,6 +26,7 @@ from operadyn.ncpoly import ExtScalar
 from operadyn.oscillator import BranchError
 from operadyn.poly import Poly, rational_sqrt
 from operadyn.structure import StructureTensor, _cyclic_defect
+from reference_quantum import deform_formal
 from reference_shell import reference_reduce_on_shell
 from reference_tables import GRID, transcribed_deformation
 from reference_trace import scalar_evaluate
@@ -152,6 +153,24 @@ class TestDeform:
     def test_rigidity_set(self):
         rigid = {t.tag for t in all_types(A) if is_rigid(t)}
         assert rigid == {"I", "VII", "VIII", "IX"}
+
+    # sqrt(2*p0) is rational at p0 = 2, 9/8, 25/18 and 8, and stays the formal s at 3 and 1/5
+    @pytest.mark.parametrize("p0", [Fraction(2), Fraction(3), Fraction(9, 8), Fraction(1, 5),
+                                    Fraction(25, 18), Fraction(8)])
+    def test_folded_parameters_match_the_folded_table(self, p0):
+        # the table written from folded C5..C8 against the fold of every
+        # entry of the formal table (`reference_quantum.deform_formal`)
+        for omega, a in ((Fraction(1), A), (Fraction(3, 2), Fraction(2, 3))):
+            for t in all_types(a):
+                got = deform(t, omega, p0)
+                want = deform_formal(formal_deformation(t, omega, p0), p0)
+                assert type(got) is type(want) is StructureTensor
+                for x, y in zip(got.coeffs.flat, want.coeffs.flat, strict=True):
+                    assert type(x) is type(y) and x == y and str(x) == str(y), t.label
+                    if isinstance(y, Poly):
+                        assert list(x.terms.items()) == list(y.terms.items()), t.label
+                        assert ([type(c) for c in x.terms.values()]
+                                == [type(c) for c in y.terms.values()]), t.label
 
 
 class TestOnShellReduction:
@@ -378,7 +397,6 @@ _FLOAT_CALLS = {
     "formal_deformation p0": lambda: formal_deformation(_VIIA, 1, 0.1),
     "deform omega": lambda: deform(_VIIA, 0.1, Fraction(2)),
     "deform p0": lambda: deform(_VIIA, 1, 0.1),
-    "deform_formal p0": lambda: deform_formal(formal_deformation(_VIIA, 1, 2), 2.0),
     "ShellReduction omega": lambda: ShellReduction(0.5, Fraction(2)),
     "ShellReduction p0": lambda: ShellReduction(1, 0.5),
     "deformation_trace omega": lambda: deformation_trace(_VIIA, 0.1, Fraction(2), [0.0]),
@@ -419,8 +437,7 @@ _NONPOSITIVE_CALLS = {
                                  "omega must be positive, got -1/2"),
     "xi_pair omega": (lambda: quantum.xi_pair(0, 2), "omega must be positive, got 0"),
     "classify omega": (lambda: quantum.classify(_VIIA, 0, 2), "omega must be positive, got 0"),
-    "deform_formal p0": (lambda: deform_formal(formal_deformation(_VIIA, 1, 2), -2),
-                         "p0 must be positive, got -2"),
+    "deform p0": (lambda: deform(_VIIA, 1, -2), "p0 must be positive, got -2"),
 }
 
 

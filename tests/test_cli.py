@@ -163,13 +163,13 @@ class TestVerify:
             " so on all of it)")
 
     def test_jacobi_classical_catches_off_shell_points(self, capsys, monkeypatch):
-        real = cli._shell_points
+        real = bianchi.ShellReduction.conic_points
 
-        def off_shell(omega, p0, n):
-            q, p, alpha, beta = real(omega, p0, n)
+        def off_shell(self, n):
+            q, p, alpha, beta = real(self, n)
             return q, [v * Fraction(1001, 1000) for v in p], alpha, beta
 
-        monkeypatch.setattr(cli, "_shell_points", off_shell)
+        monkeypatch.setattr(bianchi.ShellReduction, "conic_points", off_shell)
         code, out, _ = run(capsys, "verify", "jacobi-classical")
         assert code == 1
         # VIIa is the first class whose defect holds p
@@ -228,15 +228,15 @@ class TestVerify:
         f = Poly.constant(1)
         for k in range(7):
             f = f * (am - k * (ap + s))
-        q, p, alpha, beta = cli._shell_points(Fraction(1), p0, 8)
+        conic = bianchi.ShellReduction(Fraction(1), p0)
+        q, p, alpha, beta = conic.conic_points(8)
         values = [scalar_evaluate(f.terms.items(), (*point, s * x, s * y))
                   for *point, x, y in zip(q, p, alpha, beta)]
         assert [bool(v) for v in values] == [False] * 7 + [True]
-        assert cli._shell_defect([("f", f)], Fraction(1), p0) == (7, "f")
+        assert conic.point_defect([("f", f)]) == (7, "f")
         # zero on the conic, though not as a polynomial
         shell = ap * ap + am * am - 2 * p0
-        assert cli._shell_defect([("0", Poly()), ("shell", shell)],
-                                 Fraction(1), p0) == (2, None)
+        assert conic.point_defect([("0", Poly()), ("shell", shell)]) == (2, None)
 
     def test_verify_path_holds_no_floats(self):
         def names(code):
@@ -246,8 +246,9 @@ class TestVerify:
                     out |= names(const)
             return out
 
-        for fn in (cli._run_verify, cli._check_jacobi_classical, cli._shell_defect,
-                   cli._shell_points):
+        shell = bianchi.ShellReduction
+        for fn in (cli._run_verify, cli._check_jacobi_classical, shell.__init__,
+                   shell.point_defect, shell.conic_points):
             assert not names(fn.__code__) & {"float", "math", "_positive_float"}, fn
         assert not hasattr(cli, "sample_flow")
 

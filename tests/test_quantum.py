@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operadyn import poly
-from operadyn.bianchi import (BianchiType, ShellReduction, all_types, deform_formal,
-                              formal_deformation, raw_jacobian)
+from operadyn.bianchi import (BianchiType, ShellReduction, all_types, deform,
+                              formal_deformation, raw_jacobian, structure_constants)
 from operadyn.lax import LaxFamilyParams, _member, formal_mu
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
 from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, _exps,
@@ -25,7 +25,7 @@ from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, _ex
                               generator_commutator, quantize, xi_pair)
 from operadyn.structure import StructureTensor, _position, _trusted
 from reference_compose import quantum_jacobian, triple_product
-from reference_quantum import _word, classify_formal, quantize_formal
+from reference_quantum import _word, classify_formal, deform_formal, quantize_formal
 from reference_tables import GRID, operator_table
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -266,6 +266,13 @@ class TestBracketAndJacobian:
             with pytest.raises(ValueError, match="not an NCPoly"):
                 defect(mu)
 
+    def test_tensor_without_ncpoly_entries_rejected(self):
+        # the first entry, mu^1_{11}, gives the context, so it is the one named
+        mu = structure_constants(BianchiType("VII"))
+        for defect in (basis_jacobian, lambda m: quantum_jacobian(m, E1, E2, E3)):
+            with pytest.raises(ValueError, match=r"^entry mu\^1_\{11\} is not an NCPoly: "):
+                defect(mu)
+
     def test_triple_product_factorization_random(self):
         rng = random.Random(21)
         mu = quantize(BianchiType("VIa", Fraction(3, 2)), 1, Fraction(2))
@@ -326,7 +333,7 @@ class TestCommutativeImage:
             sigma = poly.rational_sqrt(2 * p0)
             for t in all_types(a):
                 operator = quantize(t, omega, p0).coeffs.flat
-                table = deform_formal(formal_deformation(t, omega, p0), p0).coeffs.flat
+                table = deform(t, omega, p0).coeffs.flat
                 for got, want in zip(operator, table):
                     assert commutative_image(got, sigma) == poly.as_poly(want), t.label
 

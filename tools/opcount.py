@@ -1,10 +1,12 @@
-"""Count the Python-level work of `verify` and `tables quantum` in two operadyn trees.
+"""Count the Python-level work of `verify`, `tables` and `trace` in two operadyn trees.
 
-For `verify all`, each of its four suites alone and `tables quantum` (the
-operator table), at two fixed flag sets (the defaults, where sqrt(2*p0) = 2
-is rational, and one where sqrt(2*p0) = sqrt(6) stays formal), prints four
-counts per tree, taken with `sys.setprofile` over one in-process
-`operadyn.cli.main` call after a warm-up call:
+For `verify all`, each of its four suites alone, `tables quantum` (the
+operator table), `tables deformed` (the phase-space table) and `trace VIIa
+--t-samples 100` (the exact table and its float samples), at two fixed flag
+sets (the defaults, where sqrt(2*p0) = 2 is rational, and one where
+sqrt(2*p0) = sqrt(6) stays formal), prints four counts per tree, taken with
+`sys.setprofile` over one in-process `operadyn.cli.main` call after a
+warm-up call:
 
     calls      Python function calls (profile "call" events, generator
                resumptions included)
@@ -37,7 +39,8 @@ import sys
 
 COMMANDS = (*(("verify", suite) for suite in
                ("all", "matrix-lax", "operadic-lax", "jacobi-classical", "jacobi-quantum")),
-            ("tables", "quantum"))
+            ("tables", "quantum"), ("tables", "deformed"),
+            ("trace", "VIIa", "--t-samples", "100"))
 
 FLAG_SETS = (
     ("defaults: omega=1 p0=2 a=1/2, sqrt(2*p0) = 2", ()),
@@ -108,14 +111,14 @@ def main(argv=None):
     same = True
     for title, flags in FLAG_SETS:
         print(f"flags: {title}")
-        print((f"  {'command':<25}" + "".join(f"{name:<31}" for name in COUNTS)).rstrip())
+        print((f"  {'command':<28}" + "".join(f"{name:<31}" for name in COUNTS)).rstrip())
         for command in COMMANDS:
             base_exit, base = count(base_src, (*command, *flags))
             new_exit, new = count(new_src, (*command, *flags))
             same = same and base_exit == new_exit
             line = "".join(f"{_change(base[name], new[name]):<31}" for name in COUNTS)
             note = "" if base_exit == new_exit else f"  exit {base_exit} -> {new_exit}"
-            print(f"  {' '.join(command):<25}{line.rstrip()}{note}")
+            print(f"  {' '.join(command):<28}{line.rstrip()}{note}")
     return 0 if same else 1
 
 
