@@ -18,11 +18,12 @@ operator table (`quantum.quantize`) is the member written at the words.
 defect as the commutative image of the operator one
 (`quantum.commutative_image`).  On the energy shell the deformed bracket
 satisfies the Jacobi identity at every time.  A `ShellReduction` for one
-(omega, p0) owns the shell: its sigma = sqrt(2*p0) when rational, the exact
-reduction to normal form, which keeps the normal form of each monomial it
-has met (`classical_jacobian` reduces its three components through one
-table), and a second proof independent of it, at points of the shell
-conic as many as a degree bound asks for.  No table outlives its caller.
+(omega, p0) owns the shell: its sigma = sqrt(2*p0) when rational; the exact
+reduction to normal form, which writes each monomial's normal form as one
+product from the shell's relations and keeps it (`classical_jacobian`
+reduces its three components through one table); and a second proof
+independent of it, at points of the shell conic as many as a degree bound
+asks for.  No table outlives its caller.
 
 `BianchiType` is a namedtuple whose constructor, `_make` and `_replace` check
 and normalize (tag, a); it compares, hashes and unpacks as that tuple, so
@@ -72,9 +73,7 @@ class BianchiType(namedtuple("BianchiType", "tag a")):
         if tag in PARAMETRIC:
             if a is None:
                 raise ValueError(f"type {tag} requires a modulus a > 0")
-            a = _rational(a)
-            if not a > 0:
-                raise ValueError(f"modulus must be positive, got {a}")
+            a = _positive(a, "modulus")
             if tag == "VIa" and a == 1:
                 raise ValueError("type VIa requires a != 1 (a = 1 is type IIIa1)")
         elif tag == "IIIa1":
@@ -146,21 +145,23 @@ def is_rigid(t, omega=1, p0=2):
 class ShellReduction:
     """Normal forms, filled lazily, and conic points on the shell of one (omega, p0).
 
-    The shell substitutes q = Ap*Am/omega and p = (Ap**2 - Am**2)/2, then
-    eliminates Am-powers above 1 through Am**2 = 2*p0 - Ap**2.  The table
-    keeps the normal form of each monomial it has met, so the values reduced
-    through one table pay for each monomial once, and a zero value costs
-    nothing.  Nothing outlives the table.  `sigma` is sqrt(2*p0) when that
-    is rational and None otherwise; `conic_points` and `point_defect` prove
-    values zero on the shell without the reduction.
+    On the shell q = Ap*Am/omega, p = Ap**2 - p0 and Am**2 = 2*p0 - Ap**2, so
+    the normal form of q^i p^j Ap^k Am^l is the one product
+    Ap^(i+k) (Ap**2 - p0)^j (2*p0 - Ap**2)^((i+l)//2) Am^((i+l)%2) (1/omega)^i,
+    with no Am-power above 1.  The table keeps the normal form of each
+    monomial it has met, so the values reduced through one table pay for
+    each monomial once, and a zero value costs nothing.  Nothing outlives
+    the table.  `sigma` is sqrt(2*p0) when that is rational and None
+    otherwise; `conic_points` and `point_defect` prove values zero on the
+    shell without the reduction.
     """
 
     def __init__(self, omega, p0):
         self._w = w = _positive(omega, "omega")
         self._p0 = p0 = _positive(p0, "p0")
         self.sigma = rational_sqrt(2 * p0)
-        self._q = (poly.a_plus * poly.a_minus) * (1 / w)
-        self._p = (poly.a_plus ** 2 - poly.a_minus ** 2) * Fraction(1, 2)
+        self._inverse_w = Poly.constant(1 / w)
+        self._p = poly.a_plus ** 2 - Poly.constant(p0)
         self._shell = Poly.constant(2 * p0) - poly.a_plus ** 2
         self._forms = {}
 
@@ -170,11 +171,7 @@ class ShellReduction:
         It is the zero polynomial exactly when the value vanishes on the
         shell (for the branch chart's image, which is Zariski dense in it).
         """
-        return self._combine(poly.as_poly(value).terms.items())
-
-    def _combine(self, terms):
-        """The sum of coeff times the normal form of exps over (exps, coeff)."""
-        pairs = ((key, coeff * c) for exps, coeff in terms
+        pairs = ((key, coeff * c) for exps, coeff in poly.as_poly(value).terms.items()
                  for key, c in self._form(exps).terms.items())
         return poly._trusted(_collect({}, pairs))
 
@@ -182,14 +179,9 @@ class ShellReduction:
         form = self._forms.get(exps)
         if form is None:
             i, j, k, l = exps
-            if i or j:
-                # substitute q and p, then reduce the image's Ap, Am monomials
-                image = (self._q ** i * self._p ** j).terms.items()
-                form = self._combine(((0, 0, a + k, b + l), c) for (_, _, a, b), c in image)
-            else:
-                form = (poly.a_plus ** k * poly.a_minus ** (l % 2)
-                        * self._shell ** (l // 2))
-            self._forms[exps] = form
+            form = self._forms[exps] = (
+                poly.a_plus ** (i + k) * self._p ** j * self._shell ** ((i + l) // 2)
+                * poly.a_minus ** ((i + l) % 2) * self._inverse_w ** i)
         return form
 
     def conic_points(self, n):

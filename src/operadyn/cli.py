@@ -37,6 +37,7 @@ from pathlib import Path
 from . import bianchi, poly, quantum
 from .bianchi import BianchiType
 from .lax import LaxFamilyParams, matrix_lax_residual, operadic_lax_residual
+from .ncpoly import _positive
 from .oscillator import BranchError
 from .structure import PAIRS
 
@@ -296,8 +297,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         for flag in ("omega", "p0", "a"):
-            if not getattr(args, flag) > 0:
-                raise ValueError(f"{flag} must be positive, got {getattr(args, flag)}")
+            _positive(getattr(args, flag), flag)
         code = 0
         if args.command == "tables":
             text = _render_tables(args.which, args, args.type_tag, args.format)

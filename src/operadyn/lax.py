@@ -15,14 +15,14 @@ bilinear operation mu on a 3d space, drawn from a nine-parameter family
 mu(C1..C9), and keeps M and the bracket: [M, mu] is the same Gerstenhaber
 bracket in the endomorphism operad.  `build_mu` returns mu as a
 `StructureTensor`, the degree-2 Operation, so it enters the bracket as it
-is; `formal_mu` is `build_mu` at the generators q, p, Ap, Am.  The family
-formula is written once, as the table `_FAMILY` of each independent entry's
-terms.  At the generators `build_mu` writes each entry's Poly terms from it
-directly, in the formula's term order; at a numeric point it sums the same
-terms with the ring operators.  Either way mu^3_{12} is the scalar C9, each
-mirror is the negated entry, and the tensor is built unchecked.  The same
-writer, keyed by words, gives the operator bracket over the free algebra
-that `quantum.quantize` returns.  Every member of the family satisfies
+is.  The family formula is written once, as the table `_FAMILY` of each
+independent entry's terms.  `build_mu` sums each entry's terms with the
+ring operators at the point it is given; `formal_mu`, the member at the
+generators q, p, Ap, Am, writes each entry's Poly terms from the table
+directly, in the formula's term order.  Either way mu^3_{12} is the scalar
+C9, each mirror is the negated entry, and the tensor is built unchecked.
+The same writer, keyed by words, gives the operator bracket over the free
+algebra that `quantum.quantize` returns.  Every member of the family satisfies
 
     d(mu)/dt = [M, mu]
 
@@ -150,30 +150,29 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
         mu^3_{13} = C7*Ap + C8*Am              mu^3_{23} = C7*Am - C8*Ap
         mu^3_{12} = C9
 
-    At the generators `poly.q`, `poly.p`, `poly.a_plus`, `poly.a_minus`,
-    every entry but mu^3_{12} is a Poly written term by term (see
-    `_member`).  Elsewhere each entry is the sum of its terms in the order
-    above, each term coordinate times C_n, with omega*q formed once: the
-    ring arithmetic the table stands for.  mu^3_{12} is C9 itself, and each
-    mirror is the negative of its entry (see `structure._mirror`), so the
-    tensor is antisymmetric by construction and is built unchecked.
+    Each entry is the sum of its terms in the order above, each term
+    coordinate times C_n, with omega*q formed once: the ring arithmetic the
+    table stands for, so polynomial coordinates give a symbolic tensor.
+    mu^3_{12} is C9 itself, and each mirror is the negative of its entry
+    (see `structure._mirror`), so the tensor is antisymmetric by
+    construction and is built unchecked.  The symbolic member at the
+    generators q, p, Ap, Am is written term by term by `formal_mu`.
     """
-    if q is poly.q and p is poly.p and a_plus is poly.a_plus and a_minus is poly.a_minus:
-        return _member(params, _coefficient(omega))
     return _member(params, omega, {_WQ: q * omega, _P: p, _AP: a_plus, _AM: a_minus})
 
 
 def _member(params, omega, point=None, zero=None):
-    """`build_mu` at a point, {monomial: coordinate}, or at the generators.
+    """The family member at a point, {monomial: coordinate}, or at the generators.
 
-    At the generators (no point) each entry is written from its `_FAMILY`
-    row, term by term in the row's order, with coefficient C_n or C_n*omega
-    and without its zero terms, so an all-zero entry has no terms.  It is a
-    Poly keyed by the monomials, but mu^3_{12} stays the number C9 and the
-    diagonal the Fraction 0.  Given `zero`, the zero NCPoly of a p0 instead,
-    every entry is an NCPoly of that context keyed by the monomials'
-    `_WORDS`, mu^3_{12} the constant C9 and the diagonal `zero`: the
-    operator bracket over the free algebra.
+    At a point each entry is the sum of its `_FAMILY` terms (`build_mu`).  At
+    the generators (no point) each entry is written from its row, term by
+    term in the row's order, with coefficient C_n or C_n*omega and without
+    its zero terms, so an all-zero entry has no terms.  It is a Poly keyed
+    by the monomials, but mu^3_{12} stays the number C9 and the diagonal the
+    Fraction 0.  Given `zero`, the zero NCPoly of a p0 instead, every entry
+    is an NCPoly of that context keyed by the monomials' `_WORDS`,
+    mu^3_{12} the constant C9 and the diagonal `zero`: the operator bracket
+    over the free algebra.
     """
     c = (None, *params.c)   # C_n at index n
     like = poly._trusted if zero is None else zero._like
@@ -198,10 +197,10 @@ def _member(params, omega, point=None, zero=None):
 
 
 def formal_mu(params, omega):
-    """The symbolic family member: `build_mu` at the generators, so every
-    entry but the scalar mu^3_{12} = C9 is a Poly in q, p, Ap, Am written
-    from its terms."""
-    return build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, _positive(omega, "omega"))
+    """The symbolic family member, `build_mu` at the generators q, p, Ap, Am:
+    every entry but the scalar mu^3_{12} = C9 is a Poly written from its
+    terms (`_member`)."""
+    return _member(params, _positive(omega, "omega"))
 
 
 def solve_C(mu0, p0):
@@ -265,7 +264,7 @@ def operadic_lax_residual(params, omega):
     energy shell at once, so p0 never enters.
     """
     w = _positive(omega, "omega")
-    mu = build_mu(params, poly.q, poly.p, poly.a_plus, poly.a_minus, w)
+    mu = _member(params, w)
     bracket = gerstenhaber_bracket(rotation_generator(w), mu)
     flow = [_time_derivative(v, w) for v in mu.coeffs.flat]
     # a difference of antisymmetric tensors, which adds no exact zero

@@ -71,7 +71,7 @@ def _rational(value):
 
 def _positive(value, name):
     """The Fraction of a positive rational: `_rational`, and ValueError naming it if not."""
-    fraction = _rational(value)
+    fraction = value if type(value) is Fraction else _rational(value)
     # the sign through the numerator: `fraction > 0` checks 0 against an ABC
     if not fraction.numerator > 0:
         raise ValueError(f"{name} must be positive, got {value}")

@@ -282,6 +282,17 @@ class TestShellReduction:
         for _ in range(2):
             assert _same(shell.reduce(value), want)
 
+    @pytest.mark.parametrize("omega, p0", [(1, Fraction(2)), (Fraction(3, 2), Fraction(3)),
+                                           (Fraction(5, 7), Fraction(25, 18))])
+    def test_every_monomial_up_to_degree_four(self, omega, p0):
+        # sqrt(2*p0) = 2, sqrt(6) and 5/3; the class defects have total
+        # degree <= 2, and these monomials cover twice that
+        shell = ShellReduction(omega, p0)
+        for exps in itertools.product(range(5), repeat=4):
+            if sum(exps) <= 4:
+                f = Poly({exps: 1})
+                assert _same(shell.reduce(f), reference_reduce_on_shell(f, omega, p0)), exps
+
     def test_cancelled_s_part_folds_to_fraction(self):
         # (1 + s)*Ap**2 - s*p and p = Ap**2 - p0 on the shell: the s-parts on
         # Ap**2 cancel, leaving the Fraction 1

@@ -139,14 +139,15 @@ class TestVerify:
         assert out.rstrip().endswith("overall: FAIL")
 
     def test_operadic_lax_names_failing_probe(self, capsys, monkeypatch):
-        real = lax.build_mu
+        real = lax._member
 
-        def mutant(params, q, p, a_plus, a_minus, omega):
-            entries = dict(real(params, q, p, a_plus, a_minus, omega).independent_entries())
-            entries[(1, 2, 3)] = entries[(1, 2, 3)] + params.c[2] * q * p
+        def mutant(params, omega):
+            # the member at the generators, as the residual writes it, plus C3*q*p in mu^1_23
+            entries = dict(real(params, omega).independent_entries())
+            entries[(1, 2, 3)] = entries[(1, 2, 3)] + params.c[2] * poly.q * poly.p
             return StructureTensor(entries)
 
-        monkeypatch.setattr(lax, "build_mu", mutant)
+        monkeypatch.setattr(lax, "_member", mutant)
         code, out, _ = run(capsys, "verify", "operadic-lax")
         assert code == 1
         assert "operadic-lax: FAIL" in out and "C3" in out

@@ -253,7 +253,9 @@ def _assert_same_entries(got, want):
 
 
 class TestBuildMuMatchesRingArithmetic:
-    """`build_mu` from its term table against the ring-arithmetic oracle."""
+    """The family member against the ring-arithmetic oracle: `build_mu` at
+    points, the generators among them, and `formal_mu`, written term by term
+    from the family table."""
 
     @given(families(), st.one_of(positive, st.integers(1, 5)))
     def test_at_the_generators(self, family, omega):
@@ -261,6 +263,14 @@ class TestBuildMuMatchesRingArithmetic:
         args = (params, poly.q, poly.p, poly.a_plus, poly.a_minus, omega)
         got = build_mu(*args)
         _assert_same_entries(got, reference_lax.build_mu(*args))
+        full_check(got)
+
+    @given(families(), st.one_of(positive, st.integers(1, 5)))
+    def test_formal_mu_at_the_generators(self, family, omega):
+        params, _ = family
+        got = formal_mu(params, omega)
+        _assert_same_entries(got, reference_lax.build_mu(
+            params, poly.q, poly.p, poly.a_plus, poly.a_minus, omega))
         full_check(got)
 
     @given(families(), st.lists(small, min_size=4, max_size=4), positive)

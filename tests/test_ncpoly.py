@@ -13,7 +13,7 @@ from operadyn.poly import Poly
 
 P0 = Fraction(2)
 
-rationals = st.fractions(max_denominator=8)
+rationals = st.builds(Fraction, st.integers(), st.integers(1, 8))
 scalars = st.builds(lambda u, v: ExtScalar(u, v, p0=P0), rationals, rationals)
 words = st.lists(st.sampled_from(GENERATORS), max_size=3).map(tuple)
 ncpolys = st.dictionaries(words, scalars, max_size=4).map(

@@ -9,7 +9,7 @@ from operadyn.poly import (Poly, as_poly, evaluate_terms, rational_sqrt, q, p,
                            a_plus, a_minus)
 from reference_trace import scalar_evaluate
 
-coeffs = st.fractions(max_denominator=12)
+coeffs = st.builds(Fraction, st.integers(), st.integers(1, 12))
 exponents = st.tuples(*(st.integers(min_value=0, max_value=3),) * 4)
 polys = st.dictionaries(exponents, coeffs, max_size=5).map(Poly)
 
