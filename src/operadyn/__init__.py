@@ -16,7 +16,6 @@ from .bianchi import (
     classical_jacobian,
     deform,
     deformation_trace,
-    formal_deformation,
     is_rigid,
     raw_jacobian,
     structure_constants,
@@ -77,7 +76,7 @@ __all__ = [
     "as_poly", "basis_jacobian",
     "build_matrix_lax", "build_mu", "classical_jacobian", "classify",
     "commutator", "deform", "deformation_trace", "exact_flow",
-    "formal_deformation", "formal_mu", "generator_commutator",
+    "formal_mu", "generator_commutator",
     "gerstenhaber_bracket", "graded_sign", "integrate_rk4", "is_rigid",
     "matrix_lax_residual", "operadic_lax_residual",
     "partial_compose", "quantize",

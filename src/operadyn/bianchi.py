@@ -8,22 +8,22 @@ with the class determined by the signature (alpha, n1, n2, n3).  Two of the
 classes carry a positive modulus a (with a != 1 for VIa); IIIa1 is the a = 1
 boundary case kept as its own entry.
 
-`formal_deformation` turns a class into a one-parameter family of brackets
-driven by the harmonic oscillator: the constant tensor is fed through
-solve_C and the Lax family, with s = sqrt(2*p0) kept formal.  The
-classical table (`deform`) is the same family member written from
-parameters in which s is folded to its value when that is rational; the
-operator table (`quantum.quantize`) is the member written at the words.
-`verify all` builds no classical table: it takes the classical Jacobi
-defect as the commutative image of the operator one
-(`quantum.commutative_image`).  On the energy shell the deformed bracket
-satisfies the Jacobi identity at every time.  A `ShellReduction` for one
-(omega, p0) owns the shell: its sigma = sqrt(2*p0) when rational; the exact
-reduction to normal form, which writes each monomial's normal form as one
-product from the shell's relations and keeps it (`classical_jacobian`
-reduces its three components through one table); and a second proof
-independent of it, at points of the shell conic as many as a degree bound
-asks for.  No table outlives its caller.
+A class becomes a one-parameter family of brackets driven by the harmonic
+oscillator: solve_C places its constant tensor in the Lax family, with
+s = sqrt(2*p0) kept formal.  The classical table (`deform`) is the family
+member written from those parameters with s folded to its value when that
+is rational; the operator table (`quantum.quantize`) is the member written
+at the words.  The parameters alone decide rigidity (`is_rigid`).  On the
+energy shell the deformed bracket satisfies the Jacobi identity at every
+time.  A `ShellReduction` for one (omega, p0) owns the shell: its sigma =
+sqrt(2*p0) when rational; the exact reduction to normal form, which writes
+each monomial's normal form as one product from the shell's relations and
+keeps it (`classical_jacobian` reduces its three components through one
+table); a second proof independent of it, at points of the shell conic as
+many as a degree bound asks for; and `prove_jacobi`, the classical Jacobi
+proof of `verify`, which builds no classical table: it runs both proofs on
+the commutative image of each class's operator defect
+(`quantum.commutative_image`).  No table outlives its caller.
 
 `BianchiType` is a namedtuple whose constructor, `_make` and `_replace` check
 and normalize (tag, a); it compares, hashes and unpacks as that tuple, so
@@ -105,21 +105,11 @@ def structure_constants(t):
     return StructureTensor({idx: v for idx, v in entries.items() if v})
 
 
-def formal_deformation(t, omega, p0):
-    """The dynamical deformation of class t, with s = sqrt(2*p0) formal.
-
-    The class tensor is placed in the Lax family by solve_C at the reference
-    point and the family member is taken symbolically: entries are Poly in
-    q, p, Ap, Am with coefficients in Q(s).
-    """
-    _positive(omega, "omega")
-    return formal_mu(solve_C(structure_constants(t), p0), omega)
-
-
 def deform(t, omega, p0):
     """The dynamical deformation of class t as a phase-space table.
 
-    The member of `formal_deformation` with s folded to its value in C5..C8
+    The family member through the class tensor (`lax.formal_mu` of
+    `solve_C`'s parameters), with s folded to its value in C5..C8
     (`ncpoly._fold_s`) when that is rational, so every coefficient is a
     Fraction; otherwise s stays formal.
     """
@@ -134,8 +124,11 @@ def deform(t, omega, p0):
 
 
 def is_rigid(t, omega=1, p0=2):
-    """True when the deformation is constant in time and equals the class tensor."""
-    return deform(t, omega, p0) == structure_constants(t)
+    """True when the deformation is constant in time and equals the class
+    tensor: when its parameters leave the dynamics out
+    (`LaxFamilyParams.is_admissible`)."""
+    _positive(omega, "omega")
+    return not solve_C(structure_constants(t), p0).is_admissible
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +207,29 @@ class ShellReduction:
             if any(poly.evaluate_terms(terms, points)):
                 return degree, name
         return degree, None
+
+    @classmethod
+    def prove_jacobi(cls, certificates):
+        """(ok, detail) over (class, certificate) pairs of one (omega, p0): the
+        commutative image of each operator defect, the classical defect, is
+        zero on the shell by `reduce`, and again by `point_defect`."""
+        from .quantum import commutative_image   # quantum imports this module
+        # one table serves every class, at the omega and p0 the certificates share
+        shell = cls(certificates[0][1].omega, certificates[0][1].p0)
+        components = []
+        for t, cert in certificates:
+            raw = [commutative_image(c, shell.sigma) for c in cert.jacobian]
+            reduced = tuple(map(shell.reduce, raw))
+            if any(not c.is_zero for c in reduced):
+                return False, f"on-shell defect of {t.label} is not zero: {reduced}"
+            components += [(t.label, c) for c in raw]
+        # a second proof, independent of the reduction
+        degree, label = shell.point_defect(components)
+        if label is not None:
+            return False, f"defect of {label} is not zero at the shell points u = 0..{2 * degree}"
+        return True, (f"all classes reduce to zero on shell; each defect has degree"
+                      f" <= {degree} on the shell conic and vanishes at its points"
+                      f" u = 0..{2 * degree}, so on all of it")
 
 
 def raw_jacobian(mu):

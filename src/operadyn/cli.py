@@ -7,13 +7,16 @@ Subcommands:
     trace    sample a deformation along the oscillator flow as CSV
 
 Rational flags accept fractions ("1/2") or decimal strings ("0.5").  Each
-verify suite is a finite exact proof whose detail line names its argument
-(a degree bound in omega or on the shell conic, or linearity in C1..C9),
-so every output depends only on the flags; only trace computes in floats.
-`verify` builds each class's operator bracket and Jacobi defect once
-(`quantum.classify`): jacobi-quantum reads the certificate, and
-jacobi-classical proves the commutative image of its defect, the classical
-defect, zero on the energy shell by the two proofs of a `ShellReduction`.
+verify suite is a finite exact proof, kept beside the facts it uses:
+`lax.prove_matrix_lax` and `lax.prove_operadic_lax` (a degree bound in
+omega, linearity in C1..C9), `bianchi.ShellReduction.prove_jacobi` (the
+shell normal form, and a degree bound on the shell conic) and
+`quantum.prove_kinds` (the expected bucket of each class).  Each returns
+(ok, detail), whose detail names its argument, so every output depends only
+on the flags; only trace computes in floats.  This module names the suites
+in one table, which the parser's choices and `verify` read, and renders the
+lines.  `verify` builds each class's operator bracket and Jacobi defect
+once (`quantum.classify`), and both Jacobi proofs read these certificates.
 
 The argparse parser is built once per process, on the first call of
 `main`, and reused by every later call; it holds no results, and each call
@@ -34,9 +37,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bianchi, poly, quantum
+from . import bianchi, lax, poly, quantum
 from .bianchi import BianchiType
-from .lax import LaxFamilyParams, matrix_lax_residual, operadic_lax_residual
 from .ncpoly import _positive
 from .oscillator import BranchError
 from .structure import PAIRS
@@ -44,7 +46,15 @@ from .structure import PAIRS
 # nine independent components in column order
 COLUMNS = [f"mu{i}_{j}{k}" for (j, k) in PAIRS for i in (1, 2, 3)]
 
-_VERIFY_SUITES = ("matrix-lax", "operadic-lax", "jacobi-classical", "jacobi-quantum")
+# each verify suite, in the order `verify all` runs them: its proof, which
+# returns (ok, detail), and whether the proof reads the classes'
+# certificates (one per class for both Jacobi suites) or takes omega
+_VERIFY_SUITES = {
+    "matrix-lax": (lax.prove_matrix_lax, False),
+    "operadic-lax": (lax.prove_operadic_lax, False),
+    "jacobi-classical": (bianchi.ShellReduction.prove_jacobi, True),
+    "jacobi-quantum": (quantum.prove_kinds, True),
+}
 
 
 def _fraction(text):
@@ -192,76 +202,20 @@ def _render_tables(which, cfg, tag, fmt):
 # verify
 
 
-def _check_matrix_lax(cfg):
-    omegas = [cfg.omega + n for n in range(3)]
-    for w in omegas:
-        if not matrix_lax_residual(poly.q, poly.p, w).is_zero:
-            return False, f"nonzero residual in q, p at omega={w}"
-    return True, (f"zero polynomial in q, p at omega={', '.join(map(str, omegas))};"
-                  " degree <= 2 in omega, so zero for every omega")
-
-
-def _check_operadic_lax(cfg):
-    for n in range(1, 10):
-        probe = LaxFamilyParams(tuple(int(m == n) for m in range(1, 10)))
-        if not operadic_lax_residual(probe, cfg.omega).is_zero:
-            return False, f"nonzero residual for the C{n} probe"
-    return True, ("the nine single-parameter probes give the zero tensor;"
-                  " linear in C1..C9, so zero for every C")
-
-
-def _check_jacobi_classical(cfg, certificates):
-    # one shell reduction table serves every class
-    shell = bianchi.ShellReduction(cfg.omega, cfg.p0)
-    components = []
-    for t, cert in certificates:
-        # the commutative image of the operator defect is the classical one
-        raw = [quantum.commutative_image(c, shell.sigma) for c in cert.jacobian]
-        reduced = tuple(map(shell.reduce, raw))
-        if any(not c.is_zero for c in reduced):
-            return False, f"on-shell defect of {t.label} is not zero: {reduced}"
-        components += [(t.label, c) for c in raw]
-    # a second proof, independent of the reduction
-    degree, label = shell.point_defect(components)
-    if label is not None:
-        return False, f"defect of {label} is not zero at the shell points u = 0..{2 * degree}"
-    return True, (f"all classes reduce to zero on shell; each defect has degree"
-                  f" <= {degree} on the shell conic and vanishes at its points"
-                  f" u = 0..{2 * degree}, so on all of it")
-
-
-def _check_jacobi_quantum(certificates):
-    lines = []
-    for t, cert in certificates:
-        expected = quantum._EXPECTED_KIND[t.tag]
-        if cert.kind != expected:
-            return False, f"{t.label} classified {cert.kind}, expected {expected}"
-        if expected == quantum.ANOMALOUS_II and cert.tau != -1:
-            return False, f"{t.label} has tau={cert.tau}, expected -1"
-        tau = f" tau={cert.tau}" if cert.tau is not None else ""
-        lines.append(f"{t.label}={cert.kind}{tau}")
-    return True, "; ".join(lines)
-
-
 def _run_verify(which, cfg):
     suites = _VERIFY_SUITES if which == "all" else (which,)
     # one operator bracket and one operator defect per class serve both
     # Jacobi suites: the certificate holds the defect, whose commutative
-    # image jacobi-classical proves zero on shell
+    # image the classical proof takes to the shell
     certificates = None
-    if "jacobi-classical" in suites or "jacobi-quantum" in suites:
-        certificates = [(t, quantum.classify(t, cfg.omega, cfg.p0))
-                        for t in _selected_types(cfg, None)]
-    checks = {
-        "matrix-lax": lambda: _check_matrix_lax(cfg),
-        "operadic-lax": lambda: _check_operadic_lax(cfg),
-        "jacobi-classical": lambda: _check_jacobi_classical(cfg, certificates),
-        "jacobi-quantum": lambda: _check_jacobi_quantum(certificates),
-    }
     lines = [f"verify  omega={cfg.omega}  p0={cfg.p0}  a={cfg.a}"]
     overall = True
     for name in suites:
-        ok, detail = checks[name]()
+        proof, reads_certificates = _VERIFY_SUITES[name]
+        if reads_certificates and certificates is None:
+            certificates = [(t, quantum.classify(t, cfg.omega, cfg.p0))
+                            for t in _selected_types(cfg, None)]
+        ok, detail = proof(certificates if reads_certificates else cfg.omega)
         overall = overall and ok
         lines.append(f"{name}: {'PASS' if ok else 'FAIL'}  ({detail})")
     lines.append(f"overall: {'PASS' if overall else 'FAIL'}")

@@ -30,6 +30,9 @@ identically along the oscillator flow, where d/dt differentiates the
 coefficient polynomials through q' = p, p' = -omega**2 q,
 Ap' = -(omega/2) Am, Am' = (omega/2) Ap.
 
+`prove_matrix_lax` and `prove_operadic_lax` prove the two Lax equations for
+`verify` by finite exact checks, at three omegas and at the nine unit probes.
+
 The parameters are exact.  solve_C places a constant tensor in the family at
 the reference point, where Ap = s = sqrt(2*p0); the four parameters that
 multiply Ap or Am come back in Q(s) with s formal, so every rational p0 > 0
@@ -86,6 +89,18 @@ def matrix_lax_residual(q, p, omega):
     dL = Operation.from_matrix([[-w2q, wp, zero], [wp, w2q, zero], [zero] * 3])
     pair = build_matrix_lax(q, p, omega)
     return dL - gerstenhaber_bracket(pair.M, pair.L)
+
+
+def prove_matrix_lax(omega):
+    """(ok, detail): the matrix residual is the zero polynomial in q, p at
+    omega, omega + 1 and omega + 2, so by its degree bound in omega it is
+    zero for every omega."""
+    omegas = [omega + n for n in range(3)]
+    for w in omegas:
+        if not matrix_lax_residual(poly.q, poly.p, w).is_zero:
+            return False, f"nonzero residual in q, p at omega={w}"
+    return True, (f"zero polynomial in q, p at omega={', '.join(map(str, omegas))};"
+                  " degree <= 2 in omega, so zero for every omega")
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +284,14 @@ def operadic_lax_residual(params, omega):
     flow = [_time_derivative(v, w) for v in mu.coeffs.flat]
     # a difference of antisymmetric tensors, which adds no exact zero
     return _trusted(_sums(flow, bracket.coeffs.flat, True))
+
+
+def prove_operadic_lax(omega):
+    """(ok, detail): the operadic residual at omega is zero for the nine unit
+    probes C = e_n, so by linearity in C1..C9 it is zero for every C."""
+    for n in range(1, 10):
+        probe = LaxFamilyParams(tuple(int(m == n) for m in range(1, 10)))
+        if not operadic_lax_residual(probe, omega).is_zero:
+            return False, f"nonzero residual for the C{n} probe"
+    return True, ("the nine single-parameter probes give the zero tensor;"
+                  " linear in C1..C9, so zero for every C")

@@ -18,10 +18,14 @@ sparse terms, drops zero sums and folds s-free sums to their Fraction.
 
 Both polynomial types are the one sparse ring `_Ring` over that format,
 with words as keys here and exponent tuples in `poly`.  An NCPoly's context
-is its p0, which every operand must share: `==` across contexts is False,
-and arithmetic raises ValueError.  `+`, `-`, `*` and `==` try an operand by
-exact type first, an element of the same ring, then a Fraction or int, and
-only then the other scalars, whose `numbers.Rational` check runs Python code.
+is its p0, which every operand of its arithmetic must share (ValueError
+otherwise).  `==` compares values across types and contexts: a constant
+element equals its scalar, elements of one ring compare term by term, and
+only an s-part ties a value to its context, so u + v*s with v != 0 equals
+nothing of another p0.  So `==` is an equivalence that `hash` agrees with.
+`+`, `-`, `*` and `==` try an operand by exact type first, an element of the
+same ring, then a Fraction or int, and only then the other scalars, whose
+`numbers.Rational` check runs Python code.
 
 Invariants: an ExtScalar's u, v and p0 are Fractions with p0 > 0, and an
 NCPoly's words use only Q, P, Ap, Am, each with a coefficient in the format
@@ -209,7 +213,9 @@ class ExtScalar:
 
     def __eq__(self, other):
         if isinstance(other, ExtScalar):
-            return self.p0 == other.p0 and self.u == other.u and self.v == other.v
+            # an s-part compares only within one context
+            return (self.v == other.v and self.u == other.u
+                    and (not self.v or self.p0 is other.p0 or self.p0 == other.p0))
         if type(other) is Fraction or type(other) is int or isinstance(other, Rational):
             return not self.v and self.u == other
         return NotImplemented
@@ -395,12 +401,17 @@ class _Ring:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        try:
-            terms = self._coerce(other)
-        except ValueError:
-            # an NCPoly or ExtScalar of another p0
-            return False
-        return NotImplemented if terms is None else self.terms == terms
+        cls = type(other)
+        if cls is type(self):
+            # coefficients compare by value, an s-part only within its context
+            return self.terms == other.terms
+        if isinstance(other, _Ring):
+            # a Poly and an NCPoly share only their constants, which compare as scalars
+            return other.is_constant and self == other.terms.get(other._ONE, _ZERO)
+        if cls is Fraction or cls is int or isinstance(other, _SCALARS):
+            # a scalar of any context, as the constant term it is
+            return self.terms == ({self._ONE: other} if other else {})
+        return NotImplemented
 
     def __hash__(self):
         # a constant element equals its scalar, so it hashes like it

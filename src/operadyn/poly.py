@@ -149,7 +149,7 @@ def evaluate_terms(terms, columns):
     coefficient times a float converts itself to float first, and int 0 plus
     -0.0 gives 0.0.  This is the one evaluation loop:
     `bianchi.deformation_trace` runs it on float columns of the flow, and
-    `verify jacobi-classical` on exact columns of shell points.
+    `bianchi.ShellReduction.point_defect` on exact columns of shell points.
     """
     n = len(columns[0])
     total = [0] * n

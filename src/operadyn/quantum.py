@@ -3,9 +3,9 @@
 Each class's operator bracket puts operators into the operadic Lax family:
 solve_C places the class tensor in the family, and the member is written
 from its table at the words (), Q, P, Ap, Am of `ncpoly.NCPoly`, with
-sqrt(2*p0) the formal scalar s.  Each entry is the entry of
-`bianchi.formal_deformation` with the monomial q^i p^j Ap^k Am^l read as
-the word Q^i P^j Ap^k Am^l.  No commutation relations are imposed, so the
+sqrt(2*p0) the formal scalar s.  Each entry is the entry of the symbolic
+member (`lax.formal_mu`) with the monomial q^i p^j Ap^k Am^l read as the
+word Q^i P^j Ap^k Am^l.  No commutation relations are imposed, so the
 Jacobi defect measures the obstruction that survives in the free algebra
 itself.
 
@@ -25,11 +25,15 @@ call per class serves both sides.
 
 Every class lands in exactly one bucket:
 
-    Rigid        constant tensor equal to the undeformed one (I, VII, VIII, IX)
+    Rigid        no parameter sees the dynamics: the constant class tensor
+                 (I, VII, VIII, IX)
     QuantumLie   defect identically zero in the free algebra (II, VI)
     AnomalousI   defect (0, 0, (1/p0) [Ap, Am])              (IV, V)
     AnomalousII  defect (tau*a/sqrt(2 p0**3) xi+, tau*a/sqrt(2 p0**3) xi-,
                  (a**2/p0) [Ap, Am]) with tau = -1           (IIIa1, VIa, VIIa)
+
+`prove_kinds` checks the certificates of `classify` against the bucket
+each class is expected to land in (`_EXPECTED_KIND`) for `verify`.
 
 `JacobianTriple` and `AnomalyCertificate` are namedtuples with read-only
 fields, so a triple unpacks as j1, j2, j3 and compares as that tuple.
@@ -81,14 +85,13 @@ def quantize(t, omega, p0):
     """Operator form of the deformed bracket of class t: the Lax family
     member through its structure constants, written at the words (see the
     module docstring and `lax._member`), so every entry is built unchecked."""
-    return _operator(bianchi.structure_constants(t), _positive(omega, "omega"),
-                     _positive(p0, "p0"))
+    w, p0 = _positive(omega, "omega"), _positive(p0, "p0")
+    return _operator(solve_C(bianchi.structure_constants(t), p0), w, p0)
 
 
-def _operator(constants, w, p0):
-    """The operator bracket through the structure constants `constants`, at
-    checked omega and p0."""
-    return _member(solve_C(constants, p0), w, zero=NCPoly(p0=p0))
+def _operator(params, w, p0):
+    """The operator bracket of the family member `params`, at checked omega and p0."""
+    return _member(params, w, zero=NCPoly(p0=p0))
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +112,7 @@ def xi_pair(omega, p0):
 
 def generator_commutator(p0):
     """[Ap, Am] as an NCPoly; nonzero because no relations are imposed."""
-    p0 = _rational(p0)
-    ap = NCPoly.generator("Ap", p0=p0)
-    am = NCPoly.generator("Am", p0=p0)
-    return commutator(ap, am)
+    return commutator(NCPoly.generator("Ap", p0=p0), NCPoly.generator("Am", p0=p0))
 
 
 def _nc_entries(mu):
@@ -164,23 +164,23 @@ class AnomalyCertificate(namedtuple("AnomalyCertificate",
 def classify(t, omega, p0):
     """Sort a class into Rigid / QuantumLie / AnomalousI / AnomalousII.
 
-    The operator bracket is `quantize`'s, through the structure constants
-    built once, which the rigidity test compares it with.  The certificate
-    carries the full basis defect so the claim can be checked independently
-    of the matching logic.
+    The operator bracket is `quantize`'s, through the parameters `solve_C`
+    builds once.  They also decide rigidity: a member whose parameters leave
+    the dynamics out (`LaxFamilyParams.is_admissible`) is the class tensor
+    itself.  The certificate carries the full basis defect so the claim can
+    be checked independently of the matching logic.
     """
-    constants = bianchi.structure_constants(t)
     w, p0 = _positive(omega, "omega"), _positive(p0, "p0")
-    mu = _operator(constants, w, p0)
-    defect = basis_jacobian(mu)
-    kind, tau, matched = _match(t, mu == constants, defect, w, p0)
+    params = solve_C(bianchi.structure_constants(t), p0)
+    defect = basis_jacobian(_operator(params, w, p0))
+    kind, tau, matched = _match(t, not params.is_admissible, defect, w, p0)
     return AnomalyCertificate(kind, t.label, w, p0, t.a, tau, defect, matched)
 
 
 def _match(t, rigid, defect, w, p0):
     """(kind, tau, matched) of class t, whose operator bracket has the basis
-    defect `defect` and equals the class's structure constants if rigid:
-    the first bucket that fits, or Unclassified."""
+    defect `defect` and is the class tensor itself if rigid: the first
+    bucket that fits, or Unclassified."""
     if rigid:
         return RIGID, None, ("0", "0", "0")
     if defect.is_zero:
@@ -209,3 +209,19 @@ _EXPECTED_KIND = {
     "IV": ANOMALOUS_I, "V": ANOMALOUS_I,
     "VIIa": ANOMALOUS_II, "IIIa1": ANOMALOUS_II, "VIa": ANOMALOUS_II,
 }
+
+
+def prove_kinds(certificates):
+    """(ok, detail) over (class, certificate) pairs: each class lands in its
+    `_EXPECTED_KIND` bucket, an AnomalousII one with tau = -1; the detail
+    lists each class's kind and tau."""
+    lines = []
+    for t, cert in certificates:
+        expected = _EXPECTED_KIND[t.tag]
+        if cert.kind != expected:
+            return False, f"{t.label} classified {cert.kind}, expected {expected}"
+        if expected == ANOMALOUS_II and cert.tau != -1:
+            return False, f"{t.label} has tau={cert.tau}, expected -1"
+        tau = f" tau={cert.tau}" if cert.tau is not None else ""
+        lines.append(f"{t.label}={cert.kind}{tau}")
+    return True, "; ".join(lines)

@@ -3,9 +3,11 @@
 `quantum.quantize` writes each class's operator bracket from the Lax family
 at the words, and `quantum.classify` classifies it.  Before that, the
 operator bracket was the quantization map applied entry by entry to
-`bianchi.formal_deformation`, and the certificate was built from it with
+`formal_deformation`, and the certificate was built from it with
 the cyclic defect summed in the ring and the rigidity test on its constant
-tensor.  `quantize_formal` and `classify_formal` here are those bodies.
+tensor.  `quantize_formal` and `classify_formal` here are those bodies, and
+`formal_deformation`, the formal table they read, is the family member at
+the generators through solve_C, with s = sqrt(2*p0) formal.
 
 `bianchi.deform` writes the phase-space table from parameters in which s =
 sqrt(2*p0) is folded to its value when that is rational.  Before that, it
@@ -17,6 +19,7 @@ term order and coefficient types, and every certificate, against them.
 """
 
 from operadyn import bianchi, poly
+from operadyn.lax import formal_mu, solve_C
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly, _fold_s, _positive, _rational
 from operadyn.poly import Poly, rational_sqrt
 from operadyn.structure import _trusted
@@ -30,6 +33,17 @@ _BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 def _word(exps):
     """The word Q^i P^j Ap^k Am^l of the monomial q^i p^j Ap^k Am^l."""
     return tuple(g for g, e in zip(GENERATORS, exps) for _ in range(e))
+
+
+def formal_deformation(t, omega, p0):
+    """The dynamical deformation of class t, with s = sqrt(2*p0) formal.
+
+    The class tensor is placed in the Lax family by solve_C at the reference
+    point and the family member is taken symbolically: entries are Poly in
+    q, p, Ap, Am with coefficients in Q(s).
+    """
+    _positive(omega, "omega")
+    return formal_mu(solve_C(bianchi.structure_constants(t), p0), omega)
 
 
 def quantize_formal(formal, p0):

@@ -7,7 +7,8 @@ check of `SCALARS` and the subclass's `_coeff`, every scalar product through
 `_collect`, and an ExtScalar product forms all four part products.  Each
 function takes the element as its first argument and returns what the
 method returned, `NotImplemented` included; an NCPoly of another p0 raises
-ValueError in arithmetic and compares unequal.
+ValueError in arithmetic.  `ring_eq` is the contract of `==` rather than an
+old body: two values are equal when their `value_key`s are.
 
 `ext_add`, `ext_neg` and `ext_mul` are the ExtScalar bodies, which formed
 every part sum and product.  `entry_sums` is the plain elementwise sum of
@@ -19,6 +20,7 @@ from numbers import Rational
 from operator import add, sub
 
 from operadyn.ncpoly import ExtScalar, NCPoly, _collect, _ext, _same_p0
+from operadyn.poly import Poly
 
 SCALARS = (int, ExtScalar, Fraction, Rational)
 
@@ -71,14 +73,23 @@ def ring_mul(f, other):
                                  for key, coeff in f.terms.items())))
 
 
+def value_key(x):
+    """What `==` compares: a rational as its Fraction, u + v*s with v != 0
+    with its p0, a constant element as its constant, and any other element
+    as its type and its terms, each coefficient by its own key."""
+    if isinstance(x, ExtScalar):
+        return (x.u, x.v, x.p0) if x.v else x.u
+    if isinstance(x, Rational):
+        return Fraction(x)
+    if x.is_constant:
+        return value_key(x.terms.get(x._ONE, 0))
+    return type(x), frozenset((key, value_key(c)) for key, c in x.terms.items())
+
+
 def ring_eq(f, other):
-    if isinstance(other, Rational):
-        return f.is_constant and f.terms.get(f._ONE, 0) == other
-    try:
-        terms = coerce(f, other)
-    except ValueError:
-        return False
-    return NotImplemented if terms is None else f.terms == terms
+    if not isinstance(other, (*SCALARS, Poly, NCPoly)):
+        return NotImplemented
+    return value_key(f) == value_key(other)
 
 
 def _ext_operand(b):

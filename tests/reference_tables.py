@@ -1,10 +1,10 @@
 """Independent transcriptions of the deformed brackets, for the tests.
 
 The package generates every deformed table from one path: the class tensor
-goes through solve_C and the Lax family (`bianchi.formal_deformation`), and
-both `deform` and `quantize` read that tensor.  The two tables below were
-typed in by hand from the paper instead, so the tests can compare the
-generated tables against data that never touched that path:
+goes through solve_C, and both `deform` and `quantize` write the Lax family
+member of those parameters.  The two tables below were typed in by hand
+from the paper instead, so the tests can compare the generated tables
+against data that never touched that path:
 
 - `deformation_blueprint` holds each deformed entry as sigma-split terms
   (u, v, var), meaning (u + v*sigma) * var with sigma = sqrt(2*p0);

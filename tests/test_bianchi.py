@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from operadyn import poly, quantum
 from operadyn.bianchi import (BianchiType, TAGS, ShellReduction, all_types,
                               classical_jacobian, deform, deformation_trace,
-                              formal_deformation, is_rigid, raw_jacobian,
-                              structure_constants)
+                              is_rigid, raw_jacobian, structure_constants)
 from operadyn.cli import main
 from operadyn.lax import (LaxFamilyParams, build_matrix_lax, formal_mu,
                           matrix_lax_residual, operadic_lax_residual,
@@ -26,7 +25,7 @@ from operadyn.ncpoly import ExtScalar
 from operadyn.oscillator import BranchError
 from operadyn.poly import Poly, rational_sqrt
 from operadyn.structure import StructureTensor, _cyclic_defect
-from reference_quantum import deform_formal
+from reference_quantum import deform_formal, formal_deformation
 from reference_shell import reference_reduce_on_shell
 from reference_tables import GRID, transcribed_deformation
 from reference_trace import scalar_evaluate
@@ -404,6 +403,7 @@ _FLOAT_CALLS = {
     "BianchiType a": lambda: BianchiType("VIIa", 0.1),
     "BianchiType IIIa1 a": lambda: BianchiType("IIIa1", 1.0),
     "all_types a": lambda: all_types(0.1),
+    # the oracle `reference_quantum.formal_deformation`: formal_mu through solve_C
     "formal_deformation omega": lambda: formal_deformation(_VIIA, 0.1, Fraction(2)),
     "formal_deformation p0": lambda: formal_deformation(_VIIA, 1, 0.1),
     "deform omega": lambda: deform(_VIIA, 0.1, Fraction(2)),
@@ -431,6 +431,7 @@ _NONPOSITIVE_CALLS = {
                               "p0 must be positive, got -1/2"),
     "classical_jacobian omega 0": (
         lambda: classical_jacobian(deform(_VIIA, 1, 2), 0, 2), "omega must be positive, got 0"),
+    # the oracle `reference_quantum.formal_deformation`: formal_mu through solve_C
     "formal_deformation omega": (lambda: formal_deformation(_VIIA, 0, 2),
                                  "omega must be positive, got 0"),
     "formal_deformation p0": (lambda: formal_deformation(_VIIA, 1, -2),

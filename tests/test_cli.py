@@ -185,10 +185,11 @@ class TestVerify:
         # points still fail
         real = quantum._operator
         vii_a = bianchi.structure_constants(bianchi.BianchiType("VIIa", Fraction(1, 2)))
+        vii_a = lax.solve_C(vii_a, Fraction(2))
 
-        def mutant(constants, omega, p0):
-            tensor = real(constants, omega, p0)
-            if constants != vii_a:
+        def mutant(params, omega, p0):
+            tensor = real(params, omega, p0)
+            if params != vii_a:
                 return tensor
             # the diagonal holds NCPoly zeros, so the mirror is filled here
             flat = list(tensor.coeffs.flat)
@@ -215,6 +216,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "jacobi-classical")
         assert code == 1
         assert out.splitlines()[1].startswith("jacobi-classical: FAIL  (on-shell defect of ")
+        assert out.rstrip().endswith("overall: FAIL")
+
+    @pytest.mark.parametrize("tag, change, detail", [
+        ("II", {"kind": quantum.RIGID}, "II classified Rigid, expected QuantumLie"),
+        ("VIIa", {"tau": 1}, "VIIa(a=1/2) has tau=1, expected -1"),
+    ])
+    def test_jacobi_quantum_names_a_wrong_certificate(self, capsys, monkeypatch, tag, change,
+                                                      detail):
+        # one class's certificate in the wrong bucket, or in the right one with tau = 1
+        real = quantum.classify
+
+        def mutant(t, omega, p0):
+            cert = real(t, omega, p0)
+            return cert._replace(**change) if t.tag == tag else cert
+
+        monkeypatch.setattr(quantum, "classify", mutant)
+        code, out, _ = run(capsys, "verify", "jacobi-quantum")
+        assert code == 1
+        assert out.splitlines()[1] == f"jacobi-quantum: FAIL  ({detail})"
         assert out.rstrip().endswith("overall: FAIL")
 
     @pytest.mark.parametrize("p0, s", [
@@ -248,8 +268,9 @@ class TestVerify:
             return out
 
         shell = bianchi.ShellReduction
-        for fn in (cli._run_verify, cli._check_jacobi_classical, shell.__init__,
-                   shell.point_defect, shell.conic_points):
+        for fn in (cli._run_verify, lax.prove_matrix_lax, lax.prove_operadic_lax,
+                   shell.prove_jacobi, shell.__init__, shell.point_defect,
+                   shell.conic_points, quantum.prove_kinds):
             assert not names(fn.__code__) & {"float", "math", "_positive_float"}, fn
         assert not hasattr(cli, "sample_flow")
 

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_ring
@@ -224,11 +224,13 @@ def test_equal_elements_hash_alike_in_any_term_order(terms, rng):
 
 @pytest.mark.parametrize("terms", [{}, {(): Fraction(3)}, {(): ExtScalar(0, 1, p0=2)},
                                    {("Q", "P"): Fraction(1), ("Am",): Fraction(-2)}])
-def test_ncpolys_of_different_p0_are_unequal(terms):
-    # == answers False across contexts; only arithmetic raises
+def test_ncpolys_of_different_p0_compare_by_value(terms):
+    # == compares the terms, an s-part only within its context; arithmetic raises
     a = NCPoly({w: _rebase(c, 2) for w, c in terms.items()}, p0=2)
     b = NCPoly({w: _rebase(c, 3) for w, c in terms.items()}, p0=3)
-    assert (a == b) is False and (b == a) is False and a != b
+    rational = all(type(c) is Fraction for c in terms.values())
+    assert (a == b) is rational and (b == a) is rational and (a != b) is not rational
+    assert hash(a) == hash(b) or not rational
     with pytest.raises(ValueError, match="^mixed p0 contexts: 2 vs 3$"):
         a + b
 
@@ -238,14 +240,48 @@ def _rebase(c, p0):
 
 
 @pytest.mark.parametrize("value", [0, Fraction(5, 2), ExtScalar(1, 1, p0=P0)])
-def test_poly_and_ncpoly_are_never_equal(value):
-    # the two rings share scalars, but their elements do not compare equal
+def test_poly_and_ncpoly_share_only_constants(value):
+    # the two rings share scalars: their constants equal them and each other,
+    # and no other elements of the two compare equal
     f, x = Poly.constant(value), NCPoly({(): value}, p0=P0)
     assert f == value and x == value
-    assert f != x and x != f and not (f == x) and not (x == f)
+    assert f == x and x == f and not (f != x) and hash(f) == hash(x)
     g = Poly({(1, 0, 0, 0): value or 1})
     y = NCPoly({("Q",): value or 1}, p0=P0)
     assert g != y and y != g
+
+
+@st.composite
+def exact_values(draw):
+    """An int, Fraction, ExtScalar, Poly or NCPoly over a few values, which
+    meet across types and the contexts p0 = 2 and 3: u + v*s with u in
+    {0, 1/2, 1, 2} and v in {0, 1}, as a scalar, a constant, or the
+    coefficient of q (Q)."""
+    u = draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))))
+    v = draw(st.sampled_from((0, 1)))
+    p0 = draw(st.sampled_from((Fraction(2), Fraction(3))))
+    c = ExtScalar(u, v, p0=p0)
+    constant = draw(st.booleans())
+    return draw(st.sampled_from((
+        int(u) if u.denominator == 1 else u, u, c,
+        Poly({(0, 0, 0, 0) if constant else (1, 0, 0, 0): c}),
+        NCPoly({() if constant else ("Q",): c}, p0=p0),
+    )))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exact_values(), min_size=3, max_size=3))
+@example([ExtScalar(2, 0, p0=2), 2, ExtScalar(2, 0, p0=3)])
+@example([Poly.constant(2), 2, NCPoly({(): 2}, p0=2)])
+def test_equality_is_an_equivalence_that_hash_agrees_with(values):
+    for a in values:
+        assert a == a
+        for b in values:
+            assert (a == b) is (b == a) is not (a != b), (a, b)
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+                for c in values:
+                    assert a == c or b != c, (a, b, c)
 
 
 # Operands for the trusted ring operations: s-parts that cancel (s*s is

@@ -25,6 +25,7 @@ from operadyn.quantum import basis_jacobian, quantize
 from operadyn.structure import StructureTensor
 from reference_compose import (apply, bracket_of_partials, dense_partial_compose,
                                total_of_partials)
+from reference_quantum import formal_deformation
 from reference_ring import entry_sums
 
 
@@ -404,7 +405,7 @@ class TestOneEntryList:
                  for n in range(1, 10)]
         pairs.append(tuple(build_matrix_lax(poly.q, poly.p, w))[::-1])
         for t in bianchi.all_types(Fraction(2, 3)):
-            pairs += [(m, bianchi.formal_deformation(t, w, p0)), (m, quantize(t, w, p0))]
+            pairs += [(m, formal_deformation(t, w, p0)), (m, quantize(t, w, p0))]
         for f, g in pairs:
             for got, want in ((gerstenhaber_bracket(f, g), bracket_of_partials(f, g)),
                               (gerstenhaber_bracket(g, f), bracket_of_partials(g, f)),
@@ -526,7 +527,7 @@ class TestFractionOnTheRight:
 
     def test_bracket_and_operator_defect(self, monkeypatch):
         w, p0 = Fraction(3, 2), Fraction(3)
-        mu, op = bianchi.formal_deformation(self.VIIA, w, p0), quantize(self.VIIA, w, p0)
+        mu, op = formal_deformation(self.VIIA, w, p0), quantize(self.VIIA, w, p0)
         assert any(type(c) is ExtScalar for v in mu.coeffs.flat if isinstance(v, Poly)
                    for c in v.terms.values())
         calls = _recording_fraction_mul(monkeypatch)
@@ -542,7 +543,7 @@ class TestFractionOnTheRight:
         # the dense kernel multiplies f's entry by g's, Fraction on the left
         w, p0 = Fraction(3, 2), Fraction(3)
         m = rotation_generator(w)
-        for mu in (bianchi.formal_deformation(self.VIIA, w, p0), quantize(self.VIIA, w, p0)):
+        for mu in (formal_deformation(self.VIIA, w, p0), quantize(self.VIIA, w, p0)):
             for f, g in ((m, mu), (mu, m)):
                 for i in range(f.degree):
                     got = partial_compose(f, i, g).coeffs.flat

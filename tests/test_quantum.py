@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from operadyn import poly
 from operadyn.bianchi import (BianchiType, ShellReduction, all_types, deform,
-                              formal_deformation, raw_jacobian, structure_constants)
+                              raw_jacobian, structure_constants)
 from operadyn.lax import LaxFamilyParams, _member, formal_mu
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
 from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, _exps,
@@ -25,7 +25,8 @@ from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, _ex
                               generator_commutator, quantize, xi_pair)
 from operadyn.structure import StructureTensor, _position, _trusted
 from reference_compose import quantum_jacobian, triple_product
-from reference_quantum import _word, classify_formal, deform_formal, quantize_formal
+from reference_quantum import (_word, classify_formal, deform_formal, formal_deformation,
+                               quantize_formal)
 from reference_tables import GRID, operator_table
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)

@@ -25,7 +25,10 @@ matched by file name; one that only one tree has is reported as differing.
 The summary ends with the line count of each tree's `operadyn/*.py` (as
 `wc -l` counts them) and the difference, `src lines: 2420 -> 2370 (-50)`,
 then the same for its code lines, the lines that hold a token of code (no
-comment, docstring or blank line), `src code lines: 1408 -> 1383 (-25)`.
+comment, docstring or blank line), `src code lines: 1408 -> 1383 (-25)`,
+followed by each module's code lines, `  cli.py: 225 -> 184 (-41)`, so that
+code moved from one module to another shows as well as the net change (a
+module that only one tree has counts 0 in the other).
 Exit code 0 when every compared command matches.
 """
 
@@ -165,9 +168,9 @@ def code_lines(text):
     return len(lines - docstrings)
 
 
-def src_code_lines(src):
-    """The number of code lines of the tree's `operadyn/*.py`."""
-    return sum(code_lines(path.read_text()) for path in Path(src, "operadyn").glob("*.py"))
+def module_code_lines(src):
+    """{file name: number of code lines} of the tree's `operadyn/*.py`."""
+    return {path.name: code_lines(path.read_text()) for path in Path(src, "operadyn").glob("*.py")}
 
 
 def main(argv=None):
@@ -186,8 +189,12 @@ def main(argv=None):
     print(f"{same} identical, {differ} different")
     before, after = src_lines(base), src_lines(new)
     print(f"src lines: {before} -> {after} ({after - before:+d})")
-    before, after = src_code_lines(base), src_code_lines(new)
-    print(f"src code lines: {before} -> {after} ({after - before:+d})")
+    before, after = module_code_lines(base), module_code_lines(new)
+    rows = [("src code lines", sum(before.values()), sum(after.values()))]
+    rows += [(f"  {name}", before.get(name, 0), after.get(name, 0))
+             for name in sorted(before.keys() | after.keys())]
+    for label, old, cur in rows:
+        print(f"{label}: {old} -> {cur} ({cur - old:+d})")
     return 1 if differ else 0
 
 
