@@ -34,10 +34,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from . import poly
 from .lax import LaxFamilyParams, formal_mu, solve_C
-from .ncpoly import ExtScalar, _coefficient, _collect, _fold_s, _positive, _rational
+from .ncpoly import ExtScalar, _collect, _fold_s, _positive, _rational
 from .oscillator import sample_flow
 from .poly import Poly, rational_sqrt
 from .structure import StructureTensor, _cyclic_defect
@@ -146,7 +147,9 @@ class ShellReduction:
     each monomial once, and a zero value costs nothing.  Nothing outlives
     the table.  `sigma` is sqrt(2*p0) when that is rational and None
     otherwise; `conic_points` and `point_defect` prove values zero on the
-    shell without the reduction.
+    shell without the reduction, in integers: at the point u of the shell
+    conic, with a = 1 - u**2, b = 2u and d = 1 + u**2, each value's common
+    denominator times d**D times the value is X + Y*s for integers X and Y.
     """
 
     def __init__(self, omega, p0):
@@ -178,12 +181,11 @@ class ShellReduction:
         return form
 
     def conic_points(self, n):
-        """Columns q, p, alpha, beta at the points u = 0..n-1 of the shell conic:
-        Ap = s*alpha = s*(1 - u**2)/(1 + u**2) and Am = s*beta = s*2u/(1 + u**2)."""
-        alpha = [Fraction(1 - u * u, 1 + u * u) for u in range(n)]
-        beta = [Fraction(2 * u, 1 + u * u) for u in range(n)]
-        return ([self._p0 * 2 * x * y / self._w for x, y in zip(alpha, beta)],
-                [self._p0 * (x * x - y * y) for x, y in zip(alpha, beta)], alpha, beta)
+        """Integer columns a, b, d at the points u = 0..n-1 of the shell conic:
+        a = 1 - u**2, b = 2u and d = 1 + u**2, so a**2 + b**2 = d**2, and there
+        Ap = s*a/d, Am = s*b/d, q = (2*p0/omega)*a*b/d**2, p = p0*(a**2 - b**2)/d**2."""
+        return ([1 - u * u for u in range(n)], [2 * u for u in range(n)],
+                [1 + u * u for u in range(n)])
 
     def point_defect(self, values):
         """(D, name) over (name, polynomial) pairs: D bounds each one's degree on
@@ -194,17 +196,37 @@ class ShellReduction:
         coefficients in a field, as s = sqrt(2*p0) is folded to its value when
         that is rational, so zero at the 2D + 1 points means zero at every u,
         and so on the whole conic, which the u cover but for one point.
+
+        The test runs in integers.  A term c q^i p^j Ap^k Am^l is K*m/d**D at
+        the point (a, b, d) of `conic_points`, with the scalar
+        K = c*(2*p0/omega)**i * p0**j * s**(k + l) = x + y*s and the integer
+        m = (a*b)**i (a**2 - b**2)**j a**k b**l d**(D - 2i - 2j - k - l).  So
+        the common denominator L of a value's x and y times d**D times the
+        value is X + Y*s, with integers X = sum of L*x*m and Y = sum of L*y*m,
+        and it is zero when X and Y are, as s is irrational or, folded to its
+        value, leaves every y zero.
         """
-        s = self.sigma or ExtScalar(0, 1, p0=self._p0)
+        p0, s = self._p0, self.sigma or ExtScalar(0, 1, p0=self._p0)
         degree = max((2 * (i + j) + k + l for _, v in values for i, j, k, l in v.terms),
                      default=0)
-        powers = [Fraction(1)]   # s^m for m = 0..D; each one free of s is a Fraction
-        while len(powers) <= degree:
-            powers.append(_coefficient(powers[-1] * s))
-        points = self.conic_points(2 * degree + 1)
+        points = list(zip(*self.conic_points(2 * degree + 1)))
+        s_n, r_n, p0_n = ([Fraction(1)] for _ in range(3))   # s, 2*p0/omega, p0 ** n, n <= D
+        for base, column in zip((s, p0 * 2 / self._w, p0), (s_n, r_n, p0_n)):
+            while len(column) <= degree:
+                column.append(base * column[-1])
         for name, value in values:
-            terms = [(e, _coefficient(c * powers[e[2] + e[3]])) for e, c in value.terms.items()]
-            if any(poly.evaluate_terms(terms, points)):
+            rows = []   # (x or y, m, 0 for x or 1 for y) per term
+            for (i, j, k, l), c in value.terms.items():
+                K = c * s_n[k + l] * (r_n[i] * p0_n[j])
+                m = [(a * b) ** i * (a * a - b * b) ** j * a ** k * b ** l
+                     * d ** (degree - 2 * (i + j) - k - l) for a, b, d in points]
+                rows += ((K.u, m, 0), (K.v, m, 1)) if type(K) is ExtScalar else ((K, m, 0),)
+            common = lcm(*[x.denominator for x, _, _ in rows])
+            total = [[0] * len(points), [0] * len(points)]   # X and Y at each point
+            for x, m, part in rows:
+                x = x.numerator * (common // x.denominator)
+                total[part] = [t + x * v for t, v in zip(total[part], m)]
+            if any(total[0]) or any(total[1]):
                 return degree, name
         return degree, None
 
@@ -214,6 +236,8 @@ class ShellReduction:
         commutative image of each operator defect, the classical defect, is
         zero on the shell by `reduce`, and again by `point_defect`."""
         from .quantum import commutative_image   # quantum imports this module
+        if not certificates:
+            raise ValueError("prove_jacobi needs at least one (class, certificate) pair, got none")
         # one table serves every class, at the omega and p0 the certificates share
         shell = cls(certificates[0][1].omega, certificates[0][1].p0)
         components = []

@@ -31,7 +31,8 @@ coefficient polynomials through q' = p, p' = -omega**2 q,
 Ap' = -(omega/2) Am, Am' = (omega/2) Ap.
 
 `prove_matrix_lax` and `prove_operadic_lax` prove the two Lax equations for
-`verify` by finite exact checks, at three omegas and at the nine unit probes.
+`verify` by finite exact checks, at three omegas and at the nine unit probes;
+the nine probes share one M and one set of flow scalars.
 
 The parameters are exact.  solve_C places a constant tensor in the family at
 the reference point, where Ap = s = sqrt(2*p0); the four parameters that
@@ -49,7 +50,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import poly
-from .ncpoly import _ZERO, ExtScalar, _coefficient, _collect, _positive
+from .ncpoly import _ZERO, ExtScalar, _coefficient, _collect, _plus, _positive
 from .operad import Operation, _sums, gerstenhaber_bracket
 from .poly import Poly
 from .structure import _mirror, _position, _trusted
@@ -225,45 +226,47 @@ def solve_C(mu0, p0):
     C1..C9 whose family member passes through mu0 at that point, for every
     rational p0 > 0.  Here s = sqrt(2 p0) stays formal: C5..C8 divide an
     entry m by s and come back as the ExtScalar m*s/(2 p0); the other five
-    are rational.
+    are rational.  No division is formed, and a zero parameter is the
+    Fraction 0 of a zero entry, formed by no arithmetic.
     """
     p0 = _positive(p0, "p0")
-    two_p0 = p0 * 2
-
+    half, inverse = Fraction(1, 2), Fraction(p0.denominator, 2 * p0.numerator)   # 1/(2 p0)
     flat = mu0.coeffs.flat
 
     def m(i, j, k):
-        # a scalar entry as its coefficient, a constant Poly as its value
+        # a scalar entry as its coefficient, a constant Poly as its value; as
+        # mu0 is antisymmetric, -m(i, j, k) is the mirror entry m(i, k, j)
         value = flat[_position(i, j, k)]
         return value.constant_value() if isinstance(value, Poly) else _coefficient(value)
 
-    def over_s(value):
-        return ExtScalar(0, value / two_p0, p0=p0)
+    def scaled(x, y, by):
+        # (x + y)*by, with no sum when x or y is 0 and no product when x + y is
+        total = _plus(x, y)
+        return total and total * by
 
+    m223, m213 = m(2, 2, 3), m(2, 1, 3)   # each enters two parameters
     return LaxFamilyParams((
-        (m(2, 2, 3) - m(1, 3, 1)) / 2,
-        (m(2, 1, 3) + m(1, 2, 3)) / two_p0,
-        (m(2, 2, 3) + m(1, 3, 1)) / two_p0,
-        (m(2, 1, 3) - m(1, 2, 3)) / 2,
-        over_s(m(1, 1, 2)),
-        over_s(-m(2, 1, 2)),
-        over_s(m(3, 1, 3)),
-        over_s(-m(3, 2, 3)),
+        scaled(m223, m(1, 1, 3), half),
+        scaled(m213, m(1, 2, 3), inverse),
+        scaled(m223, m(1, 3, 1), inverse),
+        scaled(m213, m(1, 3, 2), half),
+        # C5..C8: an entry x over s, x*s/(2 p0)
+        *[x and ExtScalar(_ZERO, x * inverse, p0=p0)
+          for x in (m(1, 1, 2), m(2, 2, 1), m(3, 1, 3), m(3, 3, 2))],
         m(3, 1, 2),
     ))
 
 
-def _time_derivative(value, omega):
+def _time_derivative(value, half_w, minus_w2, minus_half_w):
     """d/dt of a coefficient through the oscillator and half-angle flows,
-    p*d/dq - omega**2*q*d/dp - (omega/2)*Am*d/dAp + (omega/2)*Ap*d/dAm: a Poly
-    in one `_collect` pass over the four flows' terms, each in `value.terms` order."""
+    p*d/dq - omega**2*q*d/dp - (omega/2)*Am*d/dAp + (omega/2)*Ap*d/dAm, given
+    the flow scalars omega/2, -omega**2 and -omega/2: a Poly in one `_collect`
+    pass over the four flows' terms, each in `value.terms` order."""
     if not isinstance(value, Poly):
         return _ZERO
     if value.is_constant:
         return poly._trusted({})
     terms = value.terms.items()
-    half_w = omega / 2
-    minus_w2, minus_half_w = -omega * omega, -half_w
     return poly._trusted(_collect({}, chain(
         (((i - 1, j + 1, k, l), c * i) for (i, j, k, l), c in terms if i),
         (((i + 1, j - 1, k, l), c * (minus_w2 * j)) for (i, j, k, l), c in terms if j),
@@ -278,20 +281,28 @@ def operadic_lax_residual(params, omega):
     vectors C = e_n proves it zero for every C.  The identity holds on every
     energy shell at once, so p0 never enters.
     """
+    return next(_residuals([params], omega))
+
+
+def _residuals(members, omega):
+    """The residual of each family member in turn, with M and the flow
+    scalars built once for all of them."""
     w = _positive(omega, "omega")
-    mu = _member(params, w)
-    bracket = gerstenhaber_bracket(rotation_generator(w), mu)
-    flow = [_time_derivative(v, w) for v in mu.coeffs.flat]
-    # a difference of antisymmetric tensors, which adds no exact zero
-    return _trusted(_sums(flow, bracket.coeffs.flat, True))
+    m, scalars = rotation_generator(w), (w / 2, -w * w, -w / 2)
+    for params in members:
+        mu = _member(params, w)
+        flow = [_time_derivative(v, *scalars) for v in mu.coeffs.flat]
+        # a difference of antisymmetric tensors, which adds no exact zero
+        yield _trusted(_sums(flow, gerstenhaber_bracket(m, mu).coeffs.flat, True))
 
 
 def prove_operadic_lax(omega):
     """(ok, detail): the operadic residual at omega is zero for the nine unit
-    probes C = e_n, so by linearity in C1..C9 it is zero for every C."""
-    for n in range(1, 10):
-        probe = LaxFamilyParams(tuple(int(m == n) for m in range(1, 10)))
-        if not operadic_lax_residual(probe, omega).is_zero:
+    probes C = e_n, so by linearity in C1..C9 it is zero for every C; M and
+    the flow scalars are built once for the nine."""
+    probes = [LaxFamilyParams(tuple(int(m == n) for m in range(1, 10))) for n in range(1, 10)]
+    for n, residual in enumerate(_residuals(probes, omega), 1):
+        if not residual.is_zero:
             return False, f"nonzero residual for the C{n} probe"
     return True, ("the nine single-parameter probes give the zero tensor;"
                   " linear in C1..C9, so zero for every C")

@@ -147,9 +147,8 @@ def evaluate_terms(terms, columns):
     order), and each term starts at its coefficient and is multiplied by
     every base once per unit of its exponent.  So a Fraction or ExtScalar
     coefficient times a float converts itself to float first, and int 0 plus
-    -0.0 gives 0.0.  This is the one evaluation loop:
-    `bianchi.deformation_trace` runs it on float columns of the flow, and
-    `bianchi.ShellReduction.point_defect` on exact columns of shell points.
+    -0.0 gives 0.0.  `bianchi.deformation_trace` runs it on float columns of
+    the flow.
     """
     n = len(columns[0])
     total = [0] * n

@@ -26,7 +26,7 @@ from operadyn.oscillator import BranchError
 from operadyn.poly import Poly, rational_sqrt
 from operadyn.structure import StructureTensor, _cyclic_defect
 from reference_quantum import deform_formal, formal_deformation
-from reference_shell import reference_reduce_on_shell
+from reference_shell import reference_point_defect, reference_reduce_on_shell
 from reference_tables import GRID, transcribed_deformation
 from reference_trace import scalar_evaluate
 
@@ -356,6 +356,75 @@ class TestShellReduction:
         assert main(["verify", "jacobi-classical", "--p0", "3"]) == 0
         assert "jacobi-classical: PASS" in capsys.readouterr().out
         assert built == [(Fraction(1), Fraction(3))]
+
+
+
+# (omega, p0) with sqrt(2*p0) = 2, 5/3 and the irrational sqrt(6)
+POINT_SHELLS = ((Fraction(1), Fraction(2)), (Fraction(5, 7), Fraction(25, 18)),
+                (Fraction(3, 2), Fraction(3)))
+
+
+@st.composite
+def point_inputs(draw):
+    """(values, omega, p0): up to three named polynomials whose coefficients
+    are Fractions drawn as integer over positive integer (and, where
+    sqrt(2*p0) is irrational, u + v*s of two such), each as drawn, times
+    the shell relation Ap**2 + Am**2 - 2*p0, or less its shell normal form."""
+    omega, p0 = draw(st.sampled_from(POINT_SHELLS))
+    rational = st.builds(Fraction, st.integers(), st.integers(1, 10 ** 6))
+    scalar = rational
+    if rational_sqrt(2 * p0) is None:
+        scalar = scalar | st.builds(lambda u, v: ExtScalar(u, v, p0=p0), rational, rational)
+    exps = st.tuples(*(st.integers(0, 2),) * 4)
+    relation = poly.a_plus ** 2 + poly.a_minus ** 2 - 2 * p0
+    shell = ShellReduction(omega, p0)
+    values = []
+    for n in range(draw(st.integers(1, 3))):
+        f = Poly(draw(st.dictionaries(exps, scalar, max_size=4)))
+        f = draw(st.sampled_from((f, f * relation, f - shell.reduce(f))))
+        values.append((f"f{n}", f))
+    return values, omega, p0
+
+
+class TestPointDefect:
+    """The integer conic-point test against the Fraction-point oracle."""
+
+    @pytest.mark.parametrize("omega, p0", POINT_SHELLS)
+    def test_every_monomial_up_to_degree_four(self, omega, p0):
+        # a monomial is not zero at every shell point; less its shell normal
+        # form it is zero on the conic, though in general not as a polynomial
+        shell = ShellReduction(omega, p0)
+        for exps in itertools.product(range(5), repeat=4):
+            if sum(exps) <= 4:
+                f = Poly({exps: 1})
+                for values in ([("f", f)], [("0", Poly()), ("g", f - shell.reduce(f)), ("f", f)]):
+                    got = shell.point_defect(values)
+                    assert got == reference_point_defect(values, omega, p0), exps
+                    assert got[1] == "f"
+
+    @pytest.mark.parametrize("omega, p0", POINT_SHELLS)
+    def test_multiples_of_the_shell_relation_vanish(self, omega, p0):
+        relation = poly.a_plus ** 2 + poly.a_minus ** 2 - 2 * p0
+        s = rational_sqrt(2 * p0) or ExtScalar(0, 1, p0=p0)
+        shell = ShellReduction(omega, p0)
+        for exps in itertools.product(range(3), repeat=4):
+            for c in (Fraction(1), Fraction(-7, 3), s + Fraction(1, 2)):
+                values = [("g", Poly.constant(c) * Poly({exps: 1}) * relation)]
+                want = (2 * (exps[0] + exps[1]) + exps[2] + exps[3] + 2, None)
+                assert shell.point_defect(values) == want, (exps, c)
+                assert reference_point_defect(values, omega, p0) == want
+
+    @given(point_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_point_oracle(self, case):
+        values, omega, p0 = case
+        got = ShellReduction(omega, p0).point_defect(values)
+        assert got == reference_point_defect(values, omega, p0)
+
+    def test_prove_jacobi_rejects_no_certificates(self):
+        with pytest.raises(ValueError, match="^prove_jacobi needs at least one"
+                                             r" \(class, certificate\) pair, got none$"):
+            ShellReduction.prove_jacobi([])
 
 
 class TestJacobi:

@@ -167,13 +167,14 @@ class TestVerify:
         real = bianchi.ShellReduction.conic_points
 
         def off_shell(self, n):
-            q, p, alpha, beta = real(self, n)
-            return q, [v * Fraction(1001, 1000) for v in p], alpha, beta
+            # a**2 + b**2 = d**2 no longer holds: the points leave the conic
+            a, b, d = real(self, n)
+            return a, b, [z + 1 for z in d]
 
         monkeypatch.setattr(bianchi.ShellReduction, "conic_points", off_shell)
         code, out, _ = run(capsys, "verify", "jacobi-classical")
         assert code == 1
-        # VIIa is the first class whose defect holds p
+        # VIIa is the first class whose defect is not the zero polynomial
         assert out.splitlines()[1] == ("jacobi-classical: FAIL  (defect of VIIa(a=1/2)"
                                        " is not zero at the shell points u = 0..6)")
         assert out.rstrip().endswith("overall: FAIL")
@@ -250,9 +251,11 @@ class TestVerify:
         for k in range(7):
             f = f * (am - k * (ap + s))
         conic = bianchi.ShellReduction(Fraction(1), p0)
-        q, p, alpha, beta = conic.conic_points(8)
-        values = [scalar_evaluate(f.terms.items(), (*point, s * x, s * y))
-                  for *point, x, y in zip(q, p, alpha, beta)]
+        # the point u is q, p, Ap, Am = 2*p0*a*b/d**2, p0*(a**2 - b**2)/d**2, s*a/d, s*b/d
+        values = [scalar_evaluate(f.terms.items(), (Fraction(2 * p0 * a * b, d * d),
+                                                    p0 * Fraction(a * a - b * b, d * d),
+                                                    s * Fraction(a, d), s * Fraction(b, d)))
+                  for a, b, d in zip(*conic.conic_points(8))]
         assert [bool(v) for v in values] == [False] * 7 + [True]
         assert conic.point_defect([("f", f)]) == (7, "f")
         # zero on the conic, though not as a polynomial

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_lax
-from operadyn import poly
+from operadyn import lax, poly
+from operadyn.bianchi import all_types, structure_constants
 from operadyn.ncpoly import ExtScalar
 from operadyn.operad import Operation, gerstenhaber_bracket
 from operadyn.poly import Poly
@@ -120,6 +121,22 @@ class TestOperadicLaxEquation:
         params = LaxFamilyParams((0, 1, 0, 0, 0, 0, 0, 0, 0))
         assert operadic_lax_residual(params, 1).is_zero
 
+    def test_proof_builds_m_once(self, monkeypatch):
+        # the nine probes share one M and one set of flow scalars
+        real = lax.rotation_generator
+        calls = []
+
+        def counted(omega):
+            calls.append(omega)
+            return real(omega)
+
+        monkeypatch.setattr(lax, "rotation_generator", counted)
+        assert lax.prove_operadic_lax(Fraction(3, 2))[0]
+        assert calls == [Fraction(3, 2)]
+        calls.clear()
+        assert operadic_lax_residual(LaxFamilyParams((1,) * 9), 2).is_zero
+        assert calls == [2]
+
     def test_rotation_generator_shape(self):
         m = rotation_generator(Fraction(3))
         assert m.entry(1, 2) == Fraction(-3, 2)
@@ -139,7 +156,7 @@ class TestTimeDerivative:
         Poly.constant(ExtScalar(1, 2, p0=Fraction(3))),
     ])
     def test_constant_entry_gives_zero_poly(self, value):
-        d = _time_derivative(value, Fraction(2, 3))
+        d = _time_derivative(value, Fraction(1, 3), Fraction(-4, 9), Fraction(-1, 3))
         assert type(d) is Poly and d.is_zero
 
     @given(polys, omegas)
@@ -149,7 +166,7 @@ class TestTimeDerivative:
                     - (omega * omega) * poly.q * value.derivative("p")
                     - half_w * poly.a_minus * value.derivative("Ap")
                     + half_w * poly.a_plus * value.derivative("Am"))
-        d = _time_derivative(value, omega)
+        d = _time_derivative(value, half_w, -omega * omega, -half_w)
         assert type(d) is Poly
         assert d == expected and list(d.terms) == list(expected.terms)
 
@@ -209,6 +226,29 @@ class TestSolveC:
         assert got == solve_C(StructureTensor({k: Fraction(v) for k, v in ints.items()}), p0)
         # C1 = (mu^2_23 - mu^1_31)/2 of two int entries is a Fraction, not a float
         assert got.c[0] == -1 and all(type(c) in (Fraction, ExtScalar) for c in got.c)
+
+    @pytest.mark.parametrize("p0", [Fraction(2), Fraction(3), Fraction(9, 8)])
+    def test_zero_parameters_are_fractions_formed_without_arithmetic(self, monkeypatch, p0):
+        # a class tensor has at most five nonzero entries of 27: each zero
+        # parameter is the Fraction 0 and builds no ExtScalar, each nonzero
+        # C5..C8 is an entry over s, with an s-part only
+        built = []
+        monkeypatch.setattr(lax, "ExtScalar",
+                            lambda *args, **kwargs: built.append(1) or ExtScalar(*args, **kwargs))
+        s = ExtScalar(0, 1, p0=p0)
+        for t in all_types():
+            built.clear()
+            constants = structure_constants(t)
+            c = solve_C(constants, p0).c
+            assert build_mu(LaxFamilyParams(c), Fraction(0), p0, s, Fraction(0), 1) == constants
+            for n, value in enumerate(c):
+                if not value:
+                    assert type(value) is Fraction, (t.label, n)
+                elif 4 <= n < 8:
+                    assert type(value) is ExtScalar and value.v and not value.u, (t.label, n)
+                else:
+                    assert type(value) is Fraction, (t.label, n)
+            assert len(built) == sum(1 for value in c[4:8] if value), t.label
 
     def test_rejects_nonpositive_p0(self):
         with pytest.raises(ValueError):
