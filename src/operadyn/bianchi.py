@@ -13,17 +13,18 @@ oscillator: solve_C places its constant tensor in the Lax family, with
 s = sqrt(2*p0) kept formal.  The classical table (`deform`) is the family
 member written from those parameters with s folded to its value when that
 is rational; the operator table (`quantum.quantize`) is the member written
-at the words.  The parameters alone decide rigidity (`is_rigid`).  On the
-energy shell the deformed bracket satisfies the Jacobi identity at every
-time.  A `ShellReduction` for one (omega, p0) owns the shell: its sigma =
-sqrt(2*p0) when rational; the exact reduction to normal form, which writes
-each monomial's normal form as one product from the shell's relations and
-keeps it (`classical_jacobian` reduces its three components through one
-table); a second proof independent of it, at points of the shell conic as
-many as a degree bound asks for; and `prove_jacobi`, the classical Jacobi
-proof of `verify`, which builds no classical table: it runs both proofs on
-the commutative image of each class's operator defect
-(`quantum.commutative_image`).  No table outlives its caller.
+at the words.  The parameters alone decide rigidity, and at any one p0
+(`is_rigid`).  On the energy shell the deformed bracket satisfies the
+Jacobi identity at every time.  A `ShellReduction` for one (omega, p0)
+owns the shell: its sigma = sqrt(2*p0) when rational; the exact reduction
+to normal form, which writes each monomial's normal form as one product
+from the shell's relations and keeps it (`classical_jacobian` reduces its
+three components through one table); a second proof independent of it, at
+points of the shell conic as many as a degree bound asks for; and
+`prove_jacobi`, the classical Jacobi proof of `verify`, which builds no
+classical table: it runs both proofs on the commutative image of each
+class's operator defect (`poly.commutative_image`).  No table outlives its
+caller.
 
 `BianchiType` is a namedtuple whose constructor, `_make` and `_replace` check
 and normalize (tag, a); it compares, hashes and unpacks as that tuple, so
@@ -40,7 +41,7 @@ from . import poly
 from .lax import LaxFamilyParams, formal_mu, solve_C
 from .ncpoly import ExtScalar, _collect, _fold_s, _positive, _rational
 from .oscillator import sample_flow
-from .poly import Poly, rational_sqrt
+from .poly import Poly, commutative_image, rational_sqrt
 from .structure import StructureTensor, _cyclic_defect
 
 # signature (alpha, n1, n2, n3) per class; the modulus a enters two of them
@@ -124,12 +125,13 @@ def deform(t, omega, p0):
     return formal_mu(params, omega)
 
 
-def is_rigid(t, omega=1, p0=2):
+def is_rigid(t):
     """True when the deformation is constant in time and equals the class
     tensor: when its parameters leave the dynamics out
     (`LaxFamilyParams.is_admissible`)."""
-    _positive(omega, "omega")
-    return not solve_C(structure_constants(t), p0).is_admissible
+    # omega never enters solve_C, and each of C2, C3 and C5..C8 is an entry sum
+    # times a factor no p0 > 0 makes zero, so every p0 gives the same answer
+    return not solve_C(structure_constants(t), 2).is_admissible
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +157,11 @@ class ShellReduction:
     def __init__(self, omega, p0):
         self._w = w = _positive(omega, "omega")
         self._p0 = p0 = _positive(p0, "p0")
-        self.sigma = rational_sqrt(2 * p0)
-        self._inverse_w = Poly.constant(1 / w)
+        # the Fraction on the left: an int there runs `fractions`' ABC check
+        self.sigma = rational_sqrt(p0 * 2)
+        self._inverse_w = Poly.constant(Fraction(w.denominator, w.numerator))
         self._p = poly.a_plus ** 2 - Poly.constant(p0)
-        self._shell = Poly.constant(2 * p0) - poly.a_plus ** 2
+        self._shell = Poly.constant(p0 * 2) - poly.a_plus ** 2
         self._forms = {}
 
     def reduce(self, value):
@@ -235,7 +238,6 @@ class ShellReduction:
         """(ok, detail) over (class, certificate) pairs of one (omega, p0): the
         commutative image of each operator defect, the classical defect, is
         zero on the shell by `reduce`, and again by `point_defect`."""
-        from .quantum import commutative_image   # quantum imports this module
         if not certificates:
             raise ValueError("prove_jacobi needs at least one (class, certificate) pair, got none")
         # one table serves every class, at the omega and p0 the certificates share
@@ -268,7 +270,7 @@ def raw_jacobian(mu):
     zero = Poly()
     return _cyclic_defect([v if isinstance(v, Poly)
                            else zero if type(v) in (int, Fraction) and not v
-                           else Poly.constant(v) for v in mu.coeffs.flat], zero)
+                           else Poly.constant(v) for v in mu.coeffs], zero)
 
 
 def classical_jacobian(mu, omega, p0):

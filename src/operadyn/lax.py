@@ -231,7 +231,7 @@ def solve_C(mu0, p0):
     """
     p0 = _positive(p0, "p0")
     half, inverse = Fraction(1, 2), Fraction(p0.denominator, 2 * p0.numerator)   # 1/(2 p0)
-    flat = mu0.coeffs.flat
+    flat = mu0.coeffs
 
     def m(i, j, k):
         # a scalar entry as its coefficient, a constant Poly as its value; as
@@ -291,9 +291,9 @@ def _residuals(members, omega):
     m, scalars = rotation_generator(w), (w / 2, -w * w, -w / 2)
     for params in members:
         mu = _member(params, w)
-        flow = [_time_derivative(v, *scalars) for v in mu.coeffs.flat]
+        flow = [_time_derivative(v, *scalars) for v in mu.coeffs]
         # a difference of antisymmetric tensors, which adds no exact zero
-        yield _trusted(_sums(flow, gerstenhaber_bracket(m, mu).coeffs.flat, True))
+        yield _trusted(_sums(flow, gerstenhaber_bracket(m, mu).coeffs, True))
 
 
 def prove_operadic_lax(omega):

@@ -278,7 +278,7 @@ def _coefficient(value):
 
 def _fold_s(c, sigma):
     """c with s set to its rational value sigma: u + v*sigma for an ExtScalar,
-    any other c as it is.  The s-fold of `bianchi.deform` and `quantum.commutative_image`."""
+    any other c as it is.  The s-fold of `bianchi.deform` and `poly.commutative_image`."""
     return c.u + c.v * sigma if type(c) is ExtScalar else c
 
 

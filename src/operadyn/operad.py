@@ -2,9 +2,10 @@
 
 An operation of degree n on a d-dimensional space V is a multilinear map
 V**n -> V, given by its d**(n+1) coefficients, output index first, as one
-row-major tuple (the last index varies fastest).  Entries may be exact
-numbers or elements of any commutative ring with the usual Python operators
-(the package uses `poly.Poly` for phase-space-dependent operations).  It is
+row-major tuple (the last index varies fastest), its read-only `coeffs`.
+Entries may be exact numbers or elements of any commutative ring with the
+usual Python operators (the package uses `poly.Poly` for
+phase-space-dependent operations).  It is
 the package's one tensor type: the Lax matrices are degree-1 Operations, and
 `structure.StructureTensor` is the Operation of degree 2 on a 3d space.
 
@@ -79,19 +80,6 @@ def graded_sign(exponent):
     return -1 if exponent % 2 else 1
 
 
-class Tensor:
-    """An Operation's `coeffs`: the read-only row-major tuple `flat` and its `size`."""
-
-    __slots__ = ("flat", "size")
-
-    def __init__(self, flat):
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "size", len(flat))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Tensor is read-only, cannot set {name!r}")
-
-
 class Operation:
     """A multilinear operation V**degree -> V on a d-dimensional space."""
 
@@ -110,13 +98,13 @@ class Operation:
         size = dim ** (degree + 1)
         if flat is None:
             flat = (Fraction(0),) * size
-        # a Tensor or nested rows are not the flat entries
-        flat = () if isinstance(flat, Tensor) else tuple(flat)
-        if len(flat) != size or any(isinstance(v, (list, tuple, Tensor)) for v in flat):
+        # nested rows are not the flat entries
+        flat = tuple(flat)
+        if len(flat) != size or any(isinstance(v, (list, tuple)) for v in flat):
             raise ValueError(f"expected {size} flat entries for dim {dim}, degree {degree}")
         self.dim = dim
         self.degree = degree
-        self.coeffs = Tensor(flat)
+        self.coeffs = flat
 
     @classmethod
     def from_matrix(cls, rows):
@@ -139,11 +127,11 @@ class Operation:
         if any(not (1 <= i <= self.dim) for i in indices):
             raise ValueError(f"index {indices!r} out of range for dim {self.dim}")
         offset = sum((i - 1) * self.dim ** n for n, i in enumerate(reversed(indices)))
-        return self.coeffs.flat[offset]
+        return self.coeffs[offset]
 
     @property
     def is_zero(self):
-        return all(v == 0 for v in self.coeffs.flat)
+        return all(v == 0 for v in self.coeffs)
 
     # ---- linear structure --------------------------------------------------
 
@@ -158,7 +146,7 @@ class Operation:
                 f"shape mismatch: (dim {self.dim}, degree {self.degree})"
                 f" vs (dim {other.dim}, degree {other.degree})"
             )
-        return self._like(_sums(self.coeffs.flat, other.coeffs.flat, negate))
+        return self._like(_sums(self.coeffs, other.coeffs, negate))
 
     def __add__(self, other):
         return self._combine(False, other)
@@ -167,11 +155,11 @@ class Operation:
         return self._combine(True, other)
 
     def __neg__(self):
-        return self._like(map(neg, self.coeffs.flat))
+        return self._like(map(neg, self.coeffs))
 
     def __mul__(self, scalar):
         if isinstance(scalar, (Fraction, int, float, Rational)):
-            return self._like(v * scalar for v in self.coeffs.flat)
+            return self._like(v * scalar for v in self.coeffs)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -181,13 +169,13 @@ class Operation:
             return NotImplemented
         if self.dim != other.dim or self.degree != other.degree:
             return False
-        return self.coeffs.flat == other.coeffs.flat
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.dim, self.degree, self.coeffs.flat))
+        return hash((self.dim, self.degree, self.coeffs))
 
     def __repr__(self):
-        nonzero = sum(1 for v in self.coeffs.flat if v != 0)
+        nonzero = sum(1 for v in self.coeffs if v != 0)
         return f"Operation(dim={self.dim}, degree={self.degree}, nonzero={nonzero})"
 
 
@@ -196,7 +184,7 @@ def _trusted(cls, dim, degree, flat):
     out = _new(cls)
     out.dim = dim
     out.degree = degree
-    out.coeffs = Tensor(tuple(flat))
+    out.coeffs = tuple(flat)
     return out
 
 
@@ -254,7 +242,7 @@ def _composed(f, g, parts):
             signed[swap, negate] = ([(pos, -v) for pos, v in inner_pairs] if negate
                                     else inner_pairs)
         _compose_into(out, outer, i, outer_pairs, signed[swap, negate],
-                      len(inner.coeffs.flat) // d)
+                      len(inner.coeffs) // d)
     (zero,) = _sums((f_zero,), (g_zero,), False)
     return _trusted(Operation, d, out_degree, [zero if v is None else v for v in out])
 
@@ -263,7 +251,7 @@ def _nonzero(op):
     """The (position, entry) pairs of op's nonzero entries, in row-major
     order, and its last zero entry (int 0 if it has none)."""
     pairs, zero = [], 0
-    for pos, v in enumerate(op.coeffs.flat):
+    for pos, v in enumerate(op.coeffs):
         if v == 0:
             zero = v
         else:

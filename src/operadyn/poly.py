@@ -8,14 +8,16 @@ are never stored, which makes structural equality the same thing as
 canonical-form equality.
 
 `Poly` is the ring body `ncpoly._Ring`, shared with `ncpoly.NCPoly`, over
-exponent keys; it adds `constant`, `variable`, `**` and `derivative`.
+exponent keys; it adds `constant`, `variable` and `**`.
 Invariant of every Poly: its keys are 4-tuples of ints >= 0, and each
 coefficient is in that format.  The public constructors (`Poly(...)`,
-`constant`, `variable`, `from_text`) check and coerce their input.  Only
-`constant`, whose one key is known to be good once its value is coerced,
-the ring operations and `derivative`, whose operands already hold the
+`constant`, `variable`, `from_text`) check and coerce their input.  In the
+class, only `constant`, whose one key is known to be good once its value
+is coerced, and the ring operations, whose operands already hold the
 invariant, build their result through the private `_trusted`, which checks
-nothing.
+nothing.  Outside it, so do `lax._time_derivative`, the shell reduction of
+`bianchi`, and `commutative_image`, the ring map that lets the generators
+of an `ncpoly.NCPoly` commute.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from .ncpoly import _new, _Ring, _coefficient
+from .ncpoly import GENERATORS, _new, _Ring, _coefficient, _collect, _fold_s
 
 VARIABLES = ("q", "p", "Ap", "Am")
 
@@ -84,7 +86,7 @@ class Poly(_Ring):
             raise ValueError(f"unknown variable {name!r}, expected one of {VARIABLES}")
         return cls({tuple(int(v == name) for v in VARIABLES): 1})
 
-    # ---- powers and calculus -------------------------------------------
+    # ---- powers ----------------------------------------------------------
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -93,11 +95,6 @@ class Poly(_Ring):
         for _ in range(exponent):
             out = out * self
         return out
-
-    def derivative(self, name):
-        i = VARIABLES.index(name)
-        return _trusted({exps[:i] + (exps[i] - 1,) + exps[i + 1:]: coeff * exps[i]
-                         for exps, coeff in self.terms.items() if exps[i]})
 
     # ---- canonical text form --------------------------------------------
 
@@ -159,6 +156,27 @@ def evaluate_terms(terms, columns):
                 value = list(map(mul, value, column))
         total = list(map(add, total, value))
     return total
+
+
+def _exps(word):
+    """The exponents (i, j, k, l) of a word's commutative image: how often
+    it holds Q, P, Ap and Am."""
+    return tuple(map(word.count, GENERATORS))
+
+
+def commutative_image(value, sigma=None):
+    """The Poly of an NCPoly whose generators commute: each word becomes the
+    monomial of its letter counts, merged through `_collect`, and given the
+    rational value sigma of s (`bianchi.ShellReduction.sigma`), each u + v*s
+    folds to u + v*sigma first by `ncpoly._fold_s`, as in `bianchi.deform`.
+    A ring map that takes each entry of `quantum.quantize(t, omega, p0)` to
+    the entry of `bianchi.deform(t, omega, p0)`, so it takes the operator
+    defect of a class to its commutative one,
+    `bianchi.raw_jacobian(bianchi.deform(t, omega, p0))`."""
+    terms = value.terms.items()
+    if sigma is not None:
+        terms = ((word, _fold_s(c, sigma)) for word, c in terms)
+    return _trusted(_collect({}, ((_exps(word), c) for word, c in terms)))
 
 
 def as_poly(value):

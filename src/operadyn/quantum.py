@@ -20,8 +20,8 @@ alternating, so it factors through det(x | y | z); classification only needs
 J(e1, e2, e3), whose weights are 1 on the cyclic (i, j, l) and 0 elsewhere.
 `basis_jacobian` runs that weight-free cyclic kernel, the one
 `bianchi.raw_jacobian` runs.  Making the generators commute maps the
-operator defect onto the classical one (`commutative_image`), so one kernel
-call per class serves both sides.
+operator defect onto the classical one (`poly.commutative_image`), so one
+kernel call per class serves both sides.
 
 Every class lands in exactly one bucket:
 
@@ -45,10 +45,9 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
-from . import bianchi, poly
+from . import bianchi
 from .lax import _member, solve_C
-from .ncpoly import (GENERATORS, ExtScalar, NCPoly, _collect, _fold_s, _positive, _rational,
-                     _same_p0, commutator)
+from .ncpoly import ExtScalar, NCPoly, _positive, _rational, _same_p0, commutator
 from .structure import _cyclic_defect
 
 _ONE = Fraction(1)
@@ -58,27 +57,6 @@ QUANTUM_LIE = "QuantumLie"
 ANOMALOUS_I = "AnomalousI"
 ANOMALOUS_II = "AnomalousII"
 UNCLASSIFIED = "Unclassified"
-
-
-def _exps(word):
-    """The exponents (i, j, k, l) of a word's commutative image: how often
-    it holds Q, P, Ap and Am."""
-    return tuple(map(word.count, GENERATORS))
-
-
-def commutative_image(value, sigma=None):
-    """The Poly of an NCPoly whose generators commute: each word becomes the
-    monomial of its letter counts, merged through `_collect`, and given the
-    rational value sigma of s (`bianchi.ShellReduction.sigma`), each u + v*s
-    folds to u + v*sigma first by `ncpoly._fold_s`, as in `bianchi.deform`.
-    A ring map that takes each entry of `quantize(t, omega, p0)` to the
-    entry of `bianchi.deform(t, omega, p0)`, so it takes the operator defect
-    of a class to its commutative one, `bianchi.raw_jacobian(bianchi.deform(t,
-    omega, p0))`."""
-    terms = value.terms.items()
-    if sigma is not None:
-        terms = ((word, _fold_s(c, sigma)) for word, c in terms)
-    return poly._trusted(_collect({}, ((_exps(word), c) for word, c in terms)))
 
 
 def quantize(t, omega, p0):
@@ -118,7 +96,7 @@ def generator_commutator(p0):
 def _nc_entries(mu):
     """The 27 row-major entries of mu, each checked to be an NCPoly of the
     first one's p0 (ValueError if not)."""
-    flat = mu.coeffs.flat
+    flat = mu.coeffs
     for (i, j, k), value in zip(itertools.product((1, 2, 3), repeat=3), flat):
         if not isinstance(value, NCPoly):
             raise ValueError(f"entry mu^{i}_{{{j}{k}}} is not an NCPoly: {value!r}")

@@ -18,8 +18,7 @@ by `operad._trusted` through the private `_trusted`, which checks nothing.
 
 Entries can be exact numbers, `poly.Poly`, or `ncpoly.NCPoly`; the
 container is agnostic as long as entries support +, -, * and == with each
-other and with 0, and a non-number entry has `is_constant` and
-`constant_value()`, as both do.
+other and with 0.
 
 Indices are 1-based everywhere in the public interface, matching the usual
 e_1, e_2, e_3 notation; the independent components are reported in the
@@ -29,26 +28,15 @@ column order (1,2), (2,3), (3,1).
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 
-from .ncpoly import ExtScalar, _collect, _Ring
+from .ncpoly import _collect
 from . import operad
 from .operad import Operation
 
 DIM = 3
 
-# entries that are numbers rather than polynomials; the types whose
-# isinstance check runs no Python code come first, then Fraction, whose
-# metaclass is the ABCMeta of Rational
-_SCALARS = (int, float, ExtScalar, Fraction, Rational)
-
 # independent index pairs, in standard column order
 PAIRS = ((1, 2), (2, 3), (3, 1))
-
-
-def _is_number(value):
-    """True for a number entry; a polynomial is told before any ABC check."""
-    return not isinstance(value, _Ring) and isinstance(value, _SCALARS)
 
 
 def _mirror(value):
@@ -127,7 +115,7 @@ class StructureTensor(Operation):
 
         A diagonal entry must vanish and mu^i_{jk} must equal -mu^i_{kj}.
         """
-        flat = self.coeffs.flat
+        flat = self.coeffs
         for i, j, k in checks:
             a = flat[(i * DIM + j) * DIM + k]
             if j == k:
@@ -148,21 +136,7 @@ class StructureTensor(Operation):
         """
         for (j, k) in PAIRS:
             for i in (1, 2, 3):
-                yield (i, j, k), self.coeffs.flat[_position(i, j, k)]
-
-    @property
-    def is_constant(self):
-        return all(_is_number(v) or v.is_constant for v in self.coeffs.flat)
-
-    def constant_tensor(self):
-        """Fold constant entries down to plain numbers.
-
-        Taking the constant value is odd, so the image of an antisymmetric
-        tensor is antisymmetric and is built unchecked.
-        """
-        if not self.is_constant:
-            raise ValueError("tensor has non-constant entries")
-        return _trusted(v if _is_number(v) else v.constant_value() for v in self.coeffs.flat)
+                yield (i, j, k), self.coeffs[_position(i, j, k)]
 
     def __repr__(self):
         parts = [f"mu^{i}_{{{j}{k}}}={v}"

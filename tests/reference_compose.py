@@ -30,7 +30,7 @@ from operadyn.structure import _position
 
 def dense_partial_compose(f, i, g):
     d = f.dim
-    ff, gf = f.coeffs.flat, g.coeffs.flat
+    ff, gf = f.coeffs, g.coeffs
     step = d ** (f.degree - 1 - i)
     block = d * step
     fibres = [[ff[start + r:start + block:step] for r in range(step)]
@@ -50,7 +50,7 @@ def apply(op, vectors):
         raise ValueError(f"operation of degree {op.degree} takes {op.degree} arguments,"
                          f" got {len(vectors)}")
     d = op.dim
-    out = op.coeffs.flat
+    out = op.coeffs
     for vec in vectors:
         v = tuple(vec)
         if len(v) != d:

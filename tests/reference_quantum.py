@@ -26,6 +26,7 @@ from operadyn.structure import _trusted
 from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, UNCLASSIFIED,
                               AnomalyCertificate, generator_commutator, xi_pair)
 from reference_compose import quantum_jacobian
+from reference_structure import constant_tensor, is_constant
 
 _BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -61,7 +62,7 @@ def quantize_formal(formal, p0):
         c = zero._coeff(value)
         return zero._like({(): c} if c else {})
 
-    return _trusted(map(operator, formal.coeffs.flat))
+    return _trusted(map(operator, formal.coeffs))
 
 
 def _fold(value, sigma):
@@ -86,7 +87,7 @@ def deform_formal(formal, p0):
     sigma = rational_sqrt(2 * _positive(p0, "p0"))
     if sigma is None:
         return formal
-    return _trusted(_fold(v, sigma) for v in formal.coeffs.flat)
+    return _trusted(_fold(v, sigma) for v in formal.coeffs)
 
 
 def classify_formal(t, formal, omega, p0):
@@ -101,7 +102,7 @@ def classify_formal(t, formal, omega, p0):
 
 def _match(t, mu, defect, w, p0):
     """(kind, tau, matched): the first bucket that fits, or Unclassified."""
-    if mu.is_constant and mu.constant_tensor() == bianchi.structure_constants(t):
+    if is_constant(mu) and constant_tensor(mu) == bianchi.structure_constants(t):
         return RIGID, None, ("0", "0", "0")
     if defect.is_zero:
         return QUANTUM_LIE, None, ("0", "0", "0")

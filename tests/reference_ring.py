@@ -12,15 +12,18 @@ old body: two values are equal when their `value_key`s are.
 
 `ext_add`, `ext_neg` and `ext_mul` are the ExtScalar bodies, which formed
 every part sum and product.  `entry_sums` is the plain elementwise sum of
-two operations' entries, the oracle of `operad._sums`.
+two operations' entries, the oracle of `operad._sums`.  `derivative` is the
+partial derivative that `Poly` once had, the oracle of the fused
+`lax._time_derivative`.
 """
 
 from fractions import Fraction
 from numbers import Rational
 from operator import add, sub
 
+from operadyn import poly
 from operadyn.ncpoly import ExtScalar, NCPoly, _collect, _ext, _same_p0
-from operadyn.poly import Poly
+from operadyn.poly import VARIABLES, Poly
 
 SCALARS = (int, ExtScalar, Fraction, Rational)
 
@@ -119,3 +122,10 @@ def ext_mul(a, b):
 def entry_sums(xs, ys, negate):
     """The plain elementwise x + y (x - y if negate)."""
     return list(map(sub if negate else add, xs, ys))
+
+
+def derivative(f, name):
+    """The partial derivative of the Poly f in the variable `name`."""
+    i = VARIABLES.index(name)
+    return poly._trusted({exps[:i] + (exps[i] - 1,) + exps[i + 1:]: coeff * exps[i]
+                          for exps, coeff in f.terms.items() if exps[i]})

@@ -39,7 +39,7 @@ def test_criterion_01_matrix_lax_residual_exact():
         pv = _rational(rng, 60, 20)
         wv = Fraction(rng.randint(1, 40), rng.randint(1, 10))
         residual = matrix_lax_residual(qv, pv, wv)
-        assert all(v == 0 for v in residual.coeffs.flat)
+        assert all(v == 0 for v in residual.coeffs)
     print("ACCEPTANCE 1: PASS - matrix residual exactly zero at 1000"
           " random rational points")
 

@@ -6,7 +6,9 @@ test runs the real interpreter via -m.
 """
 
 import argparse
+import ast
 import contextlib
+import graphlib
 import io
 import json
 import math
@@ -128,7 +130,7 @@ class TestVerify:
 
         def mutant(q, p, omega):
             pair = real(q, p, omega)
-            entries = list(pair.L.coeffs.flat)
+            entries = list(pair.L.coeffs)
             entries[1] = omega * omega * q
             return lax.MatrixLaxPair(L=Operation(3, 1, entries), M=pair.M)
 
@@ -193,7 +195,7 @@ class TestVerify:
             if params != vii_a:
                 return tensor
             # the diagonal holds NCPoly zeros, so the mirror is filled here
-            flat = list(tensor.coeffs.flat)
+            flat = list(tensor.coeffs)
             value = flat[_position(1, 2, 3)] + NCPoly.generator("Q", p0=p0)
             flat[_position(1, 2, 3)], flat[_position(1, 3, 2)] = value, -value
             return _trusted(flat)
@@ -213,7 +215,7 @@ class TestVerify:
         def mutant(word):
             return (word.count("Q"), word.count("P"), word.count("Ap") + word.count("Am"), 0)
 
-        monkeypatch.setattr(quantum, "_exps", mutant)
+        monkeypatch.setattr(poly, "_exps", mutant)
         code, out, _ = run(capsys, "verify", "jacobi-classical")
         assert code == 1
         assert out.splitlines()[1].startswith("jacobi-classical: FAIL  (on-shell defect of ")
@@ -648,6 +650,34 @@ def test_import_loads_no_dataclass_or_table_format_modules():
                    "print(sorted(new & {'dataclasses', 'inspect', 'json', 'csv'}))\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_package_imports_sit_at_module_level_and_form_no_cycle():
+    # every module imports its package siblings at the top, and the import
+    # graph has an order in which each module comes after what it imports
+    package = Path(cli.__file__).resolve().parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    graph, nested = {}, []
+    for name, tree in modules.items():
+        graph[name] = set()
+        inside = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = ("operadyn." * bool(node.level) + (node.module or "")).rstrip(".")
+                dotted = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                dotted = [alias.name for alias in node.names]
+            else:
+                continue
+            targets = {n.split(".")[1] for n in dotted if n.startswith("operadyn.")} & set(modules)
+            if targets and id(node) in inside:
+                nested.append(f"{name}.py:{node.lineno}")
+            graph[name] |= targets
+    assert nested == []
+    order = list(graphlib.TopologicalSorter(graph).static_order())   # CycleError on a cycle
+    assert sorted(order) == sorted(modules)
 
 
 def test_module_entry_point():

@@ -17,9 +17,8 @@ from operadyn import bianchi, operad, poly
 from operadyn.lax import (LaxFamilyParams, build_matrix_lax, build_mu,
                           operadic_lax_residual, rotation_generator)
 from operadyn.ncpoly import ExtScalar, NCPoly
-from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, Tensor,
-                             gerstenhaber_bracket, graded_sign,
-                             partial_compose, total_compose)
+from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, gerstenhaber_bracket,
+                             graded_sign, partial_compose, total_compose)
 from operadyn.poly import Poly
 from operadyn.quantum import basis_jacobian, quantize
 from operadyn.structure import StructureTensor
@@ -108,11 +107,11 @@ class TestConstruction:
 
 
 class TestTensor:
-    """Flat row-major entries in, and the read-only record `coeffs` out."""
+    """Flat row-major entries in, and the read-only tuple `coeffs` out."""
 
     def test_row_major_indexing(self):
         f = Operation(2, 2, range(1, 9))
-        assert f.coeffs.flat == (1, 2, 3, 4, 5, 6, 7, 8) and f.coeffs.size == 8
+        assert f.coeffs == (1, 2, 3, 4, 5, 6, 7, 8)
         assert f.entry(1, 2, 1) == 3 and f.entry(2, 1, 2) == 6
         with pytest.raises(ValueError):
             f.entry(1, 3, 1)
@@ -131,9 +130,6 @@ class TestTensor:
             Operation(2, 0, [[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             Operation(2, 1, [1, 2, (3,), 4])
-        # a Tensor, though its entries fill the shape
-        with pytest.raises(ValueError):
-            Operation(2, 1, identity(2).coeffs)
 
     def test_from_matrix_checks_square(self):
         assert Operation.from_matrix([[1, 2], [3, 4]]) == Operation(2, 1, (1, 2, 3, 4))
@@ -142,27 +138,18 @@ class TestTensor:
             with pytest.raises(ValueError):
                 Operation.from_matrix(rows)
 
-    def test_read_only(self):
-        t = identity(2).coeffs
-        with pytest.raises(TypeError):
-            t[0, 0] = 5
-        with pytest.raises(AttributeError):
-            t.flat = (5, 0, 0, 1)
-        with pytest.raises(AttributeError):
-            t.size = 3
-        assert t.flat == (1, 0, 0, 1)
-
-    def test_coeffs_record_the_tracer_reads(self):
-        # perfbench's partial_compose hook reads coeffs.flat and coeffs.size
-        # of an Operation, a StructureTensor and a composition result
+    def test_coeffs_is_the_read_only_flat_tuple(self):
+        # of an Operation, a StructureTensor, a composition result and a bracket
         f = Operation(3, 1, range(9))
         mu = StructureTensor({(1, 2, 3): Fraction(2), (3, 1, 2): Fraction(-1)})
         for op in (f, mu, partial_compose(mu, 1, f), gerstenhaber_bracket(f, mu)):
             t = op.coeffs
-            assert type(t) is Tensor and type(t.flat) is tuple
-            assert t.size == len(t.flat) == op.dim ** (op.degree + 1)
-            assert t.flat == tuple(op.entry(*idx) for idx in itertools.product(
+            assert type(t) is tuple and len(t) == op.dim ** (op.degree + 1)
+            assert t == tuple(op.entry(*idx) for idx in itertools.product(
                 range(1, op.dim + 1), repeat=op.degree + 1))
+            with pytest.raises(TypeError):
+                t[0] = 5
+            assert Operation(op.dim, op.degree, t) == op
 
 
 class TestPartialCompose:
@@ -241,8 +228,8 @@ class TestDegreeZero:
         # f . v = f(v, .) - f(., v) since (-1)**(i*(-1)) alternates
         out = total_compose(self.f, self.v)
         assert out.degree == 1
-        plugged0 = [apply(self.f, [self.v.coeffs.flat, e]) for e in (E1, E2, E3)]
-        plugged1 = [apply(self.f, [e, self.v.coeffs.flat]) for e in (E1, E2, E3)]
+        plugged0 = [apply(self.f, [self.v.coeffs, e]) for e in (E1, E2, E3)]
+        plugged1 = [apply(self.f, [e, self.v.coeffs]) for e in (E1, E2, E3)]
         for col, (p0c, p1c) in enumerate(zip(plugged0, plugged1)):
             for row in range(3):
                 assert out.entry(row + 1, col + 1) == p0c[row] - p1c[row]
@@ -341,7 +328,7 @@ class TestCompositionKernel:
             f = _kernel_operation(rng, d, rng.randint(1, 3), kind, density)
             g = _kernel_operation(rng, d, rng.randint(0, 3), kind, density)
             for i in range(f.degree):
-                got = partial_compose(f, i, g).coeffs.flat
+                got = partial_compose(f, i, g).coeffs
                 want = dense_partial_compose(f, i, g)
                 assert got == want and hash(got) == hash(want)
                 for new, old in zip(got, want):
@@ -358,7 +345,7 @@ class TestCompositionKernel:
         for zero, kind in ((0, int), (Fraction(0), Fraction)):
             f = Operation(2, 2, (zero,) * 8)
             for i in range(2):
-                flat = partial_compose(f, i, f).coeffs.flat
+                flat = partial_compose(f, i, f).coeffs
                 assert flat == dense_partial_compose(f, i, f)
                 assert all(type(v) is kind for v in flat)
 
@@ -411,7 +398,7 @@ class TestOneEntryList:
                               (gerstenhaber_bracket(g, f), bracket_of_partials(g, f)),
                               (total_compose(g, f), total_of_partials(g, f))):
                 assert (got.dim, got.degree) == (want.dim, want.degree)
-                for x, y in zip(got.coeffs.flat, want.coeffs.flat, strict=True):
+                for x, y in zip(got.coeffs, want.coeffs, strict=True):
                     _assert_same_entry(x, y)
 
     @pytest.mark.parametrize("kinds", [("int", "Fraction"), ("Poly", "Fraction"),
@@ -528,7 +515,7 @@ class TestFractionOnTheRight:
     def test_bracket_and_operator_defect(self, monkeypatch):
         w, p0 = Fraction(3, 2), Fraction(3)
         mu, op = formal_deformation(self.VIIA, w, p0), quantize(self.VIIA, w, p0)
-        assert any(type(c) is ExtScalar for v in mu.coeffs.flat if isinstance(v, Poly)
+        assert any(type(c) is ExtScalar for v in mu.coeffs if isinstance(v, Poly)
                    for c in v.terms.values())
         calls = _recording_fraction_mul(monkeypatch)
         gerstenhaber_bracket(rotation_generator(w), mu)
@@ -546,7 +533,7 @@ class TestFractionOnTheRight:
         for mu in (formal_deformation(self.VIIA, w, p0), quantize(self.VIIA, w, p0)):
             for f, g in ((m, mu), (mu, m)):
                 for i in range(f.degree):
-                    got = partial_compose(f, i, g).coeffs.flat
+                    got = partial_compose(f, i, g).coeffs
                     for a, b in zip(got, dense_partial_compose(f, i, g), strict=True):
                         assert a == b
                         if isinstance(a, (Poly, NCPoly)):
@@ -592,7 +579,7 @@ class TestLinearStructureMatchesReference:
     def test_every_pair_of_entries(self, negate):
         for x, y in itertools.product(_ENTRIES, repeat=2):
             a, b = Operation(1, 0, [x]), Operation(1, 0, [y])
-            got = _entry_outcomes(lambda: (a - b if negate else a + b).coeffs.flat)
+            got = _entry_outcomes(lambda: (a - b if negate else a + b).coeffs)
             want = _entry_outcomes(lambda: entry_sums([x], [y], negate))
             _assert_same_entries(got, want)
 
@@ -601,6 +588,6 @@ class TestLinearStructureMatchesReference:
     @settings(max_examples=100, deadline=None)
     def test_mixed_operations(self, entries, negate):
         a, b = Operation(3, 1, entries[:9]), Operation(3, 1, entries[9:])
-        got = _entry_outcomes(lambda: (a - b if negate else a + b).coeffs.flat)
+        got = _entry_outcomes(lambda: (a - b if negate else a + b).coeffs)
         want = _entry_outcomes(lambda: entry_sums(entries[:9], entries[9:], negate))
         _assert_same_entries(got, want)

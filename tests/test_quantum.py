@@ -20,9 +20,9 @@ from operadyn.bianchi import (BianchiType, ShellReduction, all_types, deform,
                               raw_jacobian, structure_constants)
 from operadyn.lax import LaxFamilyParams, _member, formal_mu
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
-from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, _exps,
-                              basis_jacobian, classify, commutative_image,
-                              generator_commutator, quantize, xi_pair)
+from operadyn.poly import _exps, commutative_image
+from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, basis_jacobian,
+                              classify, generator_commutator, quantize, xi_pair)
 from operadyn.structure import StructureTensor, _position, _trusted
 from reference_compose import quantum_jacobian, triple_product
 from reference_quantum import (_word, classify_formal, deform_formal, formal_deformation,
@@ -144,7 +144,7 @@ class TestQuantize:
             for t in all_types(Fraction(2, 3)):
                 formal = formal_deformation(t, Fraction(3, 2), p0)
                 mu = quantize(t, Fraction(3, 2), p0)
-                for v, value in zip(mu.coeffs.flat, formal.coeffs.flat):
+                for v, value in zip(mu.coeffs, formal.coeffs):
                     words = {tuple(g for g, e in zip(GENERATORS, exps) for _ in range(e)): c
                              for exps, c in poly.as_poly(value).terms.items()}
                     assert v == NCPoly(words, p0=p0) and v.p0 == p0
@@ -161,7 +161,7 @@ class TestQuantize:
             quantize(t, 1, 3.0)
         # every entry holds the one p0 of its bracket, so the defect refuses
         # a tensor that mixes contexts, as the ring operations do
-        flat = list(quantize(t, 1, 5).coeffs.flat)
+        flat = list(quantize(t, 1, 5).coeffs)
         flat[_position(1, 2, 3)] = NCPoly.generator("Q", p0=3)
         flat[_position(1, 3, 2)] = -flat[_position(1, 2, 3)]
         with pytest.raises(ValueError, match=r"^mixed p0 contexts: 5 vs 3$"):
@@ -333,8 +333,8 @@ class TestCommutativeImage:
         for omega, p0, a in ((1, Fraction(2), Fraction(1, 2)), (1, Fraction(3), Fraction(1, 2))):
             sigma = poly.rational_sqrt(2 * p0)
             for t in all_types(a):
-                operator = quantize(t, omega, p0).coeffs.flat
-                table = deform(t, omega, p0).coeffs.flat
+                operator = quantize(t, omega, p0).coeffs
+                table = deform(t, omega, p0).coeffs
                 for got, want in zip(operator, table):
                     assert commutative_image(got, sigma) == poly.as_poly(want), t.label
 
@@ -394,7 +394,7 @@ class TestFamilyWrittenBracket:
                 got = quantize(t, omega, p0)
                 want = quantize_formal(formal_deformation(t, omega, p0), p0)
                 assert type(got) is type(want) is StructureTensor
-                for x, y in zip(got.coeffs.flat, want.coeffs.flat, strict=True):
+                for x, y in zip(got.coeffs, want.coeffs, strict=True):
                     _assert_same_ncpoly(x, y)
 
     @pytest.mark.parametrize("p0", _ORACLE_P0S)
@@ -414,7 +414,7 @@ class TestFamilyWrittenBracket:
         # and the cyclic kernel keeps the terms and term order of the ring sum
         operator, formal, p0 = case
         want = quantize_formal(formal, p0)
-        for x, y in zip(operator.coeffs.flat, want.coeffs.flat, strict=True):
+        for x, y in zip(operator.coeffs, want.coeffs, strict=True):
             _assert_same_ncpoly(x, y)
         for x, y in zip(basis_jacobian(operator), quantum_jacobian(want, E1, E2, E3),
                         strict=True):

@@ -88,9 +88,9 @@ def test_record_types_and_fields():
     assert MatrixLaxPair._fields == ("L", "M")
     # the pair's entries, which the repr of its Operations does not show
     L, M = RECORDS["MatrixLaxPair"][0]()
-    assert L.coeffs.flat == (2, 0, 0, 0, -2, 0, 0, 0, 1)
-    assert M.coeffs.flat == (0, Fraction(-1, 2), 0, Fraction(1, 2), 0, 0, 0, 0, 0)
-    assert all(type(v) is Fraction for v in L.coeffs.flat + M.coeffs.flat)
+    assert L.coeffs == (2, 0, 0, 0, -2, 0, 0, 0, 1)
+    assert M.coeffs == (0, Fraction(-1, 2), 0, Fraction(1, 2), 0, 0, 0, 0, 0)
+    assert all(type(v) is Fraction for v in L.coeffs + M.coeffs)
     assert JacobianTriple._fields == ("j1", "j2", "j3")
     assert AnomalyCertificate._fields == ("kind", "type_label", "omega", "p0", "a", "tau",
                                           "jacobian", "matched")
