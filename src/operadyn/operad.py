@@ -2,7 +2,8 @@
 
 An operation of degree n on a d-dimensional space V is a multilinear map
 V**n -> V, given by its d**(n+1) coefficients, output index first, as one
-row-major tuple (the last index varies fastest), its read-only `coeffs`.
+row-major tuple (the last index varies fastest), its read-only `coeffs`
+(a `Tensor`: a tuple that also answers `flat` and `size`).
 Entries may be exact numbers or elements of any commutative ring with the
 usual Python operators (the package uses `poly.Poly` for
 phase-space-dependent operations).  It is
@@ -80,6 +81,14 @@ def graded_sign(exponent):
     return -1 if exponent % 2 else 1
 
 
+class Tensor(tuple):
+    """An Operation's `coeffs`: the row-major tuple, also read as `flat` and `size`."""
+
+    __slots__ = ()
+    flat = property(tuple)
+    size = property(len)
+
+
 class Operation:
     """A multilinear operation V**degree -> V on a d-dimensional space."""
 
@@ -104,7 +113,7 @@ class Operation:
             raise ValueError(f"expected {size} flat entries for dim {dim}, degree {degree}")
         self.dim = dim
         self.degree = degree
-        self.coeffs = flat
+        self.coeffs = Tensor(flat)
 
     @classmethod
     def from_matrix(cls, rows):
@@ -184,7 +193,7 @@ def _trusted(cls, dim, degree, flat):
     out = _new(cls)
     out.dim = dim
     out.degree = degree
-    out.coeffs = tuple(flat)
+    out.coeffs = Tensor(flat)
     return out
 
 

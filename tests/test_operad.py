@@ -5,7 +5,9 @@ The frozen examples were expanded by hand from the defining formula
 with the sign (-1)**(i*|g|), before the implementation existed.
 """
 
+import importlib.util
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -17,8 +19,9 @@ from operadyn import bianchi, operad, poly
 from operadyn.lax import (LaxFamilyParams, build_matrix_lax, build_mu,
                           operadic_lax_residual, rotation_generator)
 from operadyn.ncpoly import ExtScalar, NCPoly
-from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, gerstenhaber_bracket,
-                             graded_sign, partial_compose, total_compose)
+from operadyn.operad import (MAX_DEGREE, MAX_DIM, Operation, Tensor,
+                             gerstenhaber_bracket, graded_sign, partial_compose,
+                             total_compose)
 from operadyn.poly import Poly
 from operadyn.quantum import basis_jacobian, quantize
 from operadyn.structure import StructureTensor
@@ -107,7 +110,8 @@ class TestConstruction:
 
 
 class TestTensor:
-    """Flat row-major entries in, and the read-only tuple `coeffs` out."""
+    """Flat row-major entries in, and the read-only tuple `coeffs` out; the
+    benchmark tracer also reads it as `coeffs.flat` and `coeffs.size`."""
 
     def test_row_major_indexing(self):
         f = Operation(2, 2, range(1, 9))
@@ -138,13 +142,57 @@ class TestTensor:
             with pytest.raises(ValueError):
                 Operation.from_matrix(rows)
 
+    def test_read_only(self):
+        t = identity(2).coeffs
+        with pytest.raises(TypeError):
+            t[0, 0] = 5
+        with pytest.raises(TypeError):
+            t[0] = 5
+        with pytest.raises(AttributeError):
+            t.flat = (5, 0, 0, 1)
+        with pytest.raises(AttributeError):
+            t.size = 3
+        assert t.flat == (1, 0, 0, 1)
+
+    def test_coeffs_record_the_tracer_reads(self):
+        # perfbench's partial_compose hook reads coeffs.flat and coeffs.size
+        # of an Operation, a StructureTensor and a composition result
+        f = Operation(3, 1, range(9))
+        mu = StructureTensor({(1, 2, 3): Fraction(2), (3, 1, 2): Fraction(-1)})
+        for op in (f, mu, partial_compose(mu, 1, f), gerstenhaber_bracket(f, mu)):
+            t = op.coeffs
+            assert type(t) is Tensor and type(t.flat) is tuple
+            assert t.size == len(t.flat) == op.dim ** (op.degree + 1)
+            assert t.flat == tuple(op.entry(*idx) for idx in itertools.product(
+                range(1, op.dim + 1), repeat=op.degree + 1))
+
+    def test_tracer_partial_compose_hook_runs(self):
+        # the benchmark's tracer, installed, counts the entries of both operands
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        tr = tracer_module.Tracer()
+        tr.install()
+        try:
+            f = operad.Operation(3, 1, range(9))
+            mu = StructureTensor({(1, 2, 3): Fraction(2), (3, 1, 2): Fraction(-1)})
+            composed = operad.partial_compose(mu, 1, f)
+        finally:
+            tr.uninstall()
+        assert operad.partial_compose is partial_compose
+        assert composed == partial_compose(mu, 1, f)
+        assert tr.counts["operad.partial_compose.entries"] == 27 + 9
+        # mu is antisymmetric: four nonzero entries; f = range(9) has eight
+        assert tr.counts["operad.partial_compose.nonzero_entries"] == 4 + 8
+
     def test_coeffs_is_the_read_only_flat_tuple(self):
         # of an Operation, a StructureTensor, a composition result and a bracket
         f = Operation(3, 1, range(9))
         mu = StructureTensor({(1, 2, 3): Fraction(2), (3, 1, 2): Fraction(-1)})
         for op in (f, mu, partial_compose(mu, 1, f), gerstenhaber_bracket(f, mu)):
             t = op.coeffs
-            assert type(t) is tuple and len(t) == op.dim ** (op.degree + 1)
+            assert isinstance(t, tuple) and len(t) == op.dim ** (op.degree + 1)
             assert t == tuple(op.entry(*idx) for idx in itertools.product(
                 range(1, op.dim + 1), repeat=op.degree + 1))
             with pytest.raises(TypeError):
