@@ -145,8 +145,7 @@ def _table_rows(which, cfg, tag):
         elif which == "deformed":
             tensor = bianchi.deform(t, cfg.omega, cfg.p0)
             # constant entries come back as bare numbers; promote so every
-            # value prints as Poly text, which parses back through
-            # Poly.from_text when sqrt(2*p0) is rational (a formal s does not)
+            # value prints as Poly text
             text = lambda v: str(poly.as_poly(v))
         else:
             tensor = quantum.quantize(t, cfg.omega, cfg.p0)

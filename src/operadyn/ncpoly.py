@@ -19,10 +19,12 @@ sparse terms, drops zero sums and folds s-free sums to their Fraction.
 Both polynomial types are the one sparse ring `_Ring` over that format,
 with words as keys here and exponent tuples in `poly`.  An NCPoly's context
 is its p0, which every operand of its arithmetic must share (ValueError
-otherwise).  `==` compares values across types and contexts: a constant
-element equals its scalar, elements of one ring compare term by term, and
-only an s-part ties a value to its context, so u + v*s with v != 0 equals
-nothing of another p0.  So `==` is an equivalence that `hash` agrees with.
+otherwise); a Poly's is the one p0 of its s-parts, which the s-parts of its
+constructor's input and of its operands in arithmetic must share.  `==`
+compares values across types and contexts: a constant element equals its
+scalar, elements of one ring compare term by term, and only an s-part ties
+a value to its context, so u + v*s with v != 0 equals nothing of another
+p0.  So `==` is an equivalence that `hash` agrees with.
 `+`, `-`, `*` and `==` try an operand by exact type first, an element of the
 same ring, then a Fraction or int, and only then the other scalars, whose
 `numbers.Rational` check runs Python code.
@@ -30,19 +32,18 @@ same ring, then a Fraction or int, and only then the other scalars, whose
 Invariants: an ExtScalar's u, v and p0 are Fractions with p0 > 0, and an
 NCPoly's words use only Q, P, Ap, Am, each with a coefficient in the format
 above whose ExtScalars have the polynomial's p0.  The public constructors
-(`ExtScalar(...)`, `NCPoly(...)`, `generator`, `from_text`) check and coerce
-their input, and raise TypeError on anything that is not rational, a float
-included.  Only the ring operations, whose operands already hold the
-invariants, and the operator bracket of `quantum.quantize`, whose entries
-`lax` writes from the family table with distinct words and the nonzero
-coefficients `solve_C` makes at the bracket's p0, build their results
-through the private `_ext` and `NCPoly._like`, which check nothing.
+(`ExtScalar(...)`, `NCPoly(...)`, `generator`) check and coerce their input,
+and raise TypeError on anything that is not rational, a float included.
+Only the ring operations, whose operands already hold the invariants, and
+the operator bracket of `quantum.quantize`, whose entries `lax` writes from
+the family table with distinct words and the nonzero coefficients `solve_C`
+makes at the bracket's p0, build their results through the private `_ext`
+and `NCPoly._like`, which check nothing.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from numbers import Rational
 
@@ -53,11 +54,6 @@ _ZERO = Fraction(0)
 _MIN_NORMAL = 2.0 ** -1022
 
 _GEN_INDEX = {name: i for i, name in enumerate(GENERATORS)}
-
-# "v" or "u<sign>v" with u, v signed rationals: the text before "*s"
-_S_PART = re.compile(r"(?:(?P<u>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<v>[+-]?\d+(?:/\d+)?)")
-# one term of NCPoly text: "(coefficient)*word", the empty word written 1
-_TERM = re.compile(r"\((?P<coeff>[^)]*)\)\*(?P<word>[A-Za-z0-9*]+)")
 
 
 def _rational(value):
@@ -245,22 +241,6 @@ class ExtScalar:
     def __repr__(self):
         return f"ExtScalar({self}, p0={self.p0})"
 
-    @classmethod
-    def from_text(cls, text, *, p0):
-        """Parse the form produced by str(); raises ValueError on anything else."""
-        text = text.strip()
-        u, v = text, "0"
-        if text.endswith("*s"):
-            m = _S_PART.fullmatch(text[:-2])
-            if not m:
-                raise ValueError(f"cannot parse scalar {text!r}")
-            u, v = m.group("u") or "0", m.group("v")
-        try:
-            u, v = Fraction(u), Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"cannot parse scalar {text!r}") from None
-        return cls(u, v, p0=p0)
-
 
 # the scalars of the polynomial rings after the exact types Fraction and int
 _SCALARS = (ExtScalar, Rational)
@@ -309,19 +289,22 @@ class _Ring:
     `_coeff`, a scalar in the format of its context; `_like`, an element of
     its type and context over trusted terms, unchecked; `_products`, the
     (key, coefficient) pairs of its terms times other terms, with the key
-    product inline; `_order` and `_monomial`, the text order and a key's text
-    after its coefficient; and `_term`, the parser of one term's text.
+    product inline; and `_order` and `_monomial`, the text order and a key's
+    text after its coefficient.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
+        clean, first = {}, None
         for key, coeff in (terms or {}).items():
             key = self._key(key)
             coeff = self._coeff(coeff)
             if coeff:
                 clean[key] = coeff
+                # the s-parts share one p0, the element's context
+                if type(coeff) is ExtScalar:
+                    first = coeff if first is None else _same_p0(first.p0, coeff)
         self.terms = clean
 
     # ---- predicates -----------------------------------------------------------
@@ -343,18 +326,30 @@ class _Ring:
     # ---- ring structure ---------------------------------------------------------
 
     def _coerce(self, other):
-        """The terms of an element or scalar, in the dispatch order; None if neither."""
+        """The terms of an element or scalar, in the dispatch order; None if
+        neither.  ValueError if their s-parts and self's have different p0."""
         cls = type(other)
         if cls is type(self):
             if cls is NCPoly:
                 _same_p0(self.p0, other)
-            return other.terms
-        if cls is Fraction or cls is int:
+                return other.terms
+            terms = other.terms
+        elif cls is Fraction or cls is int:
             return {self._ONE: other if cls is Fraction else Fraction(other)} if other else {}
-        if isinstance(other, _SCALARS):
+        elif isinstance(other, _SCALARS):
             c = self._coeff(other)
-            return {self._ONE: c} if c else {}
-        return None
+            terms = {self._ONE: c} if c else {}
+        else:
+            return None
+        # a Poly's context is the p0 of any one s-part, inline: no call unless two differ
+        for a in self.terms.values():
+            if type(a) is ExtScalar:
+                for b in terms.values():
+                    if type(b) is ExtScalar:
+                        b.p0 is a.p0 or _same_p0(a.p0, b)
+                        break
+                break
+        return terms
 
     def __add__(self, other):
         terms = self._coerce(other)
@@ -427,19 +422,6 @@ class _Ring:
         return " + ".join(f"({self.terms[key]}){self._monomial(key)}"
                           for key in sorted(self.terms, key=self._order))
 
-    def _read(self, text):
-        """`from_text` in the context of the zero self."""
-        text = text.strip()
-        if text == "(0)":
-            return self
-        pairs = []
-        for chunk in text.split(" + "):
-            try:
-                pairs.append(self._term(chunk))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"malformed term {chunk!r}") from None
-        return self._like(_collect({}, pairs))
-
 
 class NCPoly(_Ring):
     """Finite sum of scalar-weighted words in the free algebra."""
@@ -492,22 +474,6 @@ class NCPoly(_Ring):
 
     def __repr__(self):
         return f"NCPoly({self}, p0={self.p0})"
-
-    @classmethod
-    def from_text(cls, text, *, p0):
-        """Parse the canonical form produced by str().
-
-        Raises ValueError naming the first malformed term.
-        """
-        return cls(p0=p0)._read(text)
-
-    def _term(self, chunk):
-        m = _TERM.fullmatch(chunk)
-        if not m:
-            raise ValueError(chunk)
-        body = m.group("word")
-        word = self._key(() if body == "1" else body.split("*"))
-        return word, ExtScalar.from_text(m.group("coeff"), p0=self.p0)
 
 
 def commutator(f, g):

@@ -10,12 +10,11 @@ canonical-form equality.
 `Poly` is the ring body `ncpoly._Ring`, shared with `ncpoly.NCPoly`, over
 exponent keys; it adds `constant`, `variable` and `**`.
 Invariant of every Poly: its keys are 4-tuples of ints >= 0, and each
-coefficient is in that format.  The public constructors (`Poly(...)`,
-`constant`, `variable`, `from_text`) check and coerce their input.  In the
-class, only `constant`, whose one key is known to be good once its value
-is coerced, and the ring operations, whose operands already hold the
-invariant, build their result through the private `_trusted`, which checks
-nothing.  Outside it, so do `lax._time_derivative`, the shell reduction of
+coefficient is in that format, its ExtScalars all of one p0.  The public constructors (`Poly(...)`,
+`constant`, `variable`) check and coerce their input.  In the class, only
+`constant`, whose one key is known to be good once its value is coerced,
+and the ring operations, whose operands already hold the invariant, build
+their result through the private `_trusted`, which checks nothing.  Outside it, so do `lax._time_derivative`, the shell reduction of
 `bianchi`, and `commutative_image`, the ring map that lets the generators
 of an `ncpoly.NCPoly` commute.
 """
@@ -110,28 +109,6 @@ class Poly(_Ring):
 
     def __repr__(self):
         return f"Poly({self})"
-
-    @classmethod
-    def from_text(cls, text):
-        """Parse the canonical form produced by str() for rational coefficients.
-
-        Raises ValueError naming the first malformed term.
-        """
-        return cls()._read(text)
-
-    @staticmethod
-    def _term(chunk):
-        head, close, rest = chunk.partition(")")
-        if not (head.startswith("(") and close and rest[:1] in ("", "*")):
-            raise ValueError(chunk)
-        exps = [0, 0, 0, 0]
-        for factor in rest[1:].split("*") if rest else ():
-            name, caret, power = factor.partition("^")
-            e = int(power) if caret else 1
-            if e < 0:
-                raise ValueError(chunk)
-            exps[VARIABLES.index(name)] += e
-        return tuple(exps), Fraction(head[1:])
 
 
 def evaluate_terms(terms, columns):

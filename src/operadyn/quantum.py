@@ -126,18 +126,6 @@ class AnomalyCertificate(namedtuple("AnomalyCertificate",
                                     "kind type_label omega p0 a tau jacobian matched")):
     __slots__ = ()
 
-    def to_json_dict(self):
-        return {
-            "type": self.type_label,
-            "kind": self.kind,
-            "omega": str(self.omega),
-            "p0": str(self.p0),
-            "a": None if self.a is None else str(self.a),
-            "tau": self.tau,
-            "jacobian": [str(c) for c in self.jacobian],
-            "matched": list(self.matched),
-        }
-
 
 def classify(t, omega, p0):
     """Sort a class into Rigid / QuantumLie / AnomalousI / AnomalousII.

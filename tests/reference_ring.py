@@ -6,8 +6,8 @@ oracle of the fast paths: every scalar goes through the one `isinstance`
 check of `SCALARS` and the subclass's `_coeff`, every scalar product through
 `_collect`, and an ExtScalar product forms all four part products.  Each
 function takes the element as its first argument and returns what the
-method returned, `NotImplemented` included; an NCPoly of another p0 raises
-ValueError in arithmetic.  `ring_eq` is the contract of `==` rather than an
+method returned, `NotImplemented` included; an NCPoly of another p0, or
+an s-part of another p0 than a Poly's, raises ValueError in arithmetic.  `ring_eq` is the contract of `==` rather than an
 old body: two values are equal when their `value_key`s are.
 
 `ext_add`, `ext_neg` and `ext_mul` are the ExtScalar bodies, which formed
@@ -33,11 +33,17 @@ def coerce(f, other):
     if type(other) is type(f):
         if type(f) is NCPoly:
             _same_p0(f.p0, other)
-        return other.terms
-    if isinstance(other, SCALARS):
+        terms = other.terms
+    elif isinstance(other, SCALARS):
         c = f._coeff(other)
-        return {f._ONE: c} if c else {}
-    return None
+        terms = {f._ONE: c} if c else {}
+    else:
+        return None
+    # every s-part of f and of the operand has the p0 of f's first
+    s_parts = [c for c in (*f.terms.values(), *terms.values()) if isinstance(c, ExtScalar)]
+    for c in s_parts:
+        _same_p0(s_parts[0].p0, c)
+    return terms
 
 
 def ring_add(f, other):

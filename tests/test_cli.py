@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 
 from operadyn import bianchi, cli, lax, poly, quantum
 from operadyn.cli import COLUMNS, main
-from operadyn.ncpoly import ExtScalar, NCPoly
+from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
 from operadyn.operad import Operation
-from operadyn.poly import Poly, as_poly
+from operadyn.poly import VARIABLES, Poly, as_poly
 from operadyn.structure import StructureTensor, _position, _trusted
 from reference_trace import reference_trace, scalar_evaluate
 
@@ -35,6 +35,46 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _assert_sympy_reads_json(capsys, which, build, commutative, letters):
+    """Each value of `tables <which> --format json` is the canonical text of
+    its in-process entry, and sympy reads it as that entry: `^` as `**` and
+    s bound to sqrt(2*p0), at p0 = 2 (s = 2) and p0 = 3 (s irrational).
+    letters(key) spells a term's key as generator names."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
+                                            standard_transformations)
+    names = VARIABLES if which == "deformed" else GENERATORS
+    gens = dict(zip(names, sympy.symbols(names, commutative=commutative)))
+
+    def rational(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    for p0 in (2, 3):
+        s = sympy.sqrt(2 * p0)
+
+        def to_sympy(value):
+            # as test_quantum.test_basis_jacobian_matches_sympy converts
+            return sum(((rational(c.u) + rational(c.v) * s if isinstance(c, ExtScalar)
+                         else rational(c)) * sympy.Mul(*(gens[g] for g in letters(key)))
+                        for key, c in value.terms.items()), sympy.Integer(0))
+
+        code, out, err = run(capsys, "tables", which, "--p0", str(p0), "--format", "json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert len(doc["types"]) == len(bianchi.TAGS)
+        for row in doc["types"]:
+            a = Fraction(row["a"]) if row["a"] is not None else None
+            tensor = build(bianchi.BianchiType(row["type"], a), Fraction(1), Fraction(p0))
+            for cell in row["entries"]:
+                entry = tensor.entry(cell["i"], cell["j"], cell["k"])
+                if which == "deformed":
+                    entry = as_poly(entry)  # as `tables` prints a constant entry
+                assert cell["value"] == str(entry)
+                got = parse_expr(cell["value"], local_dict={"s": s, **gens},
+                                 transformations=(*standard_transformations, convert_xor))
+                assert sympy.expand(got - to_sympy(entry)) == 0, (row["label"], p0, cell)
 
 
 class TestTables:
@@ -53,27 +93,13 @@ class TestTables:
                     cell["i"], cell["j"], cell["k"])
 
     def test_deformed_json_round_trip(self, capsys):
-        code, out, _ = run(capsys, "tables", "deformed", "--type", "II",
-                           "--format", "json")
-        assert code == 0
-        doc = json.loads(out)
-        tensor = bianchi.deform(bianchi.BianchiType("II"), Fraction(1), Fraction(2))
-        (row,) = doc["types"]
-        for cell in row["entries"]:
-            got = Poly.from_text(cell["value"])
-            assert got == as_poly(tensor.entry(cell["i"], cell["j"], cell["k"]))
+        # the phase-space variables commute
+        _assert_sympy_reads_json(capsys, "deformed", bianchi.deform, True,
+                                 lambda exps: [v for v, e in zip(VARIABLES, exps) for _ in range(e)])
 
     def test_quantum_json_round_trip(self, capsys):
-        code, out, _ = run(capsys, "tables", "quantum", "--type", "V",
-                           "--format", "json")
-        assert code == 0
-        doc = json.loads(out)
-        tensor = quantum.quantize(bianchi.BianchiType("V"), Fraction(1), Fraction(2))
-        (row,) = doc["types"]
-        assert row["label"] == "V"
-        for cell in row["entries"]:
-            got = NCPoly.from_text(cell["value"], p0=Fraction(2))
-            assert got == tensor.entry(cell["i"], cell["j"], cell["k"])
+        # the operators do not: Ap*Am and Am*Ap stay distinct
+        _assert_sympy_reads_json(capsys, "quantum", quantum.quantize, False, lambda word: word)
 
     def test_csv_golden(self, capsys):
         code, out, _ = run(capsys, "tables", "bianchi", "--type", "IX",

@@ -82,6 +82,8 @@ class TestConstruction:
     def test_degree_limit_public_only(self):
         with pytest.raises(ValueError):
             Operation(2, MAX_DEGREE + 1)
+        with pytest.raises(ValueError):
+            Operation(3, -1)
         # a composition result may exceed the public cap, and its linear
         # structure works there
         top = (1,) * (MAX_DEGREE + 1)
@@ -107,6 +109,18 @@ class TestConstruction:
         g = Operation(3, 1)
         with pytest.raises(ValueError):
             f + g
+        # another dimension does not compose, and another shape or a number
+        # is no operand of + or * and equals no operation
+        h = Operation(2, 1)
+        for compose in (lambda a, b: partial_compose(a, 0, b), total_compose,
+                        gerstenhaber_bracket):
+            with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
+                compose(g, h)
+        with pytest.raises(TypeError):
+            g + 1
+        with pytest.raises(TypeError):
+            g * "x"
+        assert g != 1 and g != f and g != h and not (g == 1)
 
 
 class TestTensor:
@@ -231,6 +245,8 @@ class TestPartialCompose:
             partial_compose(self.f, 2, self.g)
         with pytest.raises(ValueError):
             partial_compose(self.f, -1, self.g)
+        with pytest.raises(TypeError):
+            partial_compose(1, 0, self.g)
 
     def test_degree_zero_has_no_slots(self):
         v = Operation(3, 0)

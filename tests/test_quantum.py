@@ -7,7 +7,6 @@ code under test.
 """
 
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -455,8 +454,10 @@ class TestClassification:
         (Fraction(3, 2), Fraction(3), Fraction(2, 3)),
     ])
     def test_kind_tau_and_matched(self, omega, p0, a):
-        certs = {t.tag: classify(t, omega, p0) for t in all_types(a)}
+        types = all_types(a)
+        certs = {t.tag: classify(t, omega, p0) for t in types}
         assert {tag: (c.kind, c.tau, c.matched) for tag, c in certs.items()} == self.CERTIFICATES
+        assert [c.type_label for c in certs.values()] == [t.label for t in types]
 
     def test_anomalous_ii_closed_form(self):
         p0 = Fraction(2)
@@ -467,18 +468,6 @@ class TestClassification:
         assert cert.jacobian.j1 == -1 * scale * xp
         assert cert.jacobian.j2 == -1 * scale * xm
         assert cert.jacobian.j3 == (a * a / p0) * generator_commutator(p0)
-
-    def test_certificate_json(self):
-        cert = classify(BianchiType("V"), 1, Fraction(2))
-        doc = json.loads(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
-        assert doc["kind"] == ANOMALOUS_I
-        assert doc["type"] == "V"
-        assert doc["tau"] is None
-        assert doc["jacobian"][0] == "(0)"
-        assert "[Ap,Am]" in doc["matched"][2]
-        # canonical text parses back to the actual defect
-        j3 = NCPoly.from_text(doc["jacobian"][2], p0=Fraction(2))
-        assert j3 == cert.jacobian.j3
 
     def test_classical_limit_of_defects(self):
         # sending words to commuting monomials and s to sigma kills every

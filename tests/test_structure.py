@@ -227,6 +227,8 @@ def test_entry_kinds_by_exact_type_before_abc():
 
 def test_zero_and_equality():
     assert StructureTensor({}).is_zero
+    assert repr(StructureTensor({})) == "StructureTensor(0)"
+    assert repr(StructureTensor({(1, 2, 3): Fraction(1, 2)})) == "StructureTensor(mu^1_{23}=1/2)"
     assert StructureTensor({(1, 2, 3): Fraction(0)}).is_zero
     assert StructureTensor({(1, 2, 3): Fraction(1)}) != StructureTensor({})
     # a constant Poly entry equals its number, and the tensors hash alike
