@@ -4,31 +4,19 @@ Each class is presented through structure equations
 
     [e1, e2] = -alpha e2 + n3 e3,   [e2, e3] = n1 e1,   [e3, e1] = n2 e2 + alpha e3
 
-with the class determined by the signature (alpha, n1, n2, n3).  Two of the
-classes carry a positive modulus a (with a != 1 for VIa); IIIa1 is the a = 1
-boundary case kept as its own entry.
+and `_CLASSES` holds, per class, its signature (alpha, n1, n2, n3) and the
+bucket its quantum counterpart lands in.  Two classes carry a positive
+modulus a (with a != 1 for VIa); IIIa1 is the a = 1 boundary case kept as
+its own entry.
 
 A class becomes a one-parameter family of brackets driven by the harmonic
 oscillator: solve_C places its constant tensor in the Lax family, with
-s = sqrt(2*p0) kept formal.  The classical table (`deform`) is the family
-member written from those parameters with s folded to its value when that
-is rational; the operator table (`quantum.quantize`) is the member written
-at the words.  The parameters alone decide rigidity, and at any one p0
-(`is_rigid`).  On the energy shell the deformed bracket satisfies the
-Jacobi identity at every time.  A `ShellReduction` for one (omega, p0)
-owns the shell: its sigma = sqrt(2*p0) when rational; the exact reduction
-to normal form, which writes each monomial's normal form as one product
-from the shell's relations and keeps it (`classical_jacobian` reduces its
-three components through one table); a second proof independent of it, at
-points of the shell conic as many as a degree bound asks for; and
-`prove_jacobi`, the classical Jacobi proof of `verify`, which builds no
-classical table: it runs both proofs on the commutative image of each
-class's operator defect (`poly.commutative_image`).  No table outlives its
-caller.
+s = sqrt(2*p0) kept formal.  On the energy shell the deformed bracket
+satisfies the Jacobi identity at every time, which a `ShellReduction` of
+one (omega, p0) proves two independent ways.
 
 `BianchiType` is a namedtuple whose constructor, `_make` and `_replace` check
-and normalize (tag, a); it compares, hashes and unpacks as that tuple, so
-`BianchiType("II") == ("II", None)`, and setting a field raises AttributeError.
+and normalize (tag, a).
 """
 
 from __future__ import annotations
@@ -44,25 +32,27 @@ from .oscillator import sample_flow
 from .poly import Poly, commutative_image, rational_sqrt
 from .structure import StructureTensor, _cyclic_defect
 
-# signature (alpha, n1, n2, n3) per class; the modulus a enters two of them
-_SIGNATURES = {
-    "I":     lambda a: (0, 0, 0, 0),
-    "II":    lambda a: (0, 1, 0, 0),
-    "VII":   lambda a: (0, 1, 1, 0),
-    "VI":    lambda a: (0, 1, -1, 0),
-    "IX":    lambda a: (0, 1, 1, 1),
-    "VIII":  lambda a: (0, 1, 1, -1),
-    "V":     lambda a: (1, 0, 0, 0),
-    "IV":    lambda a: (1, 0, 0, 1),
-    "VIIa":  lambda a: (a, 0, 1, 1),
-    "IIIa1": lambda a: (1, 0, 1, -1),
-    "VIa":   lambda a: (a, 0, 1, -1),
+# the buckets of `quantum.classify`, and per class the signature (alpha, n1,
+# n2, n3), "a" where the modulus enters, and the bucket of its quantum counterpart
+RIGID, QUANTUM_LIE, ANOMALOUS_I, ANOMALOUS_II = "Rigid", "QuantumLie", "AnomalousI", "AnomalousII"
+_CLASSES = {
+    "I":     ((0, 0, 0, 0), RIGID),
+    "II":    ((0, 1, 0, 0), QUANTUM_LIE),
+    "VII":   ((0, 1, 1, 0), RIGID),
+    "VI":    ((0, 1, -1, 0), QUANTUM_LIE),
+    "IX":    ((0, 1, 1, 1), RIGID),
+    "VIII":  ((0, 1, 1, -1), RIGID),
+    "V":     ((1, 0, 0, 0), ANOMALOUS_I),
+    "IV":    ((1, 0, 0, 1), ANOMALOUS_I),
+    "VIIa":  (("a", 0, 1, 1), ANOMALOUS_II),
+    "IIIa1": ((1, 0, 1, -1), ANOMALOUS_II),
+    "VIa":   (("a", 0, 1, -1), ANOMALOUS_II),
 }
 
-TAGS = tuple(_SIGNATURES)
+TAGS = tuple(_CLASSES)
 
 # the classes that take a modulus a
-PARAMETRIC = ("VIIa", "VIa")
+PARAMETRIC = tuple(tag for tag, (signature, _) in _CLASSES.items() if "a" in signature)
 
 
 class BianchiType(namedtuple("BianchiType", "tag a")):
@@ -101,20 +91,16 @@ def all_types(a=Fraction(1, 2)):
 
 def structure_constants(t):
     """The constant structure tensor of the class, exact."""
-    alpha, n1, n2, n3 = (Fraction(v) for v in _SIGNATURES[t.tag](t.a))
+    alpha, n1, n2, n3 = (t.a if v == "a" else Fraction(v) for v in _CLASSES[t.tag][0])
     # mu^2_{21} = alpha, whose mirror mu^2_{12} = -alpha the constructor fills
     entries = {(2, 2, 1): alpha, (3, 3, 1): alpha, (3, 1, 2): n3, (1, 2, 3): n1, (2, 3, 1): n2}
     return StructureTensor({idx: v for idx, v in entries.items() if v})
 
 
 def deform(t, omega, p0):
-    """The dynamical deformation of class t as a phase-space table.
-
-    The family member through the class tensor (`lax.formal_mu` of
-    `solve_C`'s parameters), with s folded to its value in C5..C8
-    (`ncpoly._fold_s`) when that is rational, so every coefficient is a
-    Fraction; otherwise s stays formal.
-    """
+    """The dynamical deformation of class t as a phase-space table: the family
+    member through the class tensor, with s folded to its value when that is
+    rational, so every coefficient is a Fraction; otherwise s stays formal."""
     _positive(omega, "omega")
     params = solve_C(structure_constants(t), p0)
     sigma = rational_sqrt(2 * p0)
@@ -126,9 +112,8 @@ def deform(t, omega, p0):
 
 
 def is_rigid(t):
-    """True when the deformation is constant in time and equals the class
-    tensor: when its parameters leave the dynamics out
-    (`LaxFamilyParams.is_admissible`)."""
+    """True when the deformation is constant in time: its parameters leave
+    the dynamics out (`LaxFamilyParams.is_admissible`)."""
     # omega never enters solve_C, and each of C2, C3 and C5..C8 is an entry sum
     # times a factor no p0 > 0 makes zero, so every p0 gives the same answer
     return not solve_C(structure_constants(t), 2).is_admissible
@@ -144,14 +129,8 @@ class ShellReduction:
     On the shell q = Ap*Am/omega, p = Ap**2 - p0 and Am**2 = 2*p0 - Ap**2, so
     the normal form of q^i p^j Ap^k Am^l is the one product
     Ap^(i+k) (Ap**2 - p0)^j (2*p0 - Ap**2)^((i+l)//2) Am^((i+l)%2) (1/omega)^i,
-    with no Am-power above 1.  The table keeps the normal form of each
-    monomial it has met, so the values reduced through one table pay for
-    each monomial once, and a zero value costs nothing.  Nothing outlives
-    the table.  `sigma` is sqrt(2*p0) when that is rational and None
-    otherwise; `conic_points` and `point_defect` prove values zero on the
-    shell without the reduction, in integers: at the point u of the shell
-    conic, with a = 1 - u**2, b = 2u and d = 1 + u**2, each value's common
-    denominator times d**D times the value is X + Y*s for integers X and Y.
+    with no Am-power above 1; the table keeps each monomial's form it has
+    met.  `sigma` is sqrt(2*p0) when that is rational and None otherwise.
     """
 
     def __init__(self, omega, p0):
@@ -195,19 +174,17 @@ class ShellReduction:
         the shell conic, and name is the first not zero at u = 0..2D, or None.
 
         At u a polynomial is N(u)/(1 + u**2)**D with deg N <= 2D, since D is at
-        least max(2i + 2j + k + l) over its terms q^i p^j Ap^k Am^l.  N has its
-        coefficients in a field, as s = sqrt(2*p0) is folded to its value when
-        that is rational, so zero at the 2D + 1 points means zero at every u,
-        and so on the whole conic, which the u cover but for one point.
+        least max(2i + 2j + k + l) over its terms q^i p^j Ap^k Am^l, and N has
+        its coefficients in a field, so zero at the 2D + 1 points means zero on
+        the whole conic, which the u cover but for one point.
 
         The test runs in integers.  A term c q^i p^j Ap^k Am^l is K*m/d**D at
         the point (a, b, d) of `conic_points`, with the scalar
         K = c*(2*p0/omega)**i * p0**j * s**(k + l) = x + y*s and the integer
         m = (a*b)**i (a**2 - b**2)**j a**k b**l d**(D - 2i - 2j - k - l).  So
         the common denominator L of a value's x and y times d**D times the
-        value is X + Y*s, with integers X = sum of L*x*m and Y = sum of L*y*m,
-        and it is zero when X and Y are, as s is irrational or, folded to its
-        value, leaves every y zero.
+        value is X + Y*s for integers X and Y, zero when X and Y are: s is
+        irrational, or rational and folded to its value, which leaves Y = 0.
         """
         p0, s = self._p0, self.sigma or ExtScalar(0, 1, p0=self._p0)
         degree = max((2 * (i + j) + k + l for _, v in values for i, j, k, l in v.terms),
@@ -263,9 +240,8 @@ def raw_jacobian(mu):
 
     Component m is the polynomial sum of mu^m_{l k} * mu^k_{i j} over
     (i, j, l) = (1,2,3), (2,3,1), (3,1,2) and all k.  For a time-dependent
-    bracket this generally does not vanish as a polynomial; it only has to
-    vanish on the energy shell.  An exact zero entry goes in as the zero
-    Poly, which the kernel skips, so only its factors are promoted.
+    bracket it only has to vanish on the energy shell.  An exact zero entry
+    goes in as the zero Poly, which the kernel skips.
     """
     zero = Poly()
     return _cyclic_defect([v if isinstance(v, Poly)
@@ -274,12 +250,9 @@ def raw_jacobian(mu):
 
 
 def classical_jacobian(mu, omega, p0):
-    """On-shell Jacobi defect of a (possibly time-dependent) bracket.
-
-    Returns the three components of the cyclic defect evaluated on the basis
-    triple (e1, e2, e3), each reduced to shell normal form through one shared
-    `ShellReduction`.  A Lie bracket on the shell gives (0, 0, 0) exactly.
-    """
+    """On-shell Jacobi defect of a (possibly time-dependent) bracket: the
+    three components of `raw_jacobian`, each reduced to shell normal form.
+    A Lie bracket on the shell gives (0, 0, 0) exactly."""
     shell = ShellReduction(omega, p0)
     return tuple(shell.reduce(c) for c in raw_jacobian(mu))
 
@@ -290,19 +263,11 @@ def deformation_trace(t, omega, p0, times):
     Returns 14 columns: the times, q, p, Ap, Am (each a list with one float
     per time), then the nine independent entries in column order.  An entry
     without a variable term is a single float; every other entry is a list
-    with one float per time, and equal entries share one list.
-
-    The flow is sampled by `oscillator.sample_flow` on all times at once:
-    omega > 0 and p0 > 0 are checked per call, not per sample, and the chart
-    window |omega*t| < pi (BranchError), the energy shell and the branch
-    p > -p0 are checked for every sample.  The exact table is derived once,
-    and each independent entry becomes its (exps, float coefficient) pairs
-    in `Poly.terms` order.  Each distinct time-dependent entry is evaluated
-    over all times in one
-    `poly.evaluate_terms` call, which at every time does the same float
-    operations, in the same order, as its per-point loop on the exact entry,
-    since a Fraction or ExtScalar times a float converts itself to float
-    first.  So each value is bitwise the one the exact table gives.
+    with one float per time, and equal entries share one list.  The flow's
+    checks are `oscillator.sample_flow`'s.  Each distinct entry is evaluated
+    over all times in one `poly.evaluate_terms` call, which does the float
+    operations of a per-point loop on the exact entry, so each value is
+    bitwise the one the exact table gives.
     """
     table = deform(t, omega, p0)
     times = list(times)

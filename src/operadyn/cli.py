@@ -7,21 +7,14 @@ Subcommands:
     trace    sample a deformation along the oscillator flow as CSV
 
 Rational flags accept fractions ("1/2") or decimal strings ("0.5").  Each
-verify suite is a finite exact proof, kept beside the facts it uses:
-`lax.prove_matrix_lax` and `lax.prove_operadic_lax` (a degree bound in
-omega, linearity in C1..C9), `bianchi.ShellReduction.prove_jacobi` (the
-shell normal form, and a degree bound on the shell conic) and
-`quantum.prove_kinds` (the expected bucket of each class).  Each returns
-(ok, detail), whose detail names its argument, so every output depends only
-on the flags; only trace computes in floats.  This module names the suites
-in one table, which the parser's choices and `verify` read, and renders the
-lines.  `verify` builds each class's operator bracket and Jacobi defect
-once (`quantum.classify`), and both Jacobi proofs read these certificates.
+verify suite is a finite exact proof, kept beside the facts it uses, that
+returns (ok, detail), whose detail names its argument, so every output
+depends only on the flags; only trace computes in floats.  This module
+names the suites in one table and renders the lines.
 
-The argparse parser is built once per process, on the first call of
-`main`, and reused by every later call; it holds no results, and each call
-parses into a fresh namespace, so in-process callers see what separate
-processes see.
+The argparse parser is built once per process and reused; each call parses
+into a fresh namespace, so in-process callers see what separate processes
+see.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 and when the output cannot be written.
@@ -67,9 +60,8 @@ def _fraction(text):
 def _positive_float(value, flag):
     """The float of a positive rational flag, or ValueError naming the flag.
 
-    Only `trace` computes in floats: it squares --omega and --p0, and --a
-    enters them for the parametric classes, so each square must be a normal
-    float.
+    `trace` squares --omega and --p0, and --a enters them for the parametric
+    classes, so each square must be a normal float.
     """
     try:
         f = float(value)
@@ -83,8 +75,7 @@ def _positive_float(value, flag):
 
 @functools.cache
 def _build_parser():
-    """The argparse parser, built on the first call and then reused: it holds
-    no results, and parse_args returns a fresh Namespace on every call."""
+    """The argparse parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="operadyn",
         description="Exact tables, verifications, and traces for dynamically"
@@ -203,9 +194,8 @@ def _render_tables(which, cfg, tag, fmt):
 
 def _run_verify(which, cfg):
     suites = _VERIFY_SUITES if which == "all" else (which,)
-    # one operator bracket and one operator defect per class serve both
-    # Jacobi suites: the certificate holds the defect, whose commutative
-    # image the classical proof takes to the shell
+    # one certificate per class, holding its operator defect, serves both
+    # Jacobi suites
     certificates = None
     lines = [f"verify  omega={cfg.omega}  p0={cfg.p0}  a={cfg.a}"]
     overall = True

@@ -5,24 +5,15 @@ Two layers live here.  The matrix layer is the classical 3x3 pair
     L = [[p, omega*q, 0], [omega*q, -p, 0], [0, 0, 1]]
     M = (omega/2) * [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 
-whose isospectral equation dL/dt = [M, L] encodes the equations of motion.
-L and M are degree-1 Operations: M is `rotation_generator(omega)`, [M, L]
-is their Gerstenhaber bracket, which is the matrix commutator, and the
-residual dL/dt - [M, L] is a degree-1 Operation too.
+whose isospectral equation dL/dt = [M, L] encodes the equations of motion;
+L and M are degree-1 Operations and [M, L] is their Gerstenhaber bracket.
 
 The operadic layer replaces L by a phase-space-dependent antisymmetric
 bilinear operation mu on a 3d space, drawn from a nine-parameter family
-mu(C1..C9), and keeps M and the bracket: [M, mu] is the same Gerstenhaber
-bracket in the endomorphism operad.  `build_mu` returns mu as a
-`StructureTensor`, the degree-2 Operation, so it enters the bracket as it
-is.  The family formula is written once, as the table `_FAMILY` of each
-independent entry's terms.  `build_mu` sums each entry's terms with the
-ring operators at the point it is given; `formal_mu`, the member at the
-generators q, p, Ap, Am, writes each entry's Poly terms from the table
-directly, in the formula's term order.  Either way mu^3_{12} is the scalar
-C9, each mirror is the negated entry, and the tensor is built unchecked.
-The same writer, keyed by words, gives the operator bracket over the free
-algebra that `quantum.quantize` returns.  Every member of the family satisfies
+mu(C1..C9), and keeps M and the bracket.  The family formula is written
+once, as the table `_FAMILY` of each independent entry's terms, from which
+`_member` writes the member at a point, at the generators q, p, Ap, Am, or
+at the words of the free algebra.  Every member of the family satisfies
 
     d(mu)/dt = [M, mu]
 
@@ -30,17 +21,9 @@ identically along the oscillator flow, where d/dt differentiates the
 coefficient polynomials through q' = p, p' = -omega**2 q,
 Ap' = -(omega/2) Am, Am' = (omega/2) Ap.
 
-`prove_matrix_lax` and `prove_operadic_lax` prove the two Lax equations for
-`verify` by finite exact checks, at three omegas and at the nine unit probes;
-the nine probes share one M and one set of flow scalars.
-
-The parameters are exact.  solve_C places a constant tensor in the family at
-the reference point, where Ap = s = sqrt(2*p0); the four parameters that
-multiply Ap or Am come back in Q(s) with s formal, so every rational p0 > 0
-is exact.
-
-`MatrixLaxPair` and `LaxFamilyParams` are namedtuples with read-only fields;
-`LaxFamilyParams` checks c in its constructor, `_make` and `_replace`.
+The parameters are exact: solve_C places a constant tensor in the family at
+the reference point, where Ap = s = sqrt(2*p0), and the four parameters that
+multiply Ap or Am come back in Q(s) with s formal.
 """
 
 from __future__ import annotations
@@ -59,8 +42,7 @@ from .structure import _mirror, _position, _trusted
 # matrix layer
 
 
-class MatrixLaxPair(namedtuple("MatrixLaxPair", "L M")):
-    __slots__ = ()
+MatrixLaxPair = namedtuple("MatrixLaxPair", "L M")
 
 
 def rotation_generator(omega):
@@ -81,10 +63,7 @@ def matrix_lax_residual(q, p, omega):
 
     The time derivative is taken through the equations of motion, so
     dL/dt = [[-omega**2 q, omega*p, 0], [omega*p, omega**2 q, 0], [0, 0, 0]].
-    [M, L] is the Gerstenhaber bracket of the two degree-1 operations.
-    Exact inputs give exact zeros.  Every entry has degree <= 2 in omega, so
-    a residual that is the zero polynomial in q, p at three distinct omegas
-    is zero for all (q, p, omega).
+    Every entry has degree <= 2 in omega.
     """
     w2q, wp, zero = q * (omega * omega), p * omega, Fraction(0)
     dL = Operation.from_matrix([[-w2q, wp, zero], [wp, w2q, zero], [zero] * 3])
@@ -166,13 +145,9 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
         mu^3_{13} = C7*Ap + C8*Am              mu^3_{23} = C7*Am - C8*Ap
         mu^3_{12} = C9
 
-    Each entry is the sum of its terms in the order above, each term
-    coordinate times C_n, with omega*q formed once: the ring arithmetic the
-    table stands for, so polynomial coordinates give a symbolic tensor.
-    mu^3_{12} is C9 itself, and each mirror is the negative of its entry
-    (see `structure._mirror`), so the tensor is antisymmetric by
-    construction and is built unchecked.  The symbolic member at the
-    generators q, p, Ap, Am is written term by term by `formal_mu`.
+    Each entry is the sum of its terms in the order above, with omega*q
+    formed once; the tensor is antisymmetric by construction and is built
+    unchecked.
     """
     return _member(params, omega, {_WQ: q * omega, _P: p, _AP: a_plus, _AM: a_minus})
 
@@ -182,13 +157,11 @@ def _member(params, omega, point=None, zero=None):
 
     At a point each entry is the sum of its `_FAMILY` terms (`build_mu`).  At
     the generators (no point) each entry is written from its row, term by
-    term in the row's order, with coefficient C_n or C_n*omega and without
-    its zero terms, so an all-zero entry has no terms.  It is a Poly keyed
-    by the monomials, but mu^3_{12} stays the number C9 and the diagonal the
-    Fraction 0.  Given `zero`, the zero NCPoly of a p0 instead, every entry
-    is an NCPoly of that context keyed by the monomials' `_WORDS`,
-    mu^3_{12} the constant C9 and the diagonal `zero`: the operator bracket
-    over the free algebra.
+    term, with coefficient C_n or C_n*omega and without its zero terms: a
+    Poly keyed by the monomials, but mu^3_{12} stays the number C9 and the
+    diagonal the Fraction 0.  Given `zero`, the zero NCPoly of a p0 instead,
+    every entry is an NCPoly of that context keyed by the monomials'
+    `_WORDS`: the operator bracket over the free algebra.
     """
     c = (None, *params.c)   # C_n at index n
     like = poly._trusted if zero is None else zero._like
@@ -213,9 +186,7 @@ def _member(params, omega, point=None, zero=None):
 
 
 def formal_mu(params, omega):
-    """The symbolic family member, `build_mu` at the generators q, p, Ap, Am:
-    every entry but the scalar mu^3_{12} = C9 is a Poly written from its
-    terms (`_member`)."""
+    """The symbolic family member, `build_mu` at the generators q, p, Ap, Am."""
     return _member(params, _positive(omega, "omega"))
 
 
@@ -226,8 +197,7 @@ def solve_C(mu0, p0):
     C1..C9 whose family member passes through mu0 at that point, for every
     rational p0 > 0.  Here s = sqrt(2 p0) stays formal: C5..C8 divide an
     entry m by s and come back as the ExtScalar m*s/(2 p0); the other five
-    are rational.  No division is formed, and a zero parameter is the
-    Fraction 0 of a zero entry, formed by no arithmetic.
+    are rational.
     """
     p0 = _positive(p0, "p0")
     half, inverse = Fraction(1, 2), Fraction(p0.denominator, 2 * p0.numerator)   # 1/(2 p0)
@@ -260,8 +230,7 @@ def solve_C(mu0, p0):
 def _time_derivative(value, half_w, minus_w2, minus_half_w):
     """d/dt of a coefficient through the oscillator and half-angle flows,
     p*d/dq - omega**2*q*d/dp - (omega/2)*Am*d/dAp + (omega/2)*Ap*d/dAm, given
-    the flow scalars omega/2, -omega**2 and -omega/2: a Poly in one `_collect`
-    pass over the four flows' terms, each in `value.terms` order."""
+    the flow scalars omega/2, -omega**2 and -omega/2."""
     if not isinstance(value, Poly):
         return _ZERO
     if value.is_constant:
@@ -276,11 +245,7 @@ def _time_derivative(value, half_w, minus_w2, minus_half_w):
 
 def operadic_lax_residual(params, omega):
     """d(mu)/dt - [M, mu] as a symbolic tensor; zero for every family member.
-
-    Each entry is linear in C1..C9, so a zero residual at the nine unit
-    vectors C = e_n proves it zero for every C.  The identity holds on every
-    energy shell at once, so p0 never enters.
-    """
+    The identity holds on every energy shell at once, so p0 never enters."""
     return next(_residuals([params], omega))
 
 
@@ -298,8 +263,7 @@ def _residuals(members, omega):
 
 def prove_operadic_lax(omega):
     """(ok, detail): the operadic residual at omega is zero for the nine unit
-    probes C = e_n, so by linearity in C1..C9 it is zero for every C; M and
-    the flow scalars are built once for the nine."""
+    probes C = e_n, so by linearity in C1..C9 it is zero for every C."""
     probes = [LaxFamilyParams(tuple(int(m == n) for m in range(1, 10))) for n in range(1, 10)]
     for n, residual in enumerate(_residuals(probes, omega), 1):
         if not residual.is_zero:

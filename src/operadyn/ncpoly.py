@@ -1,8 +1,7 @@
 """Free associative polynomials on Q, P, Ap, Am with square-root scalars.
 
 No commutation relations at all are imposed between the generators: words
-are compared letter by letter, so Q*P and P*Q are distinct monomials and a
-commutator vanishes only if it cancels literally.
+are compared letter by letter, so Q*P and P*Q are distinct monomials.
 
 Scalars live in the quadratic extension Q[s] / (s**2 - 2*p0), written
 u + v*s with rational u, v; s stands for sqrt(2*p0).  An `ExtScalar` carries
@@ -11,10 +10,8 @@ Combined with a float, it gives a float, as a Fraction does.
 
 The coefficient format, shared by `NCPoly` and `poly.Poly`: every stored
 coefficient is a nonzero Fraction or an ExtScalar with nonzero s-part.  An
-ExtScalar whose s-part is 0 is stored as its Fraction, whose text, `==` and
-`hash` it shares, so every value has one representation.  `_collect` is the
-one kernel that keeps the format: it adds (key, coefficient) pairs into
-sparse terms, drops zero sums and folds s-free sums to their Fraction.
+ExtScalar whose s-part is 0 is stored as its Fraction, so every value has
+one representation.  `_collect` is the one kernel that keeps the format.
 
 Both polynomial types are the one sparse ring `_Ring` over that format,
 with words as keys here and exponent tuples in `poly`.  An NCPoly's context
@@ -22,23 +19,21 @@ is its p0, which every operand of its arithmetic must share (ValueError
 otherwise); a Poly's is the one p0 of its s-parts, which the s-parts of its
 constructor's input and of its operands in arithmetic must share.  `==`
 compares values across types and contexts: a constant element equals its
-scalar, elements of one ring compare term by term, and only an s-part ties
-a value to its context, so u + v*s with v != 0 equals nothing of another
-p0.  So `==` is an equivalence that `hash` agrees with.
-`+`, `-`, `*` and `==` try an operand by exact type first, an element of the
-same ring, then a Fraction or int, and only then the other scalars, whose
-`numbers.Rational` check runs Python code.
+scalar, a float compares as a Fraction does, elements of one ring compare
+term by term, and only an s-part ties a value to its context, so u + v*s
+with v != 0 equals nothing of another p0.  So `==` is an equivalence that
+`hash` agrees with.  `+`, `-`, `*` and `==` try an operand by exact type
+first, and only then the scalars whose `numbers.Rational` check runs Python
+code.
 
 Invariants: an ExtScalar's u, v and p0 are Fractions with p0 > 0, and an
-NCPoly's words use only Q, P, Ap, Am, each with a coefficient in the format
-above whose ExtScalars have the polynomial's p0.  The public constructors
+NCPoly's words use only Q, P, Ap, Am.  The public constructors
 (`ExtScalar(...)`, `NCPoly(...)`, `generator`) check and coerce their input,
 and raise TypeError on anything that is not rational, a float included.
 Only the ring operations, whose operands already hold the invariants, and
-the operator bracket of `quantum.quantize`, whose entries `lax` writes from
-the family table with distinct words and the nonzero coefficients `solve_C`
-makes at the bracket's p0, build their results through the private `_ext`
-and `NCPoly._like`, which check nothing.
+the operator bracket of `quantum.quantize`, which `lax` writes from the
+family table, build their results through the private `_ext` and
+`NCPoly._like`, which check nothing.
 """
 
 from __future__ import annotations
@@ -57,11 +52,7 @@ _GEN_INDEX = {name: i for i, name in enumerate(GENERATORS)}
 
 
 def _rational(value):
-    """The Fraction of an exact rational; TypeError on a float or anything else.
-
-    Every exact entry point (ExtScalar, NCPoly and the omega, p0 arguments of
-    bianchi, lax and quantum) takes its rationals through this check.
-    """
+    """The Fraction of an exact rational; TypeError on a float or anything else."""
     if type(value) is Fraction:
         return value
     if type(value) is int or isinstance(value, Rational):
@@ -212,7 +203,9 @@ class ExtScalar:
             # an s-part compares only within one context
             return (self.v == other.v and self.u == other.u
                     and (not self.v or self.p0 is other.p0 or self.p0 == other.p0))
-        if type(other) is Fraction or type(other) is int or isinstance(other, Rational):
+        cls = type(other)
+        # a float compares as a Fraction does
+        if cls is Fraction or cls is int or cls is float or isinstance(other, Rational):
             return not self.v and self.u == other
         return NotImplemented
 
@@ -258,7 +251,7 @@ def _coefficient(value):
 
 def _fold_s(c, sigma):
     """c with s set to its rational value sigma: u + v*sigma for an ExtScalar,
-    any other c as it is.  The s-fold of `bianchi.deform` and `poly.commutative_image`."""
+    any other c as it is."""
     return c.u + c.v * sigma if type(c) is ExtScalar else c
 
 
@@ -403,8 +396,8 @@ class _Ring:
         if isinstance(other, _Ring):
             # a Poly and an NCPoly share only their constants, which compare as scalars
             return other.is_constant and self == other.terms.get(other._ONE, _ZERO)
-        if cls is Fraction or cls is int or isinstance(other, _SCALARS):
-            # a scalar of any context, as the constant term it is
+        if cls is Fraction or cls is int or cls is float or isinstance(other, _SCALARS):
+            # a scalar of any context or a float, as the constant term it is
             return self.terms == ({self._ONE: other} if other else {})
         return NotImplemented
 

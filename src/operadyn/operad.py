@@ -2,30 +2,21 @@
 
 An operation of degree n on a d-dimensional space V is a multilinear map
 V**n -> V, given by its d**(n+1) coefficients, output index first, as one
-row-major tuple (the last index varies fastest), its read-only `coeffs`
-(a `Tensor`: a tuple that also answers `flat` and `size`).
+row-major tuple (the last index varies fastest), its read-only `coeffs`.
 Entries may be exact numbers or elements of any commutative ring with the
-usual Python operators (the package uses `poly.Poly` for
-phase-space-dependent operations).  It is
-the package's one tensor type: the Lax matrices are degree-1 Operations, and
-`structure.StructureTensor` is the Operation of degree 2 on a 3d space.
+usual Python operators.  It is the package's one tensor type: the Lax
+matrices are degree-1 Operations, and `structure.StructureTensor` is the
+Operation of degree 2 on a 3d space.
 
-The public constructor takes the flat entries and checks the dimension (at
-most MAX_DIM), the degree (at most MAX_DEGREE) and the number of entries;
-`from_matrix` takes square rows.  Every other result is built through the
-private `_trusted`, which checks nothing; a composition may exceed MAX_DEGREE,
-up to MAX_ENTRIES entries.
+The public constructor checks the dimension (at most MAX_DIM), the degree
+(at most MAX_DEGREE) and the number of entries; every other result is built
+through the private `_trusted`, which checks nothing, and a composition may
+exceed MAX_DEGREE, up to MAX_ENTRIES entries.
 
-Composition never multiplies by zero: it pairs only the nonzero entries of
-its operands, and a result entry without such a pair is the sum of a zero
-entry of each operand (see `partial_compose`).  `total_compose` and
-`gerstenhaber_bracket` add every partial composition's products, signs
-folded in, into one entry list and build no Operation in between, so each
-entry equals, and hashes like, the sum of the partial compositions, with
-its terms in the order of that one running sum.  The linear structure never
-adds an exact zero: where one operand of an entry's sum or difference is an
-int or Fraction 0 and the other a Fraction, an `ncpoly.ExtScalar` or a
-polynomial, the entry is that other operand, or its negative (see `_sums`).
+Composition never multiplies by zero, and the linear structure never adds
+an exact zero: where one operand of an entry's sum is an int or Fraction 0
+and the other a Fraction, an `ncpoly.ExtScalar` or a polynomial, the entry
+is that other operand, or its negative (`_sums`).
 
 Signs are driven by the reduced degree |f| = deg(f) - 1:
 
@@ -34,10 +25,6 @@ Signs are driven by the reduced degree |f| = deg(f) - 1:
     total_compose(f, g)      = sum of partial_compose(f, i, g) over all slots
     gerstenhaber_bracket     = total_compose(f, g)
                                - (-1)**(|f|*|g|) * total_compose(g, f)
-
-Degree-0 operations are vectors; they admit no composition slots, and the
-total composition f . g with deg(f) = 0 is the zero operation of degree
-|g| (undefined when g also has degree 0).
 """
 
 from __future__ import annotations
@@ -204,13 +191,11 @@ def partial_compose(f, i, g):
     has degree deg(f) + |g| and carries the sign (-1)**(i*|g|).
 
     No product with a zero factor is formed.  An entry sums its other
-    products in increasing order of the contracted index, f's entry on the
-    left unless it is a Fraction, which is central, so that g's entry's `*`
-    runs; an entry with none is `z_f + z_g` (through `_sums`), for a zero
-    entry of each operand (int 0 for an operand without one), so Fraction
-    operands give Fraction(0) and int ones int 0.  Every entry equals, and
-    hashes like, the sum of all products, but a `Poly` entry that comes out
-    zero or constant may come back as the equal scalar.
+    products in increasing order of the contracted index; an entry with
+    none is `z_f + z_g` (through `_sums`), for a zero entry of each operand
+    (int 0 for an operand without one).  Every entry equals, and hashes
+    like, the sum of all products, though a `Poly` entry that comes out zero
+    or constant may come back as the equal scalar.
     """
     if not isinstance(f, Operation) or not isinstance(g, Operation):
         raise TypeError("partial_compose expects two Operations")
@@ -227,11 +212,8 @@ def _composed(f, g, parts):
     """The Operation of degree deg(f) + |g| that sums the partial
     compositions of `parts` in one entry list: (False, i, negate) puts g
     into slot i of f, (True, i, negate) f into slot i of g, negated where
-    `negate` is set.
-
-    Each operand's nonzero entries are found once, and negated once per
-    sign.  Each entry adds the products of each part in turn, and an entry
-    without any is `z_f + z_g` (see `partial_compose`, the one-part case).
+    `negate` is set.  An entry without a product is `z_f + z_g`, as in
+    `partial_compose`.
     """
     d, out_degree = f.dim, f.degree + g.reduced_degree
     # a hard cap on the result's size: a composition may exceed MAX_DEGREE,
@@ -275,10 +257,8 @@ def _compose_into(out, f, i, f_pairs, g_pairs, width):
     The result index is (out, f's inputs before slot i, g's inputs, f's
     inputs after slot i): position (r * width + b) * step + c for the row r
     of f's leading indices, g's input column b and f's trailing inputs c.
-    Each nonzero f[r, k, c] (k in slot i) meets the nonzero entries of g's
-    row k, whose sign is folded in; f is walked in row-major order, so each
-    entry receives its products in increasing k.  A product lands as it is
-    where out holds None and is added to the entry elsewhere.
+    f is walked in row-major order, so each entry receives its products in
+    increasing k.  A product lands as it is where out holds None.
     """
     d = f.dim
     step = d ** (f.degree - 1 - i)
@@ -321,12 +301,8 @@ def total_compose(f, g):
 
 
 def gerstenhaber_bracket(f, g):
-    """Graded commutator of total composition.
-
-    [f, g] = f.g - (-1)**(|f||g|) g.f, an operation of degree |f|+|g|+1,
-    summed in one entry list: every partial composition of f.g, then every
-    one of g.f with the bracket's sign folded into f.
-    """
+    """Graded commutator of total composition, [f, g] = f.g - (-1)**(|f||g|) g.f,
+    summed in one entry list: every partial composition of f.g, then of g.f."""
     if f.degree == 0 and g.degree == 0:
         raise ValueError("bracket of two degree-0 operations is undefined")
     if f.dim != g.dim:

@@ -9,17 +9,10 @@ Am = omega*q / Ap, defined on the branch p > -p0.  Along the flow they obey
 Ap' = -(omega/2) Am and Am' = (omega/2) Ap, i.e. they rotate at half the
 oscillator frequency.
 
-The flow and the chart are computed by columns.  `flow_columns` maps a
-list of times to the lists q and p, and `quasi_columns` maps q and p to the
-lists Ap and Am.  Each checks omega > 0 and p0 > 0 once per call;
-`quasi_columns` checks the energy shell and the branch for every sample.
-`sample_flow` adds the chart window |omega*t| < pi, checked for every time
-before any sine is taken.  `exact_flow` and `quasi_coords` are one-element
-calls into the two kernels, so every formula and every check is written
-once; `exact_flow` first checks that its one time is finite.
-
-`OscillatorState` and `QuasiCoords` are namedtuples: they compare, hash and
-unpack as the tuple of their fields, and setting a field raises AttributeError.
+The flow and the chart are computed by columns (`flow_columns`,
+`quasi_columns`, `sample_flow`); `exact_flow` and `quasi_coords` are
+one-element calls into them, so every formula and every check is written
+once.
 """
 
 from __future__ import annotations
@@ -44,8 +37,7 @@ class OscillatorState(namedtuple("OscillatorState", "q p omega p0")):
         return _energy(self.q, self.p, self.omega)
 
 
-class QuasiCoords(namedtuple("QuasiCoords", "a_plus a_minus")):
-    __slots__ = ()
+QuasiCoords = namedtuple("QuasiCoords", "a_plus a_minus")
 
 
 def _check_params(omega, p0):
@@ -63,11 +55,8 @@ def _energy(q, p, omega):
 
 
 def flow_columns(omega, p0, times):
-    """The closed-form flow at each time, as two lists q and p.
-
-    q = (p0/omega) sin(omega t) and p = p0 cos(omega t).  The parameters are
-    checked once; the flow itself is defined at every time.
-    """
+    """The closed-form flow q = (p0/omega) sin(omega t), p = p0 cos(omega t)
+    at each time, as two lists q and p; the parameters are checked once."""
     _check_params(omega, p0)
     amplitude = p0 / omega
     return ([amplitude * math.sin(omega * t) for t in times],
@@ -143,14 +132,11 @@ def sample_flow(omega, p0, times):
     """The exact flow and its chart at each time, as four lists: q, p, Ap, Am.
 
     Every time must satisfy |omega*t| < pi, the window where the half-angle
-    chart is single-valued (BranchError otherwise).  The window is checked
-    for every time, in order, before any sine is taken; then `flow_columns`
-    checks omega and p0 once, and `quasi_columns` checks them once more and
-    checks the shell and the branch for every sample.  So a call with bad
-    parameters raises even when `times` is empty, and a call with several
-    faults names a time outside the window first, even when an earlier
-    sample is off the shell or the branch.  `times` is a sequence, since it
-    is read once for the window and again for the flow.
+    chart is single-valued (BranchError otherwise), checked for every time
+    before any sine is taken; then `flow_columns` and `quasi_columns` check
+    the parameters, the shell and the branch.  So a call with bad parameters
+    raises even when `times` is empty, and a call with several faults names
+    a time outside the window first.  `times` is a sequence, read twice.
     """
     for t in times:
         if not abs(omega * t) < math.pi:

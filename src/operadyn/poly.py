@@ -1,22 +1,13 @@
 """Exact multivariate polynomials in the phase-space variables q, p, Ap, Am.
 
-Every symbolic identity in this package is decided exactly.  A polynomial
-maps exponent 4-tuples ``(e_q, e_p, e_Ap, e_Am)`` to coefficients in Q(s),
-s = sqrt(2*p0), in the coefficient format that `ncpoly` states: a nonzero
-Fraction, or an `ncpoly.ExtScalar` with nonzero s-part.  Zero coefficients
-are never stored, which makes structural equality the same thing as
-canonical-form equality.
-
-`Poly` is the ring body `ncpoly._Ring`, shared with `ncpoly.NCPoly`, over
-exponent keys; it adds `constant`, `variable` and `**`.
-Invariant of every Poly: its keys are 4-tuples of ints >= 0, and each
-coefficient is in that format, its ExtScalars all of one p0.  The public constructors (`Poly(...)`,
-`constant`, `variable`) check and coerce their input.  In the class, only
-`constant`, whose one key is known to be good once its value is coerced,
-and the ring operations, whose operands already hold the invariant, build
-their result through the private `_trusted`, which checks nothing.  Outside it, so do `lax._time_derivative`, the shell reduction of
-`bianchi`, and `commutative_image`, the ring map that lets the generators
-of an `ncpoly.NCPoly` commute.
+A polynomial maps exponent 4-tuples ``(e_q, e_p, e_Ap, e_Am)`` to
+coefficients in Q(s), s = sqrt(2*p0), in the coefficient format that
+`ncpoly` states; zero coefficients are never stored, so structural equality
+is canonical-form equality.  `Poly` is the ring body `ncpoly._Ring`, shared
+with `ncpoly.NCPoly`, over exponent keys; it adds `constant`, `variable`
+and `**`.  The public constructors (`Poly(...)`, `constant`, `variable`)
+check and coerce their input; results whose terms already hold the format
+are built through the private `_trusted`, which checks nothing.
 """
 
 from __future__ import annotations
@@ -117,12 +108,10 @@ def evaluate_terms(terms, columns):
     `columns` holds one sequence per coordinate (q, p, Ap, Am), all of one
     length; the result is a list with one value per point.  At each point the
     float operations are those of a plain per-point loop, in its order: the
-    sum starts at int 0 and adds the terms in the given order (`Poly.terms`
-    order), and each term starts at its coefficient and is multiplied by
-    every base once per unit of its exponent.  So a Fraction or ExtScalar
-    coefficient times a float converts itself to float first, and int 0 plus
-    -0.0 gives 0.0.  `bianchi.deformation_trace` runs it on float columns of
-    the flow.
+    sum starts at int 0 and adds the terms in the given order, and each term
+    starts at its coefficient and is multiplied by every base once per unit
+    of its exponent.  So a Fraction or ExtScalar coefficient times a float
+    converts itself to float first, and int 0 plus -0.0 gives 0.0.
     """
     n = len(columns[0])
     total = [0] * n
@@ -143,13 +132,11 @@ def _exps(word):
 
 def commutative_image(value, sigma=None):
     """The Poly of an NCPoly whose generators commute: each word becomes the
-    monomial of its letter counts, merged through `_collect`, and given the
-    rational value sigma of s (`bianchi.ShellReduction.sigma`), each u + v*s
-    folds to u + v*sigma first by `ncpoly._fold_s`, as in `bianchi.deform`.
-    A ring map that takes each entry of `quantum.quantize(t, omega, p0)` to
-    the entry of `bianchi.deform(t, omega, p0)`, so it takes the operator
-    defect of a class to its commutative one,
-    `bianchi.raw_jacobian(bianchi.deform(t, omega, p0))`."""
+    monomial of its letter counts, and given the rational value sigma of s,
+    each u + v*s folds to u + v*sigma first.  A ring map that takes each
+    entry of `quantum.quantize(t, omega, p0)` to the entry of
+    `bianchi.deform(t, omega, p0)`, so it takes the operator defect of a
+    class to its commutative one."""
     terms = value.terms.items()
     if sigma is not None:
         terms = ((word, _fold_s(c, sigma)) for word, c in terms)

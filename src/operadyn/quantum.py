@@ -1,13 +1,11 @@
 """Quantum counterparts of the dynamical deformations, over the free algebra.
 
-Each class's operator bracket puts operators into the operadic Lax family:
-solve_C places the class tensor in the family, and the member is written
-from its table at the words (), Q, P, Ap, Am of `ncpoly.NCPoly`, with
-sqrt(2*p0) the formal scalar s.  Each entry is the entry of the symbolic
-member (`lax.formal_mu`) with the monomial q^i p^j Ap^k Am^l read as the
-word Q^i P^j Ap^k Am^l.  No commutation relations are imposed, so the
-Jacobi defect measures the obstruction that survives in the free algebra
-itself.
+Each class's operator bracket is the Lax family member through its class
+tensor, written at the words (), Q, P, Ap, Am of `ncpoly.NCPoly` with
+sqrt(2*p0) the formal scalar s: the monomial q^i p^j Ap^k Am^l of the
+symbolic member becomes the word Q^i P^j Ap^k Am^l.  No commutation
+relations are imposed, so the Jacobi defect measures the obstruction that
+survives in the free algebra itself.
 
 The defect of the bracket mu at vectors x, y, z is, component-wise,
 
@@ -16,27 +14,17 @@ The defect of the bracket mu at vectors x, y, z is, component-wise,
 
 with the outer coefficient (indexed by the scalar argument l and the inner
 slot k) multiplying the inner one from the left.  The defect is trilinear and
-alternating, so it factors through det(x | y | z); classification only needs
-J(e1, e2, e3), whose weights are 1 on the cyclic (i, j, l) and 0 elsewhere.
-`basis_jacobian` runs that weight-free cyclic kernel, the one
-`bianchi.raw_jacobian` runs.  Making the generators commute maps the
-operator defect onto the classical one (`poly.commutative_image`), so one
-kernel call per class serves both sides.
+alternating, so classification only needs J(e1, e2, e3).  Making the
+generators commute maps the operator defect onto the classical one
+(`poly.commutative_image`), so one kernel call per class serves both sides.
 
-Every class lands in exactly one bucket:
+Every class lands in exactly one bucket (`bianchi._CLASSES` says which):
 
     Rigid        no parameter sees the dynamics: the constant class tensor
-                 (I, VII, VIII, IX)
-    QuantumLie   defect identically zero in the free algebra (II, VI)
-    AnomalousI   defect (0, 0, (1/p0) [Ap, Am])              (IV, V)
+    QuantumLie   defect identically zero in the free algebra
+    AnomalousI   defect (0, 0, (1/p0) [Ap, Am])
     AnomalousII  defect (tau*a/sqrt(2 p0**3) xi+, tau*a/sqrt(2 p0**3) xi-,
-                 (a**2/p0) [Ap, Am]) with tau = -1           (IIIa1, VIa, VIIa)
-
-`prove_kinds` checks the certificates of `classify` against the bucket
-each class is expected to land in (`_EXPECTED_KIND`) for `verify`.
-
-`JacobianTriple` and `AnomalyCertificate` are namedtuples with read-only
-fields, so a triple unpacks as j1, j2, j3 and compares as that tuple.
+                 (a**2/p0) [Ap, Am]) with tau = -1
 """
 
 from __future__ import annotations
@@ -46,23 +34,19 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import bianchi
+from .bianchi import ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID
 from .lax import _member, solve_C
 from .ncpoly import ExtScalar, NCPoly, _positive, _rational, _same_p0, commutator
 from .structure import _cyclic_defect
 
 _ONE = Fraction(1)
 
-RIGID = "Rigid"
-QUANTUM_LIE = "QuantumLie"
-ANOMALOUS_I = "AnomalousI"
-ANOMALOUS_II = "AnomalousII"
 UNCLASSIFIED = "Unclassified"
 
 
 def quantize(t, omega, p0):
-    """Operator form of the deformed bracket of class t: the Lax family
-    member through its structure constants, written at the words (see the
-    module docstring and `lax._member`), so every entry is built unchecked."""
+    """Operator form of the deformed bracket of class t (see the module
+    docstring), every entry built unchecked."""
     w, p0 = _positive(omega, "omega"), _positive(p0, "p0")
     return _operator(solve_C(bianchi.structure_constants(t), p0), w, p0)
 
@@ -114,27 +98,22 @@ class JacobianTriple(namedtuple("JacobianTriple", "j1 j2 j3")):
 
 
 def basis_jacobian(mu):
-    """The Jacobi defect of mu at the basis triple (e1, e2, e3).
-
-    The cyclic kernel shared with `bianchi.raw_jacobian`, over NCPoly entries.
-    """
+    """The Jacobi defect of mu at the basis triple (e1, e2, e3)."""
     flat = _nc_entries(mu)
     return JacobianTriple(*_cyclic_defect(flat, flat[0]._like({})))
 
 
-class AnomalyCertificate(namedtuple("AnomalyCertificate",
-                                    "kind type_label omega p0 a tau jacobian matched")):
-    __slots__ = ()
+AnomalyCertificate = namedtuple("AnomalyCertificate",
+                                "kind type_label omega p0 a tau jacobian matched")
 
 
 def classify(t, omega, p0):
     """Sort a class into Rigid / QuantumLie / AnomalousI / AnomalousII.
 
-    The operator bracket is `quantize`'s, through the parameters `solve_C`
-    builds once.  They also decide rigidity: a member whose parameters leave
-    the dynamics out (`LaxFamilyParams.is_admissible`) is the class tensor
-    itself.  The certificate carries the full basis defect so the claim can
-    be checked independently of the matching logic.
+    The parameters `solve_C` builds once give both `quantize`'s operator
+    bracket and rigidity (`LaxFamilyParams.is_admissible`).  The certificate
+    carries the full basis defect so the claim can be checked independently
+    of the matching logic.
     """
     w, p0 = _positive(omega, "omega"), _positive(p0, "p0")
     params = solve_C(bianchi.structure_constants(t), p0)
@@ -168,22 +147,13 @@ def _match(t, rigid, defect, w, p0):
     return UNCLASSIFIED, None, ()
 
 
-# the bucket each class is expected to land in (see the module docstring)
-_EXPECTED_KIND = {
-    "I": RIGID, "VII": RIGID, "VIII": RIGID, "IX": RIGID,
-    "II": QUANTUM_LIE, "VI": QUANTUM_LIE,
-    "IV": ANOMALOUS_I, "V": ANOMALOUS_I,
-    "VIIa": ANOMALOUS_II, "IIIa1": ANOMALOUS_II, "VIa": ANOMALOUS_II,
-}
-
-
 def prove_kinds(certificates):
     """(ok, detail) over (class, certificate) pairs: each class lands in its
-    `_EXPECTED_KIND` bucket, an AnomalousII one with tau = -1; the detail
-    lists each class's kind and tau."""
+    bucket of `bianchi._CLASSES`, an AnomalousII one with tau = -1; the
+    detail lists each class's kind and tau."""
     lines = []
     for t, cert in certificates:
-        expected = _EXPECTED_KIND[t.tag]
+        expected = bianchi._CLASSES[t.tag][1]
         if cert.kind != expected:
             return False, f"{t.label} classified {cert.kind}, expected {expected}"
         if expected == ANOMALOUS_II and cert.tau != -1:

@@ -2,27 +2,17 @@
 
 A StructureTensor holds the coefficients mu[i][j][k] of a bracket
 [e_j, e_k] = sum_i mu^i_{jk} e_i with mu^i_{jk} = -mu^i_{kj}.  It is the
-degree-2 `operad.Operation` on a 3d space: a bracket enters the
-Gerstenhaber bracket and composition as it is, and equals the Operation
-with the same entries.  Its own part is the sparse constructor with mirror
-fill, the antisymmetry check and the views by independent entry.
+degree-2 `operad.Operation` on a 3d space, and equals the Operation with the
+same entries.  Entries can be exact numbers, `poly.Poly`, or `ncpoly.NCPoly`.
 
 The sparse constructor is the one checked way in.  It checks only what its
 input can break: a given diagonal entry must vanish, and a pair given in
-both orientations must be opposite; a mirror it fills (`_mirror`: -value,
-a Fraction 0 its own) is not compared.  A tensor derived from
-antisymmetric ones (an odd map of the entries, or the difference in
-`lax.operadic_lax_residual`), and the family member of `lax.build_mu` or
-its operator bracket, whose mirrors are `_mirror` of its entries, is built
-by `operad._trusted` through the private `_trusted`, which checks nothing.
+both orientations must be opposite; a mirror it fills (`_mirror`) is not
+compared.  A tensor antisymmetric by construction, such as a Lax family
+member, is built through the private `_trusted`, which checks nothing.
 
-Entries can be exact numbers, `poly.Poly`, or `ncpoly.NCPoly`; the
-container is agnostic as long as entries support +, -, * and == with each
-other and with 0.
-
-Indices are 1-based everywhere in the public interface, matching the usual
-e_1, e_2, e_3 notation; the independent components are reported in the
-column order (1,2), (2,3), (3,1).
+Indices are 1-based everywhere in the public interface; the independent
+components are reported in the column order (1,2), (2,3), (3,1).
 """
 
 from __future__ import annotations
@@ -60,13 +50,11 @@ def _cyclic_defect(flat, zero):
     """Cyclic Jacobi defect at the basis triple, from the row-major entries.
 
     The entries are polynomials of one ring and context (`_Ring`) and
-    `zero` is its zero.  Component m collects each product mu^m_{lk} *
-    mu^k_{ij}, outer factor on the left, in `_CYCLIC` order and adds it into
-    the component's one term dict, skipping every product with a factor
-    without terms.  Each product is collected before it is added, so each
-    component holds the same terms in the same order as the ring sum of all
-    nine from `zero`.  The one kernel of `bianchi.raw_jacobian` and
-    `quantum.basis_jacobian`.
+    `zero` is its zero.  Component m adds each product mu^m_{lk} * mu^k_{ij},
+    outer factor on the left, in `_CYCLIC` order, skipping every product
+    with a factor without terms.  Each product is collected before it is
+    added, so each component holds the same terms in the same order as the
+    ring sum of all nine from `zero`.
     """
     components = []
     for pairs in _CYCLIC:
@@ -86,23 +74,17 @@ class StructureTensor(Operation):
     __slots__ = ()
 
     def __init__(self, entries=None):
-        """Build from a sparse mapping {(i, j, k): value} with 1-based indices.
-
-        If only one orientation of a pair is given, the opposite one is filled
-        with its negative, and is not compared; a given diagonal entry must
-        vanish, and a pair given both ways must already be opposite.
-        """
-        provided = {}
-        for idx, value in (entries or {}).items():
+        """Build from a sparse mapping {(i, j, k): value} with 1-based indices,
+        filling and checking as the module docstring says."""
+        entries = entries or {}
+        flat = [Fraction(0)] * DIM ** 3
+        checks = set()
+        for idx, value in entries.items():
             i, j, k = idx
             if any(not (1 <= n <= DIM) for n in (i, j, k)):
                 raise ValueError(f"index {idx!r} out of range 1..{DIM}")
-            provided[(i, j, k)] = value
-        flat = [Fraction(0)] * DIM ** 3
-        checks = set()
-        for (i, j, k), value in provided.items():
             flat[_position(i, j, k)] = value
-            if (i, k, j) not in provided:
+            if (i, k, j) not in entries:
                 flat[_position(i, k, j)] = _mirror(value)
             else:
                 # a given diagonal, or a pair given both ways
@@ -111,10 +93,7 @@ class StructureTensor(Operation):
         self._validate(sorted(checks))
 
     def _validate(self, checks):
-        """Antisymmetry at each 0-based (i, j, k) of `checks`, with j <= k.
-
-        A diagonal entry must vanish and mu^i_{jk} must equal -mu^i_{kj}.
-        """
+        """Antisymmetry at each 0-based (i, j, k) of `checks`, with j <= k."""
         flat = self.coeffs
         for i, j, k in checks:
             a = flat[(i * DIM + j) * DIM + k]

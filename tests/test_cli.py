@@ -9,6 +9,7 @@ import argparse
 import ast
 import contextlib
 import graphlib
+import importlib
 import io
 import json
 import math
@@ -713,3 +714,15 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "I,,0,0,0,0,0,0,0,0,0"
+
+
+def test_console_script_entry_point(capsys):
+    # the `[project.scripts]` target that `pip install` turns into `operadyn`
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["operadyn"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is cli.main
+    assert entry(["verify", "matrix-lax"]) == 0
+    assert capsys.readouterr().out.endswith("overall: PASS\n")

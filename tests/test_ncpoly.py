@@ -263,17 +263,17 @@ def test_poly_and_ncpoly_share_only_constants(value):
 
 @st.composite
 def exact_values(draw):
-    """An int, Fraction, ExtScalar, Poly or NCPoly over a few values, which
-    meet across types and the contexts p0 = 2 and 3: u + v*s with u in
+    """An int, Fraction, float, ExtScalar, Poly or NCPoly over a few values,
+    which meet across types and the contexts p0 = 2 and 3: u + v*s with u in
     {0, 1/2, 1, 2} and v in {0, 1}, as a scalar, a constant, or the
-    coefficient of q (Q)."""
+    coefficient of q (Q); and -0.0."""
     u = draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))))
     v = draw(st.sampled_from((0, 1)))
     p0 = draw(st.sampled_from((Fraction(2), Fraction(3))))
     c = ExtScalar(u, v, p0=p0)
     constant = draw(st.booleans())
     return draw(st.sampled_from((
-        int(u) if u.denominator == 1 else u, u, c,
+        int(u) if u.denominator == 1 else u, u, float(u), -0.0, c,
         Poly({(0, 0, 0, 0) if constant else (1, 0, 0, 0): c}),
         NCPoly({() if constant else ("Q",): c}, p0=p0),
     )))
@@ -283,6 +283,7 @@ def exact_values(draw):
 @given(st.lists(exact_values(), min_size=3, max_size=3))
 @example([ExtScalar(2, 0, p0=2), 2, ExtScalar(2, 0, p0=3)])
 @example([Poly.constant(2), 2, NCPoly({(): 2}, p0=2)])
+@example([ExtScalar(1, 0, p0=2), Fraction(1), 1.0])
 def test_equality_is_an_equivalence_that_hash_agrees_with(values):
     for a in values:
         assert a == a

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operadyn import poly
+from operadyn import bianchi, poly
 from operadyn.bianchi import (BianchiType, ShellReduction, all_types, deform,
                               raw_jacobian, structure_constants)
-from operadyn.lax import LaxFamilyParams, _member, formal_mu
+from operadyn.lax import LaxFamilyParams, _member, formal_mu, solve_C
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
 from operadyn.poly import _exps, commutative_image
 from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, basis_jacobian,
@@ -458,6 +458,24 @@ class TestClassification:
         certs = {t.tag: classify(t, omega, p0) for t in types}
         assert {tag: (c.kind, c.tau, c.matched) for tag, c in certs.items()} == self.CERTIFICATES
         assert [c.type_label for c in certs.values()] == [t.label for t in types]
+
+    # the weight of each of C1..C9 under the flow's turn about e3, and the
+    # bucket of each support: the weights of a class's nonzero parameters
+    WEIGHTS = (0, 2, 2, 0, 1, 1, 1, 1, 0)
+    SUPPORT_KIND = {frozenset(): RIGID, frozenset({2}): QUANTUM_LIE,
+                    frozenset({1}): ANOMALOUS_I, frozenset({1, 2}): ANOMALOUS_II}
+
+    # s = sqrt(2*p0) irrational each time
+    @pytest.mark.parametrize("omega, p0", [
+        (1, Fraction(3)), (Fraction(3, 2), Fraction(5, 2)), (Fraction(5, 7), Fraction(7, 3)),
+    ])
+    def test_kind_follows_the_weight_support(self, omega, p0):
+        for a in (Fraction(1, 3), Fraction(2), Fraction(5)):
+            for t in all_types(a):
+                params = solve_C(structure_constants(t), p0)
+                support = frozenset(w for w, c in zip(self.WEIGHTS, params.c) if w and c)
+                kind = classify(t, omega, p0).kind
+                assert kind == self.SUPPORT_KIND[support] == bianchi._CLASSES[t.tag][1], t.label
 
     def test_anomalous_ii_closed_form(self):
         p0 = Fraction(2)
