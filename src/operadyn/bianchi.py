@@ -13,7 +13,8 @@ A class becomes a one-parameter family of brackets driven by the harmonic
 oscillator: solve_C places its constant tensor in the Lax family, with
 s = sqrt(2*p0) kept formal.  On the energy shell the deformed bracket
 satisfies the Jacobi identity at every time, which a `ShellReduction` of
-one (omega, p0) proves two independent ways.
+one (omega, p0) proves by its normal form and again by the flow's
+covariance.
 
 `BianchiType` is a namedtuple whose constructor, `_make` and `_replace` check
 and normalize (tag, a).
@@ -23,13 +24,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
 from . import poly
-from .lax import LaxFamilyParams, formal_mu, solve_C
-from .ncpoly import ExtScalar, _collect, _fold_s, _positive, _rational
+from .lax import LaxFamilyParams, _time_derivative, formal_mu, solve_C
+from .ncpoly import _ZERO, ExtScalar, _collect, _fold_s, _positive, _rational
 from .oscillator import sample_flow
-from .poly import Poly, commutative_image, rational_sqrt
+from .poly import Poly, commutative_image, evaluate_terms, rational_sqrt
 from .structure import StructureTensor, _cyclic_defect
 
 # the buckets of `quantum.classify`, and per class the signature (alpha, n1,
@@ -124,7 +124,7 @@ def is_rigid(t):
 
 
 class ShellReduction:
-    """Normal forms, filled lazily, and conic points on the shell of one (omega, p0).
+    """Normal forms, filled lazily, and the flow's covariance on the shell of one (omega, p0).
 
     On the shell q = Ap*Am/omega, p = Ap**2 - p0 and Am**2 = 2*p0 - Ap**2, so
     the normal form of q^i p^j Ap^k Am^l is the one product
@@ -142,6 +142,10 @@ class ShellReduction:
         self._p = poly.a_plus ** 2 - Poly.constant(p0)
         self._shell = Poly.constant(p0 * 2) - poly.a_plus ** 2
         self._forms = {}
+        # the flow scalars of `lax._time_derivative`, and the reference point
+        # (q, p, Ap, Am) = (0, p0, s, 0) as the columns of `poly.evaluate_terms`
+        self._flow = (w / 2, -w * w, -w / 2)
+        self._reference = ([_ZERO], [p0], [self.sigma or ExtScalar(0, 1, p0=p0)], [_ZERO])
 
     def reduce(self, value):
         """Normal form of a phase-space polynomial or number on the shell.
@@ -162,77 +166,50 @@ class ShellReduction:
                 * poly.a_minus ** ((i + l) % 2) * self._inverse_w ** i)
         return form
 
-    def conic_points(self, n):
-        """Integer columns a, b, d at the points u = 0..n-1 of the shell conic:
-        a = 1 - u**2, b = 2u and d = 1 + u**2, so a**2 + b**2 = d**2, and there
-        Ap = s*a/d, Am = s*b/d, q = (2*p0/omega)*a*b/d**2, p = p0*(a**2 - b**2)/d**2."""
-        return ([1 - u * u for u in range(n)], [2 * u for u in range(n)],
-                [1 + u * u for u in range(n)])
+    def covariant(self, defect):
+        """None if the polynomials (J1, J2, J3) vanish on the shell by
+        covariance, else the fact that fails.
 
-    def point_defect(self, values):
-        """(D, name) over (name, polynomial) pairs: D bounds each one's degree on
-        the shell conic, and name is the first not zero at u = 0..2D, or None.
-
-        At u a polynomial is N(u)/(1 + u**2)**D with deg N <= 2D, since D is at
-        least max(2i + 2j + k + l) over its terms q^i p^j Ap^k Am^l, and N has
-        its coefficients in a field, so zero at the 2D + 1 points means zero on
-        the whole conic, which the u cover but for one point.
-
-        The test runs in integers.  A term c q^i p^j Ap^k Am^l is K*m/d**D at
-        the point (a, b, d) of `conic_points`, with the scalar
-        K = c*(2*p0/omega)**i * p0**j * s**(k + l) = x + y*s and the integer
-        m = (a*b)**i (a**2 - b**2)**j a**k b**l d**(D - 2i - 2j - k - l).  So
-        the common denominator L of a value's x and y times d**D times the
-        value is X + Y*s for integers X and Y, zero when X and Y are: s is
-        irrational, or rational and folded to its value, which leaves Y = 0.
+        The facts: D J = M J as polynomials, with D the flow derivation
+        `lax._time_derivative` and M the rotation generator, so D J1 =
+        -(omega/2) J2, D J2 = (omega/2) J1 and D J3 = 0; and J is zero at the
+        reference point (q, p, Ap, Am) = (0, p0, s, 0).  The flow through it,
+        q = (p0/omega) sin(omega t), p = p0 cos(omega t), Ap = s cos(omega t/2),
+        Am = s sin(omega t/2), sweeps the whole shell in 4*pi/omega, and
+        along it J solves the linear equation J' = M J, whose one solution
+        through 0 is 0.
         """
-        p0, s = self._p0, self.sigma or ExtScalar(0, 1, p0=self._p0)
-        degree = max((2 * (i + j) + k + l for _, v in values for i, j, k, l in v.terms),
-                     default=0)
-        points = list(zip(*self.conic_points(2 * degree + 1)))
-        s_n, r_n, p0_n = ([Fraction(1)] for _ in range(3))   # s, 2*p0/omega, p0 ** n, n <= D
-        for base, column in zip((s, p0 * 2 / self._w, p0), (s_n, r_n, p0_n)):
-            while len(column) <= degree:
-                column.append(base * column[-1])
-        for name, value in values:
-            rows = []   # (x or y, m, 0 for x or 1 for y) per term
-            for (i, j, k, l), c in value.terms.items():
-                K = c * s_n[k + l] * (r_n[i] * p0_n[j])
-                m = [(a * b) ** i * (a * a - b * b) ** j * a ** k * b ** l
-                     * d ** (degree - 2 * (i + j) - k - l) for a, b, d in points]
-                rows += ((K.u, m, 0), (K.v, m, 1)) if type(K) is ExtScalar else ((K, m, 0),)
-            common = lcm(*[x.denominator for x, _, _ in rows])
-            total = [[0] * len(points), [0] * len(points)]   # X and Y at each point
-            for x, m, part in rows:
-                x = x.numerator * (common // x.denominator)
-                total[part] = [t + x * v for t, v in zip(total[part], m)]
-            if any(total[0]) or any(total[1]):
-                return degree, name
-        return degree, None
+        half_w, _, minus_half_w = self._flow
+        d1, d2, d3 = (_time_derivative(c, *self._flow) for c in defect)
+        if d1 != defect[1] * minus_half_w or d2 != defect[0] * half_w or not d3.is_zero:
+            return "does not obey D J = M J"
+        if any(evaluate_terms(c.terms.items(), self._reference)[0] for c in defect):
+            return "is not zero at (0, p0, s, 0)"
+        return None
 
     @classmethod
     def prove_jacobi(cls, certificates):
         """(ok, detail) over (class, certificate) pairs of one (omega, p0): the
         commutative image of each operator defect, the classical defect, is
-        zero on the shell by `reduce`, and again by `point_defect`."""
+        zero on the shell by `reduce`, and again by `covariant`."""
         if not certificates:
             raise ValueError("prove_jacobi needs at least one (class, certificate) pair, got none")
         # one table serves every class, at the omega and p0 the certificates share
         shell = cls(certificates[0][1].omega, certificates[0][1].p0)
-        components = []
         for t, cert in certificates:
+            if (cert.omega, cert.p0) != (shell._w, shell._p0):
+                raise ValueError(f"prove_jacobi needs one (omega, p0), got ({shell._w},"
+                                 f" {shell._p0}) and ({cert.omega}, {cert.p0})")
             raw = [commutative_image(c, shell.sigma) for c in cert.jacobian]
             reduced = tuple(map(shell.reduce, raw))
             if any(not c.is_zero for c in reduced):
                 return False, f"on-shell defect of {t.label} is not zero: {reduced}"
-            components += [(t.label, c) for c in raw]
-        # a second proof, independent of the reduction
-        degree, label = shell.point_defect(components)
-        if label is not None:
-            return False, f"defect of {label} is not zero at the shell points u = 0..{2 * degree}"
-        return True, (f"all classes reduce to zero on shell; each defect has degree"
-                      f" <= {degree} on the shell conic and vanishes at its points"
-                      f" u = 0..{2 * degree}, so on all of it")
+            # a second proof, independent of the reduction; a zero defect needs none
+            failure = any(c.terms for c in raw) and shell.covariant(raw)
+            if failure:
+                return False, f"defect of {t.label} {failure}"
+        return True, ("all classes reduce to zero on shell; each defect obeys D J = M J and"
+                      " is zero at (0, p0, s, 0), whose orbit is the shell, so on all of it")
 
 
 def raw_jacobian(mu):

@@ -19,12 +19,12 @@ is its p0, which every operand of its arithmetic must share (ValueError
 otherwise); a Poly's is the one p0 of its s-parts, which the s-parts of its
 constructor's input and of its operands in arithmetic must share.  `==`
 compares values across types and contexts: a constant element equals its
-scalar, a float compares as a Fraction does, elements of one ring compare
-term by term, and only an s-part ties a value to its context, so u + v*s
-with v != 0 equals nothing of another p0.  So `==` is an equivalence that
-`hash` agrees with.  `+`, `-`, `*` and `==` try an operand by exact type
-first, and only then the scalars whose `numbers.Rational` check runs Python
-code.
+scalar, a float (of a subclass too), a Decimal or a complex compares as a
+Fraction does, elements of one ring compare term by term, and only an
+s-part ties a value to its context, so u + v*s with v != 0 equals nothing
+of another p0.  So `==` is an equivalence that `hash` agrees with.  `+`,
+`-`, `*` and `==` try an operand by exact type first, and only then the
+scalars whose `numbers.Rational` check runs Python code.
 
 Invariants: an ExtScalar's u, v and p0 are Fractions with p0 > 0, and an
 NCPoly's words use only Q, P, Ap, Am.  The public constructors
@@ -207,7 +207,8 @@ class ExtScalar:
         # a float compares as a Fraction does
         if cls is Fraction or cls is int or cls is float or isinstance(other, Rational):
             return not self.v and self.u == other
-        return NotImplemented
+        # anything else, a float subclass, a Decimal or a complex, as u compares with it
+        return NotImplemented if self.v else self.u == other
 
     def __hash__(self):
         # equal to a rational when v == 0, so hash like it then
@@ -399,7 +400,8 @@ class _Ring:
         if cls is Fraction or cls is int or cls is float or isinstance(other, _SCALARS):
             # a scalar of any context or a float, as the constant term it is
             return self.terms == ({self._ONE: other} if other else {})
-        return NotImplemented
+        # anything else, a float subclass, a Decimal or a complex, as the constant term compares
+        return self.terms.get(self._ONE, _ZERO) == other if self.is_constant else NotImplemented
 
     def __hash__(self):
         # a constant element equals its scalar, so it hashes like it

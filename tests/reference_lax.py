@@ -6,8 +6,12 @@ coordinate on the left of each product, and built the tensor through the
 checked sparse constructor, which fills each mirror as -value (a Fraction 0
 as itself).  `build_mu` here is that body, kept as the oracle: the tests
 compare every entry's type, value and term order against it.
+
+`word_derivative` is the flow derivation on the free algebra, which `lax`
+never needs: `lax._time_derivative` differentiates commuting monomials.
 """
 
+from operadyn.ncpoly import NCPoly
 from operadyn.structure import StructureTensor
 
 
@@ -27,3 +31,18 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
         (3, 1, 2): c9,
     }
     return StructureTensor(entries)
+
+
+def word_derivative(value, omega):
+    """d/dt of an NCPoly through Q' = P, P' = -omega**2 Q, Ap' = -(omega/2) Am
+    and Am' = (omega/2) Ap, by the Leibniz rule with product order kept: each
+    letter of a word is replaced, in its place, by its derivative."""
+    flow = {"Q": (1, "P"), "P": (-omega * omega, "Q"),
+            "Ap": (-omega / 2, "Am"), "Am": (omega / 2, "Ap")}
+    out = {}
+    for word, c in value.terms.items():
+        for n, letter in enumerate(word):
+            factor, image = flow[letter]
+            key = word[:n] + (image,) + word[n + 1:]
+            out[key] = out.get(key, 0) + c * factor
+    return NCPoly(out, p0=value.p0)

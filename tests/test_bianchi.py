@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operadyn import poly, quantum
+from operadyn import lax, poly, quantum
 from operadyn.bianchi import (BianchiType, TAGS, ShellReduction, all_types,
                               classical_jacobian, deform, deformation_trace,
                               is_rigid, raw_jacobian, structure_constants)
@@ -23,7 +23,7 @@ from operadyn.lax import (LaxFamilyParams, build_matrix_lax, formal_mu,
                           rotation_generator, solve_C)
 from operadyn.ncpoly import ExtScalar
 from operadyn.oscillator import BranchError
-from operadyn.poly import Poly, rational_sqrt
+from operadyn.poly import Poly, commutative_image, rational_sqrt
 from operadyn.structure import StructureTensor, _cyclic_defect
 from reference_quantum import deform_formal, formal_deformation
 from reference_shell import reference_point_defect, reference_reduce_on_shell
@@ -396,20 +396,21 @@ def point_inputs(draw):
 
 
 class TestPointDefect:
-    """The integer conic-point test against the Fraction-point oracle."""
+    """The Fraction-point oracle, which the covariance tests compare with,
+    against the shell normal form."""
 
     @pytest.mark.parametrize("omega, p0", POINT_SHELLS)
     def test_every_monomial_up_to_degree_four(self, omega, p0):
-        # a monomial is not zero at every shell point; less its shell normal
-        # form it is zero on the conic, though in general not as a polynomial
+        # a monomial is not zero on the shell; less its shell normal form it
+        # is zero there, though in general not as a polynomial
         shell = ShellReduction(omega, p0)
         for exps in itertools.product(range(5), repeat=4):
             if sum(exps) <= 4:
                 f = Poly({exps: 1})
-                for values in ([("f", f)], [("0", Poly()), ("g", f - shell.reduce(f)), ("f", f)]):
-                    got = shell.point_defect(values)
-                    assert got == reference_point_defect(values, omega, p0), exps
-                    assert got[1] == "f"
+                g = f - shell.reduce(f)
+                assert not shell.reduce(f).is_zero and shell.reduce(g).is_zero
+                for values in ([("f", f)], [("0", Poly()), ("g", g), ("f", f)]):
+                    assert reference_point_defect(values, omega, p0)[1] == "f", exps
 
     @pytest.mark.parametrize("omega, p0", POINT_SHELLS)
     def test_multiples_of_the_shell_relation_vanish(self, omega, p0):
@@ -418,22 +419,118 @@ class TestPointDefect:
         shell = ShellReduction(omega, p0)
         for exps in itertools.product(range(3), repeat=4):
             for c in (Fraction(1), Fraction(-7, 3), s + Fraction(1, 2)):
-                values = [("g", Poly.constant(c) * Poly({exps: 1}) * relation)]
+                g = Poly.constant(c) * Poly({exps: 1}) * relation
                 want = (2 * (exps[0] + exps[1]) + exps[2] + exps[3] + 2, None)
-                assert shell.point_defect(values) == want, (exps, c)
-                assert reference_point_defect(values, omega, p0) == want
+                assert reference_point_defect([("g", g)], omega, p0) == want, (exps, c)
+                assert shell.reduce(g).is_zero
 
     @given(point_inputs())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_fraction_point_oracle(self, case):
+        # the first value whose normal form is not zero is the one the oracle names
         values, omega, p0 = case
-        got = ShellReduction(omega, p0).point_defect(values)
-        assert got == reference_point_defect(values, omega, p0)
+        shell = ShellReduction(omega, p0)
+        first = next((name for name, f in values if not shell.reduce(f).is_zero), None)
+        assert reference_point_defect(values, omega, p0)[1] == first
 
     def test_prove_jacobi_rejects_no_certificates(self):
         with pytest.raises(ValueError, match="^prove_jacobi needs at least one"
                                              r" \(class, certificate\) pair, got none$"):
             ShellReduction.prove_jacobi([])
+
+    @pytest.mark.parametrize("other", [(1, Fraction(3)), (2, Fraction(2))])
+    def test_prove_jacobi_rejects_mixed_shells(self, other):
+        # one table serves every certificate, so a second (omega, p0) is an
+        # input error, not a verdict
+        t = BianchiType("VIIa", A)
+        certificates = [(t, quantum.classify(t, 1, Fraction(2))), (t, quantum.classify(t, *other))]
+        with pytest.raises(ValueError, match=r"^prove_jacobi needs one \(omega, p0\), got"
+                                             rf" \(1, 2\) and \({other[0]}, {other[1]}\)$"):
+            ShellReduction.prove_jacobi(certificates)
+
+
+def _classical_defect(t, shell, omega, p0):
+    """The commutative image of class t's operator defect, as `prove_jacobi` reads it."""
+    return [commutative_image(c, shell.sigma) for c in quantum.classify(t, omega, p0).jacobian]
+
+
+def _replace_row(index, row):
+    """The `lax._FAMILY` with the terms of entry `index` replaced by `row`."""
+    return tuple((idx, row if idx == index else terms) for idx, terms in lax._FAMILY)
+
+
+# each bracket or image mutant with the tags of the classes whose classical
+# defect then fails both legs of jacobi-classical, at every shell
+MUTANTS = {
+    "none": (None, ()),
+    "C6's sign flipped in mu^2_12": (
+        (lax, "_FAMILY", _replace_row((2, 1, 2), ((5, lax._AM), (6, lax._AP)))),
+        ("V", "IV", "VIIa", "IIIa1", "VIa")),
+    "Am counted as Ap by the image": (
+        (poly, "_exps", lambda w: (w.count("Q"), w.count("P"), w.count("Ap") + w.count("Am"), 0)),
+        ("VIIa", "IIIa1", "VIa")),
+    # the family leaves the Lax equation, which operadic-lax catches, yet
+    # every class's defect still vanishes on the shell
+    "omega*q written as p in mu^1_23": (
+        (lax, "_FAMILY", _replace_row((1, 2, 3), ((2, lax._P), (-3, lax._P), (-4, lax._1)))),
+        ()),
+}
+
+
+class TestCovariance:
+    """The second leg of jacobi-classical: D J = M J plus one point."""
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    @pytest.mark.parametrize("omega, p0", POINT_SHELLS)
+    def test_kill_profile_matches_the_reduction_and_the_oracle(self, monkeypatch, mutant,
+                                                              omega, p0):
+        patch, failing = MUTANTS[mutant]
+        if patch is not None:
+            monkeypatch.setattr(*patch)
+        shell = ShellReduction(omega, p0)
+        verdicts = {}
+        for t in all_types(A):
+            raw = _classical_defect(t, shell, omega, p0)
+            leg = shell.covariant(raw)
+            oracle = reference_point_defect([(t.label, c) for c in raw], omega, p0)[1]
+            reduced = any(not shell.reduce(c).is_zero for c in raw)
+            assert (leg is not None) is (oracle is not None) is reduced, t.label
+            verdicts[t.tag] = leg
+        assert tuple(tag for tag, leg in verdicts.items() if leg) == failing
+        assert {leg for leg in verdicts.values() if leg} <= {"does not obey D J = M J"}
+
+    @pytest.mark.parametrize("omega, p0", POINT_SHELLS)
+    def test_reference_point_off_the_shell_fails(self, omega, p0):
+        # at (0, -p0, s, 0), where p = Ap**2 - p0 does not hold, the
+        # AnomalousII defects are not zero, though they obey D J = M J
+        shell = ShellReduction(omega, p0)
+        q, _, ap, am = shell._reference
+        shell._reference = (q, [-p0], ap, am)
+        for t in all_types(A):
+            leg = shell.covariant(_classical_defect(t, shell, omega, p0))
+            if t.tag in ("VIIa", "IIIa1", "VIa"):
+                assert leg == "is not zero at (0, p0, s, 0)", t.label
+            else:
+                assert leg is None, t.label
+
+    @pytest.mark.parametrize("omega, p0", POINT_SHELLS)
+    def test_each_fact_alone(self, omega, p0):
+        # (xi+, xi-, shell relation) is zero on the shell and obeys both facts;
+        # (Ap, Am, 0) and a nonzero constant J3 obey D J = M J but not the
+        # point, and (Am, Ap, 0) or a q in J3 obeys neither
+        s = rational_sqrt(2 * p0) or ExtScalar(0, 1, p0=p0)
+        q, p, ap, am = poly.q, poly.p, poly.a_plus, poly.a_minus
+        xi_plus = q * am * omega + p * ap - ap * p0
+        xi_minus = q * ap * omega - p * am - am * p0
+        relation = ap * ap + am * am - 2 * p0
+        zero = Poly()
+        shell = ShellReduction(omega, p0)
+        assert shell.covariant([xi_plus, xi_minus, relation]) is None
+        assert shell.covariant([zero, zero, zero]) is None
+        for defect in ([ap, am, zero], [am, -ap, zero], [zero, zero, Poly.constant(s)]):
+            assert shell.covariant(defect) == "is not zero at (0, p0, s, 0)"
+        for defect in ([am, ap, zero], [zero, zero, q], [xi_minus, xi_plus, zero]):
+            assert shell.covariant(defect) == "does not obey D J = M J"
 
 
 class TestJacobi:

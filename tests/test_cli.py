@@ -29,6 +29,7 @@ from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
 from operadyn.operad import Operation
 from operadyn.poly import VARIABLES, Poly, as_poly
 from operadyn.structure import StructureTensor, _position, _trusted
+from reference_shell import reference_point_defect
 from reference_trace import reference_trace, scalar_evaluate
 
 
@@ -184,35 +185,36 @@ class TestVerify:
 
     @pytest.mark.parametrize("a", ["1000000", "100000000", "1000000000000"])
     def test_jacobi_classical_large_modulus(self, capsys, a):
-        # the detail names the points and the degree bound, whatever the modulus
+        # the detail names the argument, whatever the modulus
         code, out, _ = run(capsys, "verify", "jacobi-classical", "--a", a)
         assert code == 0
         assert out.splitlines()[1] == (
             "jacobi-classical: PASS  (all classes reduce to zero on shell; each defect"
-            " has degree <= 3 on the shell conic and vanishes at its points u = 0..6,"
+            " obeys D J = M J and is zero at (0, p0, s, 0), whose orbit is the shell,"
             " so on all of it)")
 
     def test_jacobi_classical_catches_off_shell_points(self, capsys, monkeypatch):
-        real = bianchi.ShellReduction.conic_points
+        real = bianchi.ShellReduction.__init__
 
-        def off_shell(self, n):
-            # a**2 + b**2 = d**2 no longer holds: the points leave the conic
-            a, b, d = real(self, n)
-            return a, b, [z + 1 for z in d]
+        def off_shell(self, omega, p0):
+            # (q, p, Ap, Am) = (0, -p0, s, 0) leaves the shell, where p = Ap**2 - p0
+            real(self, omega, p0)
+            q, _, ap, am = self._reference
+            self._reference = (q, [-self._p0], ap, am)
 
-        monkeypatch.setattr(bianchi.ShellReduction, "conic_points", off_shell)
+        monkeypatch.setattr(bianchi.ShellReduction, "__init__", off_shell)
         code, out, _ = run(capsys, "verify", "jacobi-classical")
         assert code == 1
         # VIIa is the first class whose defect is not the zero polynomial
         assert out.splitlines()[1] == ("jacobi-classical: FAIL  (defect of VIIa(a=1/2)"
-                                       " is not zero at the shell points u = 0..6)")
+                                       " is not zero at (0, p0, s, 0))")
         assert out.rstrip().endswith("overall: FAIL")
 
-    @pytest.mark.parametrize("legs", ["both", "points"])
+    @pytest.mark.parametrize("legs", ["both", "covariance"])
     def test_jacobi_classical_catches_bracket_mutant(self, capsys, monkeypatch, legs):
         # Q added to mu^1_23 of VIIa's operator bracket breaks Jacobi on the
         # shell; each leg alone sees it, so with the reduction blinded the
-        # points still fail
+        # covariance leg still fails
         real = quantum._operator
         vii_a = bianchi.structure_constants(bianchi.BianchiType("VIIa", Fraction(1, 2)))
         vii_a = lax.solve_C(vii_a, Fraction(2))
@@ -228,12 +230,13 @@ class TestVerify:
             return _trusted(flat)
 
         monkeypatch.setattr(quantum, "_operator", mutant)
-        if legs == "points":
+        if legs == "covariance":
             monkeypatch.setattr(bianchi.ShellReduction, "reduce", lambda self, v: Poly())
         code, out, _ = run(capsys, "verify", "jacobi-classical")
         assert code == 1
-        line = out.splitlines()[1]
-        assert line.startswith("jacobi-classical: FAIL  (") and "of VIIa(a=1/2) is not zero" in line
+        detail = {"both": "on-shell defect of VIIa(a=1/2) is not zero: ",
+                  "covariance": "defect of VIIa(a=1/2) does not obey D J = M J)"}[legs]
+        assert out.splitlines()[1].startswith("jacobi-classical: FAIL  (" + detail)
         assert out.rstrip().endswith("overall: FAIL")
 
     def test_jacobi_classical_catches_image_mutant(self, capsys, monkeypatch):
@@ -274,22 +277,22 @@ class TestVerify:
     def test_shell_points_follow_the_degree(self, p0, s):
         # Am/(Ap + s) = u at the shell point u, so f vanishes at u = 0..6 and
         # not at 7: a fixed grid of seven points would miss it, while its
-        # degree 7 on the conic takes the check to 15 points
+        # degree 7 on the conic takes the point oracle to 15 points
         ap, am = Poly.variable("Ap"), Poly.variable("Am")
         f = Poly.constant(1)
         for k in range(7):
             f = f * (am - k * (ap + s))
-        conic = bianchi.ShellReduction(Fraction(1), p0)
         # the point u is q, p, Ap, Am = 2*p0*a*b/d**2, p0*(a**2 - b**2)/d**2, s*a/d, s*b/d
+        # with a = 1 - u**2, b = 2u and d = 1 + u**2
         values = [scalar_evaluate(f.terms.items(), (Fraction(2 * p0 * a * b, d * d),
                                                     p0 * Fraction(a * a - b * b, d * d),
                                                     s * Fraction(a, d), s * Fraction(b, d)))
-                  for a, b, d in zip(*conic.conic_points(8))]
+                  for a, b, d in ((1 - u * u, 2 * u, 1 + u * u) for u in range(8))]
         assert [bool(v) for v in values] == [False] * 7 + [True]
-        assert conic.point_defect([("f", f)]) == (7, "f")
+        assert reference_point_defect([("f", f)], 1, p0) == (7, "f")
         # zero on the conic, though not as a polynomial
         shell = ap * ap + am * am - 2 * p0
-        assert conic.point_defect([("0", Poly()), ("shell", shell)]) == (2, None)
+        assert reference_point_defect([("0", Poly()), ("shell", shell)], 1, p0) == (2, None)
 
     def test_verify_path_holds_no_floats(self):
         def names(code):
@@ -301,8 +304,8 @@ class TestVerify:
 
         shell = bianchi.ShellReduction
         for fn in (cli._run_verify, lax.prove_matrix_lax, lax.prove_operadic_lax,
-                   shell.prove_jacobi, shell.__init__, shell.point_defect,
-                   shell.conic_points, quantum.prove_kinds):
+                   shell.prove_jacobi, shell.__init__, shell.covariant,
+                   lax._time_derivative, poly.evaluate_terms, quantum.prove_kinds):
             assert not names(fn.__code__) & {"float", "math", "_positive_float"}, fn
         assert not hasattr(cli, "sample_flow")
 

@@ -261,12 +261,16 @@ def test_poly_and_ncpoly_share_only_constants(value):
     assert g.__eq__("q") is NotImplemented and y.__eq__("Q") is NotImplemented
 
 
+class _Float(float):
+    """A float subclass, as numpy's float64 is one."""
+
+
 @st.composite
 def exact_values(draw):
-    """An int, Fraction, float, ExtScalar, Poly or NCPoly over a few values,
-    which meet across types and the contexts p0 = 2 and 3: u + v*s with u in
-    {0, 1/2, 1, 2} and v in {0, 1}, as a scalar, a constant, or the
-    coefficient of q (Q); and -0.0."""
+    """An int, Fraction, float, float subclass, Decimal, complex, ExtScalar,
+    Poly or NCPoly over a few values, which meet across types and the
+    contexts p0 = 2 and 3: u + v*s with u in {0, 1/2, 1, 2} and v in {0, 1},
+    as a scalar, a constant, or the coefficient of q (Q); and -0.0."""
     u = draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))))
     v = draw(st.sampled_from((0, 1)))
     p0 = draw(st.sampled_from((Fraction(2), Fraction(3))))
@@ -274,6 +278,7 @@ def exact_values(draw):
     constant = draw(st.booleans())
     return draw(st.sampled_from((
         int(u) if u.denominator == 1 else u, u, float(u), -0.0, c,
+        _Float(u), Decimal(u.numerator) / u.denominator, complex(u),
         Poly({(0, 0, 0, 0) if constant else (1, 0, 0, 0): c}),
         NCPoly({() if constant else ("Q",): c}, p0=p0),
     )))
@@ -284,6 +289,9 @@ def exact_values(draw):
 @example([ExtScalar(2, 0, p0=2), 2, ExtScalar(2, 0, p0=3)])
 @example([Poly.constant(2), 2, NCPoly({(): 2}, p0=2)])
 @example([ExtScalar(1, 0, p0=2), Fraction(1), 1.0])
+@example([ExtScalar(1, 0, p0=2), Fraction(1), _Float(1.0)])
+@example([Poly.constant(1), Fraction(1), Decimal(1)])
+@example([NCPoly({(): 1}, p0=2), Fraction(1), 1 + 0j])
 def test_equality_is_an_equivalence_that_hash_agrees_with(values):
     for a in values:
         assert a == a

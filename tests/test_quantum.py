@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 from operadyn import bianchi, poly
 from operadyn.bianchi import (BianchiType, ShellReduction, all_types, deform,
                               raw_jacobian, structure_constants)
-from operadyn.lax import LaxFamilyParams, _member, formal_mu, solve_C
+from operadyn.lax import LaxFamilyParams, _member, _time_derivative, formal_mu, solve_C
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
 from operadyn.poly import _exps, commutative_image
 from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, basis_jacobian,
                               classify, generator_commutator, quantize, xi_pair)
 from operadyn.structure import StructureTensor, _position, _trusted
 from reference_compose import quantum_jacobian, triple_product
+from reference_lax import word_derivative
 from reference_quantum import (_word, classify_formal, deform_formal, formal_deformation,
                                quantize_formal)
 from reference_tables import GRID, operator_table
@@ -367,6 +368,47 @@ class TestCommutativeImage:
         image, defect = _image_and_defect(operator, formal, p0)
         assert image == defect
         assert all(_in_format(c, poly.rational_sqrt(2 * p0)) for c in image)
+
+
+class TestCovariance:
+    """The operator defect moves under the oscillator flow as a vector moves
+    under M, which makes one point enough for jacobi-classical."""
+
+    def test_operator_defect_obeys_the_lax_equation(self):
+        # D J1 = -(omega/2) J2, D J2 = (omega/2) J1 and D J3 = 0 in the free
+        # algebra, with D the word derivation.  The residual is a quadratic
+        # form in C1..C9, fixed by its values at the 45 polarization probes
+        # 2e_m and e_m + e_n, whose coefficients have degree <= 4 in omega
+        # (<= 2 from J, whose entries are affine in omega, and <= 2 from D),
+        # so the probes at five omegas prove it for every C and every omega.
+        units = [tuple(int(m == n) for m in range(9)) for n in range(9)]
+        probes = [LaxFamilyParams(map(sum, zip(x, y)))
+                  for n, x in enumerate(units) for y in units[n:]]
+        assert len(probes) == 45
+        zero = NCPoly(p0=Fraction(2))
+        for omega in (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 7)):
+            half_w = omega / 2
+            for params in probes:
+                j1, j2, j3 = basis_jacobian(_member(params, omega, zero=zero))
+                assert word_derivative(j1, omega) == j2 * -half_w, (omega, params)
+                assert word_derivative(j2, omega) == j1 * half_w, (omega, params)
+                assert word_derivative(j3, omega).is_zero, (omega, params)
+
+    @given(st.sampled_from((Fraction(2), Fraction(3))),
+           st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4),
+           st.dictionaries(st.lists(st.sampled_from(GENERATORS), max_size=4).map(tuple),
+                           st.fractions(min_value=-4, max_value=4, max_denominator=4)
+                           | st.integers(-4, 4), max_size=5),
+           st.fractions(min_value=-4, max_value=4, max_denominator=4))
+    @settings(max_examples=100, deadline=None)
+    def test_commutative_image_commutes_with_the_flow(self, p0, omega, terms, v):
+        # the lemma that carries the covariance over to the classical defect:
+        # the image of D f is `lax._time_derivative` of the image of f
+        f = NCPoly(terms, p0=p0) * ExtScalar(1, v, p0=p0)
+        sigma = poly.rational_sqrt(2 * p0)
+        flow = (omega / 2, -omega * omega, -omega / 2)
+        for image in (lambda x: commutative_image(x), lambda x: commutative_image(x, sigma)):
+            assert image(word_derivative(f, omega)) == _time_derivative(image(f), *flow)
 
 
 # sqrt(2*p0) is rational at p0 = 2 and 9/8, and stays the formal s at 3 and 1/5
