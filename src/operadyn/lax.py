@@ -159,9 +159,9 @@ def _member(params, omega, point=None, zero=None):
     the generators (no point) each entry is written from its row, term by
     term, with coefficient C_n or C_n*omega and without its zero terms: a
     Poly keyed by the monomials, but mu^3_{12} stays the number C9 and the
-    diagonal the Fraction 0.  Given `zero`, the zero NCPoly of a p0 instead,
-    every entry is an NCPoly of that context keyed by the monomials'
-    `_WORDS`: the operator bracket over the free algebra.
+    diagonal the Fraction 0.  Given `zero`, the zero NCPoly, every entry is
+    instead an NCPoly keyed by the monomials' `_WORDS`, whose s-parts carry
+    the p0 of the C_n: the operator bracket over the free algebra.
     """
     c = (None, *params.c)   # C_n at index n
     like = poly._trusted if zero is None else zero._like

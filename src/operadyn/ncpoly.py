@@ -14,15 +14,16 @@ ExtScalar whose s-part is 0 is stored as its Fraction, so every value has
 one representation.  `_collect` is the one kernel that keeps the format.
 
 Both polynomial types are the one sparse ring `_Ring` over that format,
-with words as keys here and exponent tuples in `poly`.  An NCPoly's context
-is its p0, which every operand of its arithmetic must share (ValueError
-otherwise); a Poly's is the one p0 of its s-parts, which the s-parts of its
-constructor's input and of its operands in arithmetic must share.  `==`
+with words as keys here and exponent tuples in `poly`.  An element's context
+is the one p0 of its s-parts, which the s-parts of its constructor's input
+and of its operands in arithmetic must share (ValueError otherwise); an
+element without s-parts has no context and combines with any.  `==`
 compares values across types and contexts: a constant element equals its
 scalar, a float (of a subclass too), a Decimal or a complex compares as a
 Fraction does, elements of one ring compare term by term, and only an
 s-part ties a value to its context, so u + v*s with v != 0 equals nothing
-of another p0.  So `==` is an equivalence that `hash` agrees with.  `+`,
+of another p0.  So `==` is an equivalence that `hash` agrees with, and the
+arithmetic agrees with it too.  `+`,
 `-`, `*` and `==` try an operand by exact type first, and only then the
 scalars whose `numbers.Rational` check runs Python code.
 
@@ -70,7 +71,7 @@ def _positive(value, name):
 
 
 def _same_p0(p0, other):
-    """other, an ExtScalar or NCPoly, if its context is p0; ValueError if not."""
+    """other, an ExtScalar, if its p0 is p0; ValueError if not."""
     if other.p0 is not p0 and other.p0 != p0:
         raise ValueError(f"mixed p0 contexts: {p0} vs {other.p0}")
     return other
@@ -277,29 +278,30 @@ def _collect(out, pairs):
 
 
 class _Ring:
-    """The body of Poly and NCPoly: `terms` maps monomial keys to coefficients.
+    """The body of Poly and NCPoly: `terms` maps monomial keys to coefficients,
+    in the format, whose s-parts share one p0, the element's context.
 
     A subclass supplies `_ONE`, the constant key; `_key`, which checks a key;
-    `_coeff`, a scalar in the format of its context; `_like`, an element of
-    its type and context over trusted terms, unchecked; `_products`, the
-    (key, coefficient) pairs of its terms times other terms, with the key
-    product inline; and `_order` and `_monomial`, the text order and a key's
-    text after its coefficient.
+    `_like`, an element of its type over trusted terms, unchecked;
+    `_products`, the (key, coefficient) pairs of its terms times other terms,
+    with the key product inline; and `_order` and `_monomial`, the text order
+    and a key's text after its coefficient.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean, first = {}, None
-        for key, coeff in (terms or {}).items():
-            key = self._key(key)
-            coeff = self._coeff(coeff)
-            if coeff:
-                clean[key] = coeff
-                # the s-parts share one p0, the element's context
-                if type(coeff) is ExtScalar:
-                    first = coeff if first is None else _same_p0(first.p0, coeff)
-        self.terms = clean
+        # keys that name one monomial add up, as their terms do in `+`
+        self.terms = _collect({}, [(self._key(key), _coefficient(coeff))
+                                   for key, coeff in (terms or {}).items()])
+        p0 = None
+        for c in self.terms.values():
+            # the s-parts share one p0, the element's context
+            if type(c) is ExtScalar and c.p0 is not p0:
+                p0 = c.p0 if p0 is None else _same_p0(p0, c).p0
+
+    def __bool__(self):
+        return bool(self.terms)
 
     # ---- predicates -----------------------------------------------------------
 
@@ -324,18 +326,15 @@ class _Ring:
         neither.  ValueError if their s-parts and self's have different p0."""
         cls = type(other)
         if cls is type(self):
-            if cls is NCPoly:
-                _same_p0(self.p0, other)
-                return other.terms
             terms = other.terms
         elif cls is Fraction or cls is int:
             return {self._ONE: other if cls is Fraction else Fraction(other)} if other else {}
         elif isinstance(other, _SCALARS):
-            c = self._coeff(other)
+            c = _coefficient(other)
             terms = {self._ONE: c} if c else {}
         else:
             return None
-        # a Poly's context is the p0 of any one s-part, inline: no call unless two differ
+        # the context is the p0 of any one s-part, inline: no call unless two differ
         for a in self.terms.values():
             if type(a) is ExtScalar:
                 for b in terms.values():
@@ -421,17 +420,13 @@ class _Ring:
 class NCPoly(_Ring):
     """Finite sum of scalar-weighted words in the free algebra."""
 
-    __slots__ = ("p0",)
+    __slots__ = ()
 
     _ONE = ()
 
-    def __init__(self, terms=None, *, p0):
-        self.p0 = _positive(p0, "p0")
-        _Ring.__init__(self, terms)
-
     @classmethod
-    def generator(cls, name, *, p0):
-        return cls({(name,): 1}, p0=p0)
+    def generator(cls, name):
+        return cls({(name,): 1})
 
     @staticmethod
     def _key(word):
@@ -441,16 +436,9 @@ class NCPoly(_Ring):
                 raise ValueError(f"unknown generator {g!r}, expected one of {GENERATORS}")
         return word
 
-    def _coeff(self, value):
-        """value in the format; ValueError on another p0's ExtScalar, TypeError if not rational."""
-        if isinstance(value, ExtScalar):
-            _same_p0(self.p0, value)
-        return _coefficient(value)
-
     def _like(self, terms):
         out = _new(NCPoly)
         out.terms = terms
-        out.p0 = self.p0
         return out
 
     def _products(self, terms):
@@ -468,7 +456,7 @@ class NCPoly(_Ring):
         return "*" + ("*".join(word) or "1")
 
     def __repr__(self):
-        return f"NCPoly({self}, p0={self.p0})"
+        return f"NCPoly({self})"
 
 
 def commutator(f, g):

@@ -48,7 +48,6 @@ class Poly(_Ring):
     __slots__ = ()
 
     _ONE = _ZERO_EXP
-    _coeff = staticmethod(_coefficient)
     _like = staticmethod(_trusted)
 
     @staticmethod

@@ -36,7 +36,7 @@ from fractions import Fraction
 from . import bianchi
 from .bianchi import ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID
 from .lax import _member, solve_C
-from .ncpoly import ExtScalar, NCPoly, _positive, _rational, _same_p0, commutator
+from .ncpoly import ExtScalar, NCPoly, _positive, _same_p0, commutator
 from .structure import _cyclic_defect
 
 _ONE = Fraction(1)
@@ -48,12 +48,13 @@ def quantize(t, omega, p0):
     """Operator form of the deformed bracket of class t (see the module
     docstring), every entry built unchecked."""
     w, p0 = _positive(omega, "omega"), _positive(p0, "p0")
-    return _operator(solve_C(bianchi.structure_constants(t), p0), w, p0)
+    return _operator(solve_C(bianchi.structure_constants(t), p0), w)
 
 
-def _operator(params, w, p0):
-    """The operator bracket of the family member `params`, at checked omega and p0."""
-    return _member(params, w, zero=NCPoly(p0=p0))
+def _operator(params, w):
+    """The operator bracket of the family member `params`, at a checked omega;
+    its entries' s-parts carry the p0 of `params`."""
+    return _member(params, w, zero=NCPoly())
 
 
 # ---------------------------------------------------------------------------
@@ -66,26 +67,27 @@ def xi_pair(omega, p0):
     xi+ = omega*Q*Am + P*Ap - p0*Ap and xi- = omega*Q*Ap - P*Am - p0*Am;
     both have vanishing commutative image on the energy shell.
     """
-    w = _positive(omega, "omega")
-    p0 = _rational(p0)
-    return (NCPoly({("Q", "Am"): w, ("P", "Ap"): Fraction(1), ("Ap",): -p0}, p0=p0),
-            NCPoly({("Q", "Ap"): w, ("P", "Am"): Fraction(-1), ("Am",): -p0}, p0=p0))
+    w, p0 = _positive(omega, "omega"), _positive(p0, "p0")
+    return (NCPoly({("Q", "Am"): w, ("P", "Ap"): Fraction(1), ("Ap",): -p0}),
+            NCPoly({("Q", "Ap"): w, ("P", "Am"): Fraction(-1), ("Am",): -p0}))
 
 
-def generator_commutator(p0):
-    """[Ap, Am] as an NCPoly; nonzero because no relations are imposed."""
-    return commutator(NCPoly.generator("Ap", p0=p0), NCPoly.generator("Am", p0=p0))
+def generator_commutator():
+    """[Ap, Am] as an NCPoly, of no context; nonzero because no relations
+    are imposed."""
+    return commutator(NCPoly.generator("Ap"), NCPoly.generator("Am"))
 
 
 def _nc_entries(mu):
-    """The 27 row-major entries of mu, each checked to be an NCPoly of the
-    first one's p0 (ValueError if not)."""
-    flat = mu.coeffs
+    """The 27 row-major entries of mu, each checked to be an NCPoly, whose
+    s-parts share one p0 (ValueError naming two if not)."""
+    flat, p0 = mu.coeffs, None
     for (i, j, k), value in zip(itertools.product((1, 2, 3), repeat=3), flat):
         if not isinstance(value, NCPoly):
             raise ValueError(f"entry mu^{i}_{{{j}{k}}} is not an NCPoly: {value!r}")
-        if value.p0 is not flat[0].p0:
-            _same_p0(flat[0].p0, value)
+        for c in value.terms.values():
+            if type(c) is ExtScalar and c.p0 is not p0:
+                p0 = c.p0 if p0 is None else _same_p0(p0, c).p0
     return flat
 
 
@@ -117,7 +119,7 @@ def classify(t, omega, p0):
     """
     w, p0 = _positive(omega, "omega"), _positive(p0, "p0")
     params = solve_C(bianchi.structure_constants(t), p0)
-    defect = basis_jacobian(_operator(params, w, p0))
+    defect = basis_jacobian(_operator(params, w))
     kind, tau, matched = _match(t, not params.is_admissible, defect, w, p0)
     return AnomalyCertificate(kind, t.label, w, p0, t.a, tau, defect, matched)
 
@@ -130,7 +132,7 @@ def _match(t, rigid, defect, w, p0):
         return RIGID, None, ("0", "0", "0")
     if defect.is_zero:
         return QUANTUM_LIE, None, ("0", "0", "0")
-    comm = generator_commutator(p0)
+    comm = generator_commutator()
     if defect.j1.is_zero and defect.j2.is_zero and defect.j3 == comm * (_ONE / p0):
         return ANOMALOUS_I, None, ("0", "0", "(1/p0)*[Ap,Am]")
     if t.a is not None:
@@ -150,7 +152,9 @@ def _match(t, rigid, defect, w, p0):
 def prove_kinds(certificates):
     """(ok, detail) over (class, certificate) pairs: each class lands in its
     bucket of `bianchi._CLASSES`, an AnomalousII one with tau = -1; the
-    detail lists each class's kind and tau."""
+    detail lists each class's kind and tau.  ValueError on no pairs."""
+    if not certificates:
+        raise ValueError("prove_kinds needs at least one (class, certificate) pair, got none")
     lines = []
     for t, cert in certificates:
         expected = bianchi._CLASSES[t.tag][1]

@@ -90,7 +90,6 @@ def quantum_jacobian(mu, x, y, z):
     y = _as_vector(y)
     z = _as_vector(z)
     ent = _nc_entries(mu)
-    p0 = ent[0].p0
 
     # (i, j, l, u^i v^j w^l) in (rotation, i, j, l) order; a zero factor
     # skips the weight before anything is multiplied
@@ -102,7 +101,7 @@ def quantum_jacobian(mu, x, y, z):
 
     components = []
     for m in (1, 2, 3):
-        total = NCPoly({}, p0=p0)
+        total = NCPoly({})
         for i, j, l, weight in weights:
             for k in (1, 2, 3):
                 term = ent[_position(m, l, k)] * ent[_position(k, i, j)]

@@ -45,4 +45,4 @@ def word_derivative(value, omega):
             factor, image = flow[letter]
             key = word[:n] + (image,) + word[n + 1:]
             out[key] = out.get(key, 0) + c * factor
-    return NCPoly(out, p0=value.p0)
+    return NCPoly(out)

@@ -20,7 +20,8 @@ term order and coefficient types, and every certificate, against them.
 
 from operadyn import bianchi, poly
 from operadyn.lax import formal_mu, solve_C
-from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly, _fold_s, _positive, _rational
+from operadyn.ncpoly import (GENERATORS, ExtScalar, NCPoly, _coefficient, _fold_s, _positive,
+                             _rational)
 from operadyn.poly import Poly, rational_sqrt
 from operadyn.structure import _trusted
 from operadyn.quantum import (ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID, UNCLASSIFIED,
@@ -47,19 +48,18 @@ def formal_deformation(t, omega, p0):
     return formal_mu(solve_C(bianchi.structure_constants(t), p0), omega)
 
 
-def quantize_formal(formal, p0):
-    """The quantization map on every entry of a formal deformation at p0.
+def quantize_formal(formal):
+    """The quantization map on every entry of a formal deformation.
 
-    The coefficients, s included, carry over unchanged; distinct monomials
-    map to distinct words, so each entry is built unchecked.  p0 is checked
-    once, and each ExtScalar coefficient against it.
+    The coefficients, s and its p0 included, carry over unchanged; distinct
+    monomials map to distinct words, so each entry is built unchecked.
     """
-    zero = NCPoly(p0=p0)
+    zero = NCPoly()
 
     def operator(value):
         if isinstance(value, Poly):
-            return zero._like({_word(exps): zero._coeff(c) for exps, c in value.terms.items()})
-        c = zero._coeff(value)
+            return zero._like({_word(exps): _coefficient(c) for exps, c in value.terms.items()})
+        c = _coefficient(value)
         return zero._like({(): c} if c else {})
 
     return _trusted(map(operator, formal.coeffs))
@@ -94,7 +94,7 @@ def classify_formal(t, formal, omega, p0):
     """The certificate of class t, given its formal deformation at omega, p0."""
     w = _positive(omega, "omega")
     p0 = _rational(p0)
-    mu = quantize_formal(formal, p0)
+    mu = quantize_formal(formal)
     defect = quantum_jacobian(mu, *_BASIS)
     kind, tau, matched = _match(t, mu, defect, w, p0)
     return AnomalyCertificate(kind, t.label, w, p0, t.a, tau, defect, matched)
@@ -106,7 +106,7 @@ def _match(t, mu, defect, w, p0):
         return RIGID, None, ("0", "0", "0")
     if defect.is_zero:
         return QUANTUM_LIE, None, ("0", "0", "0")
-    comm = generator_commutator(p0)
+    comm = generator_commutator()
     if defect.j1.is_zero and defect.j2.is_zero and defect.j3 == (1 / p0) * comm:
         return ANOMALOUS_I, None, ("0", "0", "(1/p0)*[Ap,Am]")
     if t.a is not None:

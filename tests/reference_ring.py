@@ -3,12 +3,13 @@
 These are the generic bodies that `ncpoly._Ring` and `ncpoly.ExtScalar` ran
 before they tested exact types first and skipped exact zeros, kept as the
 oracle of the fast paths: every scalar goes through the one `isinstance`
-check of `SCALARS` and the subclass's `_coeff`, every scalar product through
+check of `SCALARS` and `_coefficient`, every scalar product through
 `_collect`, and an ExtScalar product forms all four part products.  Each
 function takes the element as its first argument and returns what the
-method returned, `NotImplemented` included; an NCPoly of another p0, or
-an s-part of another p0 than a Poly's, raises ValueError in arithmetic.  `ring_eq` is the contract of `==` rather than an
-old body: two values are equal when their `value_key`s are.
+method returned, `NotImplemented` included; an s-part of another p0 than
+the element's raises ValueError in arithmetic.  `ring_eq` is the contract
+of `==` rather than an old body: two values are equal when their
+`value_key`s are.
 
 `ext_add`, `ext_neg` and `ext_mul` are the ExtScalar bodies, which formed
 every part sum and product.  `entry_sums` is the plain elementwise sum of
@@ -22,7 +23,7 @@ from numbers import Rational
 from operator import add, sub
 
 from operadyn import poly
-from operadyn.ncpoly import ExtScalar, NCPoly, _collect, _ext, _same_p0
+from operadyn.ncpoly import ExtScalar, NCPoly, _coefficient, _collect, _ext, _same_p0
 from operadyn.poly import VARIABLES, Poly
 
 SCALARS = (int, ExtScalar, Fraction, Rational)
@@ -31,11 +32,9 @@ SCALARS = (int, ExtScalar, Fraction, Rational)
 def coerce(f, other):
     """The terms of an element of f's ring or of a scalar, or None."""
     if type(other) is type(f):
-        if type(f) is NCPoly:
-            _same_p0(f.p0, other)
         terms = other.terms
     elif isinstance(other, SCALARS):
-        c = f._coeff(other)
+        c = _coefficient(other)
         terms = {f._ONE: c} if c else {}
     else:
         return None

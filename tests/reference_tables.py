@@ -129,7 +129,7 @@ def _complete_tensor(entries, p0):
         if (i, k, j) not in entries:
             full[(i, k, j)] = -value
             seen.add((i, k, j))
-    zero = NCPoly({}, p0=p0)
+    zero = NCPoly({})
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             for k in (1, 2, 3):
@@ -149,7 +149,7 @@ def operator_table(t, omega, p0):
         return ExtScalar(u, v, p0=p0)
 
     def nc(terms):
-        return NCPoly(terms, p0=p0)
+        return NCPoly(terms)
 
     one = nc({(): sc(1)})
     tag = t.tag

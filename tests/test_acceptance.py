@@ -131,7 +131,7 @@ def test_criterion_07_first_anomalous_pair():
             for p0 in (Fraction(1, 2), Fraction(2)):
                 mu = quantize(BianchiType(tag), omega, p0)
                 defect = basis_jacobian(mu)
-                expected = (1 / p0) * generator_commutator(p0)
+                expected = (1 / p0) * generator_commutator()
                 assert defect.j1.is_zero and defect.j2.is_zero
                 assert defect.j3 == expected
                 assert str(defect.j3) == str(expected)
@@ -159,7 +159,7 @@ def test_criterion_08_second_anomalous_family():
                 xp, xm = xi_pair(omega, p0)
                 assert defect.j1 == -1 * scale * xp
                 assert defect.j2 == -1 * scale * xm
-                assert defect.j3 == (a * a / p0) * generator_commutator(p0)
+                assert defect.j3 == (a * a / p0) * generator_commutator()
                 cert = classify(t, omega, p0)
                 assert cert.kind == ANOMALOUS_II and cert.tau == -1
     print("ACCEPTANCE 8: PASS - the parametric classes produce the xi pair"

@@ -438,6 +438,12 @@ class TestPointDefect:
                                              r" \(class, certificate\) pair, got none$"):
             ShellReduction.prove_jacobi([])
 
+    def test_prove_kinds_rejects_no_certificates(self):
+        # no class is no verdict, for the quantum suite as for the classical one
+        with pytest.raises(ValueError, match="^prove_kinds needs at least one"
+                                             r" \(class, certificate\) pair, got none$"):
+            quantum.prove_kinds([])
+
     @pytest.mark.parametrize("other", [(1, Fraction(3)), (2, Fraction(2))])
     def test_prove_jacobi_rejects_mixed_shells(self, other):
         # one table serves every certificate, so a second (omega, p0) is an
@@ -623,6 +629,8 @@ _NONPOSITIVE_CALLS = {
     "rotation_generator omega": (lambda: rotation_generator(Fraction(-1, 2)),
                                  "omega must be positive, got -1/2"),
     "xi_pair omega": (lambda: quantum.xi_pair(0, 2), "omega must be positive, got 0"),
+    "xi_pair p0": (lambda: quantum.xi_pair(1, 0), "p0 must be positive, got 0"),
+    "xi_pair p0 < 0": (lambda: quantum.xi_pair(1, -2), "p0 must be positive, got -2"),
     "classify omega": (lambda: quantum.classify(_VIIA, 0, 2), "omega must be positive, got 0"),
     "deform p0": (lambda: deform(_VIIA, 1, -2), "p0 must be positive, got -2"),
 }

@@ -219,13 +219,13 @@ class TestVerify:
         vii_a = bianchi.structure_constants(bianchi.BianchiType("VIIa", Fraction(1, 2)))
         vii_a = lax.solve_C(vii_a, Fraction(2))
 
-        def mutant(params, omega, p0):
-            tensor = real(params, omega, p0)
+        def mutant(params, omega):
+            tensor = real(params, omega)
             if params != vii_a:
                 return tensor
             # the diagonal holds NCPoly zeros, so the mirror is filled here
             flat = list(tensor.coeffs)
-            value = flat[_position(1, 2, 3)] + NCPoly.generator("Q", p0=p0)
+            value = flat[_position(1, 2, 3)] + NCPoly.generator("Q")
             flat[_position(1, 2, 3)], flat[_position(1, 3, 2)] = value, -value
             return _trusted(flat)
 

@@ -587,7 +587,7 @@ class TestFractionOnTheRight:
         basis_jacobian(op)
         s = ExtScalar(0, 1, p0=p0)
         (poly.q + 2) * s
-        NCPoly.generator("Q", p0=p0) * NCPoly({("P",): s}, p0=p0)
+        NCPoly.generator("Q") * NCPoly({("P",): s})
         assert calls == []
 
     def test_products_keep_type_and_term_order(self):

@@ -80,7 +80,7 @@ def _literal_type_v_tensor(p0):
     inv_s = ExtScalar(0, Fraction(1, 2) / p0, p0=p0)  # 1/sigma
 
     def w(name, coeff):
-        return NCPoly({(name,): coeff}, p0=p0)
+        return NCPoly({(name,): coeff})
 
     entries = {
         (1, 1, 2): w("Am", inv_s), (1, 2, 1): w("Am", -inv_s),
@@ -88,7 +88,7 @@ def _literal_type_v_tensor(p0):
         (3, 2, 3): w("Am", -inv_s), (3, 3, 2): w("Am", inv_s),
         (3, 3, 1): w("Ap", inv_s), (3, 1, 3): w("Ap", -inv_s),
     }
-    zero = NCPoly({}, p0=p0)
+    zero = NCPoly({})
     full = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -107,7 +107,7 @@ class TestTypeVBootstrap:
         # written out with no shared helpers
         components = []
         for m in (1, 2, 3):
-            total = NCPoly({}, p0=p0)
+            total = NCPoly({})
             for (i, j, l) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
                 for k in (1, 2, 3):
                     total = total + mu.entry(m, l, k) * mu.entry(k, i, j)
@@ -115,14 +115,14 @@ class TestTypeVBootstrap:
         assert components[0].is_zero
         assert components[1].is_zero
         expected = NCPoly({("Ap", "Am"): Fraction(1, 2),
-                           ("Am", "Ap"): Fraction(-1, 2)}, p0=p0)
+                           ("Am", "Ap"): Fraction(-1, 2)})
         assert components[2] == expected
 
     def test_module_agrees_with_bootstrap(self):
         p0 = Fraction(2)
         defect = basis_jacobian(_literal_type_v_tensor(p0))
         assert defect.j1.is_zero and defect.j2.is_zero
-        assert defect.j3 == (1 / p0) * generator_commutator(p0)
+        assert defect.j3 == (1 / p0) * generator_commutator()
 
     def test_quantize_agrees_with_literal(self):
         p0 = Fraction(2)
@@ -139,7 +139,7 @@ class TestQuantize:
     def test_unchecked_build_equals_checked_build(self):
         # every entry equals the NCPoly the checking constructor builds from
         # the same words, and holds its invariant: each coefficient a nonzero
-        # Fraction or an ExtScalar with nonzero s-part of the entry's p0
+        # Fraction or an ExtScalar with nonzero s-part of the bracket's p0
         for p0 in (Fraction(2), Fraction(8, 9), Fraction(3), Fraction(5, 7)):
             for t in all_types(Fraction(2, 3)):
                 formal = formal_deformation(t, Fraction(3, 2), p0)
@@ -147,7 +147,7 @@ class TestQuantize:
                 for v, value in zip(mu.coeffs, formal.coeffs):
                     words = {tuple(g for g, e in zip(GENERATORS, exps) for _ in range(e)): c
                              for exps, c in poly.as_poly(value).terms.items()}
-                    assert v == NCPoly(words, p0=p0) and v.p0 == p0
+                    assert v == NCPoly(words)
                     assert all((type(c) is Fraction and c)
                                or (type(c) is ExtScalar and c.v and c.p0 == p0)
                                for c in v.terms.values())
@@ -159,13 +159,26 @@ class TestQuantize:
                 quantize(t, 1, bad)
         with pytest.raises(TypeError):
             quantize(t, 1, 3.0)
-        # every entry holds the one p0 of its bracket, so the defect refuses
-        # a tensor that mixes contexts, as the ring operations do
+        # the s-parts of every entry hold the one p0 of the bracket, so the
+        # defect refuses a tensor that mixes contexts, as the ring operations do
         flat = list(quantize(t, 1, 5).coeffs)
-        flat[_position(1, 2, 3)] = NCPoly.generator("Q", p0=3)
+        flat[_position(1, 2, 3)] = NCPoly({("Q",): ExtScalar(0, 1, p0=3)})
         flat[_position(1, 3, 2)] = -flat[_position(1, 2, 3)]
         with pytest.raises(ValueError, match=r"^mixed p0 contexts: 5 vs 3$"):
             basis_jacobian(_trusted(flat))
+
+    def test_entries_of_two_shells_combine_unless_their_s_parts_differ(self):
+        # a rational entry has no context, so the VI entries of two shells
+        # combine; only an s-part ties an entry to its p0
+        half, third = (quantize(BianchiType("VI"), 1, p0).entry(1, 2, 3) for p0 in (2, 3))
+        p = NCPoly.generator("P")
+        assert (half, third) == (p * Fraction(1, 2), p * Fraction(1, 3))
+        assert half + third == p * Fraction(5, 6) and half - third == p * Fraction(1, 6)
+        assert half * third == p * p * Fraction(1, 6)
+        a, b = (quantize(BianchiType("V"), 1, p0).entry(1, 1, 2) for p0 in (2, 3))
+        for mix in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(ValueError, match="^mixed p0 contexts: 2 vs 3$"):
+                mix()
 
     def test_sigma_stays_symbolic(self):
         # p0 = 2 makes sigma = 2 rational, but the operator entries keep s
@@ -246,11 +259,11 @@ class TestBracketAndJacobian:
         # holds -P, so adding the two uncollected would drop P and append it
         # again; the kernel keeps the ring sum's term order
         p0 = Fraction(2)
-        flat = [NCPoly(p0=p0)] * 27
+        flat = [NCPoly()] * 27
         for idx, terms in (((1, 1, 2), {("Q",): 1, (): 1}), ((1, 1, 3), {("P",): 1, (): -1}),
                            ((1, 2, 3), {("Q",): -1}), ((2, 1, 3), {("P",): -1, (): -1}),
                            ((3, 1, 2), {("P",): -1, (): -1}), ((3, 1, 3), {("P",): 1, (): -1})):
-            value = NCPoly(terms, p0=p0)
+            value = NCPoly(terms)
             i, j, k = idx
             flat[_position(i, j, k)], flat[_position(i, k, j)] = value, -value
         mu = _trusted(flat)
@@ -317,7 +330,7 @@ def _formal_members(draw):
          for _ in range(9)]
     omega = draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
     params = LaxFamilyParams(c)
-    return _member(params, omega, zero=NCPoly(p0=p0)), formal_mu(params, omega), p0
+    return _member(params, omega, zero=NCPoly()), formal_mu(params, omega), p0
 
 
 class TestCommutativeImage:
@@ -385,7 +398,7 @@ class TestCovariance:
         probes = [LaxFamilyParams(map(sum, zip(x, y)))
                   for n, x in enumerate(units) for y in units[n:]]
         assert len(probes) == 45
-        zero = NCPoly(p0=Fraction(2))
+        zero = NCPoly()
         for omega in (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 7)):
             half_w = omega / 2
             for params in probes:
@@ -404,7 +417,7 @@ class TestCovariance:
     def test_commutative_image_commutes_with_the_flow(self, p0, omega, terms, v):
         # the lemma that carries the covariance over to the classical defect:
         # the image of D f is `lax._time_derivative` of the image of f
-        f = NCPoly(terms, p0=p0) * ExtScalar(1, v, p0=p0)
+        f = NCPoly(terms) * ExtScalar(1, v, p0=p0)
         sigma = poly.rational_sqrt(2 * p0)
         flow = (omega / 2, -omega * omega, -omega / 2)
         for image in (lambda x: commutative_image(x), lambda x: commutative_image(x, sigma)):
@@ -417,8 +430,8 @@ _ORACLE_FLAGS = ((Fraction(1), Fraction(1, 2)), (Fraction(3, 2), Fraction(2, 3))
 
 
 def _assert_same_ncpoly(got, want):
-    """Same value, type, p0, text, term order and coefficient types."""
-    assert type(got) is type(want) is NCPoly and got == want and got.p0 == want.p0
+    """Same value, type, text, term order and coefficient types."""
+    assert type(got) is type(want) is NCPoly and got == want
     assert str(got) == str(want)
     assert list(got.terms.items()) == list(want.terms.items())
     assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
@@ -433,7 +446,7 @@ class TestFamilyWrittenBracket:
         for omega, a in _ORACLE_FLAGS:
             for t in all_types(a):
                 got = quantize(t, omega, p0)
-                want = quantize_formal(formal_deformation(t, omega, p0), p0)
+                want = quantize_formal(formal_deformation(t, omega, p0))
                 assert type(got) is type(want) is StructureTensor
                 for x, y in zip(got.coeffs, want.coeffs, strict=True):
                     _assert_same_ncpoly(x, y)
@@ -454,7 +467,7 @@ class TestFamilyWrittenBracket:
     def test_family_members_match_the_quantization_map(self, case):
         # and the cyclic kernel keeps the terms and term order of the ring sum
         operator, formal, p0 = case
-        want = quantize_formal(formal, p0)
+        want = quantize_formal(formal)
         for x, y in zip(operator.coeffs, want.coeffs, strict=True):
             _assert_same_ncpoly(x, y)
         for x, y in zip(basis_jacobian(operator), quantum_jacobian(want, E1, E2, E3),
@@ -527,7 +540,7 @@ class TestClassification:
         xp, xm = xi_pair(1, p0)
         assert cert.jacobian.j1 == -1 * scale * xp
         assert cert.jacobian.j2 == -1 * scale * xm
-        assert cert.jacobian.j3 == (a * a / p0) * generator_commutator(p0)
+        assert cert.jacobian.j3 == (a * a / p0) * generator_commutator()
 
     def test_classical_limit_of_defects(self):
         # sending words to commuting monomials and s to sigma kills every

@@ -18,8 +18,8 @@ from operadyn import (AnomalyCertificate, BianchiType, JacobianTriple, LaxFamily
                       build_matrix_lax, classify, quantize)
 from operadyn.ncpoly import ExtScalar
 
-_J3 = "NCPoly((1/2)*Ap*Am + (-1/2)*Am*Ap, p0=2)"
-_TRIPLE = f"JacobianTriple(j1=NCPoly((0), p0=2), j2=NCPoly((0), p0=2), j3={_J3})"
+_J3 = "NCPoly((1/2)*Ap*Am + (-1/2)*Am*Ap)"
+_TRIPLE = f"JacobianTriple(j1=NCPoly((0)), j2=NCPoly((0)), j3={_J3})"
 _ZERO, _HALF = "Fraction(0, 1)", "Fraction(1, 2)"
 
 # a builder per record (keyword construction wherever the caller builds it)
