@@ -10,8 +10,8 @@ Run as: python3 demos/bianchi_tables.py
 
 from fractions import Fraction
 
-from operadyn import (all_types, as_poly, classical_jacobian, deform, is_rigid,
-                      raw_jacobian, solve_C, structure_constants)
+from operadyn import (all_types, classical_jacobian, deform, is_rigid, raw_jacobian,
+                      solve_C, structure_constants)
 
 OMEGA, P0 = Fraction(1), Fraction(2)
 
@@ -33,7 +33,7 @@ for t in all_types(Fraction(1, 2)):
         print("  rigid: the deformation never leaves the constant tensor")
     else:
         moving = [(idx, str(v)) for idx, v in mu.independent_entries()
-                  if not as_poly(v).is_constant]
+                  if not v.is_constant]
         print(f"  {len(moving)} entries move with the flow, e.g."
               f" mu^{moving[0][0][0]}_{{{moving[0][0][1]}{moving[0][0][2]}}}"
               f" = {moving[0][1]}")

@@ -98,16 +98,15 @@ def structure_constants(t):
 
 
 def deform(t, omega, p0):
-    """The dynamical deformation of class t as a phase-space table: the family
-    member through the class tensor, with s folded to its value when that is
-    rational, so every coefficient is a Fraction; otherwise s stays formal."""
+    """The dynamical deformation of class t as a phase-space table of Polys:
+    the family member through the class tensor, with s folded to its value
+    when that is rational, so every coefficient is a Fraction; otherwise s
+    stays formal."""
     _positive(omega, "omega")
     params = solve_C(structure_constants(t), p0)
     sigma = rational_sqrt(2 * p0)
     if sigma is not None:
-        # only C5..C8 carry s
-        c = params.c
-        params = LaxFamilyParams((*c[:4], *(_fold_s(v, sigma) for v in c[4:8]), c[8]))
+        params = LaxFamilyParams(_fold_s(v, sigma) for v in params.c)
     return formal_mu(params, omega)
 
 
@@ -252,7 +251,7 @@ def deformation_trace(t, omega, p0, times):
     evaluated = {}
     entries = []
     for _, value in table.independent_entries():
-        terms = tuple((exps, float(c)) for exps, c in poly.as_poly(value).terms.items())
+        terms = tuple((exps, float(c)) for exps, c in value.terms.items())
         if not any(any(exps) for exps, _ in terms):
             # the kernel's sum at any point: int 0 plus the constant term
             entries.append(float(sum(c for _, c in terms)))

@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bianchi, lax, poly, quantum
+from . import bianchi, lax, quantum
 from .bianchi import BianchiType
 from .ncpoly import _positive
 from .oscillator import BranchError
@@ -130,17 +130,13 @@ def _selected_types(cfg, tag):
 def _table_rows(which, cfg, tag):
     rows = []
     for t in _selected_types(cfg, tag):
-        text = str
         if which == "bianchi":
             tensor = bianchi.structure_constants(t)
         elif which == "deformed":
             tensor = bianchi.deform(t, cfg.omega, cfg.p0)
-            # constant entries come back as bare numbers; promote so every
-            # value prints as Poly text
-            text = lambda v: str(poly.as_poly(v))
         else:
             tensor = quantum.quantize(t, cfg.omega, cfg.p0)
-        entries = [((i, j, k), text(v)) for (i, j, k), v in tensor.independent_entries()]
+        entries = [((i, j, k), str(v)) for (i, j, k), v in tensor.independent_entries()]
         rows.append((t, entries))
     return rows
 

@@ -152,29 +152,29 @@ def build_mu(params, q, p, a_plus, a_minus, omega):
     return _member(params, omega, {_WQ: q * omega, _P: p, _AP: a_plus, _AM: a_minus})
 
 
-def _member(params, omega, point=None, zero=None):
+def _member(params, omega, point=None, zero=Poly()):
     """The family member at a point, {monomial: coordinate}, or at the generators.
 
     At a point each entry is the sum of its `_FAMILY` terms (`build_mu`).  At
-    the generators (no point) each entry is written from its row, term by
-    term, with coefficient C_n or C_n*omega and without its zero terms: a
-    Poly keyed by the monomials, but mu^3_{12} stays the number C9 and the
-    diagonal the Fraction 0.  Given `zero`, the zero NCPoly, every entry is
-    instead an NCPoly keyed by the monomials' `_WORDS`, whose s-parts carry
-    the p0 of the C_n: the operator bracket over the free algebra.
+    the generators (no point) every entry, the diagonal included, is an
+    element of the ring of `zero`, written from its row term by term, with
+    coefficient C_n or C_n*omega and without its zero terms: a Poly keyed by
+    the monomials, or, given the zero NCPoly, an NCPoly keyed by their
+    `_WORDS`, whose s-parts carry the p0 of the C_n: the operator bracket
+    over the free algebra.
     """
     c = (None, *params.c)   # C_n at index n
-    like = poly._trusted if zero is None else zero._like
-    flat = [_ZERO if zero is None else zero] * 27
+    words = not isinstance(zero, Poly)
+    flat = [zero if point is None else _ZERO] * 27
     for (i, j, k), form in _FAMILY:
-        if point is None and (zero is not None or len(form) > 1):
+        if point is None:
             # a row's monomials are distinct, and a nonzero C_n (times omega) is in the format
             terms = {}
             for n, x in form:
                 if c[abs(n)]:
                     v = c[abs(n)] * omega if x == _WQ else c[abs(n)]
-                    terms[x if zero is None else _WORDS[x]] = -v if n < 0 else v
-            value = like(terms)
+                    terms[_WORDS[x] if words else x] = -v if n < 0 else v
+            value = zero._like(terms)
         else:
             # coordinate on the left: a polynomial's `*` runs, not a scalar's NotImplemented
             value = None
@@ -186,7 +186,9 @@ def _member(params, omega, point=None, zero=None):
 
 
 def formal_mu(params, omega):
-    """The symbolic family member, `build_mu` at the generators q, p, Ap, Am."""
+    """The symbolic family member, `build_mu` at the generators q, p, Ap, Am,
+    with every entry a Poly: mu^3_{12} is the constant C9, the diagonal the
+    zero Poly."""
     return _member(params, _positive(omega, "omega"))
 
 
@@ -228,13 +230,11 @@ def solve_C(mu0, p0):
 
 
 def _time_derivative(value, half_w, minus_w2, minus_half_w):
-    """d/dt of a coefficient through the oscillator and half-angle flows,
+    """d/dt of a Poly through the oscillator and half-angle flows,
     p*d/dq - omega**2*q*d/dp - (omega/2)*Am*d/dAp + (omega/2)*Ap*d/dAm, given
-    the flow scalars omega/2, -omega**2 and -omega/2."""
-    if not isinstance(value, Poly):
-        return _ZERO
-    if value.is_constant:
-        return poly._trusted({})
+    the flow scalars omega/2, -omega**2 and -omega/2; the zero Poly is its own."""
+    if not value.terms:
+        return value
     terms = value.terms.items()
     return poly._trusted(_collect({}, chain(
         (((i - 1, j + 1, k, l), c * i) for (i, j, k, l), c in terms if i),

@@ -77,6 +77,15 @@ def _same_p0(p0, other):
     return other
 
 
+def _one_context(coefficients):
+    """Check that the s-parts among coefficients share one p0, their context;
+    ValueError naming two p0 that differ."""
+    p0 = None
+    for c in coefficients:
+        if type(c) is ExtScalar and c.p0 is not p0:
+            p0 = c.p0 if p0 is None else _same_p0(p0, c).p0
+
+
 def _plus(a, b):
     """a + b for Fractions, without the sum when either is 0."""
     return a + b if a and b else a or b
@@ -139,7 +148,7 @@ class ExtScalar:
     def _coerce(self, other):
         # an ExtScalar of the same p0, a Fraction, or None
         if isinstance(other, ExtScalar):
-            return _same_p0(self.p0, other)
+            return other if other.p0 is self.p0 else _same_p0(self.p0, other)
         if type(other) is Fraction:
             return other
         if type(other) is int or isinstance(other, Rational):
@@ -294,11 +303,7 @@ class _Ring:
         # keys that name one monomial add up, as their terms do in `+`
         self.terms = _collect({}, [(self._key(key), _coefficient(coeff))
                                    for key, coeff in (terms or {}).items()])
-        p0 = None
-        for c in self.terms.values():
-            # the s-parts share one p0, the element's context
-            if type(c) is ExtScalar and c.p0 is not p0:
-                p0 = c.p0 if p0 is None else _same_p0(p0, c).p0
+        _one_context(self.terms.values())
 
     def __bool__(self):
         return bool(self.terms)

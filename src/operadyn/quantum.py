@@ -36,7 +36,7 @@ from fractions import Fraction
 from . import bianchi
 from .bianchi import ANOMALOUS_I, ANOMALOUS_II, QUANTUM_LIE, RIGID
 from .lax import _member, solve_C
-from .ncpoly import ExtScalar, NCPoly, _positive, _same_p0, commutator
+from .ncpoly import ExtScalar, NCPoly, _one_context, _positive, commutator
 from .structure import _cyclic_defect
 
 _ONE = Fraction(1)
@@ -81,13 +81,11 @@ def generator_commutator():
 def _nc_entries(mu):
     """The 27 row-major entries of mu, each checked to be an NCPoly, whose
     s-parts share one p0 (ValueError naming two if not)."""
-    flat, p0 = mu.coeffs, None
+    flat = mu.coeffs
     for (i, j, k), value in zip(itertools.product((1, 2, 3), repeat=3), flat):
         if not isinstance(value, NCPoly):
             raise ValueError(f"entry mu^{i}_{{{j}{k}}} is not an NCPoly: {value!r}")
-        for c in value.terms.values():
-            if type(c) is ExtScalar and c.p0 is not p0:
-                p0 = c.p0 if p0 is None else _same_p0(p0, c).p0
+    _one_context([c for value in flat for c in value.terms.values()])
     return flat
 
 

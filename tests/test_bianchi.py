@@ -21,7 +21,7 @@ from operadyn.cli import main
 from operadyn.lax import (LaxFamilyParams, build_matrix_lax, formal_mu,
                           matrix_lax_residual, operadic_lax_residual,
                           rotation_generator, solve_C)
-from operadyn.ncpoly import ExtScalar
+from operadyn.ncpoly import ExtScalar, NCPoly
 from operadyn.oscillator import BranchError
 from operadyn.poly import Poly, commutative_image, rational_sqrt
 from operadyn.structure import StructureTensor, _cyclic_defect
@@ -148,6 +148,18 @@ class TestDeform:
         for t in all_types(A):
             for v in deform(t, 1, Fraction(8, 9)).coeffs:
                 assert all(type(c) is Fraction and c for c in poly.as_poly(v).terms.values())
+
+    def test_every_entry_is_a_ring_element(self):
+        # one entry type per table: Poly in the phase-space table, NCPoly in the
+        # operator table, constants and the diagonal included
+        for p0 in (Fraction(2), Fraction(3)):
+            for t in all_types(A):
+                assert all(type(v) is Poly for v in deform(t, 1, p0).coeffs), (t.label, p0)
+                assert all(type(v) is NCPoly for v in quantum.quantize(t, 1, p0).coeffs), (
+                    t.label, p0)
+        for n in range(9):
+            probe = LaxFamilyParams(tuple(int(m == n) for m in range(9)))
+            assert all(type(v) is Poly for v in formal_mu(probe, Fraction(3, 2)).coeffs), n
 
     def test_rigidity_set(self):
         rigid = {t.tag for t in all_types(A) if is_rigid(t)}

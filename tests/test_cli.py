@@ -28,7 +28,7 @@ from operadyn.cli import COLUMNS, main
 from operadyn.ncpoly import GENERATORS, ExtScalar, NCPoly
 from operadyn.operad import Operation
 from operadyn.poly import VARIABLES, Poly, as_poly
-from operadyn.structure import StructureTensor, _position, _trusted
+from operadyn.structure import _position, _trusted
 from reference_shell import reference_point_defect
 from reference_trace import reference_trace, scalar_evaluate
 
@@ -172,10 +172,13 @@ class TestVerify:
         real = lax._member
 
         def mutant(params, omega):
-            # the member at the generators, as the residual writes it, plus C3*q*p in mu^1_23
-            entries = dict(real(params, omega).independent_entries())
-            entries[(1, 2, 3)] = entries[(1, 2, 3)] + params.c[2] * poly.q * poly.p
-            return StructureTensor(entries)
+            # the member at the generators, as the residual writes it, plus C3*q*p in
+            # mu^1_23, built unchecked so every entry stays a Poly
+            flat = list(real(params, omega).coeffs)
+            extra = params.c[2] * poly.q * poly.p
+            flat[_position(1, 2, 3)] += extra
+            flat[_position(1, 3, 2)] -= extra
+            return _trusted(flat)
 
         monkeypatch.setattr(lax, "_member", mutant)
         code, out, _ = run(capsys, "verify", "operadic-lax")
