@@ -13,10 +13,9 @@ The public constructor checks the dimension (at most MAX_DIM), the degree
 through the private `_trusted`, which checks nothing, and a composition may
 exceed MAX_DEGREE, up to MAX_ENTRIES entries.
 
-Composition never multiplies by zero, and the linear structure never adds
-an exact zero: where one operand of an entry's sum is an int or Fraction 0
-and the other a Fraction, an `ncpoly.ExtScalar` or a polynomial, the entry
-is that other operand, or its negative (`_sums`).
+Composition never multiplies by zero.  The linear structure adds entries
+as they are, through their own `+` and `-`; where an operand is zero, the
+entry's ring decides what the sum is.
 
 Signs are driven by the reduced degree |f| = deg(f) - 1:
 
@@ -31,37 +30,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from operator import neg
-
-from .ncpoly import ExtScalar, _Ring
+from operator import add, neg, sub
 
 MAX_DIM = 8
 MAX_DEGREE = 4
 MAX_ENTRIES = 2 ** 20
 
 _new = object.__new__
-
-# the exact zeros, and the entry types that adding one to leaves as they are,
-# Fraction last: its metaclass is an ABCMeta, whose isinstance check of any
-# other type runs Python code
-_EXACT = (int, Fraction)
-_ABSORBING = (_Ring, ExtScalar, Fraction)
-
-
-def _sums(xs, ys, negate):
-    """The list of x + y (x - y if negate) over the pairs of xs and ys, with
-    no sum formed where one is an exact zero and the other `_ABSORBING`."""
-    out = []
-    for x, y in zip(xs, ys):
-        y_zero = type(y) in _EXACT and not y
-        if y_zero and isinstance(x, _ABSORBING):
-            out.append(x)
-        elif type(x) in _EXACT and not x and isinstance(y, _ABSORBING):
-            out.append(-y if negate and not y_zero else y)
-        else:
-            out.append(x - y if negate else x + y)
-    return out
-
 
 def graded_sign(exponent):
     """(-1)**exponent for any integer exponent."""
@@ -134,7 +109,7 @@ class Operation:
     def _like(self, flat):
         return _trusted(Operation, self.dim, self.degree, flat)
 
-    def _combine(self, negate, other):
+    def _combine(self, op, other):
         if not isinstance(other, Operation):
             return NotImplemented
         if self.dim != other.dim or self.degree != other.degree:
@@ -142,13 +117,13 @@ class Operation:
                 f"shape mismatch: (dim {self.dim}, degree {self.degree})"
                 f" vs (dim {other.dim}, degree {other.degree})"
             )
-        return self._like(_sums(self.coeffs, other.coeffs, negate))
+        return self._like(map(op, self.coeffs, other.coeffs))
 
     def __add__(self, other):
-        return self._combine(False, other)
+        return self._combine(add, other)
 
     def __sub__(self, other):
-        return self._combine(True, other)
+        return self._combine(sub, other)
 
     def __neg__(self):
         return self._like(map(neg, self.coeffs))
@@ -192,8 +167,8 @@ def partial_compose(f, i, g):
 
     No product with a zero factor is formed.  An entry sums its other
     products in increasing order of the contracted index; an entry with
-    none is `z_f + z_g` (through `_sums`), for a zero entry of each operand
-    (int 0 for an operand without one).  Every entry equals, and hashes
+    none is `z_f + z_g`, the plain sum of a zero entry of each operand (int
+    0 for an operand without one).  Every entry equals, and hashes
     like, the sum of all products, though a `Poly` entry that comes out zero
     or constant may come back as the equal scalar.
     """
@@ -234,7 +209,7 @@ def _composed(f, g, parts):
                                     else inner_pairs)
         _compose_into(out, outer, i, outer_pairs, signed[swap, negate],
                       len(inner.coeffs) // d)
-    (zero,) = _sums((f_zero,), (g_zero,), False)
+    zero = f_zero + g_zero
     return _trusted(Operation, d, out_degree, [zero if v is None else v for v in out])
 
 

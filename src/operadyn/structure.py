@@ -7,9 +7,10 @@ same entries.  Entries can be exact numbers, `poly.Poly`, or `ncpoly.NCPoly`.
 
 The sparse constructor is the one checked way in.  It checks only what its
 input can break: a given diagonal entry must vanish, and a pair given in
-both orientations must be opposite; a mirror it fills (`_mirror`) is not
-compared.  A tensor antisymmetric by construction, such as a Lax family
-member, is built through the private `_trusted`, which checks nothing.
+both orientations must be opposite; a mirror it fills, the negated entry,
+is not compared.  A tensor antisymmetric by construction, such as a Lax
+family member, is built through the private `_trusted`, which checks
+nothing.
 
 Indices are 1-based everywhere in the public interface; the independent
 components are reported in the column order (1,2), (2,3), (3,1).
@@ -27,11 +28,6 @@ DIM = 3
 
 # independent index pairs, in standard column order
 PAIRS = ((1, 2), (2, 3), (3, 1))
-
-
-def _mirror(value):
-    """-value, the entry opposite value; a Fraction 0 is its own, without the negation."""
-    return value if type(value) is Fraction and not value else -value
 
 
 def _position(i, j, k):
@@ -85,7 +81,7 @@ class StructureTensor(Operation):
                 raise ValueError(f"index {idx!r} out of range 1..{DIM}")
             flat[_position(i, j, k)] = value
             if (i, k, j) not in entries:
-                flat[_position(i, k, j)] = _mirror(value)
+                flat[_position(i, k, j)] = -value
             else:
                 # a given diagonal, or a pair given both ways
                 checks.add((i - 1, min(j, k) - 1, max(j, k) - 1))

@@ -13,9 +13,9 @@ of `==` rather than an old body: two values are equal when their
 
 `ext_add`, `ext_neg` and `ext_mul` are the ExtScalar bodies, which formed
 every part sum and product.  `entry_sums` is the plain elementwise sum of
-two operations' entries, the oracle of `operad._sums`.  `derivative` is the
-partial derivative that `Poly` once had, the oracle of the fused
-`lax._time_derivative`.
+two operations' entries, the oracle of `Operation.__add__` and `__sub__`.
+`derivative` is the partial derivative that `Poly` once had, the oracle of
+the fused `lax._time_derivative`.
 """
 
 from fractions import Fraction

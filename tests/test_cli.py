@@ -711,6 +711,9 @@ def test_package_imports_sit_at_module_level_and_form_no_cycle():
     assert nested == []
     order = list(graphlib.TopologicalSorter(graph).static_order())   # CycleError on a cycle
     assert sorted(order) == sorted(modules)
+    # the operad adds and multiplies entries through their own operators,
+    # so it knows no other module of the package
+    assert graph["operad"] == set()
 
 
 def test_module_entry_point():

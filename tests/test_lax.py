@@ -14,7 +14,7 @@ from operadyn.poly import Poly
 from operadyn.lax import (LaxFamilyParams, _time_derivative, build_matrix_lax, build_mu,
                           formal_mu, matrix_lax_residual,
                           operadic_lax_residual, rotation_generator, solve_C)
-from operadyn.structure import StructureTensor, _trusted
+from operadyn.structure import StructureTensor, _position, _trusted
 from reference_ring import derivative
 from reference_structure import full_check
 
@@ -137,6 +137,33 @@ class TestOperadicLaxEquation:
         calls.clear()
         assert operadic_lax_residual(LaxFamilyParams((1,) * 9), 2).is_zero
         assert calls == [2]
+
+    @pytest.mark.parametrize("omega", [1, Fraction(3, 2), Fraction(5, 7)])
+    @pytest.mark.parametrize("mutated", [False, True])
+    def test_proof_agrees_with_residual(self, monkeypatch, omega, mutated):
+        # the proof compares the two sides, the residual is their difference:
+        # the proof names the first probe whose residual is nonzero
+        if mutated:
+            real = lax._member
+
+            def mutant(params, omega):
+                # C3*q*p added to mu^1_23 and taken from its mirror
+                flat = list(real(params, omega).coeffs)
+                extra = params.c[2] * poly.q * poly.p
+                flat[_position(1, 2, 3)] += extra
+                flat[_position(1, 3, 2)] -= extra
+                return _trusted(flat)
+
+            monkeypatch.setattr(lax, "_member", mutant)
+        probes = [LaxFamilyParams(tuple(int(m == n) for m in range(1, 10)))
+                  for n in range(1, 10)]
+        failing = [n for n, e in enumerate(probes, 1)
+                   if not operadic_lax_residual(e, omega).is_zero]
+        assert failing == ([3] if mutated else [])
+        ok, detail = lax.prove_operadic_lax(omega)
+        assert ok == (not failing)
+        if failing:
+            assert detail == f"nonzero residual for the C{failing[0]} probe"
 
     def test_rotation_generator_shape(self):
         m = rotation_generator(Fraction(3))

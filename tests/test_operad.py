@@ -510,48 +510,22 @@ class TestNoZeroProducts:
         assert zero_calls == []
 
 
-def _recording_sums(monkeypatch):
-    """Replace Fraction's +, - and negation by ones that record every call
-    with an exact-zero operand (an int or Fraction 0)."""
-    zero_calls = []
+class TestProbeSums:
+    """The linear structure and the Lax residual on the family's unit probes."""
 
-    def record(name):
-        method = getattr(Fraction, name)
-
-        def wrapped(self, *other):
-            if any(type(v) in (int, Fraction) and v == 0 for v in (self, *other)):
-                zero_calls.append((name, self, *other))
-            return method(self, *other)
-        return wrapped
-
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
-        monkeypatch.setattr(Fraction, name, record(name))
-    return zero_calls
-
-
-class TestNoZeroSums:
-    """The linear structure and the Lax residual never add an exact zero."""
-
-    def test_sum_and_difference_of_sparse_operations(self, monkeypatch):
+    def test_sum_and_difference_of_sparse_operations(self):
         w = Fraction(1)
         for n in range(1, 10):
             probe = LaxFamilyParams(tuple(int(m == n) for m in range(1, 10)))
             mu = build_mu(probe, poly.q, poly.p, poly.a_plus, poly.a_minus, w)
             bracket = gerstenhaber_bracket(rotation_generator(w), mu)
-            with monkeypatch.context() as patch:
-                zero_calls = _recording_sums(patch)
-                total, difference = mu + bracket, mu - bracket
-            assert zero_calls == [], f"C{n} probe"
-            assert total - bracket == mu and difference + bracket == mu
+            total, difference = mu + bracket, mu - bracket
+            assert total - bracket == mu and difference + bracket == mu, f"C{n} probe"
 
-    def test_operadic_lax_residual_of_each_probe(self, monkeypatch):
+    def test_operadic_lax_residual_of_each_probe(self):
         for n in range(1, 10):
             probe = LaxFamilyParams(tuple(int(m == n) for m in range(1, 10)))
-            with monkeypatch.context() as patch:
-                zero_calls = _recording_sums(patch)
-                residual = operadic_lax_residual(probe, Fraction(3, 2))
-            assert zero_calls == [], f"C{n} probe"
-            assert residual.is_zero
+            assert operadic_lax_residual(probe, Fraction(3, 2)).is_zero, f"C{n} probe"
 
 
 def _recording_fraction_mul(monkeypatch):
@@ -607,16 +581,18 @@ class TestFractionOnTheRight:
 
 
 # entries of every kind the linear structure meets: the exact zeros, a zero
-# polynomial, the signed float zeros and nonzero scalars and polynomials
-_ENTRIES = (0, Fraction(0), Poly(), 0.0, -0.0, 2, Fraction(-3, 4),
-            ExtScalar(1, -2, p0=Fraction(3)), poly.q * 2 + poly.a_minus, 1.5)
+# polynomial of each ring, the signed float zeros and nonzero scalars and
+# polynomials of both rings
+_ENTRIES = (0, Fraction(0), Poly(), NCPoly(), 0.0, -0.0, 2, Fraction(-3, 4),
+            ExtScalar(1, -2, p0=Fraction(3)), poly.q * 2 + poly.a_minus,
+            NCPoly.generator("Q") * NCPoly.generator("P") - 3, 1.5)
 
 
 def _entry_outcomes(compute):
     try:
         return compute()
     except TypeError:
-        # a Poly and a float do not add, with or without the fast path
+        # a polynomial and a float do not add, nor do a Poly and an NCPoly
         return TypeError
 
 
@@ -629,7 +605,7 @@ def _assert_same_entries(got, want):
         assert type(x) is type(y)
         if isinstance(y, float):
             assert repr(x) == repr(y)
-        elif isinstance(y, Poly):
+        elif isinstance(y, (Poly, NCPoly)):
             assert list(x.terms) == list(y.terms) and x == y
             assert all(type(x.terms[k]) is type(c) for k, c in y.terms.items())
         else:
