@@ -26,8 +26,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import poly
-from .lax import LaxFamilyParams, _time_derivative, formal_mu, solve_C
+from .lax import LaxFamilyParams, _lax_sides, formal_mu, solve_C
 from .ncpoly import _ZERO, ExtScalar, _collect, _fold_s, _positive, _rational
+from .operad import Operation
 from .oscillator import sample_flow
 from .poly import Poly, commutative_image, evaluate_terms, rational_sqrt
 from .structure import StructureTensor, _cyclic_defect
@@ -141,9 +142,9 @@ class ShellReduction:
         self._p = poly.a_plus ** 2 - Poly.constant(p0)
         self._shell = Poly.constant(p0 * 2) - poly.a_plus ** 2
         self._forms = {}
-        # the flow scalars of `lax._time_derivative`, and the reference point
+        # the Lax equation at omega, and the reference point
         # (q, p, Ap, Am) = (0, p0, s, 0) as the columns of `poly.evaluate_terms`
-        self._flow = (w / 2, -w * w, -w / 2)
+        self._lax_sides = _lax_sides(w)
         self._reference = ([_ZERO], [p0], [self.sigma or ExtScalar(0, 1, p0=p0)], [_ZERO])
 
     def reduce(self, value):
@@ -169,18 +170,16 @@ class ShellReduction:
         """None if the polynomials (J1, J2, J3) vanish on the shell by
         covariance, else the fact that fails.
 
-        The facts: D J = M J as polynomials, with D the flow derivation
-        `lax._time_derivative` and M the rotation generator, so D J1 =
-        -(omega/2) J2, D J2 = (omega/2) J1 and D J3 = 0; and J is zero at the
-        reference point (q, p, Ap, Am) = (0, p0, s, 0).  The flow through it,
-        q = (p0/omega) sin(omega t), p = p0 cos(omega t), Ap = s cos(omega t/2),
-        Am = s sin(omega t/2), sweeps the whole shell in 4*pi/omega, and
-        along it J solves the linear equation J' = M J, whose one solution
-        through 0 is 0.
+        The facts: D J = M J as polynomials, the Lax equation of
+        `lax._lax_sides` for J as a degree-0 Operation, whose bracket with M
+        is M J; and J is zero at the reference point (q, p, Ap, Am) =
+        (0, p0, s, 0).  The flow through it, q = (p0/omega) sin(omega t),
+        p = p0 cos(omega t), Ap = s cos(omega t/2), Am = s sin(omega t/2),
+        sweeps the whole shell in 4*pi/omega, and along it J solves the
+        linear equation J' = M J, whose one solution through 0 is 0.
         """
-        half_w, _, minus_half_w = self._flow
-        d1, d2, d3 = (_time_derivative(c, *self._flow) for c in defect)
-        if d1 != defect[1] * minus_half_w or d2 != defect[0] * half_w or not d3.is_zero:
+        flow, bracket = self._lax_sides(Operation(3, 0, defect))
+        if flow != bracket:
             return "does not obey D J = M J"
         if any(evaluate_terms(c.terms.items(), self._reference)[0] for c in defect):
             return "is not zero at (0, p0, s, 0)"

@@ -17,9 +17,10 @@ at the words of the free algebra.  Every member of the family satisfies
 
     d(mu)/dt = [M, mu]
 
-identically along the oscillator flow, where d/dt differentiates the
-coefficient polynomials through q' = p, p' = -omega**2 q,
-Ap' = -(omega/2) Am, Am' = (omega/2) Ap.
+identically along the oscillator flow, with d/dt the flow derivation
+`_time_derivative` on each coefficient polynomial.  `_lax_sides` builds both
+sides of that equation for any Operation with Poly entries: a member here,
+the Jacobiator (a vector) in `bianchi.ShellReduction.covariant`.
 
 The parameters are exact: solve_C places a constant tensor in the family at
 the reference point, where Ap = s = sqrt(2*p0), and the four parameters that
@@ -244,37 +245,34 @@ def _time_derivative(value, half_w, minus_w2, minus_half_w):
         (((i, j, k + 1, l - 1), c * (half_w * l)) for (i, j, k, l), c in terms if l))))
 
 
+def _lax_sides(omega):
+    """The Lax equation D(X) == [M, X] at omega, as a function of an
+    Operation X with Poly entries: it returns the entries of D(X),
+    `_time_derivative` on each, and of [M, X], as two row-major tuples.
+    M and the flow scalars are built once.  X is a family member (degree 2)
+    or a vector J (degree 0), where [M, J] is M J.  Poly terms are
+    canonical, so X obeys the equation exactly when the tuples are equal.
+    """
+    m, scalars = rotation_generator(omega), (omega / 2, -omega * omega, -omega / 2)
+    return lambda x: (tuple(_time_derivative(v, *scalars) for v in x.coeffs),
+                      gerstenhaber_bracket(m, x).coeffs)
+
+
 def operadic_lax_residual(params, omega):
     """d(mu)/dt - [M, mu] as a symbolic tensor; zero for every family member.
     The identity holds on every energy shell at once, so p0 never enters."""
-    flow, bracket = next(_sides([params], omega))
-    return _trusted(map(sub, flow, bracket))
-
-
-def _sides(members, omega):
-    """The two sides of the Lax equation for each family member in turn: the
-    entries of d(mu)/dt and of [M, mu], as two tuples in row-major order,
-    with M and the flow scalars built once for all of them.
-
-    Every entry of both sides is a Poly, and two Polys are `==` exactly
-    when their terms are, which are canonical (no zero coefficient, each
-    coefficient in one form), so the member satisfies the equation exactly
-    when the tuples are equal.
-    """
     w = _positive(omega, "omega")
-    m, scalars = rotation_generator(w), (w / 2, -w * w, -w / 2)
-    for params in members:
-        mu = _member(params, w)
-        yield (tuple(_time_derivative(v, *scalars) for v in mu.coeffs),
-               gerstenhaber_bracket(m, mu).coeffs)
+    return _trusted(map(sub, *_lax_sides(w)(_member(params, w))))
 
 
 def prove_operadic_lax(omega):
-    """(ok, detail): at omega, d(mu)/dt equals [M, mu] entry by entry for
-    the nine unit probes C = e_n.  Both sides are linear in C1..C9, so their
+    """(ok, detail): at omega, `_lax_sides` gives equal sides for the nine
+    unit probes C = e_n.  Both sides are linear in C1..C9, so their
     difference, the residual, is zero for every C."""
-    probes = [LaxFamilyParams(tuple(int(m == n) for m in range(1, 10))) for n in range(1, 10)]
-    for n, (flow, bracket) in enumerate(_sides(probes, omega), 1):
+    w = _positive(omega, "omega")
+    sides = _lax_sides(w)
+    for n in range(1, 10):
+        flow, bracket = sides(_member(LaxFamilyParams(int(m == n) for m in range(1, 10)), w))
         if flow != bracket:
             return False, f"nonzero residual for the C{n} probe"
     return True, ("the nine single-parameter probes give the zero tensor;"

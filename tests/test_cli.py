@@ -10,6 +10,7 @@ import ast
 import contextlib
 import graphlib
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -213,6 +214,26 @@ class TestVerify:
                                        " is not zero at (0, p0, s, 0))")
         assert out.rstrip().endswith("overall: FAIL")
 
+    def test_both_lax_equations_read_the_one_rotation(self, capsys, monkeypatch):
+        # M reversed (transposed): the family no longer satisfies
+        # d(mu)/dt = [M, mu], and the Jacobiator no longer D J = M J, as both
+        # legs build M through rotation_generator
+        real = lax.rotation_generator
+
+        def reversed_rotation(omega):
+            m = real(omega).coeffs
+            return Operation.from_matrix([[m[3 * c + r] for c in range(3)] for r in range(3)])
+
+        monkeypatch.setattr(lax, "rotation_generator", reversed_rotation)
+        code, out, _ = run(capsys, "verify", "operadic-lax")
+        assert code == 1
+        assert out.splitlines()[1].startswith("operadic-lax: FAIL  (")
+        code, out, _ = run(capsys, "verify", "jacobi-classical")
+        assert code == 1
+        assert out.splitlines()[1] == ("jacobi-classical: FAIL  (defect of VIIa(a=1/2)"
+                                       " does not obey D J = M J)")
+        assert out.rstrip().endswith("overall: FAIL")
+
     @pytest.mark.parametrize("legs", ["both", "covariance"])
     def test_jacobi_classical_catches_bracket_mutant(self, capsys, monkeypatch, legs):
         # Q added to mu^1_23 of VIIa's operator bracket breaks Jacobi on the
@@ -308,6 +329,7 @@ class TestVerify:
         shell = bianchi.ShellReduction
         for fn in (cli._run_verify, lax.prove_matrix_lax, lax.prove_operadic_lax,
                    shell.prove_jacobi, shell.__init__, shell.covariant,
+                   lax._lax_sides, lax._lax_sides(Fraction(1)),
                    lax._time_derivative, poly.evaluate_terms, quantum.prove_kinds):
             assert not names(fn.__code__) & {"float", "math", "_positive_float"}, fn
         assert not hasattr(cli, "sample_flow")
@@ -735,3 +757,29 @@ def test_console_script_entry_point(capsys):
     assert entry is cli.main
     assert entry(["verify", "matrix-lax"]) == 0
     assert capsys.readouterr().out.endswith("overall: PASS\n")
+
+
+def test_cli_diff_runs_the_two_trees_under_two_fixed_hash_seeds(monkeypatch, capsys):
+    # a caller's own PYTHONHASHSEED would give both trees one set order, so
+    # the tool sets its own, one per tree, whatever the caller's is
+    path = Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py"
+    spec = importlib.util.spec_from_file_location("cli_diff", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    seeds = []
+    for caller in ("0", "1", "2"):
+        seen = {}
+
+        def fake_run(argv, env, **kwargs):
+            seen.setdefault(env["PYTHONPATH"], set()).add(env["PYTHONHASHSEED"])
+            return subprocess.CompletedProcess(argv, 0, b"", b"")
+
+        monkeypatch.setenv("PYTHONHASHSEED", caller)
+        monkeypatch.setattr(tool.subprocess, "run", fake_run)
+        assert tool.main([src, src + os.sep]) == 0
+        assert " identical, 0 different\n" in capsys.readouterr().out
+        (base,), (new,) = seen[src], seen[src + os.sep]
+        assert base != new
+        seeds.append((base, new))
+    assert len(set(seeds)) == 1

@@ -298,6 +298,22 @@ class TestDegreeZero:
             for row in range(3):
                 assert out.entry(row + 1, col + 1) == p0c[row] - p1c[row]
 
+    @pytest.mark.parametrize("ring", ["Fraction", "Poly"])
+    def test_bracket_of_matrix_with_vector_is_the_product(self, ring):
+        # [A, v] = A . v - v . A, and a degree-0 v has no slot to fill, so
+        # (A v)^i = sum over k of A^i_k v^k; zero entries on both sides
+        rows = [[Fraction(1, 2), Fraction(0), Fraction(-3)],
+                [Fraction(0), Fraction(0), Fraction(0)],
+                [Fraction(2), Fraction(5, 7), Fraction(1)]]
+        a = Operation.from_matrix(rows)
+        entries = {"Fraction": [Fraction(1, 3), Fraction(0), Fraction(-2)],
+                   "Poly": [poly.q * 2 + poly.a_minus, Poly(), poly.p * poly.p - 1]}[ring]
+        out = gerstenhaber_bracket(a, Operation(3, 0, entries))
+        assert out.degree == 0
+        product = [sum((r * v for r, v in zip(row, entries)), Fraction(0)) for row in rows]
+        assert list(out.coeffs) == product
+        assert [hash(v) for v in out.coeffs] == [hash(v) for v in product]
+
     def test_two_vectors_rejected(self):
         w = Operation(3, 0)
         with pytest.raises(ValueError):

@@ -22,6 +22,9 @@ where each argument is a directory holding the `operadyn` package (the
 beside its `SRC` when there is one and from this checkout's otherwise, so a
 demo that follows an API change is compared by its output.  The demos are
 matched by file name; one that only one tree has is reported as differing.
+The two trees run under two different fixed `PYTHONHASHSEED` values, whatever
+the caller's environment holds, so output that depends on the iteration
+order of a set or dict of strings shows up as a difference.
 The summary ends with the line count of each tree's `operadyn/*.py` (as
 `wc -l` counts them) and the difference, `src lines: 2420 -> 2370 (-50)`,
 then the same for its code lines, the lines that hold a token of code (no
@@ -84,6 +87,9 @@ EXTREME_VERIFY = (
     ("verify", "all", "--p0", "1e400"),
 )
 
+# the hash seeds of the base and the new tree: fixed, and not equal
+HASH_SEEDS = ("1", "2")
+
 # the usage text, which exits 0
 HELP = (
     ("--help",),
@@ -127,8 +133,8 @@ def demo_dir(src):
     return sibling if sibling.is_dir() else DEMOS
 
 
-def run(src, argv):
-    env = dict(os.environ, PYTHONPATH=src)
+def run(src, argv, seed):
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
     # a demo is a script name; everything else is a CLI command line
     if argv[0].endswith(".py"):
         script = demo_dir(src) / argv[0]
@@ -180,7 +186,7 @@ def main(argv=None):
     base, new = args
     same = differ = 0
     for cmd in (*commands(), *demos(base, new)):
-        old, cur = run(base, cmd), run(new, cmd)
+        old, cur = run(base, cmd, HASH_SEEDS[0]), run(new, cmd, HASH_SEEDS[1])
         if old == cur:
             same += 1
         else:
