@@ -19,8 +19,8 @@ at the words of the free algebra.  Every member of the family satisfies
 
 identically along the oscillator flow, with d/dt the flow derivation
 `_time_derivative` on each coefficient polynomial.  `_lax_sides` builds both
-sides of that equation for any Operation with Poly entries: a member here,
-the Jacobiator (a vector) in `bianchi.ShellReduction.covariant`.
+sides of that equation for any Operation with Poly entries; its three callers
+are L, a member and the Jacobiator (`bianchi.ShellReduction.covariant`).
 
 The parameters are exact: solve_C places a constant tensor in the family at
 the reference point, where Ap = s = sqrt(2*p0), and the four parameters that
@@ -54,18 +54,19 @@ def rotation_generator(omega):
 
 
 def build_matrix_lax(q, p, omega):
-    """The 3x3 Lax pair at a phase-space point; M is `rotation_generator(omega)`."""
-    wq, zero = q * omega, Fraction(0)
-    L = Operation.from_matrix([[p, wq, zero], [wq, -p, zero], [zero, zero, Fraction(1)]])
+    """The 3x3 Lax pair at a phase-space point, L's constants in the ring of q
+    (Polys at `poly.q`, Fractions at a Fraction); M is `rotation_generator(omega)`."""
+    wq, zero = q * omega, q * 0
+    L = Operation.from_matrix([[p, wq, zero], [wq, -p, zero], [zero, zero, zero + 1]])
     return MatrixLaxPair(L=L, M=rotation_generator(omega))
 
 
 def matrix_lax_residual(q, p, omega):
     """dL/dt - [M, L] at a point, a degree-1 operation; identically zero.
 
-    The time derivative is taken through the equations of motion, so
-    dL/dt = [[-omega**2 q, omega*p, 0], [omega*p, omega**2 q, 0], [0, 0, 0]].
-    Every entry has degree <= 2 in omega.
+    The time derivative is written out through the equations of motion,
+    dL/dt = [[-omega**2 q, omega*p, 0], [omega*p, omega**2 q, 0], [0, 0, 0]],
+    an independent check of the flow `prove_matrix_lax` reads from `_lax_sides`.
     """
     w2q, wp, zero = q * (omega * omega), p * omega, Fraction(0)
     dL = Operation.from_matrix([[-w2q, wp, zero], [wp, w2q, zero], [zero] * 3])
@@ -74,12 +75,13 @@ def matrix_lax_residual(q, p, omega):
 
 
 def prove_matrix_lax(omega):
-    """(ok, detail): the matrix residual is the zero polynomial in q, p at
-    omega, omega + 1 and omega + 2, so by its degree bound in omega it is
-    zero for every omega."""
-    omegas = [omega + n for n in range(3)]
+    """(ok, detail): `_lax_sides` gives equal sides for L at q, p at omega,
+    omega + 1 and omega + 2.  Each entry of their difference, the residual,
+    has degree <= 2 in omega, so it is zero for every omega."""
+    omegas = [_positive(omega, "omega") + n for n in range(3)]
     for w in omegas:
-        if not matrix_lax_residual(poly.q, poly.p, w).is_zero:
+        flow, bracket = _lax_sides(w)(build_matrix_lax(poly.q, poly.p, w).L)
+        if flow != bracket:
             return False, f"nonzero residual in q, p at omega={w}"
     return True, (f"zero polynomial in q, p at omega={', '.join(map(str, omegas))};"
                   " degree <= 2 in omega, so zero for every omega")
@@ -249,10 +251,10 @@ def _lax_sides(omega):
     """The Lax equation D(X) == [M, X] at omega, as a function of an
     Operation X with Poly entries: it returns the entries of D(X),
     `_time_derivative` on each, and of [M, X], as two row-major tuples.
-    M and the flow scalars are built once.  X is a family member (degree 2)
-    or a vector J (degree 0), where [M, J] is M J.  Poly terms are
-    canonical, so X obeys the equation exactly when the tuples are equal.
-    """
+    M and the flow scalars are built once.  X is L (degree 1), a family
+    member (degree 2) or a vector J (degree 0), where [M, J] is M J.  Poly
+    terms are canonical, so X obeys the equation exactly when the tuples
+    are equal."""
     m, scalars = rotation_generator(omega), (omega / 2, -omega * omega, -omega / 2)
     return lambda x: (tuple(_time_derivative(v, *scalars) for v in x.coeffs),
                       gerstenhaber_bracket(m, x).coeffs)

@@ -6,7 +6,7 @@ are compared letter by letter, so Q*P and P*Q are distinct monomials.
 Scalars live in the quadratic extension Q[s] / (s**2 - 2*p0), written
 u + v*s with rational u, v; s stands for sqrt(2*p0).  An `ExtScalar` carries
 its p0 so that values from different shells cannot be mixed by accident.
-Combined with a float, it gives a float, as a Fraction does.
+Only `float()` makes it a float: `+`, `-` and `*` with a float raise TypeError.
 
 The coefficient format, shared by `NCPoly` and `poly.Poly`: every stored
 coefficient is a nonzero Fraction or an ExtScalar with nonzero s-part.  An
@@ -171,8 +171,6 @@ class ExtScalar:
         return float(u) + _round_once(_ZERO, v, two_p0)
 
     def __add__(self, other):
-        if isinstance(other, float):
-            return float(self) + other
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -192,8 +190,6 @@ class ExtScalar:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, float):
-            return float(self) * other
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from .ncpoly import GENERATORS, _new, _Ring, _coefficient, _collect, _fold_s
+from .ncpoly import GENERATORS, _new, _rational, _Ring, _coefficient, _collect, _fold_s
 
 VARIABLES = ("q", "p", "Ap", "Am")
 
@@ -31,8 +31,9 @@ def _trusted(terms):
 
 
 def rational_sqrt(value):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    f = Fraction(value)
+    """Exact square root of a nonnegative rational, or None if irrational;
+    TypeError on anything that is not rational, a float or a string included."""
+    f = _rational(value)
     if f < 0:
         return None
     rn = math.isqrt(f.numerator)
@@ -109,8 +110,8 @@ def evaluate_terms(terms, columns):
     float operations are those of a plain per-point loop, in its order: the
     sum starts at int 0 and adds the terms in the given order, and each term
     starts at its coefficient and is multiplied by every base once per unit
-    of its exponent.  So a Fraction or ExtScalar coefficient times a float
-    converts itself to float first, and int 0 plus -0.0 gives 0.0.
+    of its exponent.  So a Fraction coefficient times a float becomes a float
+    first, an ExtScalar must come as its float, and int 0 + -0.0 gives 0.0.
     """
     n = len(columns[0])
     total = [0] * n

@@ -3,9 +3,10 @@
 `reference_flow` is the per-sample flow loop, `scalar_evaluate` the
 per-point evaluation loop, and `reference_trace` renders `trace` one row per
 sample: the flow at that time, each exact entry evaluated there with
-`scalar_evaluate`, and csv.writer over the repr of every value.  The tests
-compare `oscillator.sample_flow`, `poly.evaluate_terms` and the CLI's
-`trace` output against them byte for byte.
+`scalar_evaluate` on its float coefficients, and csv.writer over the repr
+of every value.  The tests compare `oscillator.sample_flow`,
+`poly.evaluate_terms` and the CLI's `trace` output against them byte for
+byte.
 """
 
 import csv
@@ -70,7 +71,9 @@ def scalar_evaluate(terms, point):
 def reference_trace(tag, omega, p0, a, samples):
     """`operadyn trace TAG --t-samples SAMPLES` at (omega, p0, a), row by row."""
     t = bianchi.BianchiType(tag, a if tag in bianchi.PARAMETRIC else None)
-    entries = [poly.as_poly(v).terms.items()
+    # float coefficients, as `bianchi.deformation_trace` gives them: the exact
+    # ring refuses a float operand
+    entries = [[(exps, float(c)) for exps, c in poly.as_poly(v).terms.items()]
                for _, v in bianchi.deform(t, omega, p0).independent_entries()]
     w, p0f = float(omega), float(p0)
     buf = io.StringIO()

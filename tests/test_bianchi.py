@@ -20,7 +20,7 @@ from operadyn.bianchi import (BianchiType, TAGS, ShellReduction, all_types,
 from operadyn.cli import main
 from operadyn.lax import (LaxFamilyParams, build_matrix_lax, formal_mu,
                           matrix_lax_residual, operadic_lax_residual,
-                          rotation_generator, solve_C)
+                          prove_matrix_lax, rotation_generator, solve_C)
 from operadyn.ncpoly import ExtScalar, NCPoly
 from operadyn.oscillator import BranchError
 from operadyn.poly import Poly, commutative_image, rational_sqrt
@@ -609,6 +609,7 @@ _FLOAT_CALLS = {
     "formal_mu omega": lambda: formal_mu(_PARAMS, 0.1),
     "build_matrix_lax omega": lambda: build_matrix_lax(Fraction(1), Fraction(2), 0.1),
     "matrix_lax_residual omega": lambda: matrix_lax_residual(Fraction(1), Fraction(2), 0.1),
+    "prove_matrix_lax omega": lambda: prove_matrix_lax(0.1),
     "quantize omega": lambda: quantum.quantize(_VIIA, 0.1, Fraction(2)),
     "quantize p0": lambda: quantum.quantize(_VIIA, 1, 0.1),
     "classify omega": lambda: quantum.classify(_VIIA, 0.1, Fraction(2)),
@@ -638,6 +639,7 @@ _NONPOSITIVE_CALLS = {
     "build_matrix_lax omega": (lambda: build_matrix_lax(1, 2, 0), "omega must be positive, got 0"),
     "matrix_lax_residual omega": (lambda: matrix_lax_residual(1, 2, -1),
                                   "omega must be positive, got -1"),
+    "prove_matrix_lax omega": (lambda: prove_matrix_lax(-1), "omega must be positive, got -1"),
     "rotation_generator omega": (lambda: rotation_generator(Fraction(-1, 2)),
                                  "omega must be positive, got -1/2"),
     "xi_pair omega": (lambda: quantum.xi_pair(0, 2), "omega must be positive, got 0"),
@@ -693,7 +695,8 @@ class TestTrace:
             for n, tm in enumerate(times):
                 row = _row(cols, n)
                 q, p, ap, am = row[1:5]
-                expected = [float(scalar_evaluate(poly.as_poly(v).terms.items(), (q, p, ap, am)))
+                expected = [float(scalar_evaluate([(exps, float(c)) for exps, c in v.terms.items()],
+                                                  (q, p, ap, am)))
                             for _, v in tensor.independent_entries()]
                 assert list(map(repr, row[5:])) == list(map(repr, expected)), (t, tm)
 

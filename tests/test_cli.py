@@ -169,6 +169,21 @@ class TestVerify:
         assert "matrix-lax: FAIL" in out
         assert out.rstrip().endswith("overall: FAIL")
 
+    def test_flow_scalar_mutant_fails_verify_all(self, capsys, monkeypatch):
+        # -omega in place of -omega**2 in the flow is exact at the default
+        # omega 1; matrix-lax reads the flow from _lax_sides, so its proof at
+        # omega + 1 exposes it
+        real = lax._time_derivative
+
+        def mutant(value, half_w, minus_w2, minus_half_w):
+            return real(value, half_w, 2 * minus_half_w, minus_half_w)
+
+        monkeypatch.setattr(lax, "_time_derivative", mutant)
+        code, out, _ = run(capsys, "verify", "all")
+        assert code == 1
+        assert "matrix-lax: FAIL  (nonzero residual in q, p at omega=2)" in out.splitlines()
+        assert out.rstrip().endswith("overall: FAIL")
+
     def test_operadic_lax_names_failing_probe(self, capsys, monkeypatch):
         real = lax._member
 
@@ -225,6 +240,9 @@ class TestVerify:
             return Operation.from_matrix([[m[3 * c + r] for c in range(3)] for r in range(3)])
 
         monkeypatch.setattr(lax, "rotation_generator", reversed_rotation)
+        code, out, _ = run(capsys, "verify", "matrix-lax")
+        assert code == 1
+        assert out.splitlines()[1] == "matrix-lax: FAIL  (nonzero residual in q, p at omega=1)"
         code, out, _ = run(capsys, "verify", "operadic-lax")
         assert code == 1
         assert out.splitlines()[1].startswith("operadic-lax: FAIL  (")

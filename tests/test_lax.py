@@ -42,6 +42,23 @@ class TestMatrixPair:
             assert type(op) is Operation and (op.dim, op.degree) == (3, 1)
         assert pair.M == rotation_generator(w)
         assert residual.is_zero and all(type(v) is Fraction for v in residual.coeffs)
+        # L's constants, its zeros and its 1, are in the ring of q
+        assert all(type(v) is Fraction for v in pair.L.coeffs)
+        symbolic = build_matrix_lax(poly.q, poly.p, w).L
+        assert all(type(v) is Poly for v in symbolic.coeffs)
+        assert symbolic.entry(3, 3) == 1 and symbolic.entry(1, 3).is_zero
+
+    def test_proof_takes_omega_as_a_rational(self, monkeypatch):
+        # an int omega reaches the flow as a Fraction, so omega/2 is no float
+        real, scalars = lax._time_derivative, []
+
+        def recording(value, *flow):
+            scalars.extend(flow)
+            return real(value, *flow)
+
+        monkeypatch.setattr(lax, "_time_derivative", recording)
+        assert lax.prove_matrix_lax(1)[0]
+        assert scalars and all(type(c) is Fraction for c in scalars)
 
     def test_residual_exact_zero_random(self):
         rng = random.Random(7)
@@ -358,9 +375,15 @@ class TestBuildMuMatchesRingArithmetic:
     @given(families(), st.lists(st.floats(-4, 4), min_size=4, max_size=4),
            st.floats(0.1, 4))
     def test_at_a_float_point(self, family, point, omega):
+        # an s-part meets a float coordinate, which the exact ring refuses
         params, _ = family
         args = (params, *point, omega)
-        _assert_same_entries(build_mu(*args), reference_lax.build_mu(*args))
+        if any(type(c) is ExtScalar for c in params.c):
+            for build in (build_mu, reference_lax.build_mu):
+                with pytest.raises(TypeError):
+                    build(*args)
+        else:
+            _assert_same_entries(build_mu(*args), reference_lax.build_mu(*args))
 
     def test_scalar_entry_and_its_mirror(self):
         # mu^3_{12} is the constant Poly C9, and the diagonal the zero Poly

@@ -48,6 +48,17 @@ class TestExtScalar:
         with pytest.raises(TypeError):
             ExtScalar(u, v, p0=p0)
 
+    @pytest.mark.parametrize("x", [ExtScalar(Fraction(1, 2), p0=2), ExtScalar(1, 1, p0=3)])
+    def test_float_operand_rejected(self, x):
+        # +, - and * with a float raise in both orders, as on the polynomials;
+        # float() is the one way to a float, and == compares by value
+        for a, b in ((x, 0.5), (0.5, x)):
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                with pytest.raises(TypeError):
+                    op(a, b)
+        assert float(x) == float(x.u) + float(x.v) * math.sqrt(2 * x.p0)
+        assert (x == 0.5) is (x.v == 0) and (0.5 == x) is (x.v == 0)
+
     @given(scalars, scalars, scalars)
     def test_ring_laws(self, x, y, z):
         assert x * (y + z) == x * y + x * z

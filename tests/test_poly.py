@@ -76,27 +76,29 @@ points = st.lists(st.tuples(floats, floats, floats, floats), min_size=1, max_siz
 
 
 class TestEvaluateTerms:
-    def _check(self, f, pts):
+    def _check(self, terms, pts):
         columns = tuple(map(list, zip(*pts)))
-        got = evaluate_terms(f.terms.items(), columns)
+        got = evaluate_terms(terms, columns)
         assert len(got) == len(pts)
         for value, pt in zip(got, pts):
-            assert repr(value) == repr(scalar_evaluate(f.terms.items(), pt))
+            assert repr(value) == repr(scalar_evaluate(terms, pt))
 
     @given(polys, points)
     def test_columns_match_point_by_point(self, f, pts):
-        self._check(f, pts)
+        self._check(f.terms.items(), pts)
 
     def test_negative_coefficient_at_zero(self):
         # -1/2 * 0.0 is -0.0, and the sum from int 0 turns it into 0.0
         f = Fraction(-1, 2) * q
         pts = [(0.0, 1.0, 1.0, 0.0), (-0.0, 0.5, 2.0, 1.0), (1.5, 0.0, 0.0, 0.0)]
         assert repr(evaluate_terms(f.terms.items(), tuple(map(list, zip(*pts))))[0]) == "0.0"
-        self._check(f, pts)
-        # the same with a coefficient in Q(s), s = sqrt(6) formal
+        self._check(f.terms.items(), pts)
+        # the same with a coefficient in Q(s), s = sqrt(6) formal, given as its
+        # float: the exact ring refuses a float operand
         g = ExtScalar(0, Fraction(-1, 4), p0=3) * a_minus + Fraction(-3, 4) * q
-        self._check(g, pts)
-        assert repr(evaluate_terms(g.terms.items(), ([0.0], [1.0], [1.0], [0.0]))[0]) == "0.0"
+        terms = [(exps, float(c)) for exps, c in g.terms.items()]
+        self._check(terms, pts)
+        assert repr(evaluate_terms(terms, ([0.0], [1.0], [1.0], [0.0]))[0]) == "0.0"
 
     def test_zero_polynomial(self):
         assert evaluate_terms((), ([1.0, 2.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0])) == [0, 0]
@@ -139,6 +141,10 @@ class TestHelpers:
         assert rational_sqrt(4) == 2
         assert rational_sqrt(Fraction(2)) is None
         assert rational_sqrt(-1) is None
+        # a float or a string is not a rational, whatever value it spells
+        for bad in (2.25, "9/4"):
+            with pytest.raises(TypeError):
+                rational_sqrt(bad)
 
     def test_constant_value(self):
         assert (q - q + 5).constant_value() == 5
